@@ -86,8 +86,25 @@ class OmegaSolution:
                             self.w3[i + 1], s, h, 1)
         raise ExprError(f"derivative order {der} not stored")
 
-    def fn_entry(self):
-        return [lambda t, o=o: self.value(t, o) for o in range(4)]
+    def sample(self, ts, der=0):
+        """value over an array of times, element for element the same
+        floats; a query outside the grid gives NaN instead of raising."""
+        if der not in (0, 1, 2, 3):
+            raise ExprError(f"derivative order {der} not stored")
+        from .ndesolve import _hermite
+
+        ts = np.asarray(ts, float)
+        grid, h = self.ts, self.hstep
+        # int() truncates toward zero, like the scalar lookup; fmax/fmin
+        # also send NaN times to a valid index, and they come out NaN
+        i = np.trunc((ts - grid[0]) / h)
+        i = np.fmin(np.fmax(i, 0), len(grid) - 2).astype(np.intp)
+        s = (ts - grid[i]) / h
+        y, m = ((self.w, self.w1), (self.w1, self.w2), (self.w2, self.w3),
+                (self.w2, self.w3))[der]
+        out = _hermite(y[i], y[i + 1], m[i], m[i + 1], s, h, int(der == 3))
+        outside = (ts < grid[0] - 1e-9) | (ts > grid[-1] + 1e-9)
+        return np.where(outside, np.nan, out)
 
     def conservation_drift(self):
         """Max relative drift of the monitored first integral."""

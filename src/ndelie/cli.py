@@ -15,8 +15,10 @@ emitted as sorted-key JSON so identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
+import operator
 import os
 import sys
 
@@ -31,11 +33,34 @@ from .suite import build_scenarios, run_suite
 from .symexpr import ExprError, ParseError, render
 
 
+_NUM_NAMES = {"pi": math.pi, "e": math.e}
+_NUM_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+               ast.Mult: operator.mul, ast.Div: operator.truediv,
+               ast.Pow: operator.pow}
+
+
+def _num_eval(node):
+    """Float arithmetic over numbers, pi and e; any other syntax is
+    refused.  Literals become floats, so a power overflows at once instead
+    of building a huge integer."""
+    if isinstance(node, ast.Expression):
+        return _num_eval(node.body)
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id in _NUM_NAMES:
+        return _NUM_NAMES[node.id]
+    if isinstance(node, ast.BinOp) and type(node.op) in _NUM_BINOPS:
+        return _NUM_BINOPS[type(node.op)](_num_eval(node.left),
+                                          _num_eval(node.right))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_num_eval(node.operand)
+    raise ValueError(f"{type(node).__name__} is not allowed")
+
+
 def _num(text):
     """Numeric CLI argument; accepts pi-bearing arithmetic like 3*pi/2."""
     try:
-        return float(eval(text, {"__builtins__": {}},
-                          {"pi": math.pi, "e": math.e}))
+        return float(_num_eval(ast.parse(text, mode="eval")))
     except Exception as err:
         raise argparse.ArgumentTypeError(f"bad numeric value {text!r}: "
                                          f"{err}") from None

@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .symexpr import (
-    Coeff, Expr, ExprError, Par, Rat, T, ZERO, atoms, compile_numeric, diff,
-    normalize, parse, render,
+    Coeff, Expr, ExprError, Par, Rat, T, ZERO, atoms, compile_array,
+    compile_numeric, diff, normalize, parse, render,
 )
 
 COEFF_NAMES = ("a", "b", "c", "d", "k", "h")
@@ -31,7 +31,8 @@ class CoeffDescriptor:
     kind 'zero'     -- identically zero
     kind 'const'    -- exact rational value, optionally carrying a name
     kind 'closed'   -- closed-form Expr in t, differentiable symbolically
-    kind 'numeric'  -- callables for orders 0..3
+    kind 'numeric'  -- callables for orders 0..3; a cubic-spline table
+                       keeps its samples, which is what its JSON form holds
     """
 
     kind: str
@@ -40,7 +41,9 @@ class CoeffDescriptor:
     expr: Expr | None = None
     fns: tuple | None = None
     nonvanishing: bool | None = None
+    samples: tuple | None = None
     _compiled: tuple = field(default=None, repr=False, compare=False)
+    _compiled_array: tuple = field(default=None, repr=False, compare=False)
 
     @classmethod
     def zero(cls):
@@ -80,12 +83,14 @@ class CoeffDescriptor:
     def from_table(cls, ts, vs, nonvanishing=None):
         from scipy.interpolate import CubicSpline
 
-        spline = CubicSpline(np.asarray(ts, float), np.asarray(vs, float))
+        ts = [float(t) for t in ts]
+        vs = [float(v) for v in vs]
+        spline = CubicSpline(np.asarray(ts), np.asarray(vs))
         ders = [spline] + [spline.derivative(i) for i in range(1, 4)]
         return cls("numeric",
                    fns=tuple((lambda d: (lambda t: float(d(t))))(d)
                              for d in ders),
-                   nonvanishing=nonvanishing)
+                   nonvanishing=nonvanishing, samples=tuple(zip(ts, vs)))
 
     # -- predicates ---------------------------------------------------------
 
@@ -118,13 +123,17 @@ class CoeffDescriptor:
             return self.expr
         return Coeff(name)
 
+    def _derivatives(self):
+        exprs = [self.expr]
+        for _ in range(3):
+            exprs.append(diff(exprs[-1], T))
+        return exprs
+
     def _derivative_chain(self):
         if self._compiled is None:
             if self.kind == "closed":
-                exprs = [self.expr]
-                for _ in range(3):
-                    exprs.append(diff(exprs[-1], T))
-                self._compiled = tuple(compile_numeric(e) for e in exprs)
+                self._compiled = tuple(compile_numeric(e)
+                                       for e in self._derivatives())
             else:
                 self._compiled = ()
         return self._compiled
@@ -143,9 +152,26 @@ class CoeffDescriptor:
                 f"numeric descriptor supplies orders 0..{len(self.fns) - 1}")
         return float(self.fns[order](t))
 
-    def fn_entry(self):
-        """Entry for a symexpr fn_table: callables indexed by order."""
-        return [lambda t, o=o: self.eval(t, o) for o in range(4)]
+    def sample(self, ts, order=0):
+        """eval over an array of times; closed forms run compiled in array
+        mode, other kinds point by point."""
+        ts = np.asarray(ts, float)
+        if self.kind != "closed":
+            return np.array([self.eval(t, order) for t in ts.ravel().tolist()],
+                            float).reshape(ts.shape)
+        if order > 3:
+            raise ExprError(f"derivative order {order} exceeds 3")
+        if self._compiled_array is None:
+            self._compiled_array = tuple(compile_array(e)
+                                         for e in self._derivatives())
+        return np.broadcast_to(self._compiled_array[order]({"t": ts}, None),
+                               ts.shape)
+
+    def fn_entry(self, array=False):
+        """Entry for a symexpr fn_table: callables indexed by order; with
+        array set they take and return arrays."""
+        query = self.sample if array else self.eval
+        return [lambda t, o=o: query(t, o) for o in range(4)]
 
     # -- JSON ---------------------------------------------------------------
 
@@ -159,7 +185,11 @@ class CoeffDescriptor:
             return out
         if self.kind == "closed":
             return {"kind": "closed", "expr": render(self.expr)}
-        return {"kind": "numeric-table"}
+        if self.samples is None:
+            raise ExprError("a numeric descriptor built from callables has "
+                            "no JSON form; build it from a table")
+        return {"kind": "numeric-table",
+                "samples": [list(p) for p in self.samples]}
 
     @classmethod
     def from_json(cls, obj):
@@ -219,8 +249,8 @@ class NdeSpec:
         return dict(zip(COEFF_NAMES,
                         (self.a, self.b, self.c, self.d, self.k, self.h)))
 
-    def fn_table(self):
-        return {name: desc.fn_entry()
+    def fn_table(self, array=False):
+        return {name: desc.fn_entry(array)
                 for name, desc in self.descriptors().items()
                 if desc.kind in ("closed", "numeric")}
 

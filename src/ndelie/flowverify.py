@@ -11,7 +11,6 @@ equation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,35 +20,38 @@ from .detsys import invariance_residual, reduced_ansatz
 from .equation import NdeSpec
 from .ndesolve import Trajectory
 from .symexpr import (
-    EvalError, ExprError, T, ZERO, compile_numeric, diff, normalize,
+    ExprError, T, ZERO, compile_array, compile_numeric, diff, normalize,
 )
 
 
-def _rho_chain(rho):
+def _rho_chain(rho, array=False):
+    """Derivative chain of the solution slot.  A Trajectory stores x, x'
+    and x'' only, so a request for a higher order fails with EvalError."""
     if rho is None:
         return [lambda t: 0.0] * 4
     if isinstance(rho, Trajectory):
-        return [lambda t, o=o: rho.value(t, o) for o in range(3)] + \
-            [lambda t: 0.0]
-    return rho  # already a chain of callables
+        query = rho.sample if array else rho.value
+        return [lambda t, o=o: query(t, o) for o in range(3)]
+    return rho  # a chain of callables, used as given (arrays in flows)
 
 
 def generator_callables(gen: Generator, spec: NdeSpec, rho=None):
-    """(omega(t, x), upsilon(t, x)) as floats for flowing."""
-    table = spec.fn_table()
-    table["rho"] = _rho_chain(rho)
+    """(omega(t, x), upsilon(t, x)) over arrays for flowing; NaN marks a
+    point where the generator cannot be evaluated."""
     if gen.kind == "numeric":
         sol = gen.omega_numeric
 
         def omega(t, x):
-            return sol.value(t, 0)
+            return sol.sample(t, 0)
 
         def upsilon(t, x):
-            return 0.5 * sol.value(t, 1) * x
+            return 0.5 * sol.sample(t, 1) * x
 
         return omega, upsilon
-    fw = compile_numeric(gen.omega if gen.omega is not None else ZERO)
-    fu = compile_numeric(gen.upsilon if gen.upsilon is not None else ZERO)
+    table = spec.fn_table(array=True)
+    table["rho"] = _rho_chain(rho, array=True)
+    fw = compile_array(gen.omega if gen.omega is not None else ZERO)
+    fu = compile_array(gen.upsilon if gen.upsilon is not None else ZERO)
 
     def omega(t, x):
         return fw({"t": t, "x": x, "r": spec.r}, table)
@@ -60,34 +62,39 @@ def generator_callables(gen: Generator, spec: NdeSpec, rho=None):
     return omega, upsilon
 
 
+def _rk4(vel, y, delta, substeps):
+    """Classic RK4 in the group parameter for every row of y at once; a row
+    that turns non-finite (NaN marks a failed evaluation) comes back None,
+    the others as tuples."""
+    n = max(int(substeps), 1)
+    h = delta / n
+    with np.errstate(all="ignore"):
+        for _ in range(n):
+            k1 = vel(y)
+            k2 = vel(y + h / 2 * k1)
+            k3 = vel(y + h / 2 * k2)
+            k4 = vel(y + h * k3)
+            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        ok = np.isfinite(y).all(axis=1)
+    return [tuple(row) if good else None
+            for row, good in zip(y.tolist(), ok.tolist())]
+
+
 def flow(gen: Generator, points, delta, spec: NdeSpec, rho=None,
          substeps=64):
     """RK4 exponentiation of the generator from each point; entries become
     None where the flow leaves the numeric domain."""
     omega, upsilon = generator_callables(gen, spec, rho)
-    n = max(int(substeps), 1)
-    h = delta / n
-    out = []
-    for (t, x) in points:
-        tb, xb = float(t), float(x)
-        try:
-            for _ in range(n):
-                k1t, k1x = omega(tb, xb), upsilon(tb, xb)
-                k2t = omega(tb + h / 2 * k1t, xb + h / 2 * k1x)
-                k2x = upsilon(tb + h / 2 * k1t, xb + h / 2 * k1x)
-                k3t = omega(tb + h / 2 * k2t, xb + h / 2 * k2x)
-                k3x = upsilon(tb + h / 2 * k2t, xb + h / 2 * k2x)
-                k4t = omega(tb + h * k3t, xb + h * k3x)
-                k4x = upsilon(tb + h * k3t, xb + h * k3x)
-                tb += h / 6 * (k1t + 2 * k2t + 2 * k3t + k4t)
-                xb += h / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-            if not (math.isfinite(tb) and math.isfinite(xb)):
-                out.append(None)
-            else:
-                out.append((tb, xb))
-        except (EvalError, ExprError, OverflowError):
-            out.append(None)
-    return out
+
+    def vel(y):
+        t, x = y[:, 0], y[:, 1]
+        out = np.empty_like(y)
+        out[:, 0] = omega(t, x)
+        out[:, 1] = upsilon(t, x)
+        return out
+
+    y = np.array(points, float).reshape(-1, 2)
+    return _rk4(vel, y, delta, substeps)
 
 
 @dataclass
@@ -132,38 +139,22 @@ def prolonged_flow(gen: Generator, jets, delta, spec: NdeSpec, rho=None,
              (gamma - 2 beta') x''.
     """
     beta, gamma, rho_chain = _affine_chains(gen, spec, rho)
-    n = max(int(substeps), 1)
-    h = delta / n
 
-    def vel(state):
-        t, x, x1, x2 = state
+    def vel(y):
+        t, x, x1, x2 = y[:, 0], y[:, 1], y[:, 2], y[:, 3]
         b0, b1v, b2v = beta[0](t), beta[1](t), beta[2](t)
         g0, g1v, g2v = gamma[0](t), gamma[1](t), gamma[2](t)
         r1v, r2v = rho_chain[1](t), rho_chain[2](t)
-        return np.array([
-            b0,
-            g0 * x + rho_chain[0](t),
-            g1v * x + r1v + (g0 - b1v) * x1,
-            g2v * x + r2v + (2 * g1v - b2v) * x1 + (g0 - 2 * b1v) * x2,
-        ])
+        out = np.empty_like(y)
+        out[:, 0] = b0
+        out[:, 1] = g0 * x + rho_chain[0](t)
+        out[:, 2] = g1v * x + r1v + (g0 - b1v) * x1
+        out[:, 3] = (g2v * x + r2v + (2 * g1v - b2v) * x1
+                     + (g0 - 2 * b1v) * x2)
+        return out
 
-    out = []
-    for jet in jets:
-        y = np.array([float(v) for v in jet])
-        try:
-            for _ in range(n):
-                k1 = vel(y)
-                k2 = vel(y + h / 2 * k1)
-                k3 = vel(y + h / 2 * k2)
-                k4 = vel(y + h * k3)
-                y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.all(np.isfinite(y)):
-                out.append(None)
-            else:
-                out.append(tuple(float(v) for v in y))
-        except (EvalError, ExprError, OverflowError):
-            out.append(None)
-    return out
+    y = np.array(jets, float).reshape(-1, 4)
+    return _rk4(vel, y, delta, substeps)
 
 
 def transform_solution(traj: Trajectory, gen: Generator, delta,
@@ -181,33 +172,31 @@ def transform_solution(traj: Trajectory, gen: Generator, delta,
     step = traj.hstep / fine
     count = int(round((traj.t_end - (traj.t0 - traj.r)) / step))
     ts = (traj.t0 - traj.r) + step * np.arange(count + 1)
-    jets = [(t, traj.value(t, 0), traj.value(t, 1), traj.value(t, 2))
-            for t in ts]
-    moved = prolonged_flow(gen, jets, delta, spec, rho, substeps)
+    # the acceleration is two-sided at the breaking points: default jets
+    # carry the right-hand value, so segments closing at a cut get their
+    # last datum from a left-hand jet, transported in the same batch
+    breaks = set()
+    for bp in traj.breaking_points():
+        idx = int(round((bp - ts[0]) / step))
+        if 0 < idx < len(ts) - 1 and abs(ts[idx] - bp) < 1e-9:
+            breaks.add(idx)
+    cut_idx = sorted(breaks)
+    both = np.concatenate([ts, ts[cut_idx]])
+    jets = np.column_stack([
+        both, traj.sample(both, 0), traj.sample(both, 1),
+        np.concatenate([traj.sample(ts, 2),
+                        traj.sample(ts[cut_idx], 2, side="-")])])
+    moved_all = prolonged_flow(gen, jets, delta, spec, rho, substeps)
+    moved = moved_all[:len(ts)]
     if any(m is None for m in moved):
         raise ExprError("flow left the numeric domain for some points")
     tbar = np.array([m[0] for m in moved])
     if not np.all(np.diff(tbar) > 0):
         raise ExprError("transformed time is not strictly increasing; the "
                         "image is no longer a graph")
-
-    # the acceleration is two-sided at the breaking points: default jets
-    # carry the right-hand value, so segments closing at a cut get their
-    # last datum from a separately transported left-hand jet
-    breaks = set()
-    for bp in traj.breaking_points():
-        idx = int(round((bp - ts[0]) / step))
-        if 0 < idx < len(ts) - 1 and abs(ts[idx] - bp) < 1e-9:
-            breaks.add(idx)
-    moved_left = {}
-    for idx in sorted(breaks):
-        t_cut = float(ts[idx])
-        left_jet = (t_cut, traj.value(t_cut, 0), traj.value(t_cut, 1),
-                    traj.value(t_cut, 2, side="-"))
-        m = prolonged_flow(gen, [left_jet], delta, spec, rho, substeps)[0]
-        if m is None:
-            raise ExprError("flow left the numeric domain for some points")
-        moved_left[idx] = m
+    moved_left = dict(zip(cut_idx, moved_all[len(ts):]))
+    if any(m is None for m in moved_left.values()):
+        raise ExprError("flow left the numeric domain for some points")
     cuts = [0] + sorted(breaks) + [len(ts) - 1]
     segments = []
     for lo_i, hi_i in zip(cuts[:-1], cuts[1:]):
@@ -249,18 +238,19 @@ class InvarianceReport:
         return out
 
 
-def _affine_chains(gen: Generator, spec: NdeSpec, rho):
-    """beta/gamma/rho derivative chains for the affine residual; every
-    taxonomy generator is affine in x."""
+def _affine_chains(gen: Generator, spec: NdeSpec, rho, array=True):
+    """beta/gamma/rho derivative chains of the affine pair, over arrays of
+    times or, with array unset, scalar times; every taxonomy generator is
+    affine in x."""
     if gen.kind == "numeric":
         # a numeric time-like generator carries no solution slot
         sol = gen.omega_numeric
-        beta = [lambda t, o=o: sol.value(t, o) for o in range(4)]
-        gamma = [lambda t, o=o: 0.5 * sol.value(t, o + 1) for o in range(3)]
+        query = sol.sample if array else sol.value
+        beta = [lambda t, o=o: query(t, o) for o in range(4)]
+        gamma = [lambda t, o=o: 0.5 * query(t, o + 1) for o in range(3)]
         return beta, gamma, [lambda t: 0.0] * 4
-    rho_chain = _rho_chain(rho)
-    table = spec.fn_table()
-    table["rho"] = rho_chain
+    table = spec.fn_table(array)
+    table["rho"] = _rho_chain(rho, array)
     w = gen.omega if gen.omega is not None else ZERO
     u = gen.upsilon if gen.upsilon is not None else ZERO
     from .symexpr import X, substitute
@@ -278,8 +268,10 @@ def _affine_chains(gen: Generator, spec: NdeSpec, rho):
         rhos.append(diff(rhos[-1], T))
     env = {"r": spec.r}
 
+    compile_ = compile_array if array else compile_numeric
+
     def chain(exprs):
-        compiled = [compile_numeric(e) for e in exprs]
+        compiled = [compile_(e) for e in exprs]
         return [lambda t, f=f: f({**env, "t": t}, table) for f in compiled]
 
     return chain(betas), chain(gammas), chain(rhos)
@@ -298,7 +290,7 @@ def infinitesimal_check(traj: Trajectory, gen: Generator, spec: NdeSpec,
                         samples, rho=None) -> float:
     """Max |invariance residual| along the solution, all jet values read
     from dense output."""
-    beta, gamma, rho_chain = _affine_chains(gen, spec, rho)
+    beta, gamma, rho_chain = _affine_chains(gen, spec, rho, array=False)
     table = spec.fn_table()
     table.update({"beta": beta, "gamma": gamma, "rho": rho_chain})
     res_fn = _affine_residual_fn(spec)

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equation import NdeSpec
-from .symexpr import Expr, ExprError, T, compile_numeric, diff, normalize, parse
+from .symexpr import (
+    Expr, ExprError, T, compile_array, compile_numeric, diff, normalize, parse,
+)
 
 
 @dataclass
@@ -30,6 +32,7 @@ class InitialFunction:
 
     theta: Expr
     _chain: tuple = field(default=None, repr=False, compare=False)
+    _chain_array: tuple = field(default=None, repr=False, compare=False)
 
     @classmethod
     def make(cls, theta):
@@ -37,16 +40,27 @@ class InitialFunction:
             theta = parse(theta)
         return cls(normalize(theta))
 
+    def _derivatives(self):
+        d1 = diff(self.theta, T)
+        return (self.theta, d1, diff(d1, T))
+
     def _compiled(self):
         if self._chain is None:
-            d1 = diff(self.theta, T)
-            d2 = diff(d1, T)
             self._chain = tuple(compile_numeric(e)
-                                for e in (self.theta, d1, d2))
+                                for e in self._derivatives())
         return self._chain
 
     def value(self, t, der=0):
         return self._compiled()[der]({"t": float(t)}, None)
+
+    def sample(self, ts, der=0):
+        """value over an array of times; domain errors give NaN."""
+        if self._chain_array is None:
+            self._chain_array = tuple(compile_array(e)
+                                      for e in self._derivatives())
+        ts = np.asarray(ts, float)
+        return np.broadcast_to(self._chain_array[der]({"t": ts}, None),
+                               ts.shape)
 
     def __add__(self, other):
         return InitialFunction(normalize(self.theta + other.theta))
@@ -131,8 +145,36 @@ class Trajectory:
                             self._right_slope(i), s, self.hstep, 1)
         raise ExprError(f"derivative order {der} not stored")
 
-    def sample(self, ts, der=0):
-        return np.array([self.value(float(t), der) for t in ts])
+    def sample(self, ts, der=0, side="+"):
+        """value over an array of times, element for element the same
+        floats; a query outside the span gives NaN instead of raising."""
+        if der not in (0, 1, 2):
+            raise ExprError(f"derivative order {der} not stored")
+        ts = np.asarray(ts, float)
+        t0, h = self.t0, self.hstep
+        early = (ts < t0) | ((ts == t0) & (der < 2 or side == "-"))
+        # fmax/fmin also send NaN times to a valid index; they come out NaN
+        i = np.floor((ts - t0) / h + 1e-9)
+        i = np.fmin(np.fmax(i, 0), len(self.ts) - 2).astype(np.intp)
+        if side == "-" and der == 2:
+            i = np.where((i > 0) & (ts <= self.ts[i]), i - 1, i)
+        s = (ts - self.ts[i]) / h
+        if der == 0:
+            out = _hermite(self.xs[i], self.xs[i + 1], self.x1s[i],
+                           self.x1s[i + 1], s, h, 0)
+        else:
+            # right-hand slope of each interval: the left-hand acceleration
+            # where the interval closes at a breaking point
+            right = self.x2s.copy()
+            for j, v in (self.left_x2 or {}).items():
+                if j > 0:
+                    right[j] = v
+            out = _hermite(self.x1s[i], self.x1s[i + 1], self.x2s[i],
+                           right[i + 1], s, h, der - 1)
+        if early.any():
+            out[early] = self.theta.sample(ts[early], der)
+        outside = (ts < t0 - self.r - 1e-9) | (ts > self.t_end + 1e-9)
+        return np.where(outside, np.nan, out)
 
     def breaking_points(self):
         """Times t0 + n r where propagated derivative jumps may sit."""

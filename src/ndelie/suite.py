@@ -234,21 +234,14 @@ def run_scenario(sc: Scenario, steps=64, delta=0.25, tol_inf=1e-6,
     return out
 
 
-def run_suite(only=None, steps=64, delta=0.25, parallel=True):
-    """All scenarios, optionally restricted; results ordered by name."""
+def run_suite(only=None, steps=64, delta=0.25):
+    """All scenarios, optionally restricted, run one after another;
+    results ordered by name."""
     scenarios = build_scenarios()
     if only:
         scenarios = [sc for sc in scenarios if sc.name == only]
         if not scenarios:
             raise KeyError(f"no scenario named {only!r}")
-    if parallel and len(scenarios) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(
-                lambda sc: run_scenario(sc, steps=steps, delta=delta),
-                scenarios))
-    else:
-        results = [run_scenario(sc, steps=steps, delta=delta)
-                   for sc in scenarios]
+    results = [run_scenario(sc, steps=steps, delta=delta)
+               for sc in scenarios]
     return sorted(results, key=lambda r: (len(r.name), r.name))

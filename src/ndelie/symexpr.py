@@ -17,10 +17,13 @@ such identities use numeric sampling instead.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 
 class ExprError(Exception):
@@ -378,8 +381,17 @@ def _poly(e):
             raise ExprError("negative power of zero")
         if len(p) == 1:
             ((mono, coeff),) = p.items()
-            # scaling exponents by a constant keeps the atom order
-            return {tuple((a, k * e.n) for a, k in mono): coeff ** e.n}
+            scaled = tuple((a, k * e.n) for a, k in mono)
+            if not any(isinstance(a, Sum) and k > 0 for a, k in scaled):
+                # scaling exponents by a constant keeps the atom order
+                return {scaled: coeff ** e.n}
+            # a sum atom raised to a positive power again is expanded
+            out = {(): coeff ** e.n}
+            for a, k in scaled:
+                out = _poly_mul(out, _poly_pow(_poly(a), k)
+                                if isinstance(a, Sum) and k > 0
+                                else {((a, k),): Fraction(1)})
+            return out
         return {((_rebuild(p), e.n),): Fraction(1)}
     raise ExprError(f"unexpected node {e!r}")
 
@@ -665,7 +677,7 @@ def collect(e, jets) -> dict:
 # numeric evaluation
 
 
-def _coeff_value(fn_table, name, order, tval):
+def _coeff_value(fn_table, name, order, tval, cast=float):
     if fn_table is None or name not in fn_table:
         raise EvalError(f"no numeric binding for coefficient function {name}")
     entry = fn_table[name]
@@ -674,14 +686,14 @@ def _coeff_value(fn_table, name, order, tval):
             raise EvalError(
                 f"derivative of order {order} of {name} not supplied"
             )
-        return float(entry(tval))
+        return cast(entry(tval))
     try:
         f = entry[order]
     except (IndexError, KeyError, TypeError):
         raise EvalError(
             f"derivative of order {order} of {name} not supplied"
         ) from None
-    return float(f(tval))
+    return cast(f(tval))
 
 
 def eval_numeric(e, env, fn_table=None) -> float:
@@ -743,7 +755,81 @@ def eval_numeric(e, env, fn_table=None) -> float:
 
 def compile_numeric(e):
     """Compile to a closure f(env, fn_table) -> float for tight loops."""
-    e = _as_expr(e)
+    return _compile(_as_expr(e), False)
+
+
+def compile_array(e):
+    """Compile to a closure f(env, fn_table) -> array over numpy arrays.
+
+    env values and the fn_table callables take and return arrays or
+    floats; the result broadcasts against them (a constant expression
+    gives a float).  Each element gets the value the scalar
+    closure of compile_numeric gives, bit for bit where numpy's sin, cos and
+    sqrt agree with the C library: sums are rounded as math.fsum rounds
+    them, and exp, ln and integer powers are evaluated per element with the
+    math functions.  A domain or range error (sqrt or ln of a bad value,
+    0^-n, overflow) does not raise; it sets that element to NaN, so
+    np.isnan of the result is the per-point mask of failed evaluations.
+    """
+    return _compile(_as_expr(e), True)
+
+
+def _elementwise(fn, a):
+    """fn applied to each element with the math library; an element whose
+    call raises a domain or range error becomes NaN."""
+    a = np.asarray(a, float)
+    flat = a.ravel().tolist()
+    try:
+        out = [fn(v) for v in flat]
+    except (ArithmeticError, ValueError):
+        out = []
+        for v in flat:
+            try:
+                out.append(fn(v))
+            except (ArithmeticError, ValueError):
+                out.append(math.nan)
+    return np.array(out, float).reshape(a.shape)
+
+
+def _fsum_array(values):
+    """Elementwise math.fsum of a list of arrays and floats.
+
+    A two-term sum rounds once, so plain addition is already exact-rounded.
+    Longer sums accumulate the error-free TwoSum residuals; where that
+    cannot certify the rounding of the total (the rare element lying too
+    near a rounding boundary, or at a power of two), math.fsum redoes it.
+    """
+    if len(values) == 2:
+        return values[0] + values[1]
+    s = values[0]
+    err = 0.0
+    mag = 0.0
+    for v in values[1:]:
+        t = s + v
+        bv = t - s
+        e = (s - (t - bv)) + (v - bv)
+        err = err + e
+        mag = mag + np.abs(e)
+        s = t
+    r = np.array(s + err, float)
+    bz = r - s
+    z = (s - (r - bz)) + (err - bz)
+    bound = len(values) * 2.220446049250313e-16 * mag
+    # with every residual zero the running sum was exact all along; below
+    # a power of two the gap halves, so those totals are always redone
+    sure = (np.abs(z) + bound < np.spacing(np.abs(r)) / 2) | np.equal(mag, 0)
+    doubtful = ((~sure & np.isfinite(r))
+                | (np.abs(np.frexp(r)[0]) == 0.5))
+    if doubtful.any():
+        flat = r.reshape(-1)
+        cols = [np.broadcast_to(v, r.shape).reshape(-1) for v in values]
+        for i in np.flatnonzero(doubtful):
+            flat[i] = math.fsum(float(c[i]) for c in cols)
+    return r
+
+
+def _compile(e, arr):
+    """One walk for both modes; arr selects the array leaves."""
     if isinstance(e, Rat):
         v = float(e.q)
         return lambda env, fns: v
@@ -758,15 +844,19 @@ def compile_numeric(e):
         return lambda env, fns: env[tag]
     if isinstance(e, Coeff):
         name, delayed, order = e.name, e.delayed, e.order
+        cast = np.asarray if arr else float
         if delayed:
             return lambda env, fns: _coeff_value(
-                fns, name, order, env["t"] - env["r"])
-        return lambda env, fns: _coeff_value(fns, name, order, env["t"])
+                fns, name, order, env["t"] - env["r"], cast)
+        return lambda env, fns: _coeff_value(fns, name, order, env["t"],
+                                             cast)
     if isinstance(e, Sum):
-        fs = tuple(compile_numeric(t) for t in e.terms)
+        fs = tuple(_compile(t, arr) for t in e.terms)
+        if arr:
+            return lambda env, fns: _fsum_array([f(env, fns) for f in fs])
         return lambda env, fns: math.fsum(f(env, fns) for f in fs)
     if isinstance(e, Prod):
-        fs = tuple(compile_numeric(f) for f in e.factors)
+        fs = tuple(_compile(f, arr) for f in e.factors)
 
         def _prod(env, fns):
             out = 1.0
@@ -776,8 +866,15 @@ def compile_numeric(e):
 
         return _prod
     if isinstance(e, Pow):
-        fb = compile_numeric(e.base)
+        fb = _compile(e.base, arr)
         n = e.n
+        if arr and n == 0:
+            # nan ** 0 is 1.0; keep the mark of a failed base
+            return lambda env, fns: np.where(np.isnan(fb(env, fns)),
+                                             math.nan, 1.0)
+        if arr:
+            pw = functools.partial(pow, exp=n)
+            return lambda env, fns: _elementwise(pw, fb(env, fns))
 
         def _pow(env, fns):
             b = fb(env, fns)
@@ -787,7 +884,10 @@ def compile_numeric(e):
 
         return _pow
     if isinstance(e, App):
-        fa = compile_numeric(e.arg)
+        fa = _compile(e.arg, arr)
+        if arr:
+            g = _ARRAY_FNS[e.fn]
+            return lambda env, fns: g(fa(env, fns))
         if e.fn == "sin":
             return lambda env, fns: math.sin(fa(env, fns))
         if e.fn == "cos":
@@ -811,6 +911,18 @@ def compile_numeric(e):
 
         return _sqrt
     raise ExprError(f"unexpected node {e!r}")
+
+
+def _sqrt_array(a):
+    return np.sqrt(np.where(np.less(a, 0.0), math.nan, a))
+
+
+# numpy's sqrt is correctly rounded and its sin and cos match the C
+# library here; its SIMD exp, log and power differ from it in the last bit
+# for a few per cent of inputs, so those run per element
+_ARRAY_FNS = {"sin": np.sin, "cos": np.cos, "sqrt": _sqrt_array,
+              "exp": functools.partial(_elementwise, math.exp),
+              "ln": functools.partial(_elementwise, math.log)}
 
 
 # ---------------------------------------------------------------------------

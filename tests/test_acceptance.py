@@ -49,7 +49,7 @@ def example1():
 
 @pytest.fixture(scope="module")
 def suite_results():
-    return {r.name: r for r in run_suite(parallel=True)}
+    return {r.name: r for r in run_suite()}
 
 
 def test_criterion_1_example1_reproduction(example1):

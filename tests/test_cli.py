@@ -138,3 +138,17 @@ def test_classification_report_deterministic(ex1_spec, capsys):
     main(["classify", "--spec", ex1_spec, "--json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_numeric_arguments_are_arithmetic_only():
+    import argparse
+
+    from ndelie.cli import _num
+
+    assert _num("3*pi/2") == 3 * math.pi / 2
+    assert _num("-2**-1") == -0.5
+    assert _num("2*e") == 2 * math.e
+    for text in ("(1).__class__.__mro__[1].__subclasses__().__len__()",
+                 "__import__('os')", "abs(-1)", "True", "9**9**9**9"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _num(text)

@@ -1,0 +1,35 @@
+import json
+import math
+
+import pytest
+
+from ndelie.equation import CoeffDescriptor as CD, NdeSpec
+from ndelie.symexpr import ExprError
+
+
+def _round_trip(spec):
+    return NdeSpec.from_json(json.loads(json.dumps(spec.to_json())))
+
+
+def test_every_descriptor_kind_round_trips():
+    spec = NdeSpec.make(
+        a=CD.from_table([0.0, 0.5, 1.0, 1.5, 2.0], [1.0, 1.5, 0.5, 2.0, 1.0]),
+        b=CD.const(3, name="c1"), c="2 + cos(4*t)/10", d=CD.const("1/4"),
+        k=None, h="sin(t)", r=math.pi / 2, t0=0.25)
+    kinds = {name: d.kind for name, d in spec.descriptors().items()}
+    assert sorted(set(kinds.values())) == ["closed", "const", "numeric",
+                                           "zero"]
+    back = _round_trip(spec)
+    assert back.to_json() == spec.to_json()
+    assert (back.r, back.t0) == (spec.r, spec.t0)
+    for name, desc in spec.descriptors().items():
+        for t in (0.3, 1.1, 1.7):
+            for order in range(4):
+                assert back.descriptors()[name].eval(t, order) == \
+                    desc.eval(t, order)
+
+
+def test_callable_numeric_descriptor_refuses_json():
+    spec = NdeSpec.make(c=CD.numeric(math.cos, lambda t: -math.sin(t)))
+    with pytest.raises(ExprError):
+        spec.to_json()

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from ndelie import flowverify
 from ndelie.classify import Generator, classify
-from ndelie.equation import NdeSpec
+from ndelie.equation import CoeffDescriptor as CD, NdeSpec
 from ndelie.flowverify import (
-    closure_error, finite_check, flow, identity_error, infinitesimal_check,
-    inverse_error, transform_solution,
+    _affine_chains, closure_error, finite_check, flow, identity_error,
+    infinitesimal_check, inverse_error, prolonged_flow, transform_solution,
 )
 from ndelie.ndesolve import integrate, solve_homogeneous_slot
-from ndelie.symexpr import T, X, ZERO, app, fn, normalize, num
+from ndelie.symexpr import (
+    EvalError, T, X, ZERO, app, fn, normalize, num, parse,
+)
 
 
 def example1():
@@ -182,3 +185,139 @@ def test_classified_generators_verify_end_to_end():
                                    rho=RHO1) < 1e-6
         rep = finite_check(TRAJ1, gen, SPEC1, [0.25], rho=RHO1)
         assert rep.finite_residual < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# array flows
+
+
+def test_omega_solution_sample_matches_value():
+    spec = NdeSpec.make(c=1, d=2, k=1, r=1.0)
+    sol = next(g.omega_numeric for g in classify(spec).admitted
+               if g.kind == "numeric")
+    grid = np.concatenate([sol.ts, (sol.ts[:-1] + sol.ts[1:]) / 2])
+    for der in range(4):
+        want = [sol.value(float(t), der) for t in grid]
+        assert sol.sample(grid, der).tolist() == want
+    outside = sol.sample([sol.ts[0] - 0.1, sol.ts[-1] + 0.1])
+    assert np.isnan(outside).all()
+
+
+def test_prolonged_flow_domain_exit_is_per_jet():
+    # d/dt + rho d/dx carries a jet near the span end past the end of the
+    # rho trajectory; only that jet fails
+    gen = Generator("d/dt + rho d/dx", "parametric", omega=num(1),
+                    upsilon=fn("rho"))
+    jets = [(1.0, 0.2, 0.1, -0.3), (3 * math.pi - 0.1, 0.5, 0.0, 0.1),
+            (5.0, -0.4, 0.3, 0.2)]
+    batch = prolonged_flow(gen, jets, 0.25, SPEC1, RHO1, substeps=24)
+    assert batch[1] is None
+    for i in (0, 2):
+        alone = prolonged_flow(gen, [jets[i]], 0.25, SPEC1, RHO1,
+                               substeps=24)
+        assert batch[i] == alone[0]
+
+
+def test_left_hand_jets_ride_in_the_main_batch(monkeypatch):
+    spec = NdeSpec.make(c=1, d=2, k=1, r=1.0)
+    traj = integrate(spec, "sin(t) + 2", 3.0, 16)
+    gen = Generator("d/dt + x d/dx", "closed", omega=num(1), upsilon=X)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        return prolonged_flow(*args, **kwargs)
+
+    monkeypatch.setattr(flowverify, "prolonged_flow", counting)
+    curve = transform_solution(traj, gen, 0.25, spec, substeps=24)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    step = traj.hstep / 2
+    checked = 0
+    for bp in traj.breaking_points()[1:-1]:
+        left = (bp, traj.value(bp, 0), traj.value(bp, 1),
+                traj.value(bp, 2, side="-"))
+        moved = prolonged_flow(gen, [left], 0.25, spec, substeps=24)[0]
+        # the segment that closes at the image of the cut ends on the
+        # separately transported left-hand jet
+        seg = next(s for s in curve.segments
+                   if abs(s[1] - moved[0]) < step / 4)
+        for i in (1, 2, 3):
+            assert float(seg[2][i - 1](seg[1])) == pytest.approx(
+                moved[i], rel=1e-12, abs=1e-12)
+        checked += 1
+    assert checked == 2
+
+
+def test_rho_chain_refuses_third_derivative():
+    for array in (False, True):
+        _, _, rho_chain = _affine_chains(GEN_RHO, SPEC1, RHO1, array=array)
+        rho_chain[2](np.array(1.0) if array else 1.0)
+        with pytest.raises(EvalError):
+            rho_chain[3](np.array(1.0) if array else 1.0)
+
+
+def _scalar_prolonged_flow(gen, jets, delta, spec, rho, substeps):
+    """Jet-by-jet RK4 over the scalar chains: the reference the array
+    flow must reproduce."""
+    beta, gamma, rho_chain = _affine_chains(gen, spec, rho, array=False)
+    h = delta / substeps
+
+    def vel(y):
+        t, x, x1, x2 = y
+        b0, b1, b2 = beta[0](t), beta[1](t), beta[2](t)
+        g0, g1, g2 = gamma[0](t), gamma[1](t), gamma[2](t)
+        return np.array([
+            b0, g0 * x + rho_chain[0](t),
+            g1 * x + rho_chain[1](t) + (g0 - b1) * x1,
+            g2 * x + rho_chain[2](t) + (2 * g1 - b2) * x1
+            + (g0 - 2 * b1) * x2])
+
+    out = []
+    for jet in jets:
+        y = np.array(jet, float)
+        for _ in range(substeps):
+            k1 = vel(y)
+            k2 = vel(y + h / 2 * k1)
+            k3 = vel(y + h / 2 * k2)
+            k4 = vel(y + h * k3)
+            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(tuple(y.tolist()))
+    return out
+
+
+def test_prolonged_flow_reproduces_the_scalar_loop():
+    # the (1/b) generator of the delay-periodic classes: integer powers of
+    # a sum and sums of three and more terms in its derivative chains
+    b = "2 + cos(4*t)/10"
+    gen = Generator("(1/b) d/dt", "closed",
+                    omega=normalize(parse(f"({b})^(-1)")),
+                    upsilon=normalize(parse(f"x*sin(4*t)/5*({b})^(-2)")))
+    jets = [(0.1 * i, 1.0 + 0.05 * i, -0.3, 0.2 * i) for i in range(40)]
+    got = prolonged_flow(gen, jets, 0.25, SPEC1, substeps=12)
+    assert got == _scalar_prolonged_flow(gen, jets, 0.25, SPEC1, None, 12)
+    gen_rho = Generator("d/dt + rho d/dx", "parametric", omega=num(1),
+                        upsilon=fn("rho"))
+    got = prolonged_flow(gen_rho, jets, 0.25, SPEC1, RHO1, substeps=12)
+    assert got == _scalar_prolonged_flow(gen_rho, jets, 0.25, SPEC1, RHO1,
+                                         12)
+
+
+@pytest.mark.parametrize("b", [
+    CD.closed("2 + cos(t)"),
+    CD.from_table([0.0, 1.0, 2.0, 3.0, 4.0], [2.0, 2.5, 1.5, 2.0, 3.0])])
+def test_flow_reads_equation_coefficients_as_arrays(b):
+    spec = NdeSpec.make(b=b, k=1, r=1.0)
+    gen = Generator("b d/dt", "closed", omega=fn("b"), upsilon=X)
+    points = [(0.5, 1.0), (1.5, -2.0), (2.5, 0.5)]
+    h = 0.3 / 8
+    for (t, x), got in zip(points, flow(gen, points, 0.3, spec,
+                                        substeps=8)):
+        for _ in range(8):
+            k1t, k1x = b.eval(t), x
+            k2t, k2x = b.eval(t + h / 2 * k1t), x + h / 2 * k1x
+            k3t, k3x = b.eval(t + h / 2 * k2t), x + h / 2 * k2x
+            k4t, k4x = b.eval(t + h * k3t), x + h * k3x
+            t += h / 6 * (k1t + 2 * k2t + 2 * k3t + k4t)
+            x += h / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        assert got == (t, x)

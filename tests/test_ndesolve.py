@@ -152,3 +152,36 @@ def test_csv_export(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,x,xprime,xsecond"
     assert len(lines) == len(traj.ts) + 1
+
+
+# ---------------------------------------------------------------------------
+# array queries
+
+
+def _neutral_run():
+    # the neutral term makes x'' jump at every breaking point t0 + n r
+    spec = NdeSpec.make(c=1, d=2, k=1, r=1.0, t0=0.5)
+    return integrate(spec, "sin(t) + 2", 3.5, 16)
+
+
+def test_sample_matches_value_bit_for_bit():
+    traj = _neutral_run()
+    nodes = traj.ts
+    grid = np.concatenate([
+        [traj.t0 - traj.r, traj.t0 - traj.r / 3, traj.t0],
+        nodes, (nodes[:-1] + nodes[1:]) / 2, traj.breaking_points(),
+        [traj.t_end]])
+    for der in (0, 1, 2):
+        for side in ("+", "-"):
+            got = traj.sample(grid, der, side)
+            want = [traj.value(float(t), der, side) for t in grid]
+            assert got.tolist() == want, (der, side)
+
+
+def test_sample_marks_queries_outside_the_span():
+    traj = _neutral_run()
+    got = traj.sample([traj.t0 - traj.r - 0.1, 1.0, traj.t_end + 0.1], 1)
+    assert np.isnan(got[0]) and np.isnan(got[2])
+    assert got[1] == traj.value(1.0, 1)
+    with pytest.raises(ExprError):
+        traj.sample([1.0], 3)

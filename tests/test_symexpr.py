@@ -2,13 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+import numpy as np
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ndelie.symexpr import (
     App, Coeff, EvalError, ExprError, Par, ParseError, Pow, Prod, Rat,
     Sum, T, X, X1, X1R, X2, X2R, XR, ZERO, app, atoms, collect,
-    compile_numeric, diff, diff_explicit, equivalent, eval_numeric, fn,
-    normalize, num, par, parse, render, shift, substitute,
+    compile_array, compile_numeric, diff, diff_explicit, equivalent,
+    eval_numeric, fn, normalize, num, par, parse, render, shift, substitute,
 )
 
 
@@ -317,7 +318,7 @@ _ATOMS = st.sampled_from([
 ])
 
 
-def _exprs(max_depth=6):
+def _exprs(max_depth=6, fns=("sin", "cos", "exp")):
     return st.recursive(
         _ATOMS,
         lambda children: st.one_of(
@@ -326,7 +327,7 @@ def _exprs(max_depth=6):
             st.tuples(children, children).map(lambda p: Prod(p)),
             st.tuples(children, st.integers(-2, 3)).map(
                 lambda p: Pow(p[0], p[1])),
-            st.tuples(st.sampled_from(["sin", "cos", "exp"]), children).map(
+            st.tuples(st.sampled_from(fns), children).map(
                 lambda p: App(p[0], p[1])),
         ),
         max_leaves=12,
@@ -363,6 +364,7 @@ def test_diff_commutes_with_shift(e):
 
 @settings(max_examples=80, deadline=None)
 @given(_exprs())
+@example(Pow(Pow(Sum((T, X)), -1), -2))
 def test_collect_is_a_partition(e):
     canon = _try_normalize(e)
     assume(canon is not None)
@@ -415,3 +417,67 @@ def test_product_rule(e1, e2, v):
     except ExprError:
         assume(False)
     assert lhs == rhs
+
+
+def test_normalize_expands_a_sum_raised_back_to_a_positive_power():
+    got = normalize(parse("((t + x)^(-1))^(-2)"))
+    assert got == normalize(parse("t^2 + 2*t*x + x^2"))
+    assert got == normalize(parse("(t + x)^2"))
+    assert normalize(parse("(t*(t + x)^(-2))^(-1)")) == normalize(
+        parse("t^(-1)*x^2 + 2*x + t"))
+
+
+# ---------------------------------------------------------------------------
+# array mode of the numeric compiler
+
+
+def _tables(scale, lib):
+    return {
+        "b": [lambda t: lib.sin(scale * t) + 2.0,
+              lambda t: scale * lib.cos(scale * t),
+              lambda t: -scale * scale * lib.sin(scale * t)],
+        "k": [lambda t: lib.exp(0.3 * t),
+              lambda t: 0.3 * lib.exp(0.3 * t),
+              lambda t: 0.09 * lib.exp(0.3 * t)],
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(_exprs(fns=("sin", "cos", "exp", "ln", "sqrt")),
+       st.integers(0, 10 ** 6), st.booleans())
+def test_compile_array_matches_scalar(e, seed_int, canonical):
+    if canonical:
+        e = _try_normalize(e)
+        assume(e is not None)
+    rng = np.random.default_rng(seed_int)
+    names = ("t", "x", "x1", "c1", "c2")
+    env = {name: rng.uniform(-2.0, 2.0, 12) for name in names}
+    env["r"] = 0.4
+    scale = float(rng.uniform(0.5, 1.5))
+    got = compile_array(e)(env, _tables(scale, np))
+    got = np.broadcast_to(got, (12,))
+    f = compile_numeric(e)
+    for i in range(12):
+        point = {name: float(env[name][i]) for name in names}
+        point["r"] = 0.4
+        try:
+            want = f(point, _tables(scale, math))
+        except (EvalError, ArithmeticError, ValueError):
+            assert math.isnan(got[i])
+            continue
+        if not abs(want) < 1e12:
+            continue
+        assert abs(got[i] - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_compile_array_masks_domain_errors():
+    t = np.array([-1.0, 0.0, 2.0])
+    assert np.isnan(compile_array(parse("sqrt(t)"))({"t": t}, None)).tolist() \
+        == [True, False, False]
+    assert np.isnan(compile_array(parse("ln(t)"))({"t": t}, None)).tolist() \
+        == [True, True, False]
+    got = compile_array(Pow(T, -1))({"t": t}, None)
+    assert np.isnan(got).tolist() == [False, True, False]
+    assert got[2] == 0.5
+    # a constant expression broadcasts
+    assert compile_array(parse("2/3"))({"t": t}, None) == 2 / 3
