@@ -24,6 +24,7 @@ import numpy as np
 
 from .detsys import Assumption, invariance_residual, is_zero
 from .equation import CoeffDescriptor, NdeSpec
+from .ndesolve import _hermite, rk4_step
 from .prolong import InfinitesimalAnsatz
 from .symexpr import (
     App, Expr, ExprError, Pow, Rat, T, X, ZERO, compile_numeric, diff, fn,
@@ -70,8 +71,6 @@ class OmegaSolution:
         i = min(max(int((t - ts[0]) / self.hstep), 0), len(ts) - 2)
         h = self.hstep
         s = (t - ts[i]) / h
-        from .ndesolve import _hermite
-
         if der == 0:
             return _hermite(self.w[i], self.w[i + 1], self.w1[i],
                             self.w1[i + 1], s, h, 0)
@@ -91,8 +90,6 @@ class OmegaSolution:
         floats; a query outside the grid gives NaN instead of raising."""
         if der not in (0, 1, 2, 3):
             raise ExprError(f"derivative order {der} not stored")
-        from .ndesolve import _hermite
-
         ts = np.asarray(ts, float)
         grid, h = self.ts, self.hstep
         # int() truncates toward zero, like the scalar lookup; fmax/fmin
@@ -119,7 +116,8 @@ def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
     """Classic RK4 for the named third-order omega equation.
 
     init is (w, w', w'') at grid[0].  Where the equation divides by omega,
-    the solution is truncated with a flag once |omega| falls under 1e-12.
+    the third derivative is NaN once |omega| falls under 1e-12, and the
+    solution is truncated with a flag before the step that reaches it.
     params: c2, c3 scalars as needed; d and c as [f, f'] callables.
     """
     if case not in OMEGA_ODES:
@@ -133,11 +131,11 @@ def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
         w, w1, w2 = y
         if case == "b-branch":
             if abs(w) < 1e-12:
-                return None
+                return math.nan
             return -c3 * w2 / (c2 * w)
         if case == "b-branch-unit":
             if abs(w) < 1e-12:
-                return None
+                return math.nan
             return -w2 / w
         if case in ("d-branch", "d-energy"):
             return -(2.0 * d_chain[1](t) * w + 4.0 * d_chain[0](t) * w1) / c2
@@ -153,32 +151,20 @@ def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
     divides_by_w = case in ("b-branch", "b-branch-unit")
     truncated = False
     last = 0
+
+    def f(t, y):
+        return np.array([y[1], y[2], third(t, y)])
+
     for i in range(n - 1):
-        h = ts[i + 1] - ts[i]
         y = np.array([w[i], w1[i], w2[i]])
-
-        def f(t, y):
-            a3 = third(t, y)
-            if a3 is None:
-                return None
-            return np.array([y[1], y[2], a3])
-
-        k1 = f(ts[i], y)
-        k2 = f(ts[i] + h / 2, y + h / 2 * k1) if k1 is not None else None
-        k3 = f(ts[i] + h / 2, y + h / 2 * k2) if k2 is not None else None
-        k4 = f(ts[i] + h, y + h * k3) if k3 is not None else None
-        if k4 is None:
-            truncated = True
-            break
-        ynew = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if divides_by_w and ynew[0] * y[0] <= 0.0:
+        ynew = rk4_step(f, ts[i], y, ts[i + 1] - ts[i])
+        if divides_by_w and (np.isnan(ynew).any() or ynew[0] * y[0] <= 0.0):
             truncated = True
             break
         w[i + 1], w1[i + 1], w2[i + 1] = ynew
         last = i + 1
     for i in range(last + 1):
-        a3 = third(ts[i], (w[i], w1[i], w2[i]))
-        w3[i] = np.nan if a3 is None else a3
+        w3[i] = third(ts[i], (w[i], w1[i], w2[i]))
     if truncated:
         ts, w, w1, w2, w3 = (arr[:last + 1]
                              for arr in (ts, w, w1, w2, w3))
@@ -291,23 +277,17 @@ def compatibility_c(spec: NdeSpec, omega, c_t0=None, grid=None, c6=1):
         def wv(t, der=0):
             return chain[der]({"t": t}, None)
 
+    def slope(t, cv):
+        w0 = wv(t, 0)
+        if abs(w0) < 1e-12:
+            raise ExprError("omega vanishes inside the grid; cannot "
+                            "continue c")
+        return -(wv(t, 3) + 4.0 * cv * wv(t, 1)) / (2.0 * w0)
+
     cs = np.empty(len(grid))
     cs[0] = float(c_t0)
     for i in range(len(grid) - 1):
-        h = grid[i + 1] - grid[i]
-
-        def slope(t, cv):
-            w0 = wv(t, 0)
-            if abs(w0) < 1e-12:
-                raise ExprError("omega vanishes inside the grid; cannot "
-                                "continue c")
-            return -(wv(t, 3) + 4.0 * cv * wv(t, 1)) / (2.0 * w0)
-
-        k1 = slope(grid[i], cs[i])
-        k2 = slope(grid[i] + h / 2, cs[i] + h / 2 * k1)
-        k3 = slope(grid[i] + h / 2, cs[i] + h / 2 * k2)
-        k4 = slope(grid[i] + h, cs[i] + h * k3)
-        cs[i + 1] = cs[i] + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        cs[i + 1] = rk4_step(slope, grid[i], cs[i], grid[i + 1] - grid[i])
     return CoeffDescriptor.from_table(grid, cs)
 
 
@@ -497,25 +477,15 @@ class TransformRecord:
 def homogenize(spec: NdeSpec, particular, t_hi=None, tol=1e-6):
     """Shift by a particular solution so the right side becomes zero.
 
-    particular is a Trajectory (or any object with value(t, der)); its
-    residual against the nonhomogeneous equation is verified first.
+    particular is a Trajectory (or any object with sample(ts, der) and
+    value(t, der)); its residual against the nonhomogeneous equation is
+    verified first.
     """
     if spec.h.is_zero:
         return spec, TransformRecord("identity", note="already homogeneous")
     t_hi = spec.t0 + 2 * spec.r if t_hi is None else t_hi
     samples = np.linspace(spec.t0 + 0.05 * spec.r, t_hi, 40)
-    res = 0.0
-    for t in samples:
-        t = float(t)
-        td = t - spec.r
-        v = (particular.value(t, 2)
-             + spec.a.eval(t) * particular.value(t, 1)
-             + spec.b.eval(t) * particular.value(td, 1)
-             + spec.c.eval(t) * particular.value(t, 0)
-             + spec.d.eval(t) * particular.value(td, 0)
-             + spec.k.eval(t) * particular.value(td, 2)
-             - spec.h.eval(t))
-        res = max(res, abs(v))
+    res = float(np.max(np.abs(spec.residual(particular, samples))))
     if res > tol:
         raise ExprError(
             f"particular solution residual {res:.2e} exceeds {tol:.0e}")
@@ -765,32 +735,38 @@ def classify(spec: NdeSpec) -> ClassificationResult:
     return _case_c12(spec, result, trace)
 
 
-def _case_c2(spec, result, k_val, trace):
-    result.case_id = "C2"
-    trace.append("b != 0, d != 0, k constant: three-dimensional group")
+def _b_family(spec, result, base_d, c_div, d_div):
+    """The part C2 and C10 share: the (1/b) generator beside x d/dx and
+    the rho slot, the delay check on b, and the free constants of c and d
+    fitted on a grid as (c - base_c) / (b^2 / c_div) and
+    (d - base_d) / (b^2 / d_div).  Returns the generator and the two
+    (constant, fits) pairs."""
     b_sym = spec.b.symbolic("b")
     gen_b = _gen_from_omega("(1/b) d/dt + (x/2)(1/b)' d/dx",
                             Pow(b_sym, -1) if not isinstance(b_sym, Rat)
                             else num(Fraction(1) / b_sym.q))
-    gens = [_gen_scale(), gen_b, _gen_rho()]
-    result.generators = gens
-
-    grid = np.linspace(spec.t0 + 0.05, spec.t0 + 3 * spec.r, 60)
+    result.generators = [_gen_scale(), gen_b, _gen_rho()]
     b_call = _closed_eval(b_sym, spec) if not spec.b.is_const else \
         (lambda t: float(spec.b.value))
     _check_delay_compat(gen_b, b_call, spec.r, spec.t0, result, "b")
+    grid = np.linspace(spec.t0 + 0.05, spec.t0 + 3 * spec.r, 60)
 
-    # compatibility: extract the free constants of the required c and d
+    def fit(desc, base, div):
+        fb = _closed_eval(base, spec)
+        scale = _closed_eval(normalize(b_sym ** 2 / div), spec)
+        return _fit_constant(lambda t: (desc.eval(t) - fb(t)) / scale(t),
+                             grid)[:2]
+
+    return gen_b, (fit(spec.c, compat_c_from_b(b_sym, c6=0), c_div),
+                   fit(spec.d, base_d, d_div))
+
+
+def _case_c2(spec, result, k_val, trace):
+    result.case_id = "C2"
+    trace.append("b != 0, d != 0, k constant: three-dimensional group")
     kq = Fraction(k_val).limit_denominator(10 ** 9)
-    base_c = compat_c_from_b(b_sym, c6=0)
-    base_d = compat_d_from_b(b_sym, kq, c5=0)
-    quarter_b2 = _closed_eval(normalize(b_sym ** 2 / 4), spec)
-    half_b2 = _closed_eval(normalize(b_sym ** 2 / 2), spec)
-    bc, bd = _closed_eval(base_c, spec), _closed_eval(base_d, spec)
-    c6, ok_c, _ = _fit_constant(
-        lambda t: (spec.c.eval(t) - bc(t)) / quarter_b2(t), grid)
-    c5, ok_d, _ = _fit_constant(
-        lambda t: (spec.d.eval(t) - bd(t)) / half_b2(t), grid)
+    gen_b, ((c6, ok_c), (c5, ok_d)) = _b_family(
+        spec, result, compat_d_from_b(spec.b.symbolic("b"), kq, c5=0), 4, 2)
     result.compatibility["c"] = (
         "c = (b''/b - (3/2)(b'/b)^2)/2 + (c6/4) b^2, c6 = %.6g" % c6)
     result.compatibility["d"] = (
@@ -803,7 +779,7 @@ def _case_c2(spec, result, k_val, trace):
         result.warnings.append("d(t) does not fit the required family")
         if gen_b.status == "admitted":
             gen_b.demote("required d(t) form not met")
-    for g in gens:
+    for g in result.generators:
         if g.status == "admitted":
             _validate_closed(spec, g, result)
     return result
@@ -974,32 +950,16 @@ def _case_c9(spec, result, k_val, trace):
 def _case_c10(spec, result, trace):
     result.case_id = "C10"
     trace.append("b != 0, d != 0, k = 0: three-dimensional group")
-    b_sym = spec.b.symbolic("b")
-    gen_b = _gen_from_omega("(1/b) d/dt + (x/2)(1/b)' d/dx",
-                            Pow(b_sym, -1) if not isinstance(b_sym, Rat)
-                            else num(Fraction(1) / b_sym.q))
-    gens = [_gen_scale(), gen_b, _gen_rho()]
-    result.generators = gens
-    b_call = _closed_eval(b_sym, spec) if not spec.b.is_const else \
-        (lambda t: float(spec.b.value))
-    _check_delay_compat(gen_b, b_call, spec.r, spec.t0, result, "b")
-    grid = np.linspace(spec.t0 + 0.05, spec.t0 + 3 * spec.r, 60)
-    base_c = compat_c_from_b(b_sym, c6=0)
-    base_d = compat_d_from_b_pure_delay(b_sym, c32=0)
-    bc, bd = _closed_eval(base_c, spec), _closed_eval(base_d, spec)
-    half_b2 = _closed_eval(normalize(b_sym ** 2 / 2), spec)
-    b2c = _closed_eval(normalize(b_sym ** 2), spec)
-    c33, ok_c, _ = _fit_constant(
-        lambda t: (spec.c.eval(t) - bc(t)) / half_b2(t), grid)
-    c32, ok_d, _ = _fit_constant(
-        lambda t: (spec.d.eval(t) - bd(t)) / b2c(t), grid)
+    gen_b, ((c33, ok_c), (c32, ok_d)) = _b_family(
+        spec, result, compat_d_from_b_pure_delay(spec.b.symbolic("b"),
+                                                 c32=0), 2, 1)
     result.compatibility["c"] = (
         "c = (b''/b - (3/2)(b'/b)^2)/2 + (c33/2) b^2, c33 = %.6g" % c33)
     result.compatibility["d"] = "d = b'/2 + c32 b^2, c32 = %.6g" % c32
     if not ok_c or not ok_d:
         gen_b.demote("required c(t), d(t) forms not met")
         result.warnings.append(f"{gen_b.label}: {gen_b.warnings[-1]}")
-    for g in gens:
+    for g in result.generators:
         if g.status == "admitted":
             _validate_closed(spec, g, result)
     return result

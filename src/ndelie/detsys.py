@@ -22,7 +22,7 @@ from .equation import NdeSpec
 from .prolong import EquationResidual, InfinitesimalAnsatz, apply_operator
 from .symexpr import (
     Coeff, Expr, ExprError, Par, Rat, T, X, X1, X1R, X2, X2R, XR, ZERO,
-    atoms, collect, diff, equivalent, eval_numeric, fn, normalize, num,
+    atoms, collect, compile_numeric, diff, equivalent, fn, normalize, num,
     render, substitute,
 )
 
@@ -47,23 +47,6 @@ class FunctionalConstraint:
     label: str
     lhs: Expr
     rhs: Expr
-
-    def check_numeric(self, fn_table, r, t_lo, span=None, points=50,
-                      tol=1e-9, params=None):
-        """Max |lhs - rhs| over a grid of one to three delay periods."""
-        span = 3 * r if span is None else span
-        env = dict(params or {})
-        env["r"] = r
-        worst = 0.0
-        for t in np.linspace(t_lo, t_lo + span, points):
-            env["t"] = float(t)
-            try:
-                v = eval_numeric(self.lhs, env, fn_table) - \
-                    eval_numeric(self.rhs, env, fn_table)
-            except ExprError:
-                continue
-            worst = max(worst, abs(v))
-        return worst
 
 
 @dataclass
@@ -566,41 +549,33 @@ def is_zero(e: Expr, assumptions=(), fn_table=None, params=None,
         return ZeroResult(True, "symbolic")
 
     rng = np.random.RandomState(seed)
-
-    class _Rng:
-        def uniform(self, lo, hi):
-            return float(rng.uniform(lo, hi))
-
-        def random(self):
-            return float(rng.random_sample())
-
-    wrapped = _Rng()
     params = dict(params or {})
-    r = float(params.get("r", wrapped.uniform(0.5, 2.0)))
+    r = float(params.get("r", rng.uniform(0.5, 2.0)))
 
     table = dict(fn_table or {})
     for atom in atoms(canon):
         if isinstance(atom, Coeff) and atom.name not in table:
             table[atom.name] = _instance_family(
-                atom.name, assumptions, wrapped, r)
+                atom.name, assumptions, rng, r)
 
     jet_names = [j.tag for j in SPLIT_JETS] + ["x2"]
     par_names = sorted({a.name for a in atoms(canon)
                         if isinstance(a, Par) and a.value is None
                         and a.name != "r" and a.name not in params})
 
+    f = compile_numeric(canon)
     worst = 0.0
     skipped = 0
     evaluated = 0
     for _ in range(points):
-        env = {"r": r, "t": wrapped.uniform(0.1, 4.0)}
+        env = {"r": r, "t": rng.uniform(0.1, 4.0)}
         for name in jet_names:
-            env[name] = wrapped.uniform(-2.0, 2.0)
+            env[name] = rng.uniform(-2.0, 2.0)
         for name in par_names:
-            env[name] = wrapped.uniform(-2.0, 2.0)
+            env[name] = rng.uniform(-2.0, 2.0)
         env.update(params)
         try:
-            v = eval_numeric(canon, env, table)
+            v = f(env, table)
         except ExprError:
             skipped += 1
             continue

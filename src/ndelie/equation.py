@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .symexpr import (
-    Coeff, Expr, ExprError, Par, Rat, T, ZERO, atoms, compile_array,
-    compile_numeric, diff, normalize, parse, render,
+    Coeff, Expr, ExprError, Par, Rat, T, ZERO, atoms, check_evaluated,
+    compile_array, compile_numeric, diff, normalize, parse, render,
 )
 
 COEFF_NAMES = ("a", "b", "c", "d", "k", "h")
@@ -153,9 +153,11 @@ class CoeffDescriptor:
         return float(self.fns[order](t))
 
     def sample(self, ts, order=0):
-        """eval over an array of times; closed forms run compiled in array
-        mode, other kinds point by point."""
+        """eval over an array of times: a constant once, a closed form
+        compiled in array mode, a numeric one point by point."""
         ts = np.asarray(ts, float)
+        if self.is_const:
+            return np.full(ts.shape, self.eval(0.0, order))
         if self.kind != "closed":
             return np.array([self.eval(t, order) for t in ts.ravel().tolist()],
                             float).reshape(ts.shape)
@@ -254,15 +256,21 @@ class NdeSpec:
                 for name, desc in self.descriptors().items()
                 if desc.kind in ("closed", "numeric")}
 
-    def rhs_solved(self):
-        """Numeric x'' = h - a x' - b x'(t-r) - c x - d x(t-r) - k x''(t-r)."""
-        a, b, c, d, k, h = (self.a, self.b, self.c, self.d, self.k, self.h)
-
-        def f(t, x, xr, x1, x1r, x2r):
-            return (h.eval(t) - a.eval(t) * x1 - b.eval(t) * x1r
-                    - c.eval(t) * x - d.eval(t) * xr - k.eval(t) * x2r)
-
-        return f
+    def residual(self, curve, ts):
+        """x'' + a x' + b x'(t-r) + c x + d x(t-r) + k x''(t-r) - h of a
+        curve at each time; the curve answers sample(ts, der) over arrays.
+        Raises ExprError where a term cannot be evaluated."""
+        ts = np.asarray(ts, float)
+        td = ts - self.r
+        out = (curve.sample(ts, 2)
+               + self.a.sample(ts) * curve.sample(ts, 1)
+               + self.b.sample(ts) * curve.sample(td, 1)
+               + self.c.sample(ts) * curve.sample(ts, 0)
+               + self.d.sample(ts) * curve.sample(td, 0)
+               + self.k.sample(ts) * curve.sample(td, 2)
+               - self.h.sample(ts))
+        check_evaluated("the equation residual", ts, out)
+        return out
 
     def residual_expr(self) -> Expr:
         """Symbolic h-moved-left residual of the full equation."""

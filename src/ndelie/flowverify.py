@@ -11,6 +11,7 @@ equation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,9 +19,10 @@ import numpy as np
 from .classify import Generator
 from .detsys import invariance_residual, reduced_ansatz
 from .equation import NdeSpec
-from .ndesolve import Trajectory
+from .ndesolve import Trajectory, rk4_step
 from .symexpr import (
-    ExprError, T, ZERO, compile_array, compile_numeric, diff, normalize,
+    ExprError, T, ZERO, check_evaluated, compile_array, compile_numeric, diff,
+    normalize,
 )
 
 
@@ -63,18 +65,15 @@ def generator_callables(gen: Generator, spec: NdeSpec, rho=None):
 
 
 def _rk4(vel, y, delta, substeps):
-    """Classic RK4 in the group parameter for every row of y at once; a row
-    that turns non-finite (NaN marks a failed evaluation) comes back None,
-    the others as tuples."""
+    """Classic RK4 in the group parameter for every row of y at once; the
+    velocity vel(s, y) does not depend on the parameter s.  A row that
+    turns non-finite (NaN marks a failed evaluation) comes back None, the
+    others as tuples."""
     n = max(int(substeps), 1)
     h = delta / n
     with np.errstate(all="ignore"):
         for _ in range(n):
-            k1 = vel(y)
-            k2 = vel(y + h / 2 * k1)
-            k3 = vel(y + h / 2 * k2)
-            k4 = vel(y + h * k3)
-            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            y = rk4_step(vel, 0.0, y, h)
         ok = np.isfinite(y).all(axis=1)
     return [tuple(row) if good else None
             for row, good in zip(y.tolist(), ok.tolist())]
@@ -86,7 +85,7 @@ def flow(gen: Generator, points, delta, spec: NdeSpec, rho=None,
     None where the flow leaves the numeric domain."""
     omega, upsilon = generator_callables(gen, spec, rho)
 
-    def vel(y):
+    def vel(_, y):
         t, x = y[:, 0], y[:, 1]
         out = np.empty_like(y)
         out[:, 0] = omega(t, x)
@@ -109,12 +108,25 @@ class TransformedCurve:
     t_hi: float
 
     def value(self, t, der=0):
-        if not (self.t_lo - 1e-9 <= t <= self.t_hi + 1e-9):
-            raise ExprError(f"transformed curve query at {t} out of range")
+        v = float(self.sample(t, der))
+        if math.isnan(v):
+            raise ExprError(f"transformed curve query at {t} is out of "
+                            "range or between segments")
+        return v
+
+    def sample(self, ts, der=0):
+        """value over an array of times, each read from the first segment
+        that holds it; a time outside the curve or between segments gives
+        NaN."""
+        ts = np.asarray(ts, float)
+        flat = ts.reshape(-1)
+        out = np.full(flat.shape, np.nan)
+        todo = (flat >= self.t_lo - 1e-9) & (flat <= self.t_hi + 1e-9)
         for lo, hi, splines in self.segments:
-            if lo - 1e-9 <= t <= hi + 1e-9:
-                return float(splines[der](t))
-        raise ExprError(f"transformed curve query at {t} hit no segment")
+            hit = todo & (flat >= lo - 1e-9) & (flat <= hi + 1e-9)
+            out[hit] = splines[der](flat[hit])
+            todo &= ~hit
+        return out.reshape(ts.shape)
 
     def to_csv(self, path, points=200):
         ts = np.linspace(self.t_lo, self.t_hi, points)
@@ -140,7 +152,7 @@ def prolonged_flow(gen: Generator, jets, delta, spec: NdeSpec, rho=None,
     """
     beta, gamma, rho_chain = _affine_chains(gen, spec, rho)
 
-    def vel(y):
+    def vel(_, y):
         t, x, x1, x2 = y[:, 0], y[:, 1], y[:, 2], y[:, 3]
         b0, b1v, b2v = beta[0](t), beta[1](t), beta[2](t)
         g0, g1v, g2v = gamma[0](t), gamma[1](t), gamma[2](t)
@@ -240,8 +252,8 @@ class InvarianceReport:
 
 def _affine_chains(gen: Generator, spec: NdeSpec, rho, array=True):
     """beta/gamma/rho derivative chains of the affine pair, over arrays of
-    times or, with array unset, scalar times; every taxonomy generator is
-    affine in x."""
+    times or, with array unset (the scalar reference of the tests), scalar
+    times; every taxonomy generator is affine in x."""
     if gen.kind == "numeric":
         # a numeric time-like generator carries no solution slot
         sol = gen.omega_numeric
@@ -277,35 +289,39 @@ def _affine_chains(gen: Generator, spec: NdeSpec, rho, array=True):
     return chain(betas), chain(gammas), chain(rhos)
 
 
+# compiled invariance residuals of the affine ansatz, keyed on the symbolic
+# coefficients it is built from; numeric coefficients enter it by name and
+# are read from the fn_table, so equations of one symbolic form share it
+_AFFINE_RESIDUALS = {}
+
+
 def _affine_residual_fn(spec: NdeSpec):
-    cached = getattr(spec, "_affine_residual", None)
-    if cached is None:
-        res = invariance_residual(spec, reduced_ansatz())
-        cached = compile_numeric(res)
-        spec._affine_residual = cached
-    return cached
+    key = tuple(desc.symbolic(name)
+                for name, desc in spec.descriptors().items())
+    if key not in _AFFINE_RESIDUALS:
+        _AFFINE_RESIDUALS[key] = compile_array(
+            invariance_residual(spec, reduced_ansatz()))
+    return _AFFINE_RESIDUALS[key]
 
 
 def infinitesimal_check(traj: Trajectory, gen: Generator, spec: NdeSpec,
                         samples, rho=None) -> float:
     """Max |invariance residual| along the solution, all jet values read
-    from dense output."""
-    beta, gamma, rho_chain = _affine_chains(gen, spec, rho, array=False)
-    table = spec.fn_table()
+    from dense output; raises ExprError where a jet or the residual cannot
+    be evaluated."""
+    beta, gamma, rho_chain = _affine_chains(gen, spec, rho)
+    table = spec.fn_table(array=True)
     table.update({"beta": beta, "gamma": gamma, "rho": rho_chain})
-    res_fn = _affine_residual_fn(spec)
-    worst = 0.0
-    for t in samples:
-        t = float(t)
-        td = t - spec.r
-        if td < traj.t0 - traj.r - 1e-9:
-            raise ExprError(f"sample {t} reaches before the span")
-        env = {"t": t, "r": spec.r,
-               "x": traj.value(t, 0), "xr": traj.value(td, 0),
-               "x1": traj.value(t, 1), "x1r": traj.value(td, 1),
-               "x2r": traj.value(td, 2)}
-        worst = max(worst, abs(res_fn(env, table)))
-    return worst
+    ts = np.asarray(samples, float)
+    td = ts - spec.r
+    env = {"t": ts, "r": spec.r,
+           "x": traj.sample(ts, 0), "xr": traj.sample(td, 0),
+           "x1": traj.sample(ts, 1), "x1r": traj.sample(td, 1),
+           "x2r": traj.sample(td, 2)}
+    res = np.broadcast_to(_affine_residual_fn(spec)(env, table), ts.shape)
+    check_evaluated("the invariance residual", ts,
+                    [res] + [env[k] for k in ("x", "xr", "x1", "x1r", "x2r")])
+    return float(np.max(np.abs(res), initial=0.0))
 
 
 def finite_check(traj: Trajectory, gen: Generator, spec: NdeSpec,
@@ -332,24 +348,14 @@ def finite_check(traj: Trajectory, gen: Generator, spec: NdeSpec,
         break_images = [m[0] for m in breaks if m is not None]
         lo = curve.t_lo + spec.r + h
         hi = curve.t_hi - h
-        cand = np.linspace(lo, hi, samples_per_delta)
-        worst = 0.0
-        used = 0
-        for t in cand:
-            if any(abs(t - bi) < h / 2 or abs(t - spec.r - bi) < h / 2
-                   for bi in break_images):
-                continue
-            v = (curve.value(t, 2)
-                 + spec.a.eval(t) * curve.value(t, 1)
-                 + spec.b.eval(t) * curve.value(t - spec.r, 1)
-                 + spec.c.eval(t) * curve.value(t, 0)
-                 + spec.d.eval(t) * curve.value(t - spec.r, 0)
-                 + spec.k.eval(t) * curve.value(t - spec.r, 2)
-                 - spec.h.eval(t))
-            worst = max(worst, abs(v))
-            used += 1
+        cand = np.linspace(lo, hi, samples_per_delta)[:, None]
+        bi = np.array(break_images)
+        near = (np.abs(cand - bi) < h / 2) | (np.abs(cand - spec.r - bi)
+                                              < h / 2)
+        ts = cand[~near.any(axis=1), 0]
+        worst = float(np.max(np.abs(spec.residual(curve, ts)), initial=0.0))
         report.per_delta[float(delta)] = worst
-        if used == 0:
+        if len(ts) == 0:
             report.per_delta[float(delta)] = "no admissible samples"
         elif worst_all is None or worst > worst_all:
             worst_all = worst

@@ -21,7 +21,7 @@ import numpy as np
 
 from .equation import NdeSpec
 from .symexpr import (
-    Expr, ExprError, T, compile_array, compile_numeric, diff, normalize, parse,
+    Expr, ExprError, T, check_evaluated, compile_array, diff, normalize, parse,
 )
 
 
@@ -32,7 +32,6 @@ class InitialFunction:
 
     theta: Expr
     _chain: tuple = field(default=None, repr=False, compare=False)
-    _chain_array: tuple = field(default=None, repr=False, compare=False)
 
     @classmethod
     def make(cls, theta):
@@ -40,30 +39,20 @@ class InitialFunction:
             theta = parse(theta)
         return cls(normalize(theta))
 
-    def _derivatives(self):
-        d1 = diff(self.theta, T)
-        return (self.theta, d1, diff(d1, T))
-
-    def _compiled(self):
-        if self._chain is None:
-            self._chain = tuple(compile_numeric(e)
-                                for e in self._derivatives())
-        return self._chain
-
     def value(self, t, der=0):
-        return self._compiled()[der]({"t": float(t)}, None)
+        v = float(self.sample(t, der))
+        if math.isnan(v):
+            raise ExprError(f"initial function has no value at {t}")
+        return v
 
     def sample(self, ts, der=0):
         """value over an array of times; domain errors give NaN."""
-        if self._chain_array is None:
-            self._chain_array = tuple(compile_array(e)
-                                      for e in self._derivatives())
+        if self._chain is None:
+            d1 = diff(self.theta, T)
+            self._chain = tuple(compile_array(e)
+                                for e in (self.theta, d1, diff(d1, T)))
         ts = np.asarray(ts, float)
-        return np.broadcast_to(self._chain_array[der]({"t": ts}, None),
-                               ts.shape)
-
-    def __add__(self, other):
-        return InitialFunction(normalize(self.theta + other.theta))
+        return np.broadcast_to(self._chain[der]({"t": ts}, None), ts.shape)
 
 
 def _hermite(y0, y1, m0, m1, s, h, der):
@@ -109,56 +98,42 @@ class Trajectory:
     def span(self):
         return (self.t0 - self.r, self.t_end)
 
-    def _interval(self, t):
-        # the epsilon keeps queries at grid points in the interval that
-        # starts there, so breaking-point values are right-hand
-        i = int(math.floor((t - self.t0) / self.hstep + 1e-9))
-        return min(max(i, 0), len(self.ts) - 2)
-
-    def _right_slope(self, i):
-        if self.left_x2 and (i + 1) in self.left_x2:
-            return self.left_x2[i + 1]
-        return self.x2s[i + 1]
-
     def value(self, t, der=0, side="+"):
         """x, x' or x'' at t; exact node values at grid points.  At a
         breaking point the acceleration is right-hand unless side is
         '-'."""
-        if t < self.t0 or (t == self.t0 and (der < 2 or side == "-")):
-            if t < self.t0 - self.r - 1e-9:
-                raise ExprError(f"query at {t} precedes the span")
-            return self.theta.value(t, der)
-        if t > self.t_end + 1e-9:
-            raise ExprError(f"query at {t} exceeds the span")
-        i = self._interval(t)
-        if side == "-" and der == 2 and i > 0 and t <= self.ts[i]:
-            i -= 1
-        s = (t - self.ts[i]) / self.hstep
-        if der == 0:
-            return _hermite(self.xs[i], self.xs[i + 1], self.x1s[i],
-                            self.x1s[i + 1], s, self.hstep, 0)
-        if der == 1:
-            return _hermite(self.x1s[i], self.x1s[i + 1], self.x2s[i],
-                            self._right_slope(i), s, self.hstep, 0)
-        if der == 2:
-            return _hermite(self.x1s[i], self.x1s[i + 1], self.x2s[i],
-                            self._right_slope(i), s, self.hstep, 1)
-        raise ExprError(f"derivative order {der} not stored")
+        v = float(self.sample(t, der, side))
+        if math.isnan(v):
+            lo, hi = self.span
+            raise ExprError(f"no value at {t} on the span [{lo}, {hi}]")
+        return v
 
-    def sample(self, ts, der=0, side="+"):
-        """value over an array of times, element for element the same
-        floats; a query outside the span gives NaN instead of raising."""
+    def sample(self, ts, der=0, side="+", _cap=None):
+        """value over an array of times; a query outside the span gives NaN
+        instead of raising.
+
+        _cap is the highest dense interval each query may read; a negative
+        cap reads the initial function.  The integrator caps every step at
+        the intervals already complete, so a delayed read sees its smooth
+        piece with that piece's one-sided closures.  side='-' caps the
+        acceleration at a node to the interval that ends there."""
         if der not in (0, 1, 2):
             raise ExprError(f"derivative order {der} not stored")
         ts = np.asarray(ts, float)
+        flat = ts.reshape(-1)
         t0, h = self.t0, self.hstep
-        early = (ts < t0) | ((ts == t0) & (der < 2 or side == "-"))
-        # fmax/fmin also send NaN times to a valid index; they come out NaN
-        i = np.floor((ts - t0) / h + 1e-9)
+        # the epsilon keeps queries at grid points in the interval that
+        # starts there, so breaking-point values are right-hand; fmax/fmin
+        # also send NaN times to a valid index, and they come out NaN
+        i = np.floor((flat - t0) / h + 1e-9)
         i = np.fmin(np.fmax(i, 0), len(self.ts) - 2).astype(np.intp)
         if side == "-" and der == 2:
-            i = np.where((i > 0) & (ts <= self.ts[i]), i - 1, i)
-        s = (ts - self.ts[i]) / h
+            _cap = np.where(flat <= self.ts[i], i - 1, i)
+        early = (flat < t0) | ((flat == t0) & (der < 2))
+        if _cap is not None:
+            early |= np.less(_cap, 0)
+            i = np.maximum(np.minimum(i, _cap), 0)
+        s = (flat - self.ts[i]) / h
         if der == 0:
             out = _hermite(self.xs[i], self.xs[i + 1], self.x1s[i],
                            self.x1s[i + 1], s, h, 0)
@@ -172,9 +147,9 @@ class Trajectory:
             out = _hermite(self.x1s[i], self.x1s[i + 1], self.x2s[i],
                            right[i + 1], s, h, der - 1)
         if early.any():
-            out[early] = self.theta.sample(ts[early], der)
-        outside = (ts < t0 - self.r - 1e-9) | (ts > self.t_end + 1e-9)
-        return np.where(outside, np.nan, out)
+            out[early] = self.theta.sample(flat[early], der)
+        outside = (flat < t0 - self.r - 1e-9) | (flat > self.t_end + 1e-9)
+        return np.where(outside, np.nan, out).reshape(ts.shape)
 
     def breaking_points(self):
         """Times t0 + n r where propagated derivative jumps may sit."""
@@ -193,6 +168,23 @@ class Trajectory:
             for t in points:
                 fh.write(f"{float(t):.12g},{self.value(t, 0):.12g},"
                          f"{self.value(t, 1):.12g},{self.value(t, 2):.12g}\n")
+
+
+def rk4_step(f, t, y, h):
+    """One classic RK4 step of y' = f(t, y) from t to t + h; y is a float
+    or a numpy array."""
+    k1 = f(t, y)
+    k2 = f(t + h / 2, y + h / 2 * k1)
+    k3 = f(t + h / 2, y + h / 2 * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _accel(row, x, v):
+    """x'' = h - a x' - b x'(t-r) - c x - d x(t-r) - k x''(t-r), with row
+    holding (h, a, b, c, d, k, x(t-r), x'(t-r), x''(t-r))."""
+    hc, ac, bc, cc, dc, kc, xr, x1r, x2r = row
+    return hc - ac * v - bc * x1r - cc * x - dc * xr - kc * x2r
 
 
 def integrate(spec: NdeSpec, theta, t_end, steps_per_delay=64) -> Trajectory:
@@ -217,91 +209,69 @@ def integrate(spec: NdeSpec, theta, t_end, steps_per_delay=64) -> Trajectory:
     h = r / n
     total = m * n
     ts = t0 + h * np.arange(total + 1)
-    xs = np.empty(total + 1)
-    x1s = np.empty(total + 1)
-    x2s = np.empty(total + 1)
+    xs = np.zeros(total + 1)
+    x1s = np.zeros(total + 1)
+    x2s = np.zeros(total + 1)
     xs[0] = theta.value(t0, 0)
     x1s[0] = theta.value(t0, 1)
-
-    rhs = spec.rhs_solved()
     left_x2 = {0: theta.value(t0, 2)}
     traj = Trajectory(t0=t0, r=r, hstep=h, ts=ts, xs=xs, x1s=x1s, x2s=x2s,
                       theta=theta, left_x2=left_x2)
+    # the coefficients (h, a, b, c, d, k) at every node, then every
+    # mid-step and every step-end time
+    times = np.concatenate([ts, ts[:-1] + h / 2, ts[:-1] + h])
+    coefs = np.array([desc.sample(times) for desc in (
+        spec.h, spec.a, spec.b, spec.c, spec.d, spec.k)])
+    check_evaluated("a coefficient", times, coefs)
 
-    def hist(t, der, cap):
-        """Delayed dense lookup restricted to intervals up to cap, so each
-        step reads the delayed smooth piece with that piece's one-sided
-        closures at its ends.  At exactly t0 the side follows the cap: a
-        step closing the first piece reads theta, later steps read the
-        right-hand start values."""
-        if t < t0 or cap < 0 or (t == t0 and der < 2):
-            return theta.value(t, der)
-        if t == t0:
-            return x2s[0]
-        i = min(max(int((t - t0) / h + 1e-9), 0), cap)
-        s = (t - ts[i]) / h
-        if der == 0:
-            return _hermite(xs[i], xs[i + 1], x1s[i], x1s[i + 1], s, h, 0)
-        m1 = left_x2.get(i + 1, x2s[i + 1])
-        if der == 1:
-            return _hermite(x1s[i], x1s[i + 1], x2s[i], m1, s, h, 0)
-        return _hermite(x1s[i], x1s[i + 1], x2s[i], m1, s, h, 1)
-
-    def accel(t, x, x1, cap):
-        td = t - r
-        return rhs(t, x, hist(td, 0, cap), x1, hist(td, 1, cap),
-                   hist(td, 2, cap))
-
-    x2s[0] = accel(t0, xs[0], x1s[0], -1)
-    for i in range(total):
+    for i in range(total + 1):
+        q = i % n
+        if q == 0:
+            if i:
+                # breaking point: keep the left-hand acceleration too
+                jd = i - n
+                left_x2[i] = _accel(
+                    (*coefs[:, i], xs[jd], x1s[jd], left_x2[jd]),
+                    xs[i], x1s[i])
+            # rows for this delay interval's n nodes and the mid- and
+            # end-stage times of its n steps (the last interval holds only
+            # the final node); each delayed read is capped at the last
+            # interval complete when its step runs, the step index minus n
+            nodes = np.arange(i, min(i + n, total + 1))
+            steps = nodes[nodes < total]
+            at = np.concatenate([nodes, steps + total + 1,
+                                 steps + 2 * total + 1])
+            td = times[at] - r
+            cap = np.concatenate([nodes, steps, steps]) - n
+            past = [traj.sample(td, der, _cap=cap) for der in range(3)]
+            check_evaluated("the delayed history", td, past)
+            rows = list(zip(*coefs[:, at].tolist(),
+                            *(p.tolist() for p in past)))
+        x2s[i] = _accel(rows[q], xs[i], x1s[i])
+        if i == total:
+            break
         t = ts[i]
-        cap = i - n  # highest delayed interval this step is allowed to read
-        x, v = xs[i], x1s[i]
-        a1 = accel(t, x, v, cap)
-        k1x, k1v = v, a1
-        a2 = accel(t + h / 2, x + h / 2 * k1x, v + h / 2 * k1v, cap)
-        k2x, k2v = v + h / 2 * k1v, a2
-        a3 = accel(t + h / 2, x + h / 2 * k2x, v + h / 2 * k2v, cap)
-        k3x, k3v = v + h / 2 * k2v, a3
-        a4 = accel(t + h, x + h * k3x, v + h * k3v, cap)
-        k4x, k4v = v + h * k3v, a4
-        xs[i + 1] = x + h / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        x1s[i + 1] = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if (i + 1) % n == 0:
-            # breaking point: keep both one-sided accelerations
-            tb = ts[i + 1]
-            jd = i + 1 - n
-            x2r_left = theta.value(t0, 2) if jd == 0 else left_x2[jd]
-            left_x2[i + 1] = rhs(tb, xs[i + 1], xs[jd] if jd >= 0
-                                 else theta.value(tb - r, 0),
-                                 x1s[i + 1],
-                                 x1s[jd] if jd >= 0
-                                 else theta.value(tb - r, 1),
-                                 x2r_left)
-            x2s[i + 1] = accel(tb, xs[i + 1], x1s[i + 1], i + 1 - n)
-        else:
-            x2s[i + 1] = accel(ts[i + 1], xs[i + 1], x1s[i + 1], i + 1 - n)
+        stages = {t + h / 2: rows[n + q], t + h: rows[2 * n + q]}
+
+        def slope(tq, y):
+            # the first stage is the node itself, whose x'' is stored
+            a = x2s[i] if tq == t else _accel(stages[tq], y[0], y[1])
+            return np.array([y[1], a])
+
+        xs[i + 1], x1s[i + 1] = rk4_step(slope, t,
+                                         np.array([xs[i], x1s[i]]), h)
     return traj
 
 
 def residual(traj: Trajectory, spec: NdeSpec, samples) -> float:
     """Max absolute equation residual over the samples, read from dense
     output."""
-    worst = 0.0
-    for t in samples:
-        t = float(t)
-        if not (traj.t0 < t <= traj.t_end):
-            raise ExprError(f"sample {t} outside ({traj.t0}, {traj.t_end}]")
-        td = t - spec.r
-        v = (traj.value(t, 2)
-             + spec.a.eval(t) * traj.value(t, 1)
-             + spec.b.eval(t) * traj.value(td, 1)
-             + spec.c.eval(t) * traj.value(t, 0)
-             + spec.d.eval(t) * traj.value(td, 0)
-             + spec.k.eval(t) * traj.value(td, 2)
-             - spec.h.eval(t))
-        worst = max(worst, abs(v))
-    return worst
+    ts = np.asarray(samples, float)
+    inside = (traj.t0 < ts) & (ts <= traj.t_end)
+    if not inside.all():
+        raise ExprError(f"sample {ts[~inside][0]} outside "
+                        f"({traj.t0}, {traj.t_end}]")
+    return float(np.max(np.abs(spec.residual(traj, ts)), initial=0.0))
 
 
 def solve_homogeneous_slot(spec: NdeSpec, seed, t_end,

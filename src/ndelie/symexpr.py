@@ -697,60 +697,16 @@ def _coeff_value(fn_table, name, order, tval, cast=float):
 
 
 def eval_numeric(e, env, fn_table=None) -> float:
-    """Evaluate at a point.  env maps symbol names ('t', 'x', 'x1r', 'c1',
-    'r', ...) to floats; fn_table maps coefficient-function names to either
-    a callable (order 0) or a sequence of callables indexed by derivative
-    order."""
-    e = _as_expr(e)
-    if isinstance(e, Rat):
-        return float(e.q)
-    if isinstance(e, Par):
-        if e.value is not None:
-            return float(e.value)
-        if e.name not in env:
-            raise EvalError(f"unbound parameter {e.name}")
-        return float(env[e.name])
-    if isinstance(e, Jet):
-        if e.tag not in env:
-            raise EvalError(f"unbound jet coordinate {e.tag}")
-        return float(env[e.tag])
-    if isinstance(e, Coeff):
-        if "t" not in env:
-            raise EvalError("unbound jet coordinate t")
-        tval = float(env["t"])
-        if e.delayed:
-            if "r" not in env:
-                raise EvalError("unbound delay r")
-            tval -= float(env["r"])
-        return _coeff_value(fn_table, e.name, e.order, tval)
-    if isinstance(e, Sum):
-        return math.fsum(eval_numeric(t, env, fn_table) for t in e.terms)
-    if isinstance(e, Prod):
-        out = 1.0
-        for f in e.factors:
-            out *= eval_numeric(f, env, fn_table)
-        return out
-    if isinstance(e, Pow):
-        b = eval_numeric(e.base, env, fn_table)
-        if b == 0.0 and e.n < 0:
-            raise EvalError("zero raised to a negative power")
-        return b ** e.n
-    if isinstance(e, App):
-        a = eval_numeric(e.arg, env, fn_table)
-        if e.fn == "sin":
-            return math.sin(a)
-        if e.fn == "cos":
-            return math.cos(a)
-        if e.fn == "exp":
-            return math.exp(a)
-        if e.fn == "ln":
-            if a <= 0.0:
-                raise EvalError(f"ln of non-positive value {a}")
-            return math.log(a)
-        if a < 0.0:
-            raise EvalError(f"sqrt of negative value {a}")
-        return math.sqrt(a)
-    raise ExprError(f"unexpected node {e!r}")
+    """Evaluate at a point through compile_numeric.  env maps symbol names
+    ('t', 'x', 'x1r', 'c1', 'r', ...) to floats; fn_table maps
+    coefficient-function names to either a callable (order 0) or a
+    sequence of callables indexed by derivative order.  An unbound name
+    raises EvalError."""
+    f = compile_numeric(e)
+    try:
+        return f({k: float(v) for k, v in env.items()}, fn_table)
+    except KeyError as err:
+        raise EvalError(f"unbound symbol {err.args[0]}") from None
 
 
 def compile_numeric(e):
@@ -772,6 +728,15 @@ def compile_array(e):
     np.isnan of the result is the per-point mask of failed evaluations.
     """
     return _compile(_as_expr(e), True)
+
+
+def check_evaluated(what, ts, values):
+    """Raise ExprError at the first time where an array evaluation gave
+    NaN, the mark compile_array leaves on a failed point; values is one
+    row, or a sequence of rows, with one column per time."""
+    bad = np.isnan(np.atleast_2d(values)).any(axis=0)
+    if bad.any():
+        raise ExprError(f"{what} cannot be evaluated at t = {ts[bad][0]}")
 
 
 def _elementwise(fn, a):

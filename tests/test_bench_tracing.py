@@ -1,0 +1,55 @@
+"""The traced benchmark run (`bench/run.py --trace 1`) rebinds every function
+it times by name and binds the arguments its counters read by name.  One
+traced integrate and one traced prolonged flow here make a rename or removal
+that breaks it fail the test suite."""
+
+import importlib
+import importlib.util
+import math
+from pathlib import Path
+from types import SimpleNamespace
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+# the modules the benchmark worker loads
+MODULES = ("symexpr", "prolong", "equation", "detsys", "classify",
+           "ndesolve", "flowverify", "suite")
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracing",
+                                                  BENCH / "tracing.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.Tracer()
+
+
+def test_traced_integrate_and_prolonged_flow():
+    nd = SimpleNamespace(**{m: importlib.import_module(f"ndelie.{m}")
+                            for m in MODULES})
+    integrate = nd.ndesolve.integrate
+    tracer = _tracer()
+    tracer.install(nd)
+    try:
+        assert nd.ndesolve.integrate is not integrate
+        tracer.paused = False
+        spec = nd.equation.NdeSpec.make(k=1, r=math.pi)
+        traj = nd.ndesolve.integrate(spec, "sin(t)", 2 * math.pi, 16)
+        gen = nd.classify.Generator("d/dt", "closed",
+                                    omega=nd.symexpr.num(1),
+                                    upsilon=nd.symexpr.ZERO)
+        jets = [(t, traj.value(t, 0), traj.value(t, 1), traj.value(t, 2))
+                for t in (1.0, 2.0, 3.0)]
+        moved = nd.flowverify.prolonged_flow(gen, jets, 0.25, spec,
+                                             substeps=4)
+        tracer.paused = True
+    finally:
+        tracer.uninstall()
+    assert nd.ndesolve.integrate is integrate
+    assert all(m is not None for m in moved)
+    totals = tracer.totals()
+    assert totals["ndesolve.integrate.calls"] == 1
+    assert totals["ndesolve.integrate.steps"] == 32
+    assert totals["ndesolve.integrate.rhs_evals"] == 1 + 5 * 32 + 2
+    assert totals["flowverify.prolonged_flow.calls"] == 1
+    assert totals["flowverify.prolonged_flow.jet_substeps"] == 12
+    assert totals["flowverify.prolonged_flow.domain_exits"] == 0

@@ -166,6 +166,9 @@ class _ClosedSolution:
     def value(self, t, der=0):
         return self.fs[der](t)
 
+    def sample(self, ts, der=0):
+        return np.array([self.fs[der](t) for t in ts])
+
 
 def test_homogenize_identity():
     spec = NdeSpec.make(c=1, d=1, r=1.0)

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from ndelie.detsys import (
-    Assumption, FunctionalConstraint, apply_delay_equalities,
-    canonical_constraints, catalog, determine, generic_ansatz,
-    invariance_residual, is_zero, linear_antiderivative, match_catalog,
-    product_antiderivative, reduce_ansatz, reduced_ansatz, split,
-    verify_first_integral,
+    Assumption, apply_delay_equalities, canonical_constraints, catalog,
+    determine, generic_ansatz, invariance_residual, is_zero,
+    linear_antiderivative, match_catalog, product_antiderivative,
+    reduce_ansatz, reduced_ansatz, split, verify_first_integral,
 )
 from ndelie.equation import CoeffDescriptor as CD, NdeSpec
 from ndelie.prolong import InfinitesimalAnsatz
@@ -201,14 +200,6 @@ def test_is_zero_delay_equal_instances():
     e = fn("beta", delayed=True) - fn("beta")
     assert is_zero(e, assumptions=[Assumption("beta", "delay-equal")])
     assert not is_zero(e)
-
-
-def test_functional_constraint_numeric_check():
-    fc = FunctionalConstraint("b", fn("b"), fn("b", delayed=True))
-    periodic = {"b": [lambda t: math.sin(2 * math.pi * t)] * 1}
-    assert fc.check_numeric(periodic, r=1.0, t_lo=0.0) < 1e-9
-    drifting = {"b": [lambda t: t]}
-    assert fc.check_numeric(drifting, r=1.0, t_lo=0.0) > 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from ndelie import flowverify
 from ndelie.classify import Generator, classify
+from ndelie.detsys import invariance_residual, reduced_ansatz
 from ndelie.equation import CoeffDescriptor as CD, NdeSpec
 from ndelie.flowverify import (
     _affine_chains, closure_error, finite_check, flow, identity_error,
@@ -12,7 +13,8 @@ from ndelie.flowverify import (
 )
 from ndelie.ndesolve import integrate, solve_homogeneous_slot
 from ndelie.symexpr import (
-    EvalError, T, X, ZERO, app, fn, normalize, num, parse,
+    EvalError, ExprError, T, X, ZERO, app, compile_numeric, fn, normalize,
+    num, parse,
 )
 
 
@@ -158,6 +160,71 @@ def test_infinitesimal_check_second_example():
     traj = integrate(spec, "sin(t) + 2", 4.0, 64)
     samples = np.linspace(1.2, 3.8, 30)
     assert infinitesimal_check(traj, GEN_SCALE, spec, samples) < 1e-6
+
+
+def _scalar_infinitesimal_check(traj, gen, spec, samples, rho=None):
+    """Point-by-point invariance residual over the scalar chains: the
+    reference for the array check."""
+    beta, gamma, rho_chain = _affine_chains(gen, spec, rho, array=False)
+    table = spec.fn_table()
+    table.update({"beta": beta, "gamma": gamma, "rho": rho_chain})
+    res = compile_numeric(invariance_residual(spec, reduced_ansatz()))
+    worst = 0.0
+    for t in samples:
+        td = t - spec.r
+        env = {"t": t, "r": spec.r,
+               "x": traj.value(t, 0), "xr": traj.value(td, 0),
+               "x1": traj.value(t, 1), "x1r": traj.value(td, 1),
+               "x2r": traj.value(td, 2)}
+        worst = max(worst, abs(res(env, table)))
+    return worst
+
+
+def test_infinitesimal_check_reproduces_the_scalar_loop():
+    samples = np.linspace(0.4, 2.8 * math.pi, 40)
+    for gen in (GEN_T, GEN_SCALE, GEN_RHO, GEN_BOGUS):
+        assert infinitesimal_check(TRAJ1, gen, SPEC1, samples, RHO1) == \
+            _scalar_infinitesimal_check(TRAJ1, gen, SPEC1, samples, RHO1)
+    spec = NdeSpec.make(c=1, d=2, k=1, r=1.0)
+    traj = integrate(spec, "sin(t) + 2", 3.0, 32)
+    samples = np.linspace(1.1, 2.9, 30)
+    for gen in classify(spec).admitted:
+        assert infinitesimal_check(traj, gen, spec, samples) == \
+            _scalar_infinitesimal_check(traj, gen, spec, samples)
+
+
+def test_infinitesimal_check_raises_before_the_span():
+    # t = -0.5 lies in the history, but its delayed point does not
+    with pytest.raises(ExprError):
+        infinitesimal_check(TRAJ1, GEN_SCALE, SPEC1, [1.0, -0.5])
+
+
+def test_infinitesimal_check_follows_a_changed_coefficient():
+    spec = NdeSpec.make(c="2 + sin(t)", k=1, r=math.pi)
+    samples = np.linspace(0.4, 2.8 * math.pi, 20)
+    first = infinitesimal_check(TRAJ1, GEN_T, spec, samples)
+    spec.c = CD.closed("2 + cos(t)")
+    fresh = NdeSpec.make(c="2 + cos(t)", k=1, r=math.pi)
+    again = infinitesimal_check(TRAJ1, GEN_T, spec, samples)
+    assert again == infinitesimal_check(TRAJ1, GEN_T, fresh, samples)
+    assert again != first
+
+
+def test_transformed_curve_sample_reads_the_first_holding_segment():
+    curve = transform_solution(TRAJ1, GEN_T, 0.4, SPEC1)
+    ts = np.concatenate([np.linspace(curve.t_lo, curve.t_hi, 97),
+                         curve.boundaries,
+                         [curve.t_lo - 1.0, curve.t_hi + 1.0]])
+    for der in range(3):
+        want = []
+        for t in ts:
+            hit = [seg for seg in curve.segments
+                   if seg[0] - 1e-9 <= t <= seg[1] + 1e-9
+                   and curve.t_lo - 1e-9 <= t <= curve.t_hi + 1e-9]
+            want.append(float(hit[0][2][der](t)) if hit else math.nan)
+        np.testing.assert_array_equal(curve.sample(ts, der), want)
+    with pytest.raises(ExprError):
+        curve.value(curve.t_hi + 1.0)
 
 
 def test_finite_check_passes_for_symmetries():

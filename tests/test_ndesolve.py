@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ndelie.equation import NdeSpec
 from ndelie.ndesolve import (
-    InitialFunction, integrate, residual, solve_homogeneous_slot,
+    InitialFunction, _hermite, integrate, residual, solve_homogeneous_slot,
 )
 from ndelie.symexpr import ExprError
 
@@ -164,6 +165,96 @@ def _neutral_run():
     return integrate(spec, "sin(t) + 2", 3.5, 16)
 
 
+def _interval_value(ts, h, xs, x1s, x2s, left_x2, i, t, der):
+    """Cubic Hermite on interval i, with the left-hand acceleration as the
+    closing slope where the interval ends at a breaking point."""
+    s = (t - ts[i]) / h
+    if der == 0:
+        return _hermite(xs[i], xs[i + 1], x1s[i], x1s[i + 1], s, h, 0)
+    m1 = left_x2.get(i + 1, x2s[i + 1])
+    return _hermite(x1s[i], x1s[i + 1], x2s[i], m1, s, h, der - 1)
+
+
+def _scalar_value(traj, t, der, side="+"):
+    """Point lookup written out as a scalar loop: the reference for the
+    array query."""
+    t0 = traj.t0
+    if t < t0 or (t == t0 and (der < 2 or side == "-")):
+        return traj.theta.value(t, der)
+    i = min(max(math.floor((t - t0) / traj.hstep + 1e-9), 0),
+            len(traj.ts) - 2)
+    if side == "-" and der == 2 and i > 0 and t <= traj.ts[i]:
+        i -= 1
+    return _interval_value(traj.ts, traj.hstep, traj.xs, traj.x1s,
+                           traj.x2s, traj.left_x2, i, t, der)
+
+
+def _scalar_integrate(spec, theta, t_end, n):
+    """Method of steps written out stage by stage, each delayed value read
+    by a scalar lookup capped at the last completed interval: the
+    reference the integrator must reproduce bit for bit."""
+    theta = InitialFunction.make(theta)
+    r, t0 = spec.r, spec.t0
+    h = r / n
+    total = round((t_end - t0) / r) * n
+    ts = t0 + h * np.arange(total + 1)
+    xs, x1s, x2s = np.zeros((3, total + 1))
+    xs[0], x1s[0] = theta.value(t0, 0), theta.value(t0, 1)
+    left = {0: theta.value(t0, 2)}
+    co = [getattr(spec, name).eval for name in "habcdk"]
+
+    def solved(t, x, xr, x1, x1r, x2r):
+        hv, a, b, c, d, k = (f(t) for f in co)
+        return hv - a * x1 - b * x1r - c * x - d * xr - k * x2r
+
+    def hist(t, der, cap):
+        if t < t0 or cap < 0 or (t == t0 and der < 2):
+            return theta.value(t, der)
+        if t == t0:
+            return x2s[0]
+        i = min(max(int((t - t0) / h + 1e-9), 0), cap)
+        return _interval_value(ts, h, xs, x1s, x2s, left, i, t, der)
+
+    def accel(t, x, x1, cap):
+        return solved(t, x, hist(t - r, 0, cap), x1, hist(t - r, 1, cap),
+                      hist(t - r, 2, cap))
+
+    x2s[0] = accel(t0, xs[0], x1s[0], -1)
+    for i in range(total):
+        t, cap, x, v = ts[i], i - n, xs[i], x1s[i]
+        k1x, k1v = v, accel(t, x, v, cap)
+        k2x, k2v = v + h / 2 * k1v, accel(t + h / 2, x + h / 2 * k1x,
+                                          v + h / 2 * k1v, cap)
+        k3x, k3v = v + h / 2 * k2v, accel(t + h / 2, x + h / 2 * k2x,
+                                          v + h / 2 * k2v, cap)
+        k4x, k4v = v + h * k3v, accel(t + h, x + h * k3x, v + h * k3v, cap)
+        xs[i + 1] = x + h / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        x1s[i + 1] = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        if (i + 1) % n == 0:
+            jd = i + 1 - n
+            left[i + 1] = solved(ts[i + 1], xs[i + 1], xs[jd], x1s[i + 1],
+                                 x1s[jd], left[jd])
+        x2s[i + 1] = accel(ts[i + 1], xs[i + 1], x1s[i + 1], i + 1 - n)
+    return xs, x1s, x2s, left
+
+
+@pytest.mark.parametrize("spec, theta, delays, n", [
+    (NdeSpec.make(c=1, d=2, k=1, r=1.0, t0=0.5), "sin(t) + 2", 3, 16),
+    (NdeSpec.make(a="1/2", b="cos(t)/3", c="1 + t/5", d=Fraction(1, 3),
+                  k=Fraction(1, 4), h="sin(t)", r=0.75, t0=0.2),
+     "1 + t/2 + cos(2*t)", 3, 20),
+    (NdeSpec.make(k=1, r=math.pi), "sin(t)", 2, 64),
+])
+def test_integrate_reproduces_the_scalar_loop(spec, theta, delays, n):
+    traj = integrate(spec, theta, spec.t0 + delays * spec.r, n)
+    xs, x1s, x2s, left = _scalar_integrate(spec, theta,
+                                           spec.t0 + delays * spec.r, n)
+    assert traj.xs.tolist() == xs.tolist()
+    assert traj.x1s.tolist() == x1s.tolist()
+    assert traj.x2s.tolist() == x2s.tolist()
+    assert traj.left_x2 == left
+
+
 def test_sample_matches_value_bit_for_bit():
     traj = _neutral_run()
     nodes = traj.ts
@@ -174,8 +265,9 @@ def test_sample_matches_value_bit_for_bit():
     for der in (0, 1, 2):
         for side in ("+", "-"):
             got = traj.sample(grid, der, side)
-            want = [traj.value(float(t), der, side) for t in grid]
+            want = [_scalar_value(traj, float(t), der, side) for t in grid]
             assert got.tolist() == want, (der, side)
+            assert [traj.value(float(t), der, side) for t in grid] == want
 
 
 def test_sample_marks_queries_outside_the_span():
@@ -185,3 +277,21 @@ def test_sample_marks_queries_outside_the_span():
     assert got[1] == traj.value(1.0, 1)
     with pytest.raises(ExprError):
         traj.sample([1.0], 3)
+
+
+def test_residual_raises_past_the_span():
+    spec = example1_spec()
+    traj = integrate(spec, "sin(t)", 2 * math.pi, 32)
+    with pytest.raises(ExprError):
+        spec.residual(traj, [1.0, 2 * math.pi + 0.5])
+    with pytest.raises(ExprError):
+        residual(traj, spec, [1.0, 2 * math.pi + 0.5])
+
+
+def test_integrate_raises_where_history_or_coefficients_fail():
+    # sqrt(t + 1) is defined at t0 = 0 but not on all of [-pi, 0]
+    with pytest.raises(ExprError):
+        integrate(example1_spec(), "sqrt(t + 1)", 2 * math.pi, 32)
+    with pytest.raises(ExprError):
+        integrate(NdeSpec.make(c="sqrt(t - 1)", k=1, r=1.0), "sin(t)", 2.0,
+                  32)
