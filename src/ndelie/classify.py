@@ -28,7 +28,7 @@ from .ndesolve import _hermite, rk4_step
 from .prolong import InfinitesimalAnsatz
 from .symexpr import (
     App, Expr, ExprError, Pow, Rat, T, X, ZERO, compile_numeric, diff, fn,
-    normalize, num, render,
+    normalize, num, render, substitute,
 )
 
 HALF = num(Fraction(1, 2))
@@ -103,6 +103,14 @@ class OmegaSolution:
         outside = (ts < grid[0] - 1e-9) | (ts > grid[-1] + 1e-9)
         return np.where(outside, np.nan, out)
 
+    def column(self, j):
+        """Solution j of a solve that advanced several together."""
+        arrays = (self.w, self.w1, self.w2, self.w3, self.conserved)
+        w, w1, w2, w3, cons = (None if a is None
+                               else np.ascontiguousarray(a[:, j])
+                               for a in arrays)
+        return OmegaSolution(self.ts, w, w1, w2, w3, cons, self.truncated)
+
     def conservation_drift(self):
         """Max relative drift of the monitored first integral."""
         if self.conserved is None:
@@ -118,6 +126,9 @@ def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
     init is (w, w', w'') at grid[0].  Where the equation divides by omega,
     the third derivative is NaN once |omega| falls under 1e-12, and the
     solution is truncated with a flag before the step that reaches it.
+    The other equations are linear, and each entry of init may instead be
+    a row of values, one per solution: all of them advance together as one
+    state, and OmegaSolution.column picks one out.
     params: c2, c3 scalars as needed; d and c as [f, f'] callables.
     """
     if case not in OMEGA_ODES:
@@ -142,12 +153,10 @@ def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
         return -(4.0 * c_chain[0](t) * w1 + 2.0 * c_chain[1](t) * w)
 
     ts = np.asarray(grid, float)
-    n = len(ts)
-    w = np.full(n, np.nan)
-    w1 = np.full(n, np.nan)
-    w2 = np.full(n, np.nan)
-    w3 = np.full(n, np.nan)
-    w[0], w1[0], w2[0] = (float(v) for v in init)
+    y0 = np.array(init, float)
+    w, w1, w2, w3 = (np.full((len(ts),) + y0.shape[1:], np.nan)
+                     for _ in range(4))
+    w[0], w1[0], w2[0] = y0
     divides_by_w = case in ("b-branch", "b-branch-unit")
     truncated = False
     last = 0
@@ -155,7 +164,7 @@ def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
     def f(t, y):
         return np.array([y[1], y[2], third(t, y)])
 
-    for i in range(n - 1):
+    for i in range(len(ts) - 1):
         y = np.array([w[i], w1[i], w2[i]])
         ynew = rk4_step(f, ts[i], y, ts[i + 1] - ts[i])
         if divides_by_w and (np.isnan(ynew).any() or ynew[0] * y[0] <= 0.0):
@@ -169,11 +178,13 @@ def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
         ts, w, w1, w2, w3 = (arr[:last + 1]
                              for arr in (ts, w, w1, w2, w3))
     conserved = None
+    # the chain values as a column, so they broadcast over the solutions
+    along = (len(ts),) + (1,) * (y0.ndim - 1)
     if case == "d-energy":
-        d0 = np.array([d_chain[0](t) for t in ts])
+        d0 = np.array([d_chain[0](t) for t in ts]).reshape(along)
         conserved = c2 * w * w2 - c2 / 2.0 * w1 ** 2 + 2.0 * w ** 2 * d0
     elif case == "c-energy":
-        c0 = np.array([c_chain[0](t) for t in ts])
+        c0 = np.array([c_chain[0](t) for t in ts]).reshape(along)
         conserved = w * w2 - w1 ** 2 / 2.0 + 2.0 * c0 * w ** 2
     return OmegaSolution(ts, w, w1, w2, w3, conserved, truncated)
 
@@ -181,7 +192,8 @@ def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
 def solve_omega_two_sided(case, params, init, t0, lo, hi,
                           points_per_unit=200) -> OmegaSolution:
     """Integrate the omega equation forward and backward from t0 on one
-    uniform grid covering [lo, hi]; initial data is given at t0."""
+    uniform grid covering [lo, hi]; initial data is given at t0, as in
+    omega_ode_solve."""
     step = 1.0 / points_per_unit
     n_b = max(int(math.ceil((t0 - lo) / step)), 1)
     n_f = max(int(math.ceil((hi - t0) / step)), 1)
@@ -608,8 +620,6 @@ def _validate_closed(spec, gen, result, assumptions=()):
         ansatz = InfinitesimalAnsatz(gen.omega, gen.upsilon)
         res = invariance_residual(spec, ansatz)
         if gen.kind == "parametric":
-            from .symexpr import substitute
-
             res = substitute(res, _rho_relation(spec))
         zr = is_zero(res, assumptions=list(assumptions),
                      fn_table=spec.fn_table(), params={"r": spec.r})
@@ -853,15 +863,31 @@ def _case_c4(spec, result, trace):
     return result
 
 
+def _energy_omegas(spec, k_val, inits):
+    """Solutions of the d-energy omega equation from each initial datum
+    (w, w', w'') at t0, advanced together as one state."""
+    d_chain = [lambda t: spec.d.eval(t), lambda t: spec.d.eval(t, 1)]
+    sols = solve_omega_two_sided("d-energy", {"c2": k_val, "d": d_chain},
+                                 np.transpose(inits), spec.t0,
+                                 spec.t0 - 2.5 * spec.r,
+                                 spec.t0 + 3.5 * spec.r)
+    return [sols.column(i) for i in range(len(inits))]
+
+
+def _check_numeric_omega(spec, gen, sol, result):
+    """Delay compatibility of a numeric omega and the third-order
+    c-constraint along it; demotes on failure."""
+    _check_delay_compat(gen, sol.value, spec.r, spec.t0, result, "omega")
+    if c_varies_against_omega(spec, sol):
+        gen.demote("c(t) incompatible with the third-order constraint")
+        result.warnings.append(f"{gen.label}: {gen.warnings[-1]}")
+
+
 def _case_c5(spec, result, k_val, trace):
     result.case_id = "C5"
     trace.append("b = 0, d != 0, k constant: omega from the energy form "
                  "of the third-order equation")
-    d_chain = [lambda t: spec.d.eval(t), lambda t: spec.d.eval(t, 1)]
-    sol = solve_omega_two_sided("d-energy", {"c2": k_val, "d": d_chain},
-                                (1.0, 0.0, 0.0), spec.t0,
-                                spec.t0 - 2.5 * spec.r,
-                                spec.t0 + 3.5 * spec.r)
+    (sol,) = _energy_omegas(spec, k_val, [(1.0, 0.0, 0.0)])
     gen_w = Generator("Phi d/dt + (x/2) Phi' d/dx", "numeric",
                       omega_numeric=sol,
                       note="Phi solves the integrated third-order "
@@ -870,10 +896,7 @@ def _case_c5(spec, result, k_val, trace):
     result.generators = gens
     drift = sol.conservation_drift()
     result.compatibility["first-integral drift"] = f"{drift:.2e}"
-    _check_delay_compat(gen_w, sol.value, spec.r, spec.t0, result, "omega")
-    if c_varies_against_omega(spec, sol):
-        gen_w.demote("c(t) incompatible with the third-order constraint")
-        result.warnings.append(f"{gen_w.label}: {gen_w.warnings[-1]}")
+    _check_numeric_omega(spec, gen_w, sol, result)
     for g in (gens[0], gens[2]):
         _validate_closed(spec, g, result)
     return result
@@ -883,22 +906,16 @@ def _case_c678(spec, result, k_val, case_id, trace):
     result.case_id = case_id
     trace.append("b = 0, special d family, k constant: three omega "
                  "directions from independent initial data")
-    d_chain = [lambda t: spec.d.eval(t), lambda t: spec.d.eval(t, 1)]
+    inits = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     gens = [_gen_half_scale()]
-    for i, init in enumerate(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
-                              (0.0, 0.0, 1.0))):
-        sol = solve_omega_two_sided("d-energy", {"c2": k_val, "d": d_chain},
-                                    init, spec.t0, spec.t0 - 2.5 * spec.r,
-                                    spec.t0 + 3.5 * spec.r)
+    for i, (init, sol) in enumerate(zip(inits,
+                                        _energy_omegas(spec, k_val, inits))):
         g = Generator(f"Phi{i + 1} d/dt + (x/2) Phi{i + 1}' d/dx",
                       "numeric", omega_numeric=sol,
                       note="independent initial data "
                            f"{init}; first-integral drift "
                            f"{sol.conservation_drift():.2e}")
-        _check_delay_compat(g, sol.value, spec.r, spec.t0, result, "omega")
-        if c_varies_against_omega(spec, sol):
-            g.demote("c(t) incompatible with the third-order constraint")
-            result.warnings.append(f"{g.label}: {g.warnings[-1]}")
+        _check_numeric_omega(spec, g, sol, result)
         gens.append(g)
     gens.append(_gen_rho())
     result.generators = gens

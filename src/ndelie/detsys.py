@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .prolong import EquationResidual, InfinitesimalAnsatz, apply_operator
 from .symexpr import (
     Coeff, Expr, ExprError, Par, Rat, T, X, X1, X1R, X2, X2R, XR, ZERO,
     atoms, collect, compile_numeric, diff, equivalent, fn, normalize, num,
-    render, substitute,
+    render, shift, substitute,
 )
 
 SPLIT_JETS = (X, XR, X1, X1R, X2, X2R)
@@ -90,12 +91,6 @@ class DeterminingSystem:
                 return eq
         return None
 
-    def by_catalog(self, catalog_id):
-        for eq in self.equations:
-            if eq.catalog_id == catalog_id:
-                return eq
-        return None
-
     def to_report(self):
         return {
             "equations": [eq.to_json() for eq in self.nontrivial()],
@@ -127,16 +122,18 @@ def reduced_ansatz() -> InfinitesimalAnsatz:
 # residual generation and splitting
 
 
-def invariance_residual(spec: NdeSpec, a: InfinitesimalAnsatz) -> Expr:
-    """Residual of the extended operator applied to the reduced equation."""
+def reduced_equation(spec: NdeSpec) -> EquationResidual:
+    """The reduced equation as the residual the extended operator acts on."""
     if not spec.h.is_zero or not spec.a.is_zero:
         raise ExprError(
             "invariance residual expects the reduced form h = 0, a = 0; "
             "apply homogenize / remove_first_derivative first")
-    delta = EquationResidual(normalize(
-        X2 + spec.b.symbolic("b") * X1R + spec.c.symbolic("c") * X
-        + spec.d.symbolic("d") * XR + spec.k.symbolic("k") * X2R))
-    return apply_operator(a, delta)
+    return EquationResidual(spec.residual_expr())
+
+
+def invariance_residual(spec: NdeSpec, a: InfinitesimalAnsatz) -> Expr:
+    """Residual of the extended operator applied to the reduced equation."""
+    return apply_operator(a, reduced_equation(spec))
 
 
 def split(residual: Expr, spec: NdeSpec = None,
@@ -149,8 +146,6 @@ def split(residual: Expr, spec: NdeSpec = None,
                                         key=lambda kv: render(kv[0]))]
     constraints = []
     if ansatz is not None:
-        from .symexpr import shift
-
         constraints.append(FunctionalConstraint(
             label="omega(t,x) = omega(t-r, x(t-r))",
             lhs=ansatz.omega, rhs=shift(ansatz.omega)))
@@ -476,8 +471,6 @@ def _leading_coeff(e):
 
 
 def _match_up_to_scale(e1, e2):
-    from fractions import Fraction
-
     c1, c2 = _leading_coeff(e1), _leading_coeff(e2)
     if c1 == 0 or c2 == 0:
         return e1 == e2
@@ -542,7 +535,8 @@ def is_zero(e: Expr, assumptions=(), fn_table=None, params=None,
     Returns symbolic truth when the normal form vanishes; otherwise samples
     64 points with t in [0.1, 4], jet values in [-2, 2], and concrete
     coefficient instances satisfying the assumptions.  Singular sample
-    points are skipped and counted.
+    points are skipped and counted; unless at least half of the points
+    evaluate, the sampled test fails.
     """
     canon = normalize(e)
     if canon == ZERO:
@@ -581,6 +575,8 @@ def is_zero(e: Expr, assumptions=(), fn_table=None, params=None,
             continue
         evaluated += 1
         worst = max(worst, abs(v))
-    if evaluated == 0:
-        return ZeroResult(False, "sampled", float("inf"), skipped)
+    if 2 * evaluated < points:
+        # too few points evaluated to say anything
+        return ZeroResult(False, "sampled",
+                          worst if evaluated else float("inf"), skipped)
     return ZeroResult(worst < tol, "sampled", worst, skipped)

@@ -17,8 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from .symexpr import (
-    Coeff, Expr, ExprError, Par, Rat, T, ZERO, atoms, check_evaluated,
-    compile_array, compile_numeric, diff, normalize, parse, render,
+    Coeff, Expr, ExprError, Par, Rat, T, X, X1, X1R, X2, X2R, XR, ZERO, atoms,
+    check_evaluated, compile_array, compile_numeric, diff, normalize, parse,
+    render,
 )
 
 COEFF_NAMES = ("a", "b", "c", "d", "k", "h")
@@ -42,8 +43,10 @@ class CoeffDescriptor:
     fns: tuple | None = None
     nonvanishing: bool | None = None
     samples: tuple | None = None
-    _compiled: tuple = field(default=None, repr=False, compare=False)
-    _compiled_array: tuple = field(default=None, repr=False, compare=False)
+    # closed kind: derivative expressions by order, and their closures by
+    # (order, array mode), each built on first use
+    _derivs: list = field(default_factory=list, repr=False, compare=False)
+    _closures: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def zero(cls):
@@ -123,20 +126,19 @@ class CoeffDescriptor:
             return self.expr
         return Coeff(name)
 
-    def _derivatives(self):
-        exprs = [self.expr]
-        for _ in range(3):
-            exprs.append(diff(exprs[-1], T))
-        return exprs
-
-    def _derivative_chain(self):
-        if self._compiled is None:
-            if self.kind == "closed":
-                self._compiled = tuple(compile_numeric(e)
-                                       for e in self._derivatives())
-            else:
-                self._compiled = ()
-        return self._compiled
+    def _closure(self, order, array=False):
+        """Compiled closure of the order-th derivative of a closed form;
+        the derivative and the closure are built on first use."""
+        f = self._closures.get((order, array))
+        if f is None:
+            derivs = self._derivs
+            if not derivs:
+                derivs.append(self.expr)
+            while len(derivs) <= order:
+                derivs.append(diff(derivs[-1], T))
+            compiler = compile_array if array else compile_numeric
+            f = self._closures[order, array] = compiler(derivs[order])
+        return f
 
     def eval(self, t, order=0):
         if order > 3:
@@ -146,7 +148,7 @@ class CoeffDescriptor:
         if self.kind == "const":
             return float(self.value) if order == 0 else 0.0
         if self.kind == "closed":
-            return self._derivative_chain()[order]({"t": float(t)}, None)
+            return self._closure(order)({"t": float(t)}, None)
         if order >= len(self.fns):
             raise ExprError(
                 f"numeric descriptor supplies orders 0..{len(self.fns) - 1}")
@@ -163,10 +165,7 @@ class CoeffDescriptor:
                             float).reshape(ts.shape)
         if order > 3:
             raise ExprError(f"derivative order {order} exceeds 3")
-        if self._compiled_array is None:
-            self._compiled_array = tuple(compile_array(e)
-                                         for e in self._derivatives())
-        return np.broadcast_to(self._compiled_array[order]({"t": ts}, None),
+        return np.broadcast_to(self._closure(order, True)({"t": ts}, None),
                                ts.shape)
 
     def fn_entry(self, array=False):
@@ -274,8 +273,6 @@ class NdeSpec:
 
     def residual_expr(self) -> Expr:
         """Symbolic h-moved-left residual of the full equation."""
-        from .symexpr import X, X1, X1R, X2, X2R, XR
-
         return normalize(
             X2 + self.a.symbolic("a") * X1 + self.b.symbolic("b") * X1R
             + self.c.symbolic("c") * X + self.d.symbolic("d") * XR

@@ -11,18 +11,20 @@ equation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .classify import Generator
-from .detsys import invariance_residual, reduced_ansatz
+from .detsys import reduced_ansatz, reduced_equation
 from .equation import NdeSpec
-from .ndesolve import Trajectory, rk4_step
+from .ndesolve import Trajectory, _write_csv, rk4_step
+from .prolong import EquationResidual, apply_operator
 from .symexpr import (
-    ExprError, T, ZERO, check_evaluated, compile_array, compile_numeric, diff,
-    normalize,
+    ExprError, T, X, ZERO, check_evaluated, compile_array, compile_numeric,
+    diff, normalize, substitute,
 )
 
 
@@ -129,13 +131,7 @@ class TransformedCurve:
         return out.reshape(ts.shape)
 
     def to_csv(self, path, points=200):
-        ts = np.linspace(self.t_lo, self.t_hi, points)
-        with open(path, "w") as fh:
-            fh.write("t,x,xprime,xsecond\n")
-            for t in ts:
-                fh.write(f"{t:.12g},{self.value(t, 0):.12g},"
-                         f"{self.value(t, 1):.12g},"
-                         f"{self.value(t, 2):.12g}\n")
+        _write_csv(path, self, np.linspace(self.t_lo, self.t_hi, points))
 
 
 def prolonged_flow(gen: Generator, jets, delta, spec: NdeSpec, rho=None,
@@ -265,8 +261,6 @@ def _affine_chains(gen: Generator, spec: NdeSpec, rho, array=True):
     table["rho"] = _rho_chain(rho, array)
     w = gen.omega if gen.omega is not None else ZERO
     u = gen.upsilon if gen.upsilon is not None else ZERO
-    from .symexpr import X, substitute
-
     gamma_expr = diff(u, X)
     if diff(gamma_expr, X) != ZERO or diff(w, X) != ZERO:
         raise ExprError("infinitesimal check covers pairs affine in x")
@@ -289,19 +283,12 @@ def _affine_chains(gen: Generator, spec: NdeSpec, rho, array=True):
     return chain(betas), chain(gammas), chain(rhos)
 
 
-# compiled invariance residuals of the affine ansatz, keyed on the symbolic
-# coefficients it is built from; numeric coefficients enter it by name and
-# are read from the fn_table, so equations of one symbolic form share it
-_AFFINE_RESIDUALS = {}
-
-
-def _affine_residual_fn(spec: NdeSpec):
-    key = tuple(desc.symbolic(name)
-                for name, desc in spec.descriptors().items())
-    if key not in _AFFINE_RESIDUALS:
-        _AFFINE_RESIDUALS[key] = compile_array(
-            invariance_residual(spec, reduced_ansatz()))
-    return _AFFINE_RESIDUALS[key]
+@functools.lru_cache(maxsize=1)
+def _affine_residual(eq: EquationResidual):
+    """Compiled invariance residual of the affine ansatz, for the latest
+    equation only; numeric coefficients enter it by name and are read from
+    the fn_table."""
+    return compile_array(apply_operator(reduced_ansatz(), eq))
 
 
 def infinitesimal_check(traj: Trajectory, gen: Generator, spec: NdeSpec,
@@ -318,7 +305,8 @@ def infinitesimal_check(traj: Trajectory, gen: Generator, spec: NdeSpec,
            "x": traj.sample(ts, 0), "xr": traj.sample(td, 0),
            "x1": traj.sample(ts, 1), "x1r": traj.sample(td, 1),
            "x2r": traj.sample(td, 2)}
-    res = np.broadcast_to(_affine_residual_fn(spec)(env, table), ts.shape)
+    residual = _affine_residual(reduced_equation(spec))
+    res = np.broadcast_to(residual(env, table), ts.shape)
     check_evaluated("the invariance residual", ts,
                     [res] + [env[k] for k in ("x", "xr", "x1", "x1r", "x2r")])
     return float(np.max(np.abs(res), initial=0.0))

@@ -163,11 +163,19 @@ class Trajectory:
     def to_csv(self, path, points=None):
         if points is None:
             points = self.ts
-        with open(path, "w") as fh:
-            fh.write("t,x,xprime,xsecond\n")
-            for t in points:
-                fh.write(f"{float(t):.12g},{self.value(t, 0):.12g},"
-                         f"{self.value(t, 1):.12g},{self.value(t, 2):.12g}\n")
+        _write_csv(path, self, points)
+
+
+def _write_csv(path, curve, ts):
+    """t, x, x' and x'' of a curve at the given times, one row each; the
+    curve answers sample(ts, der) over arrays."""
+    ts = np.asarray(ts, float)
+    cols = [curve.sample(ts, der) for der in range(3)]
+    check_evaluated("the curve", ts, cols)
+    with open(path, "w") as fh:
+        fh.write("t,x,xprime,xsecond\n")
+        for row in zip(ts.tolist(), *(c.tolist() for c in cols)):
+            fh.write("{:.12g},{:.12g},{:.12g},{:.12g}\n".format(*row))
 
 
 def rk4_step(f, t, y, h):

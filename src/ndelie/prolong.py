@@ -10,11 +10,12 @@ is the invariance condition.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .symexpr import (
-    Expr, ExprError, Jet, Rat, T, X, X1, X1R, X2, X2R, XR, ZERO, atoms,
+    Expr, ExprError, Jet, Rat, Sum, T, X, X1, X1R, X2, X2R, XR, ZERO, atoms,
     collect, diff, diff_explicit, normalize, shift, substitute,
 )
 
@@ -128,24 +129,28 @@ def prolong_delayed(a: InfinitesimalAnsatz) -> Prolongation:
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _solved_partials(delta: Expr):
+    """F = x'' of the solved form and the seven partials the extended
+    operator takes of it, for the most recent equation only: determine,
+    reduce_ansatz and each generator check of one equation share them."""
+    F = EquationResidual(delta).solved_rhs()
+    return F, (diff_explicit(F, "t"), diff(F, X), diff_explicit(F, "tr"),
+               diff(F, XR), diff(F, X1), diff(F, X1R), diff(F, X2R))
+
+
 def apply_operator(a: InfinitesimalAnsatz, eq: EquationResidual) -> Expr:
     """Apply the extended operator to the residual and eliminate x'' via
-    the solved form afterwards; x''(t-r) stays an independent coordinate.
+    the solved form; x''(t-r) stays an independent coordinate.
 
     Explicit dependence on the delayed time must enter F through
     coefficient functions of t-r; those derivatives are multiplied by the
-    shifted omega.
+    shifted omega.  Of all the terms only the second prolongation holds
+    x'', so it is eliminated there, before the one normalisation.
     """
-    F = eq.solved_rhs()
+    F, partials = _solved_partials(eq.delta)
     p = prolong_delayed(a)
-    operator_terms = (
-        a.omega * diff_explicit(F, "t")
-        + a.upsilon * diff(F, X)
-        + p.omega_r * diff_explicit(F, "tr")
-        + p.upsilon_r * diff(F, XR)
-        + p.ups_t * diff(F, X1)
-        + p.ups_t_r * diff(F, X1R)
-        + p.ups_tt_r * diff(F, X2R)
-    )
-    residual = normalize(p.ups_tt - operator_terms)
-    return substitute(residual, {X2: F})
+    factors = (a.omega, a.upsilon, p.omega_r, p.upsilon_r, p.ups_t,
+               p.ups_t_r, p.ups_tt_r)
+    operator_terms = Sum(tuple(f * dF for f, dF in zip(factors, partials)))
+    return normalize(substitute(p.ups_tt, {X2: F}) - operator_terms)

@@ -101,6 +101,11 @@ class Expr:
     def __repr__(self):
         return render(self)
 
+    def __getstate__(self):
+        # caches stay behind: string hashes differ between processes
+        return {k: v for k, v in self.__dict__.items()
+                if not k.startswith("_")}
+
 
 @dataclass(frozen=True, repr=False)
 class Rat(Expr):
@@ -194,6 +199,19 @@ class App(Expr):
             raise ExprError(f"unknown function {self.fn!r}")
 
 
+def _cached_hash(self):
+    """The dataclass hash, of the tuple of the fields, once per node."""
+    d = self.__dict__
+    h = d.get("_hash")
+    if h is None:
+        h = d["_hash"] = hash(tuple(d[f] for f in self.__dataclass_fields__))
+    return h
+
+
+for _cls in (Rat, Par, Jet, Coeff, Sum, Prod, Pow, App):
+    _cls.__hash__ = _cached_hash
+
+
 T = Jet("t")
 X = Jet("x")
 XR = Jet("xr")
@@ -228,6 +246,7 @@ def app(name, arg) -> App:
 # canonical ordering
 
 
+@functools.lru_cache(maxsize=256)
 def _natkey(name):
     m = re.fullmatch(r"([A-Za-z_]*)(\d*)", name)
     if m is None:
@@ -238,7 +257,16 @@ def _natkey(name):
 
 def _skey(e):
     """Total structural order on canonical expressions.  Atom ranks follow
-    Parameter < Coeff < Jet < App; composite bases sort last."""
+    Parameter < Coeff < Jet < App; composite bases sort last.  Computed
+    once per node."""
+    d = e.__dict__
+    k = d.get("_skey")
+    if k is None:
+        k = d["_skey"] = _skey_of(e)
+    return k
+
+
+def _skey_of(e):
     if isinstance(e, Rat):
         return (0, e.q.numerator, e.q.denominator)
     if isinstance(e, Par):
@@ -264,6 +292,10 @@ def _skey(e):
 # A polynomial is a dict {monomial: Fraction} where a monomial is a tuple of
 # (atom, exponent) pairs sorted by _skey, atoms being Par/Coeff/Jet/App nodes
 # or whole canonical Sums serving as opaque bases of negative powers.
+# _poly may return a dict that a canonical node keeps (see _rebuild), so no
+# polynomial it returns is ever mutated; only a dict built here is.
+
+_F0 = Fraction(0)
 
 
 def _mono_mul(m1, m2):
@@ -278,15 +310,14 @@ def _mono_mul(m1, m2):
                         key=lambda p: (_skey(p[0]), p[1])))
 
 
-def _poly_add(p1, p2):
-    out = dict(p1)
-    for m, c in p2.items():
-        s = out.get(m, Fraction(0)) + c
+def _poly_iadd(out, p):
+    """Add p into out, which the caller owns."""
+    for m, c in p.items():
+        s = out.get(m, _F0) + c
         if s == 0:
             out.pop(m, None)
         else:
             out[m] = s
-    return out
 
 
 def _poly_mul(p1, p2):
@@ -294,8 +325,7 @@ def _poly_mul(p1, p2):
     for m1, c1 in p1.items():
         for m2, c2 in p2.items():
             m = _mono_mul(m1, m2)
-            c = c1 * c2
-            s = out.get(m, Fraction(0)) + c
+            s = out.get(m, _F0) + c1 * c2
             if s == 0:
                 out.pop(m, None)
             else:
@@ -305,14 +335,12 @@ def _poly_mul(p1, p2):
 
 def _poly_pow(p, n):
     result = {(): Fraction(1)}
-    base = p
-    k = n
-    while k > 0:
-        if k & 1:
-            result = _poly_mul(result, base)
-        k >>= 1
-        if k:
-            base = _poly_mul(base, base)
+    while n > 0:
+        if n & 1:
+            result = _poly_mul(result, p)
+        n >>= 1
+        if n:
+            p = _poly_mul(p, p)
     return result
 
 
@@ -348,6 +376,9 @@ def _fold_app(name, arg):
 
 
 def _poly(e):
+    p = e.__dict__.get("_poly")
+    if p is not None:
+        return p
     if isinstance(e, Rat):
         return {} if e.q == 0 else {(): e.q}
     if isinstance(e, Par):
@@ -357,20 +388,24 @@ def _poly(e):
     if isinstance(e, (Jet, Coeff)):
         return _atom_poly(e)
     if isinstance(e, App):
-        folded = _fold_app(e.fn, normalize(e.arg))
+        arg = normalize(e.arg)
+        if arg is e.arg and not isinstance(arg, Rat):
+            return _atom_poly(e)  # nothing to fold, e is canonical
+        folded = _fold_app(e.fn, arg)
         if isinstance(folded, Rat):
             return _poly(folded)
         return _atom_poly(folded)
     if isinstance(e, Sum):
         out = {}
         for t in e.terms:
-            out = _poly_add(out, _poly(t))
+            _poly_iadd(out, _poly(t))
         return out
     if isinstance(e, Prod):
-        out = {(): Fraction(1)}
+        out = None
         for f in e.factors:
-            out = _poly_mul(out, _poly(f))
-        return out
+            q = _poly(f)
+            out = q if out is None else _poly_mul(out, q)
+        return {(): Fraction(1)} if out is None else out
     if isinstance(e, Pow):
         if e.n == 0:
             return {(): Fraction(1)}
@@ -408,21 +443,30 @@ def _term_expr(mono, coeff):
 
 
 def _rebuild(p):
+    """Canonical node of a polynomial.  A Sum, Prod or Pow node keeps the
+    polynomial it was built from, in the order a fresh expansion of the
+    node gives, and _poly returns it instead of expanding the node again."""
     if not p:
         return ZERO
-    monos = sorted(p.keys(),
-                   key=lambda m: tuple((_skey(a), n) for a, n in m))
-    terms = [_term_expr(m, p[m]) for m in monos]
-    if len(terms) == 1:
-        return terms[0]
-    return Sum(tuple(terms))
+    monos = sorted(p, key=lambda m: tuple((_skey(a), n) for a, n in m))
+    if len(monos) == 1:
+        node = _term_expr(monos[0], p[monos[0]])
+    else:
+        node = Sum(tuple(_term_expr(m, p[m]) for m in monos))
+    if isinstance(node, (Sum, Prod, Pow)):
+        node.__dict__["_poly"] = {m: p[m] for m in monos}
+    return node
 
 
 def normalize(e) -> Expr:
     """Canonical normal form: idempotent, semantics-preserving; two
     expressions of the supported class are semantically equal iff their
-    normal forms are structurally identical."""
-    return _rebuild(_poly(_as_expr(e)))
+    normal forms are structurally identical.  A node that is already a
+    normal form is returned as it is."""
+    e = _as_expr(e)
+    if "_poly" in e.__dict__:
+        return e
+    return _rebuild(_poly(e))
 
 
 def equivalent(e1, e2) -> bool:

@@ -53,3 +53,39 @@ def test_traced_integrate_and_prolonged_flow():
     assert totals["flowverify.prolonged_flow.calls"] == 1
     assert totals["flowverify.prolonged_flow.jet_substeps"] == 12
     assert totals["flowverify.prolonged_flow.domain_exits"] == 0
+
+
+def test_traced_classification():
+    nd = SimpleNamespace(**{m: importlib.import_module(f"ndelie.{m}")
+                            for m in MODULES})
+    scenarios = {sc.name: sc.spec for sc in nd.suite.build_scenarios()}
+    tracer = _tracer()
+    tracer.install(nd)
+    calls = {}
+    try:
+        for name in ("C7", "C2"):
+            before = tracer.totals().get("classify.omega_ode_solve.calls", 0)
+            tracer.paused = False
+            spec = scenarios[name]
+            detsys = nd.detsys
+            system = detsys.canonical_constraints(
+                detsys.reduce_ansatz(detsys.determine(spec)))
+            res = nd.classify.classify(spec)
+            tracer.paused = True
+            assert system.equations and res.case_id == name
+            calls[name] = (tracer.totals()
+                           .get("classify.omega_ode_solve.calls", 0) - before)
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    # the three C7 directions share one forward and one backward solve;
+    # C2 has no numeric omega
+    assert calls == {"C7": 2, "C2": 0}
+    for name in ("symexpr.normalize", "prolong.apply_operator",
+                 "detsys.determine", "detsys.reduce", "classify.classify"):
+        assert totals[f"{name}.calls"] > 0, name
+    # every closed generator of both runs went through a zero test, and the
+    # counters of the zero test still read its result
+    assert totals["detsys.is_zero.calls"] >= 5
+    assert totals["detsys.is_zero.sampled"] <= totals["detsys.is_zero.calls"]
+    assert totals["detsys.is_zero.skipped_points"] == 0

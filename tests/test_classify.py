@@ -450,3 +450,31 @@ def test_case_partition(bk, ck, dk, kk, expr_text):
         assert spec.b.is_zero and spec.d.is_zero and spec.k.is_zero
     else:
         assert res.case_id in cases
+
+
+# ---------------------------------------------------------------------------
+# the three C6-C8 directions advance as one state
+
+
+@pytest.mark.parametrize("name", ["C6", "C7", "C8"])
+def test_batched_omega_directions_equal_single_solves(name):
+    from ndelie.suite import scenario_by_name
+
+    spec = scenario_by_name(name).spec
+    res = classify(spec)
+    got = [g.omega_numeric for g in res.generators
+           if g.omega_numeric is not None]
+    d_chain = [lambda t: spec.d.eval(t), lambda t: spec.d.eval(t, 1)]
+    k_val = float(spec.k.value)
+    assert len(got) == 3
+    for sol, init in zip(got, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                               (0.0, 0.0, 1.0))):
+        want = solve_omega_two_sided(
+            "d-energy", {"c2": k_val, "d": d_chain}, init, spec.t0,
+            spec.t0 - 2.5 * spec.r, spec.t0 + 3.5 * spec.r)
+        assert sol.truncated == want.truncated
+        for field in ("ts", "w", "w1", "w2", "w3", "conserved"):
+            assert np.array_equal(getattr(sol, field),
+                                  getattr(want, field)), field
+            assert getattr(sol, field).flags.c_contiguous
+

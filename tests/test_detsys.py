@@ -309,3 +309,18 @@ def test_reduced_system_is_complete():
             env[j] = rng.uniform(-2.0, 2.0)
         worst = max(worst, abs(res_fn(env, table)))
     assert worst < 1e-9
+
+
+def test_is_zero_needs_half_of_the_points():
+    # sqrt(t - 7/2) is defined only for t > 3.5, a few of the points in
+    # [0.1, 4]; the values there are far under the tolerance
+    e = parse("sqrt(t - 7/2)/1000000000000")
+    res = is_zero(e)
+    assert res.mode == "sampled" and not res.ok
+    assert 32 < res.skipped < 64
+    assert res.max_abs < 1e-9
+    none = is_zero(parse("sqrt(t - 5)"))
+    assert not none.ok and none.skipped == 64
+    assert none.max_abs == float("inf")
+    most = is_zero(parse("sqrt(t - 1/2)/1000000000000"))
+    assert most.ok and 0 < most.skipped < 32

@@ -33,3 +33,22 @@ def test_callable_numeric_descriptor_refuses_json():
     spec = NdeSpec.make(c=CD.numeric(math.cos, lambda t: -math.sin(t)))
     with pytest.raises(ExprError):
         spec.to_json()
+
+
+def test_closed_descriptor_derives_on_first_use():
+    from ndelie.symexpr import T, compile_numeric, diff, parse
+
+    desc = CD.closed("t^2*sin(t) + cos(3*t)")
+    t = 0.7
+    assert desc.eval(t) == compile_numeric(desc.expr)({"t": t}, None)
+    # order 0 builds no derivative at all, and nothing in array mode
+    assert len(desc._derivs) == 1
+    assert set(desc._closures) == {(0, False)}
+    d2 = diff(diff(desc.expr, T), T)
+    assert desc.eval(t, 2) == compile_numeric(d2)({"t": t}, None)
+    assert len(desc._derivs) == 3
+    assert desc._derivs[2] == d2
+    assert list(desc.sample([t], 1)) == [desc.eval(t, 1)]
+    assert set(desc._closures) == {(0, False), (1, False), (2, False),
+                                   (1, True)}
+    assert desc == CD.closed(parse("t^2*sin(t) + cos(3*t)"))

@@ -131,6 +131,17 @@ def test_transform_solution_time_translation():
                                                   abs=1e-6)
 
 
+def test_transformed_curve_csv_matches_value_queries(tmp_path):
+    curve = transform_solution(TRAJ1, GEN_T, 0.4, SPEC1)
+    out = tmp_path / "curve.csv"
+    curve.to_csv(out, points=257)
+    want = "t,x,xprime,xsecond\n"
+    for t in np.linspace(curve.t_lo, curve.t_hi, 257):
+        want += (f"{t:.12g},{curve.value(t, 0):.12g},"
+                 f"{curve.value(t, 1):.12g},{curve.value(t, 2):.12g}\n")
+    assert out.read_text() == want
+
+
 def test_transform_solution_identity():
     curve = transform_solution(TRAJ1, GEN_SCALE, 0.0, SPEC1)
     for t in np.linspace(0.0, 8.0, 20):

@@ -155,6 +155,29 @@ def test_csv_export(tmp_path):
     assert len(lines) == len(traj.ts) + 1
 
 
+def _rows_by_value(curve, ts):
+    """The CSV written one scalar value query per cell."""
+    out = "t,x,xprime,xsecond\n"
+    for t in ts:
+        out += (f"{float(t):.12g},{curve.value(t, 0):.12g},"
+                f"{curve.value(t, 1):.12g},{curve.value(t, 2):.12g}\n")
+    return out
+
+
+def test_csv_export_matches_value_queries(tmp_path):
+    # the neutral run has jumps of x'' at its breaking points, where the
+    # right-hand value is the one written
+    traj = _neutral_run()
+    out = tmp_path / "traj.csv"
+    traj.to_csv(out)
+    assert out.read_text() == _rows_by_value(traj, traj.ts)
+    ts = np.linspace(traj.t0 - traj.r, traj.t_end, 333)
+    traj.to_csv(out, ts)
+    assert out.read_text() == _rows_by_value(traj, ts)
+    with pytest.raises(ExprError):
+        traj.to_csv(out, [traj.t_end + 1.0])
+
+
 # ---------------------------------------------------------------------------
 # array queries
 

@@ -257,3 +257,60 @@ def test_operator_linear_in_ansatz(w1, u1, w2, u2):
     lhs = apply_operator(a1 + a2, eq)
     rhs = normalize(apply_operator(a1, eq) + apply_operator(a2, eq))
     assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# the shared operator against the operator built from scratch
+
+
+def _reference_apply_operator(a, eq):
+    """apply_operator as it was before F and its partials were shared:
+    every call re-derives them, normalises the whole residual and then
+    eliminates x''."""
+    F = eq.solved_rhs()
+    p = prolong_delayed(a)
+    operator_terms = (
+        a.omega * diff_explicit(F, "t")
+        + a.upsilon * diff(F, X)
+        + p.omega_r * diff_explicit(F, "tr")
+        + p.upsilon_r * diff(F, XR)
+        + p.ups_t * diff(F, X1)
+        + p.ups_t_r * diff(F, X1R)
+        + p.ups_tt_r * diff(F, X2R)
+    )
+    residual = normalize(p.ups_tt - operator_terms)
+    return substitute(residual, {X2: F})
+
+
+def _scenario_ansatzes():
+    from ndelie.classify import classify
+    from ndelie.detsys import generic_ansatz, reduced_ansatz, reduced_equation
+    from ndelie.suite import build_scenarios
+
+    for sc in build_scenarios():
+        ansatzes = [("generic", generic_ansatz()),
+                    ("reduced", reduced_ansatz())]
+        ansatzes += [(g.label, InfinitesimalAnsatz(g.omega, g.upsilon))
+                     for g in classify(sc.spec).generators
+                     if g.omega is not None]
+        for label, a in ansatzes:
+            yield sc.name, label, a, reduced_equation(sc.spec)
+
+
+def test_shared_operator_matches_reference_on_every_scenario():
+    seen = set()
+    for name, label, a, delta in _scenario_ansatzes():
+        seen.add(name)
+        got = apply_operator(a, delta)
+        assert got == _reference_apply_operator(a, delta), (name, label)
+    assert len(seen) == 14
+
+
+def test_shared_operator_follows_the_equation():
+    # the partials are kept for the latest equation only; switching back
+    # and forth must never reuse those of the other one
+    a = ansatz(fn("beta"), fn("gamma") * X + fn("rho"))
+    eq1 = linear_delta(fn("b"), fn("c"), ZERO, fn("k"))
+    eq2 = linear_delta(ZERO, app("sin", T), fn("d"), num(1))
+    for eq in (eq1, eq2, eq1, eq2):
+        assert apply_operator(a, eq) == _reference_apply_operator(a, eq)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -6,8 +8,8 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ndelie.symexpr import (
-    App, Coeff, EvalError, ExprError, Par, ParseError, Pow, Prod, Rat,
-    Sum, T, X, X1, X1R, X2, X2R, XR, ZERO, app, atoms, collect,
+    App, Coeff, EvalError, Expr, ExprError, Par, ParseError, Pow, Prod, Rat,
+    Sum, T, X, X1, X1R, X2, X2R, XR, ZERO, _poly, app, atoms, collect,
     compile_array, compile_numeric, diff, diff_explicit, equivalent,
     eval_numeric, fn, normalize, num, par, parse, render, shift, substitute,
 )
@@ -481,3 +483,86 @@ def test_compile_array_masks_domain_errors():
     assert got[2] == 0.5
     # a constant expression broadcasts
     assert compile_array(parse("2/3"))({"t": t}, None) == 2 / 3
+
+
+# ---------------------------------------------------------------------------
+# a normal form keeps its expansion
+
+
+def _fresh(e):
+    """The same tree built anew, so nothing of it carries a cache."""
+    if isinstance(e, Sum):
+        return Sum(tuple(_fresh(t) for t in e.terms))
+    if isinstance(e, Prod):
+        return Prod(tuple(_fresh(f) for f in e.factors))
+    if isinstance(e, Pow):
+        return Pow(_fresh(e.base), e.n)
+    if isinstance(e, App):
+        return App(e.fn, _fresh(e.arg))
+    return e
+
+
+def _expansion(e):
+    return list(_poly(e).items())
+
+
+def _reuse(n):
+    """Put a normal form through the kernel the way the callers do."""
+    for e in (n + n, n * n, n - n, Pow(n, 2), Pow(n, -1), n * X1 + T,
+              Sum((n, Prod((n, X)), Rat(Fraction(-3))))):
+        try:
+            normalize(e)
+        except ExprError:
+            pass
+    for op in (lambda: diff(n, T), lambda: diff(n, X),
+               lambda: collect(n, {X, X1}), lambda: shift(n),
+               lambda: substitute(n, {X: T + 1, fn("b"): app("sin", T)}),
+               lambda: compile_numeric(n)):
+        try:
+            op()
+        except ExprError:
+            pass
+
+
+@settings(max_examples=80, deadline=None)
+@given(_exprs())
+@example(Pow(Pow(Sum((T, X)), -1), -2))
+@example(Sum((Pow(Sum((T, X)), -1), T)))
+def test_normal_form_keeps_its_expansion(e):
+    n = _try_normalize(e)
+    assume(n is not None)
+    fresh = _expansion(_fresh(n))
+    # the same monomials and coefficients in the same order, as the
+    # expansion of the raw expression gives them too
+    assert _expansion(n) == fresh
+    assert _poly(_fresh(e)) == dict(fresh)
+    if isinstance(n, (Sum, Prod, Pow)):
+        assert normalize(n) is n
+    for _ in range(3):
+        _reuse(n)
+    assert _expansion(n) == fresh
+    assert normalize(_fresh(n)) == n
+
+
+@settings(max_examples=40, deadline=None)
+@given(_exprs())
+def test_node_hash_is_the_dataclass_hash(e):
+    n = _try_normalize(e)
+    assume(n is not None)
+    nodes = [n]
+    while nodes:
+        node = nodes.pop()
+        fields = tuple(getattr(node, f.name)
+                       for f in dataclasses.fields(node))
+        assert hash(node) == hash(fields) == hash(_fresh(node))
+        nodes.extend(f for f in fields if isinstance(f, Expr))
+        nodes.extend(f for t in fields if isinstance(t, tuple) for f in t)
+
+
+def test_pickled_node_drops_its_caches():
+    n = normalize(parse("(b(t) + t)^(-1) * x + sin(t)^2"))
+    hash(n)
+    copy = pickle.loads(pickle.dumps(n))
+    assert not [k for k in copy.__dict__ if k.startswith("_")]
+    assert copy == n and hash(copy) == hash(n)
+    assert normalize(copy) == n
