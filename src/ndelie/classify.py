@@ -27,8 +27,8 @@ from .equation import CoeffDescriptor, NdeSpec
 from .ndesolve import _hermite, rk4_step
 from .prolong import InfinitesimalAnsatz
 from .symexpr import (
-    App, Expr, ExprError, Pow, Rat, T, X, ZERO, compile_numeric, diff, fn,
-    normalize, num, render, substitute,
+    App, Expr, ExprError, Pow, Rat, T, X, ZERO, _elementwise, check_evaluated,
+    compile_numeric, diff, fn, normalize, num, render, substitute,
 )
 
 HALF = num(Fraction(1, 2))
@@ -65,35 +65,20 @@ class OmegaSolution:
         return float(self.ts[1] - self.ts[0])
 
     def value(self, t, der=0):
-        ts = self.ts
-        if t < ts[0] - 1e-9 or t > ts[-1] + 1e-9:
+        v = float(self.sample(t, der))
+        if math.isnan(v):
             raise ExprError(f"omega query at {t} outside the grid")
-        i = min(max(int((t - ts[0]) / self.hstep), 0), len(ts) - 2)
-        h = self.hstep
-        s = (t - ts[i]) / h
-        if der == 0:
-            return _hermite(self.w[i], self.w[i + 1], self.w1[i],
-                            self.w1[i + 1], s, h, 0)
-        if der == 1:
-            return _hermite(self.w1[i], self.w1[i + 1], self.w2[i],
-                            self.w2[i + 1], s, h, 0)
-        if der == 2:
-            return _hermite(self.w2[i], self.w2[i + 1], self.w3[i],
-                            self.w3[i + 1], s, h, 0)
-        if der == 3:
-            return _hermite(self.w2[i], self.w2[i + 1], self.w3[i],
-                            self.w3[i + 1], s, h, 1)
-        raise ExprError(f"derivative order {der} not stored")
+        return v
 
     def sample(self, ts, der=0):
-        """value over an array of times, element for element the same
-        floats; a query outside the grid gives NaN instead of raising."""
+        """Cubic Hermite dense output over an array of times; a query
+        outside the grid gives NaN."""
         if der not in (0, 1, 2, 3):
             raise ExprError(f"derivative order {der} not stored")
         ts = np.asarray(ts, float)
         grid, h = self.ts, self.hstep
-        # int() truncates toward zero, like the scalar lookup; fmax/fmin
-        # also send NaN times to a valid index, and they come out NaN
+        # the interval index truncates toward zero; fmax/fmin also send NaN
+        # times to a valid index, and they come out NaN
         i = np.trunc((ts - grid[0]) / h)
         i = np.fmin(np.fmax(i, 0), len(grid) - 2).astype(np.intp)
         s = (ts - grid[i]) / h
@@ -120,6 +105,15 @@ class OmegaSolution:
         return float(np.max(np.abs(self.conserved - q0)) / scale)
 
 
+def _stage_times(ts):
+    """Every node of a grid, then each step's mid- and end-stage time
+    formed as rk4_step forms them, and a map from a time to its column, so
+    a stage reads values sampled once over these times by its own time."""
+    steps = ts[1:] - ts[:-1]
+    times = np.concatenate([ts, ts[:-1] + steps / 2, ts[:-1] + steps])
+    return times, {t: j for j, t in enumerate(times.tolist())}
+
+
 def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
     """Classic RK4 for the named third-order omega equation.
 
@@ -129,40 +123,44 @@ def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
     The other equations are linear, and each entry of init may instead be
     a row of values, one per solution: all of them advance together as one
     state, and OmegaSolution.column picks one out.
-    params: c2, c3 scalars as needed; d and c as [f, f'] callables.
+    params: c2, c3 scalars as needed; d and c as [f, f'] callables over
+    arrays of times.
     """
     if case not in OMEGA_ODES:
         raise ExprError(f"unknown omega equation {case!r}")
     c2 = float(params.get("c2", 1.0))
     c3 = float(params.get("c3", 1.0))
-    d_chain = params.get("d")
-    c_chain = params.get("c")
-
-    def third(t, y):
-        w, w1, w2 = y
-        if case == "b-branch":
-            if abs(w) < 1e-12:
-                return math.nan
-            return -c3 * w2 / (c2 * w)
-        if case == "b-branch-unit":
-            if abs(w) < 1e-12:
-                return math.nan
-            return -w2 / w
-        if case in ("d-branch", "d-energy"):
-            return -(2.0 * d_chain[1](t) * w + 4.0 * d_chain[0](t) * w1) / c2
-        return -(4.0 * c_chain[0](t) * w1 + 2.0 * c_chain[1](t) * w)
-
     ts = np.asarray(grid, float)
     y0 = np.array(init, float)
-    w, w1, w2, w3 = (np.full((len(ts),) + y0.shape[1:], np.nan)
-                     for _ in range(4))
-    w[0], w1[0], w2[0] = y0
     divides_by_w = case in ("b-branch", "b-branch-unit")
+    at = {}
+    if not divides_by_w:
+        name = "d" if case in ("d-branch", "d-energy") else "c"
+        times, at = _stage_times(ts)
+        f0, f1 = (np.broadcast_to(params[name][o](times), times.shape)
+                  for o in (0, 1))
+        check_evaluated(f"the coefficient {name}", times, (f0, f1))
+
+    def third(j, w, w1, w2):
+        # j is the column of the coefficient values, or an array of them
+        if case == "b-branch":
+            return -c3 * w2 / (c2 * w)
+        if case == "b-branch-unit":
+            return -w2 / w
+        if name == "d":
+            return -(2.0 * f1[j] * w + 4.0 * f0[j] * w1) / c2
+        return -(4.0 * f0[j] * w1 + 2.0 * f1[j] * w)
+
+    w, w1, w2 = (np.full((len(ts),) + y0.shape[1:], np.nan)
+                 for _ in range(3))
+    w[0], w1[0], w2[0] = y0
     truncated = False
     last = 0
 
     def f(t, y):
-        return np.array([y[1], y[2], third(t, y)])
+        if divides_by_w and abs(y[0]) < 1e-12:
+            return np.array([y[1], y[2], np.nan])
+        return np.array([y[1], y[2], third(at.get(t), *y)])
 
     for i in range(len(ts) - 1):
         y = np.array([w[i], w1[i], w2[i]])
@@ -172,20 +170,19 @@ def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
             break
         w[i + 1], w1[i + 1], w2[i + 1] = ynew
         last = i + 1
-    for i in range(last + 1):
-        w3[i] = third(ts[i], (w[i], w1[i], w2[i]))
-    if truncated:
-        ts, w, w1, w2, w3 = (arr[:last + 1]
-                             for arr in (ts, w, w1, w2, w3))
+    ts, w, w1, w2 = (arr[:last + 1] for arr in (ts, w, w1, w2))
+    # the node columns, shaped to broadcast over the solutions
+    nodes = np.arange(last + 1).reshape((-1,) + (1,) * (y0.ndim - 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w3 = third(nodes, w, w1, w2)
+    if divides_by_w:
+        w3[np.abs(w) < 1e-12] = np.nan
     conserved = None
-    # the chain values as a column, so they broadcast over the solutions
-    along = (len(ts),) + (1,) * (y0.ndim - 1)
     if case == "d-energy":
-        d0 = np.array([d_chain[0](t) for t in ts]).reshape(along)
-        conserved = c2 * w * w2 - c2 / 2.0 * w1 ** 2 + 2.0 * w ** 2 * d0
+        conserved = (c2 * w * w2 - c2 / 2.0 * w1 ** 2
+                     + 2.0 * w ** 2 * f0[nodes])
     elif case == "c-energy":
-        c0 = np.array([c_chain[0](t) for t in ts]).reshape(along)
-        conserved = w * w2 - w1 ** 2 / 2.0 + 2.0 * c0 * w ** 2
+        conserved = w * w2 - w1 ** 2 / 2.0 + 2.0 * f0[nodes] * w ** 2
     return OmegaSolution(ts, w, w1, w2, w3, conserved, truncated)
 
 
@@ -280,21 +277,22 @@ def compatibility_c(spec: NdeSpec, omega, c_t0=None, grid=None, c6=1):
     # numeric route: c' = -(w''' + 4 c w') / (2 w)
     if grid is None:
         grid = np.linspace(spec.t0, spec.t0 + 3 * spec.r, 601)
+    grid = np.asarray(grid, float)
     if c_t0 is None:
         c_t0 = spec.c.eval(grid[0])
-    wv = omega.value if isinstance(omega, OmegaSolution) else None
-    if wv is None:
-        chain = [compile_numeric(diff_n(omega, o)) for o in range(4)]
-
-        def wv(t, der=0):
-            return chain[der]({"t": t}, None)
+    times, at = _stage_times(grid)
+    if isinstance(omega, OmegaSolution):
+        w0, w1, w3 = (omega.sample(times, o) for o in (0, 1, 3))
+    else:
+        w0, w1, w3 = (np.broadcast_to(compile_numeric(diff_n(omega, o))(
+            {"t": times}, None), times.shape) for o in (0, 1, 3))
+    check_evaluated("omega", times, (w0, w1, w3))
+    if (np.abs(w0) < 1e-12).any():
+        raise ExprError("omega vanishes inside the grid; cannot continue c")
 
     def slope(t, cv):
-        w0 = wv(t, 0)
-        if abs(w0) < 1e-12:
-            raise ExprError("omega vanishes inside the grid; cannot "
-                            "continue c")
-        return -(wv(t, 3) + 4.0 * cv * wv(t, 1)) / (2.0 * w0)
+        j = at[t]
+        return -(w3[j] + 4.0 * cv * w1[j]) / (2.0 * w0[j])
 
     cs = np.empty(len(grid))
     cs[0] = float(c_t0)
@@ -412,8 +410,8 @@ def _const_info(desc: CoeffDescriptor, t0, r):
             return ("const", float(normalize(desc.expr).q))
         return ("varying",)
     ts = np.linspace(t0, t0 + 3 * r, 50)
-    vals = np.array([desc.eval(t) for t in ts])
-    if np.max(np.abs(vals - vals[0])) < 1e-9:
+    vals = desc.sample(ts)
+    if _max_abs("a numeric coefficient", ts, vals - vals[0]) < 1e-9:
         if abs(vals[0]) < 1e-12:
             return ("zero",)
         return ("const", float(vals[0]))
@@ -439,11 +437,11 @@ def _d_form(desc: CoeffDescriptor):
     return None
 
 
-def _delay_mismatch(values, r, t0, span=None, points=60):
-    """Max |f(t) - f(t-r)| where values is a callable f(t)."""
-    span = 2 * r if span is None else span
-    ts = np.linspace(t0 + r, t0 + r + span, points)
-    return float(max(abs(values(t) - values(t - r)) for t in ts))
+def _max_abs(what, ts, values):
+    """Max |values| over the times ts; raises ExprError where a value is
+    NaN, so no failed evaluation reaches a comparison."""
+    check_evaluated(what, ts, values)
+    return float(np.max(np.abs(values)))
 
 
 # ---------------------------------------------------------------------------
@@ -511,22 +509,19 @@ def _s_chain(spec: NdeSpec, t_lo, t_hi):
     """s = exp(-int a / 2) with derivatives up to order 2, plus order 3
     of the integrand where needed."""
     a = spec.a
-    if a.is_zero:
-        one = lambda t: 1.0
-        zero = lambda t: 0.0
-        return [one, zero, zero, zero]
     if a.is_const:
         alpha = float(a.value)
 
         def s0(t):
-            return math.exp(-alpha * (t - spec.t0) / 2.0)
+            return _elementwise(math.exp, -alpha * (t - spec.t0) / 2.0)
 
         return [s0,
                 lambda t: -alpha / 2.0 * s0(t),
                 lambda t: alpha ** 2 / 4.0 * s0(t),
                 lambda t: -alpha ** 3 / 8.0 * s0(t)]
     grid = np.linspace(t_lo, t_hi, 2001)
-    avals = np.array([a.eval(t) for t in grid])
+    avals = a.sample(grid)
+    check_evaluated("a", grid, avals)
     integral = np.concatenate(
         ([0.0], np.cumsum((avals[1:] + avals[:-1]) / 2.0
                           * np.diff(grid))))
@@ -535,17 +530,19 @@ def _s_chain(spec: NdeSpec, t_lo, t_hi):
     ispline = CubicSpline(grid, integral)
 
     def s0(t):
-        return math.exp(-float(ispline(t)) / 2.0)
+        return _elementwise(math.exp, -ispline(t) / 2.0)
 
     def s1(t):
-        return -a.eval(t) / 2.0 * s0(t)
+        return -a.sample(t) / 2.0 * s0(t)
 
     def s2(t):
-        return (a.eval(t) ** 2 / 4.0 - a.eval(t, 1) / 2.0) * s0(t)
+        return (a.sample(t) ** 2 / 4.0 - a.sample(t, 1) / 2.0) * s0(t)
 
     def s3(t):
-        av, a1, a2 = a.eval(t), a.eval(t, 1), a.eval(t, 2)
-        return (-a2 / 2.0 + 0.75 * av * a1 - av ** 3 / 8.0) * s0(t)
+        av, a1, a2 = (a.sample(t, o) for o in range(3))
+        # the cube per element, as the math library rounds it
+        cube = _elementwise(lambda v: v ** 3, av)
+        return (-a2 / 2.0 + 0.75 * av * a1 - cube / 8.0) * s0(t)
 
     return [s0, s1, s2, s3]
 
@@ -564,9 +561,11 @@ def remove_first_derivative(spec: NdeSpec, t_hi=None):
         return spec, TransformRecord("identity", note="no x' term present")
     t_hi = spec.t0 + 4 * spec.r if t_hi is None else t_hi
     chain = _s_chain(spec, spec.t0 - 2 * spec.r, t_hi + spec.r)
-    for t in np.linspace(spec.t0 - spec.r, t_hi, 50):
-        if abs(chain[0](t)) < 1e-12:
-            raise ExprError("scaling function vanishes in the interval")
+    # a NaN fails the comparison too
+    if not (np.abs(chain[0](np.linspace(spec.t0 - spec.r, t_hi, 50)))
+            >= 1e-12).all():
+        raise ExprError("scaling function vanishes or has no value in the "
+                        "interval")
 
     table = {"a": spec.a.fn_entry(), "b": spec.b.fn_entry(),
              "c": spec.c.fn_entry(), "d": spec.d.fn_entry(),
@@ -592,11 +591,11 @@ def remove_first_derivative(spec: NdeSpec, t_hi=None):
             except ExprError:
                 break
         compiled = [compile_numeric(e) for e in chain_exprs]
-        fns = tuple(
-            (lambda f: (lambda t: f({"t": t, "r": spec.r}, table)))(f)
-            for f in compiled)
+        fns = [lambda t, f=f: f({"t": t, "r": spec.r}, table)
+               for f in compiled]
         probe = np.linspace(spec.t0, t_hi, 25)
-        vals = np.array([fns[0](t) for t in probe])
+        vals = np.broadcast_to(fns[0](probe), probe.shape)
+        check_evaluated(f"the transformed {name}", probe, vals)
         if np.max(np.abs(vals)) < 1e-13:
             new_desc[name] = CoeffDescriptor.zero()
         else:
@@ -637,7 +636,10 @@ def _validate_closed(spec, gen, result, assumptions=()):
 
 
 def _check_delay_compat(gen, values, r, t0, result, what):
-    mism = _delay_mismatch(values, r, t0)
+    """Demote unless |f(t) - f(t-r)| stays under 1e-6 on [t0 + r,
+    t0 + 3r], where values is f over an array of times."""
+    ts = np.linspace(t0 + r, t0 + r + 2 * r, 60)
+    mism = _max_abs(what, ts, values(ts) - values(ts - r))
     if mism > 1e-6:
         gen.demote(
             f"delay compatibility violated: max |{what}(t) - {what}(t-r)| "
@@ -646,17 +648,16 @@ def _check_delay_compat(gen, values, r, t0, result, what):
 
 
 def _closed_eval(expr, spec):
-    f = compile_numeric(expr)
-    table = spec.fn_table()
-
-    def call(t):
-        return f({"t": t, "r": spec.r}, table)
-
-    return call
+    """expr over an array of times, with the spec's coefficients."""
+    f, table = compile_numeric(expr), spec.fn_table()
+    return lambda ts: np.broadcast_to(f({"t": ts, "r": spec.r}, table),
+                                      np.shape(ts))
 
 
 def _fit_constant(fun, grid, tol=1e-6):
-    vals = np.array([fun(t) for t in grid])
+    """Median and spread of fun over the grid, fun taking the array."""
+    vals = fun(grid)
+    check_evaluated("the fitted quotient", grid, vals)
     c = float(np.median(vals))
     spread = float(np.max(np.abs(vals - c)))
     return c, spread <= tol * max(1.0, abs(c)), spread
@@ -756,15 +757,13 @@ def _b_family(spec, result, base_d, c_div, d_div):
                             Pow(b_sym, -1) if not isinstance(b_sym, Rat)
                             else num(Fraction(1) / b_sym.q))
     result.generators = [_gen_scale(), gen_b, _gen_rho()]
-    b_call = _closed_eval(b_sym, spec) if not spec.b.is_const else \
-        (lambda t: float(spec.b.value))
-    _check_delay_compat(gen_b, b_call, spec.r, spec.t0, result, "b")
+    _check_delay_compat(gen_b, spec.b.sample, spec.r, spec.t0, result, "b")
     grid = np.linspace(spec.t0 + 0.05, spec.t0 + 3 * spec.r, 60)
 
     def fit(desc, base, div):
         fb = _closed_eval(base, spec)
         scale = _closed_eval(normalize(b_sym ** 2 / div), spec)
-        return _fit_constant(lambda t: (desc.eval(t) - fb(t)) / scale(t),
+        return _fit_constant(lambda t: (desc.sample(t) - fb(t)) / scale(t),
                              grid)[:2]
 
     return gen_b, (fit(spec.c, compat_c_from_b(b_sym, c6=0), c_div),
@@ -799,11 +798,10 @@ def _case_c3(spec, result, k_val, trace):
     result.case_id = "C3"
     trace.append("b != 0, d = 0, k constant: omega from the third-order "
                  "two-term equation")
-    b_sym = spec.b.symbolic("b")
     grid = np.linspace(spec.t0, spec.t0 + 3 * spec.r, 601)
-    w0 = 1.0 / spec.b.eval(spec.t0)
-    w1 = -spec.b.eval(spec.t0, 1) * w0 ** 2
     b0, b1v, b2v = (spec.b.eval(spec.t0, o) for o in range(3))
+    w0 = 1.0 / b0
+    w1 = -b1v * w0 ** 2
     w2 = (2 * b1v ** 2 - b0 * b2v) / b0 ** 3
     sol = solve_omega_two_sided("b-branch", {"c2": k_val, "c3": 1.0},
                                 (w0, w1, w2), spec.t0,
@@ -819,14 +817,14 @@ def _case_c3(spec, result, k_val, trace):
         gen_w.demote("omega crossed zero; solution truncated")
         result.warnings.append(f"{gen_w.label}: {gen_w.warnings[-1]}")
     else:
-        mism = max(abs(sol.value(t) * _closed_eval(b_sym, spec)(t) - 1.0)
-                   for t in grid[:: len(grid) // 20])
+        ts = grid[:: len(grid) // 20]
+        mism = _max_abs("w b", ts, sol.sample(ts) * spec.b.sample(ts) - 1.0)
         if mism > 1e-6:
             gen_w.demote(
                 f"b is not compatible with the two-term omega equation "
                 f"(max |w b - 1| = {mism:.2e})")
             result.warnings.append(f"{gen_w.label}: {gen_w.warnings[-1]}")
-        _check_delay_compat(gen_w, sol.value, spec.r, spec.t0, result,
+        _check_delay_compat(gen_w, sol.sample, spec.r, spec.t0, result,
                             "omega")
     if c_varies_against_omega(spec, sol):
         gen_w.demote("c(t) incompatible with the third-order constraint")
@@ -841,10 +839,9 @@ def c_varies_against_omega(spec, sol, tol=1e-6):
     omega."""
     try:
         ts = sol.ts[:: max(len(sol.ts) // 40, 1)]
-        worst = max(
-            abs(sol.value(t, 3) + 4 * spec.c.eval(t) * sol.value(t, 1)
-                + 2 * spec.c.eval(t, 1) * sol.value(t, 0)) for t in ts)
-        return worst > tol
+        res = (sol.sample(ts, 3) + 4 * spec.c.sample(ts) * sol.sample(ts, 1)
+               + 2 * spec.c.sample(ts, 1) * sol.sample(ts, 0))
+        return _max_abs("the c-constraint", ts, res) > tol
     except ExprError:
         return True
 
@@ -866,8 +863,8 @@ def _case_c4(spec, result, trace):
 def _energy_omegas(spec, k_val, inits):
     """Solutions of the d-energy omega equation from each initial datum
     (w, w', w'') at t0, advanced together as one state."""
-    d_chain = [lambda t: spec.d.eval(t), lambda t: spec.d.eval(t, 1)]
-    sols = solve_omega_two_sided("d-energy", {"c2": k_val, "d": d_chain},
+    sols = solve_omega_two_sided("d-energy",
+                                 {"c2": k_val, "d": spec.d.fn_entry()[:2]},
                                  np.transpose(inits), spec.t0,
                                  spec.t0 - 2.5 * spec.r,
                                  spec.t0 + 3.5 * spec.r)
@@ -877,7 +874,7 @@ def _energy_omegas(spec, k_val, inits):
 def _check_numeric_omega(spec, gen, sol, result):
     """Delay compatibility of a numeric omega and the third-order
     c-constraint along it; demotes on failure."""
-    _check_delay_compat(gen, sol.value, spec.r, spec.t0, result, "omega")
+    _check_delay_compat(gen, sol.sample, spec.r, spec.t0, result, "omega")
     if c_varies_against_omega(spec, sol):
         gen.demote("c(t) incompatible with the third-order constraint")
         result.warnings.append(f"{gen.label}: {gen.warnings[-1]}")
@@ -922,8 +919,8 @@ def _case_c678(spec, result, k_val, case_id, trace):
     # the three directions share the third-order constraint exactly when
     # c = d / c2; record how close the equation is to that family
     grid_c = np.linspace(spec.t0 + 0.05, spec.t0 + 2 * spec.r, 40)
-    mism = max(abs(spec.c.eval(t) - spec.d.eval(t) / k_val)
-               for t in grid_c)
+    mism = _max_abs("c - d/c2", grid_c,
+                    spec.c.sample(grid_c) - spec.d.sample(grid_c) / k_val)
     result.compatibility["c"] = (
         f"three omega directions require c = d/c2; max |c - d/c2| "
         f"= {mism:.2e}")
@@ -947,8 +944,8 @@ def _case_c9(spec, result, k_val, trace):
     ]
     result.generators = gens
     result.compatibility["c"] = f"c = 1/k = {1.0 / k_val:.6g}"
-    c_mism = max(abs(spec.c.eval(t) - 1.0 / k_val)
-                 for t in np.linspace(spec.t0, spec.t0 + 2 * spec.r, 20))
+    ts = np.linspace(spec.t0, spec.t0 + 2 * spec.r, 20)
+    c_mism = _max_abs("c", ts, spec.c.sample(ts) - 1.0 / k_val)
     if c_mism > 1e-9:
         for g in gens[2:4]:
             g.demote(f"requires c = 1/k (max deviation {c_mism:.2e})")
@@ -1012,22 +1009,24 @@ def _case_c12(spec, result, trace):
                   "the pair is admitted only jointly")
     gens = [gen_w, _gen_half_scale(), _gen_rho()]
     result.generators = gens
-    d_call = _closed_eval(d_sym, spec) if spec.d.kind == "closed" else \
-        (lambda t: spec.d.eval(t))
-    for t in np.linspace(spec.t0, spec.t0 + 3 * spec.r, 40):
-        if d_call(t) <= 0:
-            gen_w.demote("d must stay positive for 1/sqrt(d)")
-            result.warnings.append(f"{gen_w.label}: {gen_w.warnings[-1]}")
-            break
+    ts = np.linspace(spec.t0, spec.t0 + 3 * spec.r, 40)
+    dv = spec.d.sample(ts)
+    # the first time d fails to be positive, or cannot be evaluated
+    stop = np.flatnonzero(~(dv > 0))[:1]
+    if stop.size:
+        check_evaluated("d", ts[:stop[0] + 1], dv[:stop[0] + 1])
+        gen_w.demote("d must stay positive for 1/sqrt(d)")
+        result.warnings.append(f"{gen_w.label}: {gen_w.warnings[-1]}")
     if gen_w.status == "admitted":
-        _check_delay_compat(gen_w, d_call, spec.r, spec.t0, result, "d")
+        _check_delay_compat(gen_w, spec.d.sample, spec.r, spec.t0, result,
+                            "d")
     # compatibility: c = (c31 d + d''/(2d) - (5/8)(d'/d)^2)/2
     grid = np.linspace(spec.t0 + 0.05, spec.t0 + 3 * spec.r, 60)
     base = compat_c_from_d_pure_delay(d_sym, c31=0)
     bc = _closed_eval(base, spec)
     half_d = _closed_eval(normalize(HALF * d_sym), spec)
     c31, ok_c, _ = _fit_constant(
-        lambda t: (spec.c.eval(t) - bc(t)) / half_d(t), grid)
+        lambda t: (spec.c.sample(t) - bc(t)) / half_d(t), grid)
     result.compatibility["c"] = (
         "c = (c31 d + d''/(2d) - (5/8)(d'/d)^2)/2, c31 = %.6g" % c31)
     if not ok_c:

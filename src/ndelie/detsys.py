@@ -509,10 +509,10 @@ def _instance_family(name, assumptions, rng, r):
         c0 = rng.uniform(1.0, 2.0) if "nonzero" in props else \
             rng.uniform(-0.5, 0.5)
         return [
-            lambda t: c0 + a1 * math.sin(w * t) + a2 * math.cos(w * t),
-            lambda t: w * (a1 * math.cos(w * t) - a2 * math.sin(w * t)),
-            lambda t: -w * w * (a1 * math.sin(w * t) + a2 * math.cos(w * t)),
-            lambda t: -w ** 3 * (a1 * math.cos(w * t) - a2 * math.sin(w * t)),
+            lambda t: c0 + a1 * np.sin(w * t) + a2 * np.cos(w * t),
+            lambda t: w * (a1 * np.cos(w * t) - a2 * np.sin(w * t)),
+            lambda t: -w * w * (a1 * np.sin(w * t) + a2 * np.cos(w * t)),
+            lambda t: -w ** 3 * (a1 * np.cos(w * t) - a2 * np.sin(w * t)),
         ]
     a0 = rng.uniform(-1.5, 1.5)
     a1 = rng.uniform(-1.0, 1.0)
@@ -521,10 +521,10 @@ def _instance_family(name, assumptions, rng, r):
     if "nonzero" in props:
         a0 = (2.0 + abs(a0)) * (1 if rng.random() < 0.5 else -1)
     return [
-        lambda t: a0 + a1 * t + a2 * math.sin(wv * t),
-        lambda t: a1 + a2 * wv * math.cos(wv * t),
-        lambda t: -a2 * wv * wv * math.sin(wv * t),
-        lambda t: -a2 * wv ** 3 * math.cos(wv * t),
+        lambda t: a0 + a1 * t + a2 * np.sin(wv * t),
+        lambda t: a1 + a2 * wv * np.cos(wv * t),
+        lambda t: -a2 * wv * wv * np.sin(wv * t),
+        lambda t: -a2 * wv ** 3 * np.cos(wv * t),
     ]
 
 
@@ -557,26 +557,20 @@ def is_zero(e: Expr, assumptions=(), fn_table=None, params=None,
                         if isinstance(a, Par) and a.value is None
                         and a.name != "r" and a.name not in params})
 
-    f = compile_numeric(canon)
-    worst = 0.0
-    skipped = 0
-    evaluated = 0
-    for _ in range(points):
-        env = {"r": r, "t": rng.uniform(0.1, 4.0)}
-        for name in jet_names:
-            env[name] = rng.uniform(-2.0, 2.0)
-        for name in par_names:
-            env[name] = rng.uniform(-2.0, 2.0)
-        env.update(params)
-        try:
-            v = f(env, table)
-        except ExprError:
-            skipped += 1
-            continue
-        evaluated += 1
-        worst = max(worst, abs(v))
-    if 2 * evaluated < points:
+    # one row per point: t, then the jets and the free constants
+    names = ["t"] + jet_names + par_names
+    lo, hi = np.array([(0.1, 4.0)] + [(-2.0, 2.0)] * (len(names) - 1)).T
+    draws = rng.uniform(lo, hi, size=(points, len(names)))
+    env = {"r": r, **dict(zip(names, draws.T)), **params}
+    try:
+        values = np.broadcast_to(compile_numeric(canon)(env, table), points)
+    except ExprError:
+        # a binding that cannot answer fails every point
+        values = np.full(points, np.nan)
+    skipped = int(np.isnan(values).sum())
+    worst = float(np.nanmax(np.abs(values), initial=0.0))
+    if 2 * skipped > points:
         # too few points evaluated to say anything
         return ZeroResult(False, "sampled",
-                          worst if evaluated else float("inf"), skipped)
+                          worst if skipped < points else math.inf, skipped)
     return ZeroResult(worst < tol, "sampled", worst, skipped)

@@ -11,14 +11,15 @@ numeric values with derivatives up to order three.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .symexpr import (
-    Coeff, Expr, ExprError, Par, Rat, T, X, X1, X1R, X2, X2R, XR, ZERO, atoms,
-    check_evaluated, compile_array, compile_numeric, diff, normalize, parse,
+    Coeff, EvalError, Expr, ExprError, Par, Rat, T, X, X1, X1R, X2, X2R, XR,
+    ZERO, atoms, check_evaluated, compile_numeric, diff, normalize, parse,
     render,
 )
 
@@ -43,8 +44,8 @@ class CoeffDescriptor:
     fns: tuple | None = None
     nonvanishing: bool | None = None
     samples: tuple | None = None
-    # closed kind: derivative expressions by order, and their closures by
-    # (order, array mode), each built on first use
+    # closed kind: derivative expressions and their closures by order,
+    # each built on first use
     _derivs: list = field(default_factory=list, repr=False, compare=False)
     _closures: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -126,53 +127,56 @@ class CoeffDescriptor:
             return self.expr
         return Coeff(name)
 
-    def _closure(self, order, array=False):
+    def _closure(self, order):
         """Compiled closure of the order-th derivative of a closed form;
         the derivative and the closure are built on first use."""
-        f = self._closures.get((order, array))
+        f = self._closures.get(order)
         if f is None:
             derivs = self._derivs
             if not derivs:
                 derivs.append(self.expr)
             while len(derivs) <= order:
                 derivs.append(diff(derivs[-1], T))
-            compiler = compile_array if array else compile_numeric
-            f = self._closures[order, array] = compiler(derivs[order])
+            f = self._closures[order] = compile_numeric(derivs[order])
         return f
 
     def eval(self, t, order=0):
-        if order > 3:
-            raise ExprError(f"derivative order {order} exceeds 3")
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "const":
-            return float(self.value) if order == 0 else 0.0
-        if self.kind == "closed":
-            return self._closure(order)({"t": float(t)}, None)
-        if order >= len(self.fns):
-            raise ExprError(
-                f"numeric descriptor supplies orders 0..{len(self.fns) - 1}")
-        return float(self.fns[order](t))
+        """The order-th derivative at t; EvalError where it has no value."""
+        v = float(self._values(float(t), order))
+        if math.isnan(v):
+            what = render(self.expr) if self.kind == "closed" else self.kind
+            raise EvalError(f"coefficient {what} has no value at t = {t}")
+        return v
 
     def sample(self, ts, order=0):
-        """eval over an array of times: a constant once, a closed form
-        compiled in array mode, a numeric one point by point."""
+        """The order-th derivative over an array of times; NaN marks a time
+        where it has no value."""
         ts = np.asarray(ts, float)
-        if self.is_const:
-            return np.full(ts.shape, self.eval(0.0, order))
-        if self.kind != "closed":
-            return np.array([self.eval(t, order) for t in ts.ravel().tolist()],
-                            float).reshape(ts.shape)
-        if order > 3:
-            raise ExprError(f"derivative order {order} exceeds 3")
-        return np.broadcast_to(self._closure(order, True)({"t": ts}, None),
-                               ts.shape)
+        return np.broadcast_to(self._values(ts, order), ts.shape)
 
-    def fn_entry(self, array=False):
-        """Entry for a symexpr fn_table: callables indexed by order; with
-        array set they take and return arrays."""
-        query = self.sample if array else self.eval
-        return [lambda t, o=o: query(t, o) for o in range(4)]
+    def _values(self, t, order):
+        """The order-th derivative at a float or an array of times: a
+        constant as one float, a closed form through its compiled closure,
+        a numeric one point by point."""
+        if not 0 <= order <= 3:
+            raise ExprError(f"derivative order {order} is not in 0..3")
+        if self.kind == "closed":
+            return self._closure(order)({"t": t}, None)
+        if self.kind == "numeric":
+            if order >= len(self.fns):
+                raise ExprError("numeric descriptor supplies orders "
+                                f"0..{len(self.fns) - 1}")
+            f = self.fns[order]
+            return np.array([f(x) for x in np.ravel(t).tolist()],
+                            float).reshape(np.shape(t))
+        if self.kind == "const" and order == 0:
+            return float(self.value)
+        return 0.0
+
+    def fn_entry(self):
+        """Entry for a symexpr fn_table: callables over arrays of times,
+        indexed by order."""
+        return [lambda t, o=o: self.sample(t, o) for o in range(4)]
 
     # -- JSON ---------------------------------------------------------------
 
@@ -250,8 +254,8 @@ class NdeSpec:
         return dict(zip(COEFF_NAMES,
                         (self.a, self.b, self.c, self.d, self.k, self.h)))
 
-    def fn_table(self, array=False):
-        return {name: desc.fn_entry(array)
+    def fn_table(self):
+        return {name: desc.fn_entry()
                 for name, desc in self.descriptors().items()
                 if desc.kind in ("closed", "numeric")}
 

@@ -23,20 +23,20 @@ from .equation import NdeSpec
 from .ndesolve import Trajectory, _write_csv, rk4_step
 from .prolong import EquationResidual, apply_operator
 from .symexpr import (
-    ExprError, T, X, ZERO, check_evaluated, compile_array, compile_numeric,
-    diff, normalize, substitute,
+    ExprError, T, X, ZERO, check_evaluated, compile_numeric, diff, normalize,
+    substitute,
 )
 
 
-def _rho_chain(rho, array=False):
-    """Derivative chain of the solution slot.  A Trajectory stores x, x'
-    and x'' only, so a request for a higher order fails with EvalError."""
+def _rho_chain(rho):
+    """Derivative chain of the solution slot over arrays of times.  A
+    Trajectory stores x, x' and x'' only, so a request for a higher order
+    fails with EvalError."""
     if rho is None:
         return [lambda t: 0.0] * 4
     if isinstance(rho, Trajectory):
-        query = rho.sample if array else rho.value
-        return [lambda t, o=o: query(t, o) for o in range(3)]
-    return rho  # a chain of callables, used as given (arrays in flows)
+        return [lambda t, o=o: rho.sample(t, o) for o in range(3)]
+    return rho  # a chain of callables over arrays, used as given
 
 
 def generator_callables(gen: Generator, spec: NdeSpec, rho=None):
@@ -52,18 +52,14 @@ def generator_callables(gen: Generator, spec: NdeSpec, rho=None):
             return 0.5 * sol.sample(t, 1) * x
 
         return omega, upsilon
-    table = spec.fn_table(array=True)
-    table["rho"] = _rho_chain(rho, array=True)
-    fw = compile_array(gen.omega if gen.omega is not None else ZERO)
-    fu = compile_array(gen.upsilon if gen.upsilon is not None else ZERO)
+    table = spec.fn_table()
+    table["rho"] = _rho_chain(rho)
 
-    def omega(t, x):
-        return fw({"t": t, "x": x, "r": spec.r}, table)
+    def bind(e):
+        f = compile_numeric(e if e is not None else ZERO)
+        return lambda t, x: f({"t": t, "x": x, "r": spec.r}, table)
 
-    def upsilon(t, x):
-        return fu({"t": t, "x": x, "r": spec.r}, table)
-
-    return omega, upsilon
+    return bind(gen.omega), bind(gen.upsilon)
 
 
 def _rk4(vel, y, delta, substeps):
@@ -246,41 +242,32 @@ class InvarianceReport:
         return out
 
 
-def _affine_chains(gen: Generator, spec: NdeSpec, rho, array=True):
-    """beta/gamma/rho derivative chains of the affine pair, over arrays of
-    times or, with array unset (the scalar reference of the tests), scalar
+def _affine_chains(gen: Generator, spec: NdeSpec, rho):
+    """beta/gamma/rho derivative chains of the affine pair over arrays of
     times; every taxonomy generator is affine in x."""
     if gen.kind == "numeric":
         # a numeric time-like generator carries no solution slot
         sol = gen.omega_numeric
-        query = sol.sample if array else sol.value
-        beta = [lambda t, o=o: query(t, o) for o in range(4)]
-        gamma = [lambda t, o=o: 0.5 * query(t, o + 1) for o in range(3)]
+        beta = [lambda t, o=o: sol.sample(t, o) for o in range(4)]
+        gamma = [lambda t, o=o: 0.5 * sol.sample(t, o + 1) for o in range(3)]
         return beta, gamma, [lambda t: 0.0] * 4
-    table = spec.fn_table(array)
-    table["rho"] = _rho_chain(rho, array)
+    table = spec.fn_table()
+    table["rho"] = _rho_chain(rho)
     w = gen.omega if gen.omega is not None else ZERO
     u = gen.upsilon if gen.upsilon is not None else ZERO
     gamma_expr = diff(u, X)
     if diff(gamma_expr, X) != ZERO or diff(w, X) != ZERO:
         raise ExprError("infinitesimal check covers pairs affine in x")
-    rho_expr = normalize(substitute(u, {X: ZERO}))
-    betas = [normalize(w)]
-    gammas = [normalize(gamma_expr)]
-    rhos = [rho_expr]
-    for _ in range(3):
-        betas.append(diff(betas[-1], T))
-        gammas.append(diff(gammas[-1], T))
-        rhos.append(diff(rhos[-1], T))
-    env = {"r": spec.r}
 
-    compile_ = compile_array if array else compile_numeric
+    def chain(e):
+        """e and its first three derivatives in t, compiled."""
+        exprs = [normalize(e)]
+        for _ in range(3):
+            exprs.append(diff(exprs[-1], T))
+        return [lambda t, f=compile_numeric(x): f({"r": spec.r, "t": t}, table)
+                for x in exprs]
 
-    def chain(exprs):
-        compiled = [compile_(e) for e in exprs]
-        return [lambda t, f=f: f({**env, "t": t}, table) for f in compiled]
-
-    return chain(betas), chain(gammas), chain(rhos)
+    return chain(w), chain(gamma_expr), chain(substitute(u, {X: ZERO}))
 
 
 @functools.lru_cache(maxsize=1)
@@ -288,7 +275,7 @@ def _affine_residual(eq: EquationResidual):
     """Compiled invariance residual of the affine ansatz, for the latest
     equation only; numeric coefficients enter it by name and are read from
     the fn_table."""
-    return compile_array(apply_operator(reduced_ansatz(), eq))
+    return compile_numeric(apply_operator(reduced_ansatz(), eq))
 
 
 def infinitesimal_check(traj: Trajectory, gen: Generator, spec: NdeSpec,
@@ -297,7 +284,7 @@ def infinitesimal_check(traj: Trajectory, gen: Generator, spec: NdeSpec,
     from dense output; raises ExprError where a jet or the residual cannot
     be evaluated."""
     beta, gamma, rho_chain = _affine_chains(gen, spec, rho)
-    table = spec.fn_table(array=True)
+    table = spec.fn_table()
     table.update({"beta": beta, "gamma": gamma, "rho": rho_chain})
     ts = np.asarray(samples, float)
     td = ts - spec.r

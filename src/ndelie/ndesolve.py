@@ -21,7 +21,8 @@ import numpy as np
 
 from .equation import NdeSpec
 from .symexpr import (
-    Expr, ExprError, T, check_evaluated, compile_array, diff, normalize, parse,
+    Expr, ExprError, T, check_evaluated, compile_numeric, diff, normalize,
+    parse,
 )
 
 
@@ -49,7 +50,7 @@ class InitialFunction:
         """value over an array of times; domain errors give NaN."""
         if self._chain is None:
             d1 = diff(self.theta, T)
-            self._chain = tuple(compile_array(e)
+            self._chain = tuple(compile_numeric(e)
                                 for e in (self.theta, d1, diff(d1, T)))
         ts = np.asarray(ts, float)
         return np.broadcast_to(self._chain[der]({"t": ts}, None), ts.shape)

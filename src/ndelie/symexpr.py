@@ -721,62 +721,54 @@ def collect(e, jets) -> dict:
 # numeric evaluation
 
 
-def _coeff_value(fn_table, name, order, tval, cast=float):
+def _coeff_value(fn_table, name, order, tval):
     if fn_table is None or name not in fn_table:
         raise EvalError(f"no numeric binding for coefficient function {name}")
     entry = fn_table[name]
-    if callable(entry):
-        if order > 0:
-            raise EvalError(
-                f"derivative of order {order} of {name} not supplied"
-            )
-        return cast(entry(tval))
     try:
-        f = entry[order]
+        f = (entry,)[order] if callable(entry) else entry[order]
     except (IndexError, KeyError, TypeError):
         raise EvalError(
             f"derivative of order {order} of {name} not supplied"
         ) from None
-    return cast(f(tval))
+    return f(tval)
 
 
 def eval_numeric(e, env, fn_table=None) -> float:
     """Evaluate at a point through compile_numeric.  env maps symbol names
     ('t', 'x', 'x1r', 'c1', 'r', ...) to floats; fn_table maps
     coefficient-function names to either a callable (order 0) or a
-    sequence of callables indexed by derivative order.  An unbound name
-    raises EvalError."""
+    sequence of callables indexed by derivative order.  An unbound name,
+    or a point the expression has no value at, raises EvalError."""
     f = compile_numeric(e)
     try:
-        return f({k: float(v) for k, v in env.items()}, fn_table)
+        v = float(f({k: float(v) for k, v in env.items()}, fn_table))
     except KeyError as err:
         raise EvalError(f"unbound symbol {err.args[0]}") from None
+    if math.isnan(v):
+        raise EvalError(f"{render(_as_expr(e))} cannot be evaluated at "
+                        f"{env}")
+    return v
 
 
 def compile_numeric(e):
-    """Compile to a closure f(env, fn_table) -> float for tight loops."""
-    return _compile(_as_expr(e), False)
-
-
-def compile_array(e):
-    """Compile to a closure f(env, fn_table) -> array over numpy arrays.
+    """Compile to a closure f(env, fn_table) over floats or numpy arrays.
 
     env values and the fn_table callables take and return arrays or
-    floats; the result broadcasts against them (a constant expression
-    gives a float).  Each element gets the value the scalar
-    closure of compile_numeric gives, bit for bit where numpy's sin, cos and
-    sqrt agree with the C library: sums are rounded as math.fsum rounds
-    them, and exp, ln and integer powers are evaluated per element with the
-    math functions.  A domain or range error (sqrt or ln of a bad value,
-    0^-n, overflow) does not raise; it sets that element to NaN, so
-    np.isnan of the result is the per-point mask of failed evaluations.
+    floats; the result broadcasts against them.  Each element gets the
+    value the math library gives at that point (numpy's sin, cos and sqrt
+    agree with it here): sums are rounded as math.fsum rounds them, and
+    exp, ln and integer powers are evaluated per element with the math
+    functions.  A domain or range error (sqrt or ln of a bad value, 0^-n,
+    overflow) sets that element to NaN, so np.isnan of the result is the
+    per-point mask of failed evaluations.
     """
-    return _compile(_as_expr(e), True)
+    return _compile(_as_expr(e))
 
 
 def check_evaluated(what, ts, values):
     """Raise ExprError at the first time where an array evaluation gave
-    NaN, the mark compile_array leaves on a failed point; values is one
+    NaN, the mark compile_numeric leaves on a failed point; values is one
     row, or a sequence of rows, with one column per time."""
     bad = np.isnan(np.atleast_2d(values)).any(axis=0)
     if bad.any():
@@ -785,7 +777,13 @@ def check_evaluated(what, ts, values):
 
 def _elementwise(fn, a):
     """fn applied to each element with the math library; an element whose
-    call raises a domain or range error becomes NaN."""
+    call raises a domain or range error becomes NaN.  A float gives a
+    float."""
+    if isinstance(a, float):
+        try:
+            return fn(float(a))
+        except (ArithmeticError, ValueError):
+            return math.nan
     a = np.asarray(a, float)
     flat = a.ravel().tolist()
     try:
@@ -807,9 +805,18 @@ def _fsum_array(values):
     Longer sums accumulate the error-free TwoSum residuals; where that
     cannot certify the rounding of the total (the rare element lying too
     near a rounding boundary, or at a power of two), math.fsum redoes it.
+    Floats alone go to math.fsum directly; a total that is not finite is
+    left to the array steps, which mark it as they mark it in an array.
     """
     if len(values) == 2:
         return values[0] + values[1]
+    if all(isinstance(v, float) for v in values):
+        try:
+            total = math.fsum(values)
+        except (OverflowError, ValueError):  # inf - inf, or an overflow
+            total = math.inf
+        if math.isfinite(total):
+            return total
     s = values[0]
     err = 0.0
     mag = 0.0
@@ -837,8 +844,7 @@ def _fsum_array(values):
     return r
 
 
-def _compile(e, arr):
-    """One walk for both modes; arr selects the array leaves."""
+def _compile(e):
     if isinstance(e, Rat):
         v = float(e.q)
         return lambda env, fns: v
@@ -853,19 +859,15 @@ def _compile(e, arr):
         return lambda env, fns: env[tag]
     if isinstance(e, Coeff):
         name, delayed, order = e.name, e.delayed, e.order
-        cast = np.asarray if arr else float
         if delayed:
             return lambda env, fns: _coeff_value(
-                fns, name, order, env["t"] - env["r"], cast)
-        return lambda env, fns: _coeff_value(fns, name, order, env["t"],
-                                             cast)
+                fns, name, order, env["t"] - env["r"])
+        return lambda env, fns: _coeff_value(fns, name, order, env["t"])
     if isinstance(e, Sum):
-        fs = tuple(_compile(t, arr) for t in e.terms)
-        if arr:
-            return lambda env, fns: _fsum_array([f(env, fns) for f in fs])
-        return lambda env, fns: math.fsum(f(env, fns) for f in fs)
+        fs = tuple(_compile(t) for t in e.terms)
+        return lambda env, fns: _fsum_array([f(env, fns) for f in fs])
     if isinstance(e, Prod):
-        fs = tuple(_compile(f, arr) for f in e.factors)
+        fs = tuple(_compile(f) for f in e.factors)
 
         def _prod(env, fns):
             out = 1.0
@@ -875,50 +877,18 @@ def _compile(e, arr):
 
         return _prod
     if isinstance(e, Pow):
-        fb = _compile(e.base, arr)
+        fb = _compile(e.base)
         n = e.n
-        if arr and n == 0:
+        if n == 0:
             # nan ** 0 is 1.0; keep the mark of a failed base
             return lambda env, fns: np.where(np.isnan(fb(env, fns)),
                                              math.nan, 1.0)
-        if arr:
-            pw = functools.partial(pow, exp=n)
-            return lambda env, fns: _elementwise(pw, fb(env, fns))
-
-        def _pow(env, fns):
-            b = fb(env, fns)
-            if b == 0.0 and n < 0:
-                raise EvalError("zero raised to a negative power")
-            return b ** n
-
-        return _pow
+        pw = functools.partial(pow, exp=n)
+        return lambda env, fns: _elementwise(pw, fb(env, fns))
     if isinstance(e, App):
-        fa = _compile(e.arg, arr)
-        if arr:
-            g = _ARRAY_FNS[e.fn]
-            return lambda env, fns: g(fa(env, fns))
-        if e.fn == "sin":
-            return lambda env, fns: math.sin(fa(env, fns))
-        if e.fn == "cos":
-            return lambda env, fns: math.cos(fa(env, fns))
-        if e.fn == "exp":
-            return lambda env, fns: math.exp(fa(env, fns))
-        if e.fn == "ln":
-            def _ln(env, fns):
-                a = fa(env, fns)
-                if a <= 0.0:
-                    raise EvalError(f"ln of non-positive value {a}")
-                return math.log(a)
-
-            return _ln
-
-        def _sqrt(env, fns):
-            a = fa(env, fns)
-            if a < 0.0:
-                raise EvalError(f"sqrt of negative value {a}")
-            return math.sqrt(a)
-
-        return _sqrt
+        fa = _compile(e.arg)
+        g = _ARRAY_FNS[e.fn]
+        return lambda env, fns: g(fa(env, fns))
     raise ExprError(f"unexpected node {e!r}")
 
 

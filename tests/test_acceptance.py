@@ -229,8 +229,8 @@ def test_criterion_7_varying_neutral_branch():
 def test_criterion_8_first_integral_conservation():
     chains = {
         "1": [lambda t: 1.0, lambda t: 0.0],
-        "exp(t)": [math.exp, math.exp],
-        "sin(t)": [math.sin, math.cos],
+        "exp(t)": [np.exp, np.exp],
+        "sin(t)": [np.sin, np.cos],
         "t^2": [lambda t: t * t, lambda t: 2.0 * t],
     }
     drifts = {}

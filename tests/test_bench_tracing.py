@@ -62,9 +62,11 @@ def test_traced_classification():
     tracer = _tracer()
     tracer.install(nd)
     calls = {}
+    coeff_evals = {}
     try:
         for name in ("C7", "C2"):
             before = tracer.totals().get("classify.omega_ode_solve.calls", 0)
+            evals_before = tracer.totals().get("equation.coeff_evals", 0)
             tracer.paused = False
             spec = scenarios[name]
             detsys = nd.detsys
@@ -75,12 +77,19 @@ def test_traced_classification():
             assert system.equations and res.case_id == name
             calls[name] = (tracer.totals()
                            .get("classify.omega_ode_solve.calls", 0) - before)
+            coeff_evals[name] = (tracer.totals()
+                                 .get("equation.coeff_evals", 0)
+                                 - evals_before)
     finally:
         tracer.uninstall()
     totals = tracer.totals()
     # the three C7 directions share one forward and one backward solve;
     # C2 has no numeric omega
     assert calls == {"C7": 2, "C2": 0}
+    # the omega solves and the checks read coefficients as arrays, not
+    # point by point through CoeffDescriptor.eval
+    assert all(n <= 20 for n in coeff_evals.values()), coeff_evals
+    assert totals["symexpr.compile_numeric.compiled"] > 0
     for name in ("symexpr.normalize", "prolong.apply_operator",
                  "detsys.determine", "detsys.reduce", "classify.classify"):
         assert totals[f"{name}.calls"] > 0, name

@@ -11,7 +11,7 @@ from ndelie.classify import (
     compatibility_c, diff_n, homogenize, omega_ode_solve,
     remove_first_derivative, solve_omega_two_sided,
 )
-from ndelie.ndesolve import integrate
+from ndelie.ndesolve import integrate, rk4_step
 from ndelie.symexpr import (
     App, ExprError, Pow, T, ZERO, eval_numeric, fn, normalize, num, parse,
 )
@@ -78,8 +78,8 @@ def test_line_solves_two_term_equation():
 
 @pytest.mark.parametrize("dname,chain", [
     ("one", [lambda t: 1.0, lambda t: 0.0]),
-    ("exp", [math.exp, math.exp]),
-    ("sin", [math.sin, math.cos]),
+    ("exp", [np.exp, np.exp]),
+    ("sin", [np.sin, np.cos]),
     ("square", [lambda t: t * t, lambda t: 2 * t]),
 ])
 def test_energy_form_conserves_first_integral(dname, chain):
@@ -134,7 +134,7 @@ def test_compatibility_c_numeric_matches_independent_quadrature():
     # omega from the energy form with d = e^t; c from our solver against
     # a finer independent integration of the same linear equation
     spec = NdeSpec.make(d="exp(t)", k=1, r=1.0)
-    chain = [math.exp, math.exp]
+    chain = [np.exp, np.exp]
     sol = solve_omega_two_sided("d-energy", {"c2": 1.0, "d": chain},
                                 (1.0, 0.0, 0.0), 0.0, -0.5, 3.5)
     grid = np.linspace(0.0, 3.0, 601)
@@ -464,7 +464,7 @@ def test_batched_omega_directions_equal_single_solves(name):
     res = classify(spec)
     got = [g.omega_numeric for g in res.generators
            if g.omega_numeric is not None]
-    d_chain = [lambda t: spec.d.eval(t), lambda t: spec.d.eval(t, 1)]
+    d_chain = [spec.d.sample, lambda t: spec.d.sample(t, 1)]
     k_val = float(spec.k.value)
     assert len(got) == 3
     for sol, init in zip(got, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
@@ -478,3 +478,58 @@ def test_batched_omega_directions_equal_single_solves(name):
                                   getattr(want, field)), field
             assert getattr(sol, field).flags.c_contiguous
 
+
+
+def _pointwise_energy_solve(c2, d, init, grid):
+    """The d-energy omega equation with d and d' read through eval at each
+    RK4 stage and node: the reference of the solver's sampled
+    coefficients."""
+    def f(t, y):
+        w, w1, w2 = y
+        return np.array([w1, w2,
+                         -(2.0 * d.eval(t, 1) * w + 4.0 * d.eval(t) * w1)
+                         / c2])
+
+    ys = [np.array(init, float)]
+    for i in range(len(grid) - 1):
+        ys.append(rk4_step(f, grid[i], ys[-1], grid[i + 1] - grid[i]))
+    w, w1, w2 = np.array(ys).T
+    w3 = np.array([f(t, y)[2] for t, y in zip(grid, ys)])
+    d0 = np.array([d.eval(t) for t in grid])
+    return w, w1, w2, w3, c2 * w * w2 - c2 / 2.0 * w1 ** 2 + 2.0 * w ** 2 * d0
+
+
+@pytest.mark.parametrize("name", ["C5", "C6", "C7", "C8"])
+def test_sampled_omega_coefficients_equal_pointwise_reads(name):
+    from ndelie.suite import scenario_by_name
+
+    spec = scenario_by_name(name).spec
+    k_val = float(spec.k.value)
+    res = classify(spec)
+    sols = [g.omega_numeric for g in res.generators
+            if g.omega_numeric is not None]
+    inits = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)][:len(sols)]
+    grid = sols[0].ts
+    n_b = int(np.flatnonzero(grid == spec.t0)[0])
+    for ts in (grid[n_b:], grid[n_b::-1]):
+        for init in inits:
+            got = omega_ode_solve("d-energy",
+                                  {"c2": k_val, "d": spec.d.fn_entry()[:2]},
+                                  init, ts)
+            want = _pointwise_energy_solve(k_val, spec.d, init, ts)
+            assert np.array_equal(got.ts, ts)
+            for field, arr in zip(("w", "w1", "w2", "w3", "conserved"),
+                                  want):
+                assert np.array_equal(getattr(got, field), arr), field
+
+
+@pytest.mark.parametrize("spec", [
+    NdeSpec.make(c=1, d="ln(t)", r=1.0),
+    NdeSpec.make(b="sqrt(t-1)", d=1, k=1, r=1.0),
+    NdeSpec.make(b="ln(t)", c=1, d=1, k=1, r=1.0),
+], ids=["C12-ln-d", "C2-sqrt-b", "C2-ln-b"])
+def test_coefficient_without_value_on_the_grid_stops_classification(spec):
+    # each array check meets a NaN, where a scalar read raised; none may
+    # pass it through a comparison
+    with pytest.raises(ExprError):
+        classify(spec)

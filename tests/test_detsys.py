@@ -1,3 +1,4 @@
+import importlib
 import math
 from fractions import Fraction
 
@@ -5,16 +6,19 @@ import numpy as np
 import pytest
 
 from ndelie.detsys import (
-    Assumption, apply_delay_equalities, canonical_constraints, catalog,
-    determine, generic_ansatz, invariance_residual, is_zero,
-    linear_antiderivative, match_catalog, product_antiderivative,
-    reduce_ansatz, reduced_ansatz, split, verify_first_integral,
+    SPLIT_JETS, Assumption, ZeroResult, _instance_family,
+    apply_delay_equalities, canonical_constraints, catalog, determine,
+    generic_ansatz, invariance_residual, is_zero, linear_antiderivative,
+    match_catalog, product_antiderivative, reduce_ansatz, reduced_ansatz,
+    split, verify_first_integral,
 )
 from ndelie.equation import CoeffDescriptor as CD, NdeSpec
 from ndelie.prolong import InfinitesimalAnsatz
+from ndelie.suite import build_scenarios
 from ndelie.symexpr import (
-    Par, T, X, X1, X1R, X2R, XR, ZERO, app, compile_numeric, diff,
-    equivalent, eval_numeric, fn, normalize, num, parse, shift,
+    Coeff, ExprError, Par, T, X, X1, X1R, X2R, XR, ZERO, app, atoms,
+    compile_numeric, diff, equivalent, eval_numeric, fn, normalize, num,
+    parse, shift,
 )
 
 
@@ -324,3 +328,74 @@ def test_is_zero_needs_half_of_the_points():
     assert none.max_abs == float("inf")
     most = is_zero(parse("sqrt(t - 1/2)/1000000000000"))
     assert most.ok and 0 < most.skipped < 32
+
+
+def test_is_zero_marks_an_overflow_as_skipped():
+    # exp(t^12) overflows for t above about 1.8, at most of the points in
+    # [0.1, 4]; those count as skipped, and too many are skipped to pass
+    e = parse("exp(t^12)*sin(t)^2 + exp(t^12)*cos(t)^2 - exp(t^12)")
+    res = is_zero(e)
+    assert isinstance(res, ZeroResult) and res.mode == "sampled"
+    assert 2 * res.skipped > 64 and not res.ok
+
+
+def _pointwise_is_zero(e, assumptions=(), fn_table=None, params=None,
+                       seed=0, tol=1e-9, points=64):
+    """is_zero with its points drawn and evaluated one at a time: the
+    reference of the single draw and single evaluation."""
+    canon = normalize(e)
+    if canon == ZERO:
+        return ZeroResult(True, "symbolic")
+    rng = np.random.RandomState(seed)
+    params = dict(params or {})
+    r = float(params.get("r", rng.uniform(0.5, 2.0)))
+    table = dict(fn_table or {})
+    for atom in atoms(canon):
+        if isinstance(atom, Coeff) and atom.name not in table:
+            table[atom.name] = _instance_family(atom.name, assumptions,
+                                                rng, r)
+    jet_names = [j.tag for j in SPLIT_JETS] + ["x2"]
+    par_names = sorted({a.name for a in atoms(canon)
+                        if isinstance(a, Par) and a.value is None
+                        and a.name != "r" and a.name not in params})
+    f = compile_numeric(canon)
+    worst, skipped, evaluated = 0.0, 0, 0
+    for _ in range(points):
+        env = {"r": r, "t": rng.uniform(0.1, 4.0)}
+        for name in jet_names + par_names:
+            env[name] = rng.uniform(-2.0, 2.0)
+        env.update(params)
+        try:
+            v = float(f(env, table))
+        except ExprError:
+            v = math.nan
+        if math.isnan(v):
+            skipped += 1
+            continue
+        evaluated += 1
+        worst = max(worst, abs(v))
+    if 2 * evaluated < points:
+        return ZeroResult(False, "sampled",
+                          worst if evaluated else float("inf"), skipped)
+    return ZeroResult(worst < tol, "sampled", worst, skipped)
+
+
+def test_is_zero_matches_the_pointwise_loop_on_every_scenario(monkeypatch):
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return is_zero(*args, **kwargs)
+
+    classify_module = importlib.import_module("ndelie.classify")
+    monkeypatch.setattr(classify_module, "is_zero", recording)
+    for sc in build_scenarios():
+        classify_module.classify(sc.spec)
+    sampled = 0
+    for args, kwargs in calls:
+        got = is_zero(*args, **kwargs)
+        assert got == _pointwise_is_zero(*args, **kwargs)
+        sampled += got.mode == "sampled"
+    assert len(calls) >= 14 and sampled > 0
+    # the sampled tests drew with instance families as well
+    assert any(kw.get("assumptions") for _, kw in calls)

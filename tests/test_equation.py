@@ -41,14 +41,26 @@ def test_closed_descriptor_derives_on_first_use():
     desc = CD.closed("t^2*sin(t) + cos(3*t)")
     t = 0.7
     assert desc.eval(t) == compile_numeric(desc.expr)({"t": t}, None)
-    # order 0 builds no derivative at all, and nothing in array mode
+    # order 0 builds no derivative at all
     assert len(desc._derivs) == 1
-    assert set(desc._closures) == {(0, False)}
+    assert set(desc._closures) == {0}
     d2 = diff(diff(desc.expr, T), T)
     assert desc.eval(t, 2) == compile_numeric(d2)({"t": t}, None)
     assert len(desc._derivs) == 3
     assert desc._derivs[2] == d2
     assert list(desc.sample([t], 1)) == [desc.eval(t, 1)]
-    assert set(desc._closures) == {(0, False), (1, False), (2, False),
-                                   (1, True)}
+    assert set(desc._closures) == {0, 1, 2}
     assert desc == CD.closed(parse("t^2*sin(t) + cos(3*t)"))
+
+
+@pytest.mark.parametrize("desc", [
+    CD.zero(), CD.const(3), CD.closed("t^2"),
+    CD.numeric(math.sin, math.cos, lambda t: -math.sin(t),
+               lambda t: -math.cos(t))])
+def test_descriptor_rejects_order_outside_0_to_3(desc):
+    for order in (-1, 4):
+        with pytest.raises(ExprError):
+            desc.eval(1.5, order)
+        with pytest.raises(ExprError):
+            desc.sample([1.5], order)
+    assert desc.eval(1.5, 3) == desc.sample([1.5], 3)[0]

@@ -8,10 +8,10 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ndelie.symexpr import (
-    App, Coeff, EvalError, Expr, ExprError, Par, ParseError, Pow, Prod, Rat,
-    Sum, T, X, X1, X1R, X2, X2R, XR, ZERO, _poly, app, atoms, collect,
-    compile_array, compile_numeric, diff, diff_explicit, equivalent,
-    eval_numeric, fn, normalize, num, par, parse, render, shift, substitute,
+    App, Coeff, EvalError, Expr, ExprError, Jet, Par, ParseError, Pow, Prod,
+    Rat, Sum, T, X, X1, X1R, X2, X2R, XR, ZERO, _poly, app, atoms, collect,
+    compile_numeric, diff, diff_explicit, equivalent, eval_numeric, fn,
+    normalize, num, par, parse, render, shift, substitute,
 )
 
 
@@ -287,6 +287,15 @@ def test_eval_domain_errors():
         eval_numeric(Pow(T, -1), {"t": 0.0})
 
 
+def test_eval_overflow_raises_eval_error():
+    with pytest.raises(EvalError):
+        eval_numeric(parse("exp(t)"), {"t": 1000.0})
+    with pytest.raises(EvalError):
+        eval_numeric(parse("t^400"), {"t": 10.0})
+    assert eval_numeric(parse("exp(t)"), {"t": 1.0}) == math.exp(1.0)
+    assert type(eval_numeric(parse("2/3 + t"), {"t": 1.0})) is float
+
+
 def test_eval_delayed_coeff_needs_r():
     tbl = {"b": [math.sin]}
     assert eval_numeric(fn("b", delayed=True), {"t": 2.0, "r": 0.5},
@@ -430,7 +439,37 @@ def test_normalize_expands_a_sum_raised_back_to_a_positive_power():
 
 
 # ---------------------------------------------------------------------------
-# array mode of the numeric compiler
+# the numeric compiler over arrays, against a scalar reference
+
+
+def _scalar_eval(e, env, tbl):
+    """e at one point with the math library, a term or factor at a time;
+    a domain error raises EvalError, an overflow the math error."""
+    if isinstance(e, Rat):
+        return float(e.q)
+    if isinstance(e, Par):
+        return env[e.name] if e.value is None else float(e.value)
+    if isinstance(e, Jet):
+        return env[e.tag]
+    if isinstance(e, Coeff):
+        t = env["t"] - env["r"] if e.delayed else env["t"]
+        return tbl[e.name][e.order](t)
+    if isinstance(e, Sum):
+        return math.fsum(_scalar_eval(x, env, tbl) for x in e.terms)
+    if isinstance(e, Prod):
+        out = 1.0
+        for f in e.factors:
+            out *= _scalar_eval(f, env, tbl)
+        return out
+    if isinstance(e, Pow):
+        b = _scalar_eval(e.base, env, tbl)
+        if b == 0.0 and e.n < 0:
+            raise EvalError("zero raised to a negative power")
+        return b ** e.n
+    a = _scalar_eval(e.arg, env, tbl)
+    if (e.fn == "ln" and a <= 0.0) or (e.fn == "sqrt" and a < 0.0):
+        raise EvalError(f"{e.fn} of {a}")
+    return getattr(math, "log" if e.fn == "ln" else e.fn)(a)
 
 
 def _tables(scale, lib):
@@ -456,14 +495,13 @@ def test_compile_array_matches_scalar(e, seed_int, canonical):
     env = {name: rng.uniform(-2.0, 2.0, 12) for name in names}
     env["r"] = 0.4
     scale = float(rng.uniform(0.5, 1.5))
-    got = compile_array(e)(env, _tables(scale, np))
+    got = compile_numeric(e)(env, _tables(scale, np))
     got = np.broadcast_to(got, (12,))
-    f = compile_numeric(e)
     for i in range(12):
         point = {name: float(env[name][i]) for name in names}
         point["r"] = 0.4
         try:
-            want = f(point, _tables(scale, math))
+            want = _scalar_eval(e, point, _tables(scale, math))
         except (EvalError, ArithmeticError, ValueError):
             assert math.isnan(got[i])
             continue
@@ -472,17 +510,47 @@ def test_compile_array_matches_scalar(e, seed_int, canonical):
         assert abs(got[i] - want) <= 1e-13 * max(1.0, abs(want))
 
 
+@settings(max_examples=80, deadline=None)
+@given(_exprs(fns=("sin", "cos", "exp", "ln", "sqrt")),
+       st.integers(0, 10 ** 6), st.booleans())
+@example(Sum((Prod((Pow(X, 3), Pow(X, 3))), T, X1)), 1, False)
+def test_compiled_closure_gives_a_point_its_array_value(e, seed_int,
+                                                         canonical):
+    # float operands take short cuts through the sum and the per-element
+    # functions; each point must still get its element of the array, NaN
+    # and infinity included
+    if canonical:
+        e = _try_normalize(e)
+        assume(e is not None)
+    rng = np.random.default_rng(seed_int)
+    names = ("t", "x", "x1", "c1", "c2")
+    env = {name: rng.uniform(-2.0, 2.0, 8)
+           * 10.0 ** rng.choice([0, 1, 2, 60], 8) for name in names}
+    env["r"] = 0.4
+    tbl = {name: [lambda t: np.sin(t) + 2.0, np.cos,
+                  lambda t: -np.sin(t)] for name in ("b", "k")}
+    f = compile_numeric(e)
+    with np.errstate(all="ignore"):
+        got = np.broadcast_to(f(env, tbl), (8,))
+        for i in range(8):
+            point = {name: float(env[name][i]) for name in names}
+            point["r"] = 0.4
+            one = float(f(point, tbl))
+            assert one == got[i] or (math.isnan(one) and math.isnan(got[i]))
+
+
 def test_compile_array_masks_domain_errors():
     t = np.array([-1.0, 0.0, 2.0])
-    assert np.isnan(compile_array(parse("sqrt(t)"))({"t": t}, None)).tolist() \
+    assert np.isnan(compile_numeric(parse("sqrt(t)"))({"t": t},
+                                                       None)).tolist() \
         == [True, False, False]
-    assert np.isnan(compile_array(parse("ln(t)"))({"t": t}, None)).tolist() \
+    assert np.isnan(compile_numeric(parse("ln(t)"))({"t": t}, None)).tolist() \
         == [True, True, False]
-    got = compile_array(Pow(T, -1))({"t": t}, None)
+    got = compile_numeric(Pow(T, -1))({"t": t}, None)
     assert np.isnan(got).tolist() == [False, True, False]
     assert got[2] == 0.5
     # a constant expression broadcasts
-    assert compile_array(parse("2/3"))({"t": t}, None) == 2 / 3
+    assert compile_numeric(parse("2/3"))({"t": t}, None) == 2 / 3
 
 
 # ---------------------------------------------------------------------------
