@@ -39,11 +39,8 @@ HALF = num(Fraction(1, 2))
 
 OMEGA_ODES = (
     "b-branch",       # c2 w w''' + c3 w'' = 0   (delayed velocity, d = 0)
-    "b-branch-unit",  # w w''' + w'' = 0
-    "d-branch",       # c2 w''' + 2 d' w + 4 d w' = 0   (b = 0)
-    "d-energy",       # d-branch, monitoring c2 w w'' - c2 w'^2/2 + 2 w^2 d
-    "c-energy",       # w''' + 4 c w' + 2 c' w = 0, monitoring
-                      #   w w'' - w'^2/2 + 2 c w^2
+    "d-energy",       # c2 w''' + 2 d' w + 4 d w' = 0   (b = 0), monitoring
+                      #   c2 w w'' - c2 w'^2/2 + 2 w^2 d
 )
 
 
@@ -117,14 +114,14 @@ def _stage_times(ts):
 def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
     """Classic RK4 for the named third-order omega equation.
 
-    init is (w, w', w'') at grid[0].  Where the equation divides by omega,
-    the third derivative is NaN once |omega| falls under 1e-12, and the
-    solution is truncated with a flag before the step that reaches it.
-    The other equations are linear, and each entry of init may instead be
+    init is (w, w', w'') at grid[0].  The b-branch equation divides by
+    omega: its third derivative is NaN once |omega| falls under 1e-12, and
+    the solution is truncated with a flag before the step that reaches it.
+    The d-energy equation is linear, and each entry of init may instead be
     a row of values, one per solution: all of them advance together as one
     state, and OmegaSolution.column picks one out.
-    params: c2, c3 scalars as needed; d and c as [f, f'] callables over
-    arrays of times.
+    params: c2, c3 scalars as needed; d as [f, f'] callables over arrays
+    of times.
     """
     if case not in OMEGA_ODES:
         raise ExprError(f"unknown omega equation {case!r}")
@@ -132,24 +129,19 @@ def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
     c3 = float(params.get("c3", 1.0))
     ts = np.asarray(grid, float)
     y0 = np.array(init, float)
-    divides_by_w = case in ("b-branch", "b-branch-unit")
+    divides_by_w = case == "b-branch"
     at = {}
     if not divides_by_w:
-        name = "d" if case in ("d-branch", "d-energy") else "c"
         times, at = _stage_times(ts)
-        f0, f1 = (np.broadcast_to(params[name][o](times), times.shape)
+        f0, f1 = (np.broadcast_to(params["d"][o](times), times.shape)
                   for o in (0, 1))
-        check_evaluated(f"the coefficient {name}", times, (f0, f1))
+        check_evaluated("the coefficient d", times, (f0, f1))
 
     def third(j, w, w1, w2):
         # j is the column of the coefficient values, or an array of them
-        if case == "b-branch":
+        if divides_by_w:
             return -c3 * w2 / (c2 * w)
-        if case == "b-branch-unit":
-            return -w2 / w
-        if name == "d":
-            return -(2.0 * f1[j] * w + 4.0 * f0[j] * w1) / c2
-        return -(4.0 * f0[j] * w1 + 2.0 * f1[j] * w)
+        return -(2.0 * f1[j] * w + 4.0 * f0[j] * w1) / c2
 
     w, w1, w2 = (np.full((len(ts),) + y0.shape[1:], np.nan)
                  for _ in range(3))
@@ -178,11 +170,9 @@ def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
     if divides_by_w:
         w3[np.abs(w) < 1e-12] = np.nan
     conserved = None
-    if case == "d-energy":
+    if not divides_by_w:
         conserved = (c2 * w * w2 - c2 / 2.0 * w1 ** 2
                      + 2.0 * w ** 2 * f0[nodes])
-    elif case == "c-energy":
-        conserved = w * w2 - w1 ** 2 / 2.0 + 2.0 * f0[nodes] * w ** 2
     return OmegaSolution(ts, w, w1, w2, w3, conserved, truncated)
 
 
@@ -612,6 +602,12 @@ def remove_first_derivative(spec: NdeSpec, t_hi=None):
 # validation helpers
 
 
+def _demote(gen, result, warning):
+    """Demote gen with warning, and report the warning under its label."""
+    gen.demote(warning)
+    result.warnings.append(f"{gen.label}: {warning}")
+
+
 def _validate_closed(spec, gen, result, assumptions=()):
     """Symbolic-or-sampled invariance check for a closed or parametric
     generator; demotes on failure."""
@@ -623,14 +619,11 @@ def _validate_closed(spec, gen, result, assumptions=()):
         zr = is_zero(res, assumptions=list(assumptions),
                      fn_table=spec.fn_table(), params={"r": spec.r})
     except ExprError as err:
-        gen.demote(f"validation failed to evaluate: {err}")
-        result.warnings.append(f"{gen.label}: {gen.warnings[-1]}")
+        _demote(gen, result, f"validation failed to evaluate: {err}")
         return
     if not zr.ok:
-        gen.demote(
-            f"invariance residual not zero (max {zr.max_abs:.2e}, "
-            f"{zr.mode})")
-        result.warnings.append(f"{gen.label}: {gen.warnings[-1]}")
+        _demote(gen, result, f"invariance residual not zero (max "
+                f"{zr.max_abs:.2e}, {zr.mode})")
     else:
         gen.note = (gen.note + f" [invariance zero: {zr.mode}]").strip()
 
@@ -641,10 +634,8 @@ def _check_delay_compat(gen, values, r, t0, result, what):
     ts = np.linspace(t0 + r, t0 + r + 2 * r, 60)
     mism = _max_abs(what, ts, values(ts) - values(ts - r))
     if mism > 1e-6:
-        gen.demote(
-            f"delay compatibility violated: max |{what}(t) - {what}(t-r)| "
-            f"= {mism:.2e}")
-        result.warnings.append(f"{gen.label}: {gen.warnings[-1]}")
+        _demote(gen, result, f"delay compatibility violated: max "
+                f"|{what}(t) - {what}(t-r)| = {mism:.2e}")
 
 
 def _closed_eval(expr, spec):
@@ -814,21 +805,18 @@ def _case_c3(spec, result, k_val, trace):
     gens = [_gen_scale(), gen_w, _gen_rho()]
     result.generators = gens
     if sol.truncated:
-        gen_w.demote("omega crossed zero; solution truncated")
-        result.warnings.append(f"{gen_w.label}: {gen_w.warnings[-1]}")
+        _demote(gen_w, result, "omega crossed zero; solution truncated")
     else:
         ts = grid[:: len(grid) // 20]
         mism = _max_abs("w b", ts, sol.sample(ts) * spec.b.sample(ts) - 1.0)
         if mism > 1e-6:
-            gen_w.demote(
-                f"b is not compatible with the two-term omega equation "
-                f"(max |w b - 1| = {mism:.2e})")
-            result.warnings.append(f"{gen_w.label}: {gen_w.warnings[-1]}")
+            _demote(gen_w, result, "b is not compatible with the "
+                    f"two-term omega equation (max |w b - 1| = {mism:.2e})")
         _check_delay_compat(gen_w, sol.sample, spec.r, spec.t0, result,
                             "omega")
     if c_varies_against_omega(spec, sol):
-        gen_w.demote("c(t) incompatible with the third-order constraint")
-        result.warnings.append(f"{gen_w.label}: {gen_w.warnings[-1]}")
+        _demote(gen_w, result,
+                "c(t) incompatible with the third-order constraint")
     for g in (gens[0], gens[2]):
         _validate_closed(spec, g, result)
     return result
@@ -876,8 +864,8 @@ def _check_numeric_omega(spec, gen, sol, result):
     c-constraint along it; demotes on failure."""
     _check_delay_compat(gen, sol.sample, spec.r, spec.t0, result, "omega")
     if c_varies_against_omega(spec, sol):
-        gen.demote("c(t) incompatible with the third-order constraint")
-        result.warnings.append(f"{gen.label}: {gen.warnings[-1]}")
+        _demote(gen, result,
+                "c(t) incompatible with the third-order constraint")
 
 
 def _case_c5(spec, result, k_val, trace):
@@ -971,8 +959,7 @@ def _case_c10(spec, result, trace):
         "c = (b''/b - (3/2)(b'/b)^2)/2 + (c33/2) b^2, c33 = %.6g" % c33)
     result.compatibility["d"] = "d = b'/2 + c32 b^2, c32 = %.6g" % c32
     if not ok_c or not ok_d:
-        gen_b.demote("required c(t), d(t) forms not met")
-        result.warnings.append(f"{gen_b.label}: {gen_b.warnings[-1]}")
+        _demote(gen_b, result, "required c(t), d(t) forms not met")
     for g in result.generators:
         if g.status == "admitted":
             _validate_closed(spec, g, result)
@@ -990,8 +977,7 @@ def _case_c11(spec, result, trace):
     c_info = _const_info(spec.c, spec.t0, spec.r)
     b_info = _const_info(spec.b, spec.t0, spec.r)
     if c_info[0] == "varying" or b_info[0] == "varying":
-        gens[0].demote("time translation needs constant b and c")
-        result.warnings.append(f"{gens[0].label}: {gens[0].warnings[-1]}")
+        _demote(gens[0], result, "time translation needs constant b and c")
     for g in gens:
         if g.status == "admitted":
             _validate_closed(spec, g, result)
@@ -1015,8 +1001,7 @@ def _case_c12(spec, result, trace):
     stop = np.flatnonzero(~(dv > 0))[:1]
     if stop.size:
         check_evaluated("d", ts[:stop[0] + 1], dv[:stop[0] + 1])
-        gen_w.demote("d must stay positive for 1/sqrt(d)")
-        result.warnings.append(f"{gen_w.label}: {gen_w.warnings[-1]}")
+        _demote(gen_w, result, "d must stay positive for 1/sqrt(d)")
     if gen_w.status == "admitted":
         _check_delay_compat(gen_w, spec.d.sample, spec.r, spec.t0, result,
                             "d")
@@ -1030,8 +1015,7 @@ def _case_c12(spec, result, trace):
     result.compatibility["c"] = (
         "c = (c31 d + d''/(2d) - (5/8)(d'/d)^2)/2, c31 = %.6g" % c31)
     if not ok_c:
-        gen_w.demote("required c(t) form not met")
-        result.warnings.append(f"{gen_w.label}: {gen_w.warnings[-1]}")
+        _demote(gen_w, result, "required c(t) form not met")
     for g in gens:
         if g.status == "admitted":
             _validate_closed(spec, g, result)

@@ -6,14 +6,14 @@ dx/d(delta) = upsilon with RK4 in the group parameter.  A solution curve is
 carried through the flow and resampled as a function of the new time; the
 infinitesimal test evaluates the invariance residual along a trajectory,
 the finite test measures how well the transformed curve still solves the
-equation.
+equation, and check_generator runs both for the scenario suite and the CLI.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,10 @@ from .symexpr import (
     ExprError, T, X, ZERO, check_evaluated, compile_numeric, diff, normalize,
     substitute,
 )
+
+FINE = 2                 # source samples of a transformed curve per step
+SAMPLES_PER_DELTA = 40   # candidate times of the finite check per delta
+SUBSTEPS = 24            # flow substeps of check_generator
 
 
 def _rho_chain(rho):
@@ -162,8 +166,8 @@ def prolonged_flow(gen: Generator, jets, delta, spec: NdeSpec, rho=None,
 
 
 def transform_solution(traj: Trajectory, gen: Generator, delta,
-                       spec: NdeSpec, rho=None, fine=2,
-                       substeps=48) -> TransformedCurve:
+                       spec: NdeSpec, rho=None, substeps=48
+                       ) -> TransformedCurve:
     """Carry the solution curve through the prolonged flow and resample the
     image as a function of the transformed time.
 
@@ -173,7 +177,7 @@ def transform_solution(traj: Trajectory, gen: Generator, delta,
     """
     from scipy.interpolate import CubicSpline
 
-    step = traj.hstep / fine
+    step = traj.hstep / FINE
     count = int(round((traj.t_end - (traj.t0 - traj.r)) / step))
     ts = (traj.t0 - traj.r) + step * np.arange(count + 1)
     # the acceleration is two-sided at the breaking points: default jets
@@ -217,29 +221,6 @@ def transform_solution(traj: Trajectory, gen: Generator, delta,
     boundaries = np.array([tbar[i] for i in cuts])
     return TransformedCurve(boundaries, segments, float(tbar[0]),
                             float(tbar[-1]))
-
-
-@dataclass
-class InvarianceReport:
-    generator: str
-    infinitesimal_residual: float | None = None
-    finite_residual: float | None = None
-    transformed_monotone: bool = True
-    deltas: list = field(default_factory=list)
-    per_delta: dict = field(default_factory=dict)
-
-    def to_json(self):
-        out = {"generator": self.generator,
-               "transformed_monotone": self.transformed_monotone}
-        if self.infinitesimal_residual is not None:
-            out["infinitesimal_residual"] = self.infinitesimal_residual
-        if self.finite_residual is not None:
-            out["finite_residual"] = self.finite_residual
-        if self.deltas:
-            out["deltas"] = list(self.deltas)
-            out["per_delta"] = {str(k): v
-                                for k, v in self.per_delta.items()}
-        return out
 
 
 def _affine_chains(gen: Generator, spec: NdeSpec, rho):
@@ -300,67 +281,92 @@ def infinitesimal_check(traj: Trajectory, gen: Generator, spec: NdeSpec,
 
 
 def finite_check(traj: Trajectory, gen: Generator, spec: NdeSpec,
-                 delta_grid, rho=None, fine=2, substeps=48,
-                 samples_per_delta=40) -> InvarianceReport:
-    """Residual of the transformed curve against the equation for each
-    group parameter, sampling away from the span ends and the images of
-    the derivative-breaking points."""
-    report = InvarianceReport(generator=gen.label,
-                              deltas=[float(d) for d in delta_grid])
+                 delta_grid, rho=None, substeps=48) -> float | None:
+    """Worst residual of the transformed curve against the equation over
+    the group parameters, sampling away from the span ends and the images
+    of the derivative-breaking points (the curve's segment boundaries).
+    None when the grid is empty or any parameter gives no image or no
+    admissible sample, so one failed parameter cannot hide behind
+    another."""
     h = traj.hstep
-    worst_all = None
+    worst = None
     for delta in delta_grid:
         try:
             curve = transform_solution(traj, gen, float(delta), spec, rho,
-                                       fine, substeps)
-        except ExprError as err:
-            report.transformed_monotone = False
-            report.per_delta[float(delta)] = f"failed: {err}"
-            continue
-        breaks = flow(gen, [(t, traj.value(t, 0))
-                            for t in traj.breaking_points()],
-                      float(delta), spec, rho, substeps)
-        break_images = [m[0] for m in breaks if m is not None]
-        lo = curve.t_lo + spec.r + h
-        hi = curve.t_hi - h
-        cand = np.linspace(lo, hi, samples_per_delta)[:, None]
-        bi = np.array(break_images)
+                                       substeps)
+        except ExprError:
+            return None
+        cand = np.linspace(curve.t_lo + spec.r + h, curve.t_hi - h,
+                           SAMPLES_PER_DELTA)[:, None]
+        bi = curve.boundaries
         near = (np.abs(cand - bi) < h / 2) | (np.abs(cand - spec.r - bi)
                                               < h / 2)
         ts = cand[~near.any(axis=1), 0]
-        worst = float(np.max(np.abs(spec.residual(curve, ts)), initial=0.0))
-        report.per_delta[float(delta)] = worst
         if len(ts) == 0:
-            report.per_delta[float(delta)] = "no admissible samples"
-        elif worst_all is None or worst > worst_all:
-            worst_all = worst
-    report.finite_residual = worst_all
-    return report
+            return None
+        res = float(np.max(np.abs(spec.residual(curve, ts))))
+        if worst is None or res > worst:
+            worst = res
+    return worst
+
+
+def interior_samples(traj: Trajectory, spec: NdeSpec, count=30):
+    """About count grid nodes, at least one step away from the span ends
+    and 1.5 steps from the derivative-breaking points (in both the direct
+    and the delayed position)."""
+    ts, h = traj.ts, traj.hstep
+    keep = (ts >= traj.t0 + h) & (ts <= traj.t_end - h)
+    for bp in traj.breaking_points():
+        keep &= (np.abs(ts - bp) >= 1.5 * h) & (np.abs(ts - spec.r - bp)
+                                                >= 1.5 * h)
+    out = ts[keep].tolist()
+    return out[::max(len(out) // count, 1)]
+
+
+def check_generator(traj: Trajectory, gen: Generator, spec: NdeSpec,
+                    samples, deltas, rho, tol_inf, tol_fin):
+    """Both invariance checks of one generator; it passes when each
+    residual is under its tolerance, and never when the finite check
+    failed."""
+    inf = infinitesimal_check(traj, gen, spec, samples, rho=rho)
+    fin = finite_check(traj, gen, spec, deltas, rho=rho, substeps=SUBSTEPS)
+    return {"infinitesimal_residual": inf, "finite_residual": fin,
+            "pass": inf < tol_inf and fin is not None and fin < tol_fin}
 
 
 # ---------------------------------------------------------------------------
 # group axioms
 
 
+def _flow_all(gen: Generator, points, delta, spec: NdeSpec, rho,
+              substeps):
+    """flow() that keeps its rows aligned with the points: a row that left
+    the numeric domain raises ExprError instead of coming back None."""
+    moved = flow(gen, points, delta, spec, rho, substeps)
+    for p, m in zip(points, moved):
+        if m is None:
+            raise ExprError(f"flow from {tuple(p)} by {delta} left the "
+                            "numeric domain")
+    return moved
+
+
+def _gap(a, b):
+    """Largest coordinate difference between aligned lists of points."""
+    return float(np.max(np.abs(np.subtract(a, b))))
+
+
 def identity_error(gen: Generator, points, spec: NdeSpec, rho=None):
-    moved = flow(gen, points, 0.0, spec, rho, substeps=1)
-    return max(max(abs(m[0] - p[0]), abs(m[1] - p[1]))
-               for m, p in zip(moved, points))
+    return _gap(_flow_all(gen, points, 0.0, spec, rho, 1), points)
 
 
 def inverse_error(gen: Generator, points, delta, spec: NdeSpec, rho=None,
                   substeps=64):
-    fwd = flow(gen, points, delta, spec, rho, substeps)
-    back = flow(gen, [m for m in fwd if m is not None], -delta, spec, rho,
-                substeps)
-    return max(max(abs(b[0] - p[0]), abs(b[1] - p[1]))
-               for b, p in zip(back, points))
+    fwd = _flow_all(gen, points, delta, spec, rho, substeps)
+    return _gap(_flow_all(gen, fwd, -delta, spec, rho, substeps), points)
 
 
 def closure_error(gen: Generator, points, d1, d2, spec: NdeSpec, rho=None,
                   substeps=64):
-    step1 = flow(gen, points, d1, spec, rho, substeps)
-    two = flow(gen, step1, d2, spec, rho, substeps)
-    direct = flow(gen, points, d1 + d2, spec, rho, substeps)
-    return max(max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-               for a, b in zip(two, direct))
+    step1 = _flow_all(gen, points, d1, spec, rho, substeps)
+    return _gap(_flow_all(gen, step1, d2, spec, rho, substeps),
+                _flow_all(gen, points, d1 + d2, spec, rho, substeps))

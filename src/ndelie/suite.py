@@ -24,7 +24,7 @@ from .classify import (
 )
 from .equation import NdeSpec
 from .flowverify import (
-    closure_error, finite_check, identity_error, infinitesimal_check,
+    check_generator, closure_error, identity_error, interior_samples,
     inverse_error,
 )
 from .ndesolve import integrate, solve_homogeneous_slot
@@ -134,25 +134,6 @@ def scenario_by_name(name):
     raise KeyError(f"no scenario named {name!r}")
 
 
-def _interior_nodes(traj, spec, count=30):
-    """Sample points on grid nodes, at least one step away from the span
-    ends and from the derivative-breaking points (in both the direct and
-    the delayed position)."""
-    breaks = traj.breaking_points()
-    h = traj.hstep
-    out = []
-    for t in traj.ts:
-        t = float(t)
-        if t < traj.t0 + h or t > traj.t_end - h:
-            continue
-        if any(abs(t - bp) < 1.5 * h or abs(t - spec.r - bp) < 1.5 * h
-               for bp in breaks):
-            continue
-        out.append(t)
-    stride = max(len(out) // count, 1)
-    return out[::stride]
-
-
 @dataclass
 class ScenarioResult:
     name: str
@@ -193,7 +174,7 @@ def run_scenario(sc: Scenario, steps=64, delta=0.25, tol_inf=1e-6,
     t_end = sc.spec.t0 + sc.delays * sc.spec.r
     traj = integrate(sc.spec, sc.theta, t_end, steps)
     rho = solve_homogeneous_slot(sc.spec, sc.rho_seed, t_end, steps)
-    samples = _interior_nodes(traj, sc.spec)
+    samples = interior_samples(traj, sc.spec)
 
     all_ok = out.case_ok
     axiom_points = [(float(t), traj.value(float(t), 0))
@@ -204,13 +185,8 @@ def run_scenario(sc: Scenario, steps=64, delta=0.25, tol_inf=1e-6,
             entry["warnings"] = list(gen.warnings)
             out.candidates.append(entry)
             continue
-        inf = infinitesimal_check(traj, gen, sc.spec, samples, rho=rho)
-        rep = finite_check(traj, gen, sc.spec, [delta], rho=rho,
-                           substeps=24)
-        entry["infinitesimal_residual"] = inf
-        entry["finite_residual"] = rep.finite_residual
-        ok = inf < tol_inf and rep.finite_residual is not None \
-            and rep.finite_residual < tol_fin
+        entry.update(check_generator(traj, gen, sc.spec, samples, [delta],
+                                     rho, tol_inf, tol_fin))
         if gen.kind != "numeric":
             ident = identity_error(gen, axiom_points, sc.spec, rho)
             inv = inverse_error(gen, axiom_points, delta, sc.spec, rho,
@@ -220,10 +196,9 @@ def run_scenario(sc: Scenario, steps=64, delta=0.25, tol_inf=1e-6,
             entry["axiom_identity"] = ident
             entry["axiom_inverse"] = inv
             entry["axiom_closure"] = clo
-            ok = ok and ident <= 1e-12 and inv < tol_axiom \
-                and clo < tol_axiom
-        entry["pass"] = ok
-        all_ok = all_ok and ok
+            entry["pass"] = entry["pass"] and ident <= 1e-12 \
+                and inv < tol_axiom and clo < tol_axiom
+        all_ok = all_ok and entry["pass"]
         out.generators.append(entry)
     if len(out.candidates) != sc.expected_candidates:
         all_ok = False

@@ -1,7 +1,7 @@
 """The traced benchmark run (`bench/run.py --trace 1`) rebinds every function
-it times by name and binds the arguments its counters read by name.  One
-traced integrate and one traced prolonged flow here make a rename or removal
-that breaks it fail the test suite."""
+it times by name and binds the arguments its counters read by name.  A
+traced integrate, prolonged flow, classification and scenario here make a
+rename or removal that breaks it fail the test suite."""
 
 import importlib
 import importlib.util
@@ -98,3 +98,24 @@ def test_traced_classification():
     assert totals["detsys.is_zero.calls"] >= 5
     assert totals["detsys.is_zero.sampled"] <= totals["detsys.is_zero.calls"]
     assert totals["detsys.is_zero.skipped_points"] == 0
+
+
+def test_traced_scenario_runs_the_verification_pipeline():
+    nd = SimpleNamespace(**{m: importlib.import_module(f"ndelie.{m}")
+                            for m in MODULES})
+    tracer = _tracer()
+    tracer.install(nd)
+    try:
+        tracer.paused = False
+        result = nd.suite.run_scenario(nd.suite.scenario_by_name("C4"))
+        tracer.paused = True
+    finally:
+        tracer.uninstall()
+    assert result.ok
+    totals = tracer.totals()
+    for name in ("finite_check", "infinitesimal_check", "transform_solution",
+                 "flow", "prolonged_flow", "identity_error", "inverse_error",
+                 "closure_error"):
+        assert totals.get(f"flowverify.{name}.calls", 0) > 0, name
+    assert totals["flowverify.flow.jet_substeps"] > 0
+    assert totals["flowverify.flow.domain_exits"] == 0

@@ -70,7 +70,8 @@ def test_line_solves_two_term_equation():
     # w = c14 t + c15 has w'' = 0 and solves w w''' + w'' = 0 exactly
     c14, c15 = 0.7, 1.3
     grid = np.linspace(0.0, 3.0, 301)
-    sol = omega_ode_solve("b-branch-unit", {}, (c15, c14, 0.0), grid)
+    sol = omega_ode_solve("b-branch", {"c2": 1.0, "c3": 1.0},
+                          (c15, c14, 0.0), grid)
     worst = max(abs(sol.value(t) - (c14 * t + c15))
                 for t in np.linspace(0.0, 3.0, 50))
     assert worst < 1e-10
@@ -91,22 +92,25 @@ def test_energy_form_conserves_first_integral(dname, chain):
 
 def test_c_energy_trivial_case():
     grid = np.linspace(0.0, 2.0, 201)
+    # w''' + 4 c w' + 2 c' w = 0 is the d-energy equation with d = c and
+    # c2 = 1; with c = 0 the constant stays put
     chain = [lambda t: 0.0, lambda t: 0.0]
-    sol = omega_ode_solve("c-energy", {"c": chain}, (1.0, 0.0, 0.0), grid)
+    sol = omega_ode_solve("d-energy", {"d": chain}, (1.0, 0.0, 0.0), grid)
     assert max(abs(sol.w - 1.0)) < 1e-14
 
 
 def test_truncation_on_zero_crossing():
     # w w''' + w'' = 0 with data driving w through zero
     grid = np.linspace(0.0, 10.0, 2001)
-    sol = omega_ode_solve("b-branch-unit", {}, (0.5, -1.0, 0.1), grid)
+    sol = omega_ode_solve("b-branch", {"c2": 1.0, "c3": 1.0},
+                          (0.5, -1.0, 0.1), grid)
     assert sol.truncated
     assert sol.ts[-1] < 10.0
 
 
 def test_two_sided_solution_covers_backward_range():
-    sol = solve_omega_two_sided("c-energy",
-                                {"c": [lambda t: 0.0, lambda t: 0.0]},
+    sol = solve_omega_two_sided("d-energy",
+                                {"d": [lambda t: 0.0, lambda t: 0.0]},
                                 (1.0, 0.0, 0.0), 0.0, -2.0, 3.0)
     assert sol.value(-1.5) == pytest.approx(1.0, abs=1e-12)
     assert sol.value(2.5) == pytest.approx(1.0, abs=1e-12)

@@ -152,3 +152,17 @@ def test_numeric_arguments_are_arithmetic_only():
                  "__import__('os')", "abs(-1)", "True", "9**9**9**9"):
         with pytest.raises(argparse.ArgumentTypeError):
             _num(text)
+
+
+def test_verify_text_reports_a_failed_finite_check(tmp_path, capsys):
+    # the numeric time-like generator of the generic right-shift class
+    # cannot carry this curve by delta = 3
+    path = tmp_path / "c5.json"
+    NdeSpec.make(c=1, d=2, k=1, r=1.0).save(path)
+    code = main(["verify", "--spec", str(path), "--theta", "sin(t)+2",
+                 "--delta", "3"])
+    assert code == 3
+    out = capsys.readouterr().out
+    assert json.loads(out[:out.rindex("}") + 1])["pass"] is False
+    failed = [line for line in out.splitlines() if "fin=failed" in line]
+    assert len(failed) == 1 and failed[0].endswith(" FAIL")

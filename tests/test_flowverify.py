@@ -12,6 +12,7 @@ from ndelie.flowverify import (
     infinitesimal_check, inverse_error, prolonged_flow, transform_solution,
 )
 from ndelie.ndesolve import integrate, solve_homogeneous_slot
+from ndelie.suite import build_scenarios, scenario_by_name
 from ndelie.symexpr import (
     EvalError, ExprError, T, X, ZERO, app, compile_numeric, fn, normalize,
     num, parse,
@@ -240,19 +241,19 @@ def test_transformed_curve_sample_reads_the_first_holding_segment():
 
 def test_finite_check_passes_for_symmetries():
     rep = finite_check(TRAJ1, GEN_T, SPEC1, [0.25, -0.25, 0.5])
-    assert rep.finite_residual < 1e-5
+    assert rep < 1e-5
     rep = finite_check(TRAJ1, GEN_SCALE, SPEC1, [1.0])
-    assert rep.finite_residual < 1e-5
+    assert rep < 1e-5
 
 
 def test_finite_check_negative_control():
     rep = finite_check(TRAJ1, GEN_BOGUS, SPEC1, [0.2])
-    assert rep.finite_residual > 1e-2
+    assert rep > 1e-2
 
 
 def test_finite_check_rho_generator():
     rep = finite_check(TRAJ1, GEN_RHO, SPEC1, [0.25], rho=RHO1)
-    assert rep.finite_residual < 1e-5
+    assert rep < 1e-5
 
 
 def test_classified_generators_verify_end_to_end():
@@ -262,7 +263,7 @@ def test_classified_generators_verify_end_to_end():
         assert infinitesimal_check(TRAJ1, gen, SPEC1, samples,
                                    rho=RHO1) < 1e-6
         rep = finite_check(TRAJ1, gen, SPEC1, [0.25], rho=RHO1)
-        assert rep.finite_residual < 1e-4
+        assert rep < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -399,3 +400,66 @@ def test_flow_reads_equation_coefficients_as_arrays(b):
             t += h / 6 * (k1t + 2 * k2t + 2 * k3t + k4t)
             x += h / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
         assert got == (t, x)
+
+
+# ---------------------------------------------------------------------------
+# failures are reported, never skipped
+
+GEN_SQRT = Generator("sqrt(t) d/dt", "closed", omega=app("sqrt", T),
+                     upsilon=ZERO)
+# sqrt(t) has no value at t = -1, so the first row leaves the domain
+SQRT_POINTS = [(-1.0, 0.5), (1.0, 0.3), (2.0, -0.2)]
+
+
+def test_identity_error_names_the_point_that_left_the_domain():
+    with pytest.raises(ExprError, match=r"\(-1\.0, 0\.5\) by 0\.0"):
+        identity_error(GEN_SQRT, SQRT_POINTS, SPEC1)
+
+
+def test_inverse_error_keeps_rows_aligned():
+    # dropping the failed row paired (1, .) with (-1, .) and gave 2.0
+    with pytest.raises(ExprError, match=r"\(-1\.0, 0\.5\) by 0\.25"):
+        inverse_error(GEN_SQRT, SQRT_POINTS, 0.25, SPEC1, substeps=24)
+
+
+def test_closure_error_keeps_rows_aligned():
+    with pytest.raises(ExprError, match=r"\(-1\.0, 0\.5\) by 0\.25"):
+        closure_error(GEN_SQRT, SQRT_POINTS, 0.25, 0.125, SPEC1,
+                      substeps=24)
+
+
+def test_finite_check_fails_when_one_delta_fails():
+    # on the unit right-shift class the flow of this pair by 5.0 leaves the
+    # numeric domain; a tiny delta alone gives a small residual
+    sc = scenario_by_name("C9")
+    spec = sc.spec
+    traj = integrate(spec, sc.theta, spec.t0 + 3 * spec.r, 64)
+    bogus = Generator("t^2 d/dt + t x d/dx", "closed",
+                      omega=normalize(T * T), upsilon=normalize(T * X))
+    assert finite_check(traj, bogus, spec, [1e-9], substeps=24) < 1e-6
+    with pytest.raises(ExprError):
+        transform_solution(traj, bogus, 5.0, spec, substeps=24)
+    assert finite_check(traj, bogus, spec, [1e-9, 5.0], substeps=24) is None
+    assert finite_check(traj, bogus, spec, [], substeps=24) is None
+
+
+def test_breaking_point_images_are_curve_boundaries():
+    """finite_check excludes samples near the curve's segment boundaries;
+    they are the flow images of the breaking points on every scenario."""
+    checked = 0
+    for sc in build_scenarios():
+        spec = sc.spec
+        t_end = spec.t0 + sc.delays * spec.r
+        traj = integrate(spec, sc.theta, t_end, 64)
+        rho = solve_homogeneous_slot(spec, sc.rho_seed, t_end, 64)
+        points = [(t, traj.value(t, 0)) for t in traj.breaking_points()]
+        for gen in classify(spec).admitted:
+            curve = transform_solution(traj, gen, 0.25, spec, rho,
+                                       substeps=24)
+            for img in flow(gen, points, 0.25, spec, rho, substeps=24):
+                if img is None:
+                    continue
+                assert np.min(np.abs(curve.boundaries - img[0])) <= 1e-12, \
+                    (sc.name, gen.label, img)
+                checked += 1
+    assert checked > 100
