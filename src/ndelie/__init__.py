@@ -13,7 +13,7 @@ from .detsys import (
 from .flowverify import (
     finite_check, flow, infinitesimal_check, transform_solution,
 )
-from .ndesolve import InitialFunction, Trajectory, integrate, residual
+from .ndesolve import Trajectory, integrate, residual
 from .prolong import (
     EquationResidual, InfinitesimalAnsatz, apply_operator, prolong_delayed,
     prolong_first, prolong_second, total_derivative,

@@ -27,8 +27,9 @@ from .equation import CoeffDescriptor, NdeSpec
 from .ndesolve import _hermite, rk4_step
 from .prolong import InfinitesimalAnsatz
 from .symexpr import (
-    App, Expr, ExprError, Pow, Rat, T, X, ZERO, _elementwise, check_evaluated,
-    compile_numeric, diff, fn, normalize, num, render, substitute,
+    App, Expr, ExprError, ONE, Pow, Rat, T, X, ZERO, _elementwise,
+    check_evaluated, compile_numeric, diff, fn, normalize, num, render,
+    substitute,
 )
 
 HALF = num(Fraction(1, 2))
@@ -393,11 +394,9 @@ def _const_info(desc: CoeffDescriptor, t0, r):
     numeric-kind descriptors."""
     if desc.is_zero:
         return ("zero",)
-    if desc.kind == "const":
-        return ("const", float(desc.value))
-    if desc.kind == "closed":
-        if isinstance(normalize(desc.expr), Rat):
-            return ("const", float(normalize(desc.expr).q))
+    if desc.is_const:
+        return ("const", float(desc.const_value()))
+    if desc.expr is not None:
         return ("varying",)
     ts = np.linspace(t0, t0 + 3 * r, 50)
     vals = desc.sample(ts)
@@ -411,11 +410,9 @@ def _const_info(desc: CoeffDescriptor, t0, r):
 def _d_form(desc: CoeffDescriptor):
     """Special right-shift families: 'one', 'exp', 'sin', ('power', m),
     or None."""
-    if desc.kind == "const" and desc.value == 1:
+    e = desc.expr
+    if e == ONE:
         return "one"
-    if desc.kind != "closed":
-        return None
-    e = normalize(desc.expr)
     if e == App("exp", T):
         return "exp"
     if e == App("sin", T):
@@ -500,7 +497,7 @@ def _s_chain(spec: NdeSpec, t_lo, t_hi):
     of the integrand where needed."""
     a = spec.a
     if a.is_const:
-        alpha = float(a.value)
+        alpha = float(a.const_value())
 
         def s0(t):
             return _elementwise(math.exp, -alpha * (t - spec.t0) / 2.0)
@@ -608,7 +605,7 @@ def _demote(gen, result, warning):
     result.warnings.append(f"{gen.label}: {warning}")
 
 
-def _validate_closed(spec, gen, result, assumptions=()):
+def _validate_closed(spec, gen, result, assumptions):
     """Symbolic-or-sampled invariance check for a closed or parametric
     generator; demotes on failure."""
     try:
@@ -660,7 +657,22 @@ def _fit_constant(fun, grid, tol=1e-6):
 
 def classify(spec: NdeSpec) -> ClassificationResult:
     """Match the reduced equation to its coefficient class and emit the
-    admitted generators, with compatibility requirements and warnings."""
+    admitted generators, with compatibility requirements and warnings.
+
+    Each case runs its own checks first; then every generator still
+    admitted that is not numeric has its invariance residual tested."""
+    result = _match_case(spec)
+    assumptions = ([Assumption("beta", "zero")] if result.case_id == "C1"
+                   else [])
+    for g in result.generators:
+        if g.status == "admitted" and g.kind != "numeric":
+            _validate_closed(spec, g, result, assumptions)
+    return result
+
+
+def _match_case(spec: NdeSpec) -> ClassificationResult:
+    """The class of the reduced equation and its generators, before the
+    invariance test."""
     if not spec.h.is_zero or not spec.a.is_zero:
         raise ExprError("classification expects the reduced form "
                         "(h = 0, a = 0); apply the reductions first")
@@ -683,9 +695,6 @@ def classify(spec: NdeSpec) -> ClassificationResult:
         result.case_id = "C1"
         trace.append("neutral coefficient varies: two-dimensional group")
         result.generators = [_gen_scale(), _gen_rho()]
-        for g in result.generators:
-            _validate_closed(spec, g, result,
-                             assumptions=[Assumption("beta", "zero")])
         return result
 
     if k_zero and b_zero and d_zero:
@@ -707,8 +716,6 @@ def classify(spec: NdeSpec) -> ClassificationResult:
                 result.warnings.append(
                     "c(t) varies: no time translation admitted")
             result.generators = gens
-            for g in gens:
-                _validate_closed(spec, g, result)
             return result
         if not b_zero and not d_zero:
             return _case_c2(spec, result, k_val, trace)
@@ -779,9 +786,6 @@ def _case_c2(spec, result, k_val, trace):
         result.warnings.append("d(t) does not fit the required family")
         if gen_b.status == "admitted":
             gen_b.demote("required d(t) form not met")
-    for g in result.generators:
-        if g.status == "admitted":
-            _validate_closed(spec, g, result)
     return result
 
 
@@ -817,8 +821,6 @@ def _case_c3(spec, result, k_val, trace):
     if c_varies_against_omega(spec, sol):
         _demote(gen_w, result,
                 "c(t) incompatible with the third-order constraint")
-    for g in (gens[0], gens[2]):
-        _validate_closed(spec, g, result)
     return result
 
 
@@ -843,8 +845,6 @@ def _case_c4(spec, result, trace):
     result.generators = gens
     result.compatibility["c"] = "c constant (= c6/4 for the unit-scale "\
         "normalization)"
-    for g in gens:
-        _validate_closed(spec, g, result)
     return result
 
 
@@ -882,8 +882,6 @@ def _case_c5(spec, result, k_val, trace):
     drift = sol.conservation_drift()
     result.compatibility["first-integral drift"] = f"{drift:.2e}"
     _check_numeric_omega(spec, gen_w, sol, result)
-    for g in (gens[0], gens[2]):
-        _validate_closed(spec, g, result)
     return result
 
 
@@ -912,8 +910,6 @@ def _case_c678(spec, result, k_val, case_id, trace):
     result.compatibility["c"] = (
         f"three omega directions require c = d/c2; max |c - d/c2| "
         f"= {mism:.2e}")
-    for g in (gens[0], gens[-1]):
-        _validate_closed(spec, g, result)
     return result
 
 
@@ -943,9 +939,6 @@ def _case_c9(spec, result, k_val, trace):
                 and g.status == "admitted" and g.omega != num(1):
             _check_delay_compat(g, _closed_eval(g.omega, spec), spec.r,
                                 spec.t0, result, "omega")
-    for g in gens:
-        if g.status == "admitted":
-            _validate_closed(spec, g, result)
     return result
 
 
@@ -960,9 +953,6 @@ def _case_c10(spec, result, trace):
     result.compatibility["d"] = "d = b'/2 + c32 b^2, c32 = %.6g" % c32
     if not ok_c or not ok_d:
         _demote(gen_b, result, "required c(t), d(t) forms not met")
-    for g in result.generators:
-        if g.status == "admitted":
-            _validate_closed(spec, g, result)
     return result
 
 
@@ -978,9 +968,6 @@ def _case_c11(spec, result, trace):
     b_info = _const_info(spec.b, spec.t0, spec.r)
     if c_info[0] == "varying" or b_info[0] == "varying":
         _demote(gens[0], result, "time translation needs constant b and c")
-    for g in gens:
-        if g.status == "admitted":
-            _validate_closed(spec, g, result)
     return result
 
 
@@ -1016,7 +1003,4 @@ def _case_c12(spec, result, trace):
         "c = (c31 d + d''/(2d) - (5/8)(d'/d)^2)/2, c31 = %.6g" % c31)
     if not ok_c:
         _demote(gen_w, result, "required c(t) form not met")
-    for g in gens:
-        if g.status == "admitted":
-            _validate_closed(spec, g, result)
     return result

@@ -2,10 +2,12 @@
 
     x'' + a x' + b x'(t-r) + c x + d x(t-r) + k x''(t-r) = h
 
-with a single constant delay r > 0.  Descriptors carry one of four kinds
-(zero, exact constant, closed-form expression in t, numeric callable) and
-can produce both the symbolic coefficient used when building residuals and
-numeric values with derivatives up to order three.
+with a single constant delay r > 0.  A descriptor is one function of t,
+given either as a closed-form expression in t (zero and the exact
+constants are the expressions 0 and q) or as numeric callables; it gives
+both the symbolic coefficient used when building residuals and numeric
+values with derivatives up to order three.  The initial function of a
+method-of-steps run is a closed descriptor too.
 """
 
 from __future__ import annotations
@@ -28,107 +30,97 @@ COEFF_NAMES = ("a", "b", "c", "d", "k", "h")
 
 @dataclass
 class CoeffDescriptor:
-    """One coefficient of the equation.
+    """One function of t: a normal-form expression, or numeric callables.
 
-    kind 'zero'     -- identically zero
-    kind 'const'    -- exact rational value, optionally carrying a name
-    kind 'closed'   -- closed-form Expr in t, differentiable symbolically
-    kind 'numeric'  -- callables for orders 0..3; a cubic-spline table
-                       keeps its samples, which is what its JSON form holds
+    kind 'zero'     -- the expression 0
+    kind 'const'    -- an exact rational expression q
+    kind 'closed'   -- any other expression in t, differentiated
+                       symbolically
+    kind 'numeric'  -- no expression; callables for orders 0..3, and a
+                       cubic-spline table keeps its samples, which is
+                       what its JSON form holds
     """
 
-    kind: str
-    value: Fraction | None = None
-    const_name: str | None = None
-    expr: Expr | None = None
+    expr: Expr | None
     fns: tuple | None = None
-    nonvanishing: bool | None = None
     samples: tuple | None = None
-    # closed kind: derivative expressions and their closures by order,
-    # each built on first use
+    # derivative expressions and their closures by order, each built on
+    # first use
     _derivs: list = field(default_factory=list, repr=False, compare=False)
     _closures: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def zero(cls):
-        return cls("zero")
+        return cls(ZERO)
 
     @classmethod
-    def const(cls, value, name=None, nonvanishing=None):
-        value = Fraction(value)
-        if value == 0 and name is None:
-            return cls.zero()
-        return cls("const", value=value, const_name=name,
-                   nonvanishing=nonvanishing)
+    def const(cls, value):
+        return cls(Rat(Fraction(value)))
 
     @classmethod
-    def closed(cls, expr, nonvanishing=None):
+    def closed(cls, expr):
         if isinstance(expr, str):
             expr = parse(expr)
         expr = normalize(expr)
-        if isinstance(expr, Rat):
-            return cls.const(expr.q, nonvanishing=nonvanishing)
         for atom in atoms(expr):
-            if not isinstance(atom, (Par,)) and atom != T:
-                if isinstance(atom, Coeff):
-                    continue  # opaque named function of t is allowed
+            # free constants and opaque named functions of t are allowed
+            if atom != T and not isinstance(atom, (Par, Coeff)):
                 raise ExprError(
                     f"closed coefficient must be a function of t, found "
                     f"{render(atom)}")
-        return cls("closed", expr=expr, nonvanishing=nonvanishing)
+        return cls(expr)
 
     @classmethod
-    def numeric(cls, *fns, nonvanishing=None):
+    def numeric(cls, *fns):
         if not fns:
             raise ExprError("numeric descriptor needs at least f(t)")
-        return cls("numeric", fns=tuple(fns), nonvanishing=nonvanishing)
+        return cls(None, fns=tuple(fns))
 
     @classmethod
-    def from_table(cls, ts, vs, nonvanishing=None):
+    def from_table(cls, ts, vs):
         from scipy.interpolate import CubicSpline
 
         ts = [float(t) for t in ts]
         vs = [float(v) for v in vs]
         spline = CubicSpline(np.asarray(ts), np.asarray(vs))
         ders = [spline] + [spline.derivative(i) for i in range(1, 4)]
-        return cls("numeric",
+        return cls(None,
                    fns=tuple((lambda d: (lambda t: float(d(t))))(d)
                              for d in ders),
-                   nonvanishing=nonvanishing, samples=tuple(zip(ts, vs)))
+                   samples=tuple(zip(ts, vs)))
 
     # -- predicates ---------------------------------------------------------
 
     @property
+    def kind(self):
+        if self.expr is None:
+            return "numeric"
+        if isinstance(self.expr, Rat):
+            return "zero" if self.expr == ZERO else "const"
+        return "closed"
+
+    @property
     def is_zero(self):
-        return self.kind == "zero"
+        return self.expr == ZERO
 
     @property
     def is_const(self):
-        return self.kind in ("zero", "const")
+        return isinstance(self.expr, Rat)
 
     def const_value(self):
-        if self.kind == "zero":
-            return Fraction(0)
-        if self.kind == "const":
-            return self.value
-        return None
+        """The exact value of a constant, None for any other kind."""
+        return self.expr.q if self.is_const else None
+
+    value = property(const_value)
 
     # -- symbolic and numeric views -----------------------------------------
 
     def symbolic(self, name) -> Expr:
         """Expression used when this coefficient enters a residual."""
-        if self.kind == "zero":
-            return ZERO
-        if self.kind == "const":
-            if self.const_name is not None and self.value is None:
-                return Par(self.const_name)
-            return Rat(self.value)
-        if self.kind == "closed":
-            return self.expr
-        return Coeff(name)
+        return Coeff(name) if self.expr is None else self.expr
 
     def _closure(self, order):
-        """Compiled closure of the order-th derivative of a closed form;
+        """Compiled closure of the order-th derivative of the expression;
         the derivative and the closure are built on first use."""
         f = self._closures.get(order)
         if f is None:
@@ -144,7 +136,7 @@ class CoeffDescriptor:
         """The order-th derivative at t; EvalError where it has no value."""
         v = float(self._values(float(t), order))
         if math.isnan(v):
-            what = render(self.expr) if self.kind == "closed" else self.kind
+            what = self.kind if self.expr is None else render(self.expr)
             raise EvalError(f"coefficient {what} has no value at t = {t}")
         return v
 
@@ -155,23 +147,23 @@ class CoeffDescriptor:
         return np.broadcast_to(self._values(ts, order), ts.shape)
 
     def _values(self, t, order):
-        """The order-th derivative at a float or an array of times: a
-        constant as one float, a closed form through its compiled closure,
-        a numeric one point by point."""
+        """The order-th derivative at a float or an array of times: an
+        expression through its compiled closure, callables point by
+        point."""
         if not 0 <= order <= 3:
             raise ExprError(f"derivative order {order} is not in 0..3")
-        if self.kind == "closed":
-            return self._closure(order)({"t": t}, None)
-        if self.kind == "numeric":
-            if order >= len(self.fns):
-                raise ExprError("numeric descriptor supplies orders "
-                                f"0..{len(self.fns) - 1}")
-            f = self.fns[order]
-            return np.array([f(x) for x in np.ravel(t).tolist()],
-                            float).reshape(np.shape(t))
-        if self.kind == "const" and order == 0:
-            return float(self.value)
-        return 0.0
+        if self.expr is not None:
+            try:
+                return self._closure(order)({"t": t}, None)
+            except KeyError as err:
+                raise EvalError(f"unbound symbol {err.args[0]} in "
+                                f"{render(self.expr)}") from None
+        if order >= len(self.fns):
+            raise ExprError("numeric descriptor supplies orders "
+                            f"0..{len(self.fns) - 1}")
+        f = self.fns[order]
+        return np.array([f(x) for x in np.ravel(t).tolist()],
+                        float).reshape(np.shape(t))
 
     def fn_entry(self):
         """Entry for a symexpr fn_table: callables over arrays of times,
@@ -181,14 +173,12 @@ class CoeffDescriptor:
     # -- JSON ---------------------------------------------------------------
 
     def to_json(self):
-        if self.kind == "zero":
+        kind = self.kind
+        if kind == "zero":
             return {"kind": "zero"}
-        if self.kind == "const":
-            out = {"kind": "const", "value": str(self.value)}
-            if self.const_name:
-                out["name"] = self.const_name
-            return out
-        if self.kind == "closed":
+        if kind == "const":
+            return {"kind": "const", "value": str(self.expr.q)}
+        if kind == "closed":
             return {"kind": "closed", "expr": render(self.expr)}
         if self.samples is None:
             raise ExprError("a numeric descriptor built from callables has "
@@ -202,8 +192,7 @@ class CoeffDescriptor:
         if kind == "zero":
             return cls.zero()
         if kind == "const":
-            return cls.const(Fraction(str(obj["value"])),
-                             name=obj.get("name"))
+            return cls.const(Fraction(str(obj["value"])))
         if kind == "closed":
             return cls.closed(obj["expr"])
         if kind == "numeric-table":

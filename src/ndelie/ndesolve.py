@@ -2,7 +2,8 @@
 
     x'' = h - a x' - b x'(t-r) - c x - d x(t-r) - k x''(t-r)
 
-with an analytic initial function on [t0-r, t0].
+with a closed-form initial function on [t0-r, t0], held as a closed
+CoeffDescriptor so its first two derivatives are exact.
 
 The step size divides the delay exactly, so every delayed lookup falls in a
 completed interval and RK4 stage points land on earlier nodes and midpoints
@@ -15,45 +16,12 @@ and coincide with interval boundaries, so no step straddles them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .equation import NdeSpec
-from .symexpr import (
-    Expr, ExprError, T, check_evaluated, compile_numeric, diff, normalize,
-    parse,
-)
-
-
-@dataclass
-class InitialFunction:
-    """Closed-form history x(t) = theta(t) on [t0 - r, t0]; must be twice
-    differentiable symbolically because the neutral term needs theta''."""
-
-    theta: Expr
-    _chain: tuple = field(default=None, repr=False, compare=False)
-
-    @classmethod
-    def make(cls, theta):
-        if isinstance(theta, str):
-            theta = parse(theta)
-        return cls(normalize(theta))
-
-    def value(self, t, der=0):
-        v = float(self.sample(t, der))
-        if math.isnan(v):
-            raise ExprError(f"initial function has no value at {t}")
-        return v
-
-    def sample(self, ts, der=0):
-        """value over an array of times; domain errors give NaN."""
-        if self._chain is None:
-            d1 = diff(self.theta, T)
-            self._chain = tuple(compile_numeric(e)
-                                for e in (self.theta, d1, diff(d1, T)))
-        ts = np.asarray(ts, float)
-        return np.broadcast_to(self._chain[der]({"t": ts}, None), ts.shape)
+from .equation import CoeffDescriptor, NdeSpec
+from .symexpr import Expr, ExprError, check_evaluated
 
 
 def _hermite(y0, y1, m0, m1, s, h, der):
@@ -87,9 +55,8 @@ class Trajectory:
     xs: np.ndarray
     x1s: np.ndarray
     x2s: np.ndarray
-    theta: InitialFunction
+    theta: CoeffDescriptor
     left_x2: dict = None
-    role: str = "solution"
 
     @property
     def t_end(self):
@@ -204,7 +171,7 @@ def integrate(spec: NdeSpec, theta, t_end, steps_per_delay=64) -> Trajectory:
     neutral term.
     """
     if isinstance(theta, (str, Expr)):
-        theta = InitialFunction.make(theta)
+        theta = CoeffDescriptor.closed(theta)
     n = int(steps_per_delay)
     if n < 16:
         raise ExprError("steps_per_delay must be at least 16")
@@ -221,9 +188,9 @@ def integrate(spec: NdeSpec, theta, t_end, steps_per_delay=64) -> Trajectory:
     xs = np.zeros(total + 1)
     x1s = np.zeros(total + 1)
     x2s = np.zeros(total + 1)
-    xs[0] = theta.value(t0, 0)
-    x1s[0] = theta.value(t0, 1)
-    left_x2 = {0: theta.value(t0, 2)}
+    xs[0] = theta.eval(t0, 0)
+    x1s[0] = theta.eval(t0, 1)
+    left_x2 = {0: theta.eval(t0, 2)}
     traj = Trajectory(t0=t0, r=r, hstep=h, ts=ts, xs=xs, x1s=x1s, x2s=x2s,
                       theta=theta, left_x2=left_x2)
     # the coefficients (h, a, b, c, d, k) at every node, then every
@@ -289,6 +256,4 @@ def solve_homogeneous_slot(spec: NdeSpec, seed, t_end,
     generator binding."""
     if not spec.h.is_zero:
         raise ExprError("rho slots require the homogeneous equation (h = 0)")
-    traj = integrate(spec, seed, t_end, steps_per_delay)
-    traj.role = "rho"
-    return traj
+    return integrate(spec, seed, t_end, steps_per_delay)

@@ -369,6 +369,19 @@ def test_case_c9_with_matching_delay():
     assert not res.warnings
 
 
+@pytest.mark.parametrize("b", [{"kind": "const", "value": "0"},
+                               {"kind": "const", "value": "0", "name": "c5"}])
+def test_constant_zero_b_is_zero_whatever_its_json_carries(b):
+    one = {"kind": "const", "value": "1"}
+    spec = NdeSpec.from_json({"b": b, "c": one, "d": one, "k": one,
+                              "r": math.pi})
+    assert spec.b.is_zero
+    res = classify(spec)
+    assert res.case_id == "C9" and not res.degenerate
+    assert res.to_json() == classify(
+        NdeSpec.make(c=1, d=1, k=1, r=math.pi)).to_json()
+
+
 def test_case_c9_wrong_c_demotes_trig_pair():
     spec = NdeSpec.make(c=2, d=1, k=1, r=math.pi)
     res = classify(spec)

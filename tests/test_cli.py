@@ -28,6 +28,16 @@ def c1_spec(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def free_constant_spec(tmp_path):
+    # b = c1 + t holds a constant no file or option binds
+    path = tmp_path / "free.json"
+    one = {"kind": "const", "value": "1"}
+    path.write_text(json.dumps({"b": {"kind": "closed", "expr": "c1 + t"},
+                                "c": one, "k": one, "r": 1.0}))
+    return str(path)
+
+
 def test_classify_exit_codes(ex1_spec, ode_spec, capsys):
     assert main(["classify", "--spec", ex1_spec]) == 0
     out = capsys.readouterr().out
@@ -166,3 +176,24 @@ def test_verify_text_reports_a_failed_finite_check(tmp_path, capsys):
     assert json.loads(out[:out.rindex("}") + 1])["pass"] is False
     failed = [line for line in out.splitlines() if "fin=failed" in line]
     assert len(failed) == 1 and failed[0].endswith(" FAIL")
+
+
+def test_classify_names_an_unbound_constant(free_constant_spec, capsys):
+    assert main(["classify", "--spec", free_constant_spec]) == 1
+    assert "error: unbound symbol c1" in capsys.readouterr().err
+
+
+def test_integrate_names_an_unbound_constant(ex1_spec, tmp_path, capsys):
+    code = main(["integrate", "--spec", ex1_spec, "--theta", "c2*t",
+                 "--T", "2*pi", "--out", str(tmp_path)])
+    assert code == 1
+    assert "error: unbound symbol c2" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_determine_keeps_free_constants_symbolic(free_constant_spec,
+                                                 capsys):
+    assert main(["determine", "--spec", free_constant_spec, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    residuals = [eq["residual"] for eq in payload["reduced"]["equations"]]
+    assert any("c1*rho'(t-r)" in res for res in residuals)

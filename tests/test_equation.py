@@ -1,10 +1,11 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from ndelie.equation import CoeffDescriptor as CD, NdeSpec
-from ndelie.symexpr import ExprError
+from ndelie.symexpr import Coeff, ExprError, Rat, ZERO, parse
 
 
 def _round_trip(spec):
@@ -14,7 +15,7 @@ def _round_trip(spec):
 def test_every_descriptor_kind_round_trips():
     spec = NdeSpec.make(
         a=CD.from_table([0.0, 0.5, 1.0, 1.5, 2.0], [1.0, 1.5, 0.5, 2.0, 1.0]),
-        b=CD.const(3, name="c1"), c="2 + cos(4*t)/10", d=CD.const("1/4"),
+        b=CD.const(3), c="2 + cos(4*t)/10", d=CD.const("1/4"),
         k=None, h="sin(t)", r=math.pi / 2, t0=0.25)
     kinds = {name: d.kind for name, d in spec.descriptors().items()}
     assert sorted(set(kinds.values())) == ["closed", "const", "numeric",
@@ -64,3 +65,50 @@ def test_descriptor_rejects_order_outside_0_to_3(desc):
         with pytest.raises(ExprError):
             desc.sample([1.5], order)
     assert desc.eval(1.5, 3) == desc.sample([1.5], 3)[0]
+
+
+TABLE = [[0.0, 1.0], [0.5, 1.5], [1.0, 0.5], [1.5, 2.0]]
+TABLE_DESC = CD.from_table([p[0] for p in TABLE], [p[1] for p in TABLE])
+
+# (descriptor, kind, const_value(), symbolic("b"), to_json()); is_zero and
+# is_const follow from the kind
+PUBLIC_VIEWS = [
+    # the four JSON kinds
+    (CD.from_json({"kind": "zero"}), "zero", Fraction(0), ZERO,
+     {"kind": "zero"}),
+    (CD.from_json({"kind": "const", "value": "3/4"}), "const",
+     Fraction(3, 4), Rat(Fraction(3, 4)), {"kind": "const", "value": "3/4"}),
+    (CD.from_json({"kind": "closed", "expr": "t^2 + 1"}), "closed", None,
+     parse("1 + t^2"), {"kind": "closed", "expr": "1 + t^2"}),
+    (CD.from_json({"kind": "numeric-table", "samples": TABLE}), "numeric",
+     None, Coeff("b"), {"kind": "numeric-table", "samples": TABLE}),
+    # what NdeSpec.make turns each accepted value into
+    (None, "zero", Fraction(0), ZERO, {"kind": "zero"}),
+    (0, "zero", Fraction(0), ZERO, {"kind": "zero"}),
+    (2, "const", Fraction(2), Rat(Fraction(2)),
+     {"kind": "const", "value": "2"}),
+    (Fraction(-1, 3), "const", Fraction(-1, 3), Rat(Fraction(-1, 3)),
+     {"kind": "const", "value": "-1/3"}),
+    ("sin(t)", "closed", None, parse("sin(t)"),
+     {"kind": "closed", "expr": "sin(t)"}),
+    ("6/4", "const", Fraction(3, 2), Rat(Fraction(3, 2)),
+     {"kind": "const", "value": "3/2"}),
+    (parse("exp(-t)/2"), "closed", None, parse("exp(-t)/2"),
+     {"kind": "closed", "expr": "1/2*exp(-1*t)"}),
+    (TABLE_DESC, "numeric", None, Coeff("b"),
+     {"kind": "numeric-table", "samples": TABLE}),
+]
+
+
+@pytest.mark.parametrize("given,kind,value,sym,obj", PUBLIC_VIEWS)
+def test_descriptor_public_view(given, kind, value, sym, obj):
+    desc = NdeSpec.make(b=given).b
+    if isinstance(given, CD):
+        assert desc is given
+    assert desc.kind == kind
+    assert desc.is_zero == (kind == "zero")
+    assert desc.is_const == (kind in ("zero", "const"))
+    assert desc.const_value() == value
+    assert desc.symbolic("b") == sym
+    assert desc.to_json() == obj
+    assert CD.from_json(obj).to_json() == obj
