@@ -28,7 +28,7 @@ from .classify import classify
 from .detsys import canonical_constraints, determine, match_catalog, reduce_ansatz
 from .equation import NdeSpec
 from .flowverify import (
-    check_generator, interior_samples, transform_solution,
+    check_generator, interior_samples,
 )
 from .ndesolve import integrate, residual, solve_homogeneous_slot
 from .suite import build_scenarios, run_suite
@@ -173,14 +173,16 @@ def cmd_verify(args):
     samples = interior_samples(traj, spec)
     reports = []
     for idx, gen in enumerate(result.admitted):
+        curves = []
         reports.append({"generator": gen.label, "deltas": list(args.delta),
                         **check_generator(traj, gen, spec, samples,
                                           args.delta, rho, args.tol_inf,
-                                          args.tol_fin)})
+                                          args.tol_fin, curves)})
         if args.curves and args.out:
             try:
-                curve = transform_solution(traj, gen, args.delta[0], spec,
-                                           rho=rho, substeps=24)
+                curve = curves[0]  # the image for the first delta
+                if isinstance(curve, ExprError):
+                    raise curve
                 os.makedirs(args.out, exist_ok=True)
                 path = os.path.join(args.out, f"curve_{idx}.csv")
                 curve.to_csv(path)

@@ -13,6 +13,7 @@ first-integral rules.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -288,6 +289,7 @@ def reduce_ansatz(sys: DeterminingSystem) -> DeterminingSystem:
     ]
     out.assumptions = assumptions
 
+    c1, _, c3 = _own_constants(spec)
     for eq in out.equations:
         if eq.monomial == X:
             eq.catalog_id = "E-x"
@@ -295,8 +297,8 @@ def reduce_ansatz(sys: DeterminingSystem) -> DeterminingSystem:
             eq.catalog_id = "E-x1"
             anti = linear_antiderivative(eq.residual)
             if anti is not None:
-                eq.integrated = normalize(anti - Par("c1"))
-                eq.constant_introduced = "c1"
+                eq.integrated = normalize(anti - Par(c1))
+                eq.constant_introduced = c1
         elif eq.monomial == num(1):
             eq.catalog_id = "E-1"
         elif eq.monomial == X2R:
@@ -314,19 +316,31 @@ def reduce_ansatz(sys: DeterminingSystem) -> DeterminingSystem:
             # the delayed copy of the velocity row that rides along here
             eq.residual = substitute(
                 apply_delay_equalities(eq.residual, ("beta", "gamma")),
-                GAMMA_RULE)
+                _gamma_rule(c1))
             eq.catalog_id = "E-x1r"
             eq.note = ("delay equalities and the integrated velocity "
                        "split applied")
             anti = product_antiderivative(eq.residual)
             if anti is not None:
-                eq.integrated = normalize(anti - Par("c3"))
-                eq.constant_introduced = "c3"
+                eq.integrated = normalize(anti - Par(c3))
+                eq.constant_introduced = c3
     return out
 
 
-GAMMA_RULE = {fn("gamma"):
-              normalize(num(1) / 2 * (fn("beta", order=1) + Par("c1")))}
+def _own_constants(spec: NdeSpec | None):
+    """Names of the three constants the reduction introduces: c1, c2 and
+    c3, except that a name a coefficient of the spec already carries gives
+    way to the first of c4, c5, ... that the spec leaves free."""
+    used = {a.name for desc in (spec.descriptors().values() if spec else ())
+            if desc.expr is not None for a in atoms(desc.expr)
+            if isinstance(a, Par)}
+    free = (f"c{n}" for n in itertools.count(4) if f"c{n}" not in used)
+    return [c if c not in used else next(free) for c in ("c1", "c2", "c3")]
+
+
+def _gamma_rule(c1):
+    return {fn("gamma"): normalize(num(1) / 2 * (fn("beta", order=1)
+                                                 + Par(c1)))}
 
 
 def canonical_constraints(sys: DeterminingSystem) -> DeterminingSystem:
@@ -334,7 +348,8 @@ def canonical_constraints(sys: DeterminingSystem) -> DeterminingSystem:
     integrated velocity split gamma = (beta' + c1)/2 and renaming beta to
     omega.  The delayed-acceleration branch equation beta k' = 0 is kept;
     the omega-form of the delayed-position row assumes k constant (= c2)."""
-    rename = {fn("beta"): fn("omega")}
+    c1, c2, c3 = _own_constants(sys.spec)
+    rename, gamma_rule = {fn("beta"): fn("omega")}, _gamma_rule(c1)
     w = fn("omega")
     w1, w2, w3 = (fn("omega", order=i) for i in (1, 2, 3))
 
@@ -343,7 +358,7 @@ def canonical_constraints(sys: DeterminingSystem) -> DeterminingSystem:
 
     ex = sys.find(X)
     if ex is not None:
-        e = substitute(substitute(ex.residual, GAMMA_RULE), rename)
+        e = substitute(substitute(ex.residual, gamma_rule), rename)
         equations.append(DetEquation(
             monomial=X, residual=normalize(2 * e),
             catalog_id="E-omega-c",
@@ -351,12 +366,12 @@ def canonical_constraints(sys: DeterminingSystem) -> DeterminingSystem:
 
     exr = sys.find(XR)
     if exr is not None:
-        e = substitute(substitute(exr.residual, GAMMA_RULE), rename)
-        e = substitute(e, {fn("k"): Par("c2")})
+        e = substitute(substitute(exr.residual, gamma_rule), rename)
+        e = substitute(e, {fn("k"): Par(c2)})
         equations.append(DetEquation(
             monomial=XR, residual=normalize(2 * e),
             catalog_id="E-omega-d",
-            note="k constant (= c2) substituted"))
+            note=f"k constant (= {c2}) substituted"))
         assumptions.append(Assumption(
             "k", "constant", "delayed-acceleration row leaves the branch "
             "beta = 0 or k constant; this is the constant branch"))
@@ -375,7 +390,7 @@ def canonical_constraints(sys: DeterminingSystem) -> DeterminingSystem:
             residual=substitute(ex1r.integrated, rename),
             catalog_id="E-omega-b",
             note="integrated delayed-velocity row; with b nonvanishing "
-                 "it pins omega = c3 / b")
+                 f"it pins omega = {c3} / b")
         equations.append(eq)
         assumptions.append(Assumption(
             "b", "nonzero", "required to solve the integrated "
@@ -390,9 +405,9 @@ def canonical_constraints(sys: DeterminingSystem) -> DeterminingSystem:
 
     equations.append(DetEquation(
         monomial=X1,
-        residual=normalize(fn("gamma") - num(1) / 2 * (w1 + Par("c1"))),
+        residual=normalize(fn("gamma") - num(1) / 2 * (w1 + Par(c1))),
         catalog_id="E-upsilon",
-        note="upsilon = ((omega_t + c1)/2) x + rho"))
+        note=f"upsilon = ((omega_t + {c1})/2) x + rho"))
 
     return DeterminingSystem(equations=equations,
                              functional_constraints=[

@@ -43,29 +43,6 @@ def _rho_chain(rho):
     return rho  # a chain of callables over arrays, used as given
 
 
-def generator_callables(gen: Generator, spec: NdeSpec, rho=None):
-    """(omega(t, x), upsilon(t, x)) over arrays for flowing; NaN marks a
-    point where the generator cannot be evaluated."""
-    if gen.kind == "numeric":
-        sol = gen.omega_numeric
-
-        def omega(t, x):
-            return sol.sample(t, 0)
-
-        def upsilon(t, x):
-            return 0.5 * sol.sample(t, 1) * x
-
-        return omega, upsilon
-    table = spec.fn_table()
-    table["rho"] = _rho_chain(rho)
-
-    def bind(e):
-        f = compile_numeric(e if e is not None else ZERO)
-        return lambda t, x: f({"t": t, "x": x, "r": spec.r}, table)
-
-    return bind(gen.omega), bind(gen.upsilon)
-
-
 def _rk4(vel, y, delta, substeps):
     """Classic RK4 in the group parameter for every row of y at once; the
     velocity vel(s, y) does not depend on the parameter s.  A row that
@@ -84,14 +61,24 @@ def _rk4(vel, y, delta, substeps):
 def flow(gen: Generator, points, delta, spec: NdeSpec, rho=None,
          substeps=64):
     """RK4 exponentiation of the generator from each point; entries become
-    None where the flow leaves the numeric domain."""
-    omega, upsilon = generator_callables(gen, spec, rho)
+    None where the flow leaves the numeric domain, NaN marking a point
+    where the generator cannot be evaluated."""
+    if gen.kind == "numeric":
+        sol = gen.omega_numeric
+
+        def pair(t, x):
+            return sol.sample(t, 0), 0.5 * sol.sample(t, 1) * x
+    else:
+        table = {**spec.fn_table(), "rho": _rho_chain(rho)}
+        program = compile_numeric([ZERO if e is None else e
+                                   for e in (gen.omega, gen.upsilon)])
+
+        def pair(t, x):
+            return program({"t": t, "x": x, "r": spec.r}, table)
 
     def vel(_, y):
-        t, x = y[:, 0], y[:, 1]
         out = np.empty_like(y)
-        out[:, 0] = omega(t, x)
-        out[:, 1] = upsilon(t, x)
+        out[:, 0], out[:, 1] = pair(y[:, 0], y[:, 1])
         return out
 
     y = np.array(points, float).reshape(-1, 2)
@@ -146,16 +133,27 @@ def prolonged_flow(gen: Generator, jets, delta, spec: NdeSpec, rho=None,
         x'' by gamma'' x + rho'' + (2 gamma' - beta'') x' +
              (gamma - 2 beta') x''.
     """
-    beta, gamma, rho_chain = _affine_chains(gen, spec, rho)
+    if gen.kind == "numeric":
+        fs = [c[o] for c in _affine_chains(gen, spec, rho) for o in range(3)]
+
+        def chains(t):
+            return [f(t) for f in fs]
+    else:
+        # one program for orders 0-2 of the three chains; order 3 stays
+        # out, since a Trajectory rho has no third derivative
+        table = {**spec.fn_table(), "rho": _rho_chain(rho)}
+        program = compile_numeric(
+            [e for c in _affine_exprs(gen) for e in c[:3]])
+
+        def chains(t):
+            return program({"r": spec.r, "t": t}, table)
 
     def vel(_, y):
         t, x, x1, x2 = y[:, 0], y[:, 1], y[:, 2], y[:, 3]
-        b0, b1v, b2v = beta[0](t), beta[1](t), beta[2](t)
-        g0, g1v, g2v = gamma[0](t), gamma[1](t), gamma[2](t)
-        r1v, r2v = rho_chain[1](t), rho_chain[2](t)
+        b0, b1v, b2v, g0, g1v, g2v, r0, r1v, r2v = chains(t)
         out = np.empty_like(y)
         out[:, 0] = b0
-        out[:, 1] = g0 * x + rho_chain[0](t)
+        out[:, 1] = g0 * x + r0
         out[:, 2] = g1v * x + r1v + (g0 - b1v) * x1
         out[:, 3] = (g2v * x + r2v + (2 * g1v - b2v) * x1
                      + (g0 - 2 * b1v) * x2)
@@ -223,17 +221,10 @@ def transform_solution(traj: Trajectory, gen: Generator, delta,
                             float(tbar[-1]))
 
 
-def _affine_chains(gen: Generator, spec: NdeSpec, rho):
-    """beta/gamma/rho derivative chains of the affine pair over arrays of
-    times; every taxonomy generator is affine in x."""
-    if gen.kind == "numeric":
-        # a numeric time-like generator carries no solution slot
-        sol = gen.omega_numeric
-        beta = [lambda t, o=o: sol.sample(t, o) for o in range(4)]
-        gamma = [lambda t, o=o: 0.5 * sol.sample(t, o + 1) for o in range(3)]
-        return beta, gamma, [lambda t: 0.0] * 4
-    table = spec.fn_table()
-    table["rho"] = _rho_chain(rho)
+def _affine_exprs(gen: Generator):
+    """beta, gamma and rho of the affine pair omega = beta(t),
+    upsilon = gamma(t) x + rho(t), each with its first three derivatives
+    in t; every taxonomy generator is affine in x."""
     w = gen.omega if gen.omega is not None else ZERO
     u = gen.upsilon if gen.upsilon is not None else ZERO
     gamma_expr = diff(u, X)
@@ -241,14 +232,27 @@ def _affine_chains(gen: Generator, spec: NdeSpec, rho):
         raise ExprError("infinitesimal check covers pairs affine in x")
 
     def chain(e):
-        """e and its first three derivatives in t, compiled."""
         exprs = [normalize(e)]
         for _ in range(3):
             exprs.append(diff(exprs[-1], T))
-        return [lambda t, f=compile_numeric(x): f({"r": spec.r, "t": t}, table)
-                for x in exprs]
+        return exprs
 
     return chain(w), chain(gamma_expr), chain(substitute(u, {X: ZERO}))
+
+
+def _affine_chains(gen: Generator, spec: NdeSpec, rho):
+    """beta/gamma/rho derivative chains of the affine pair over arrays of
+    times, one callable per order."""
+    if gen.kind == "numeric":
+        # a numeric time-like generator carries no solution slot
+        sol = gen.omega_numeric
+        beta = [lambda t, o=o: sol.sample(t, o) for o in range(4)]
+        gamma = [lambda t, o=o: 0.5 * sol.sample(t, o + 1) for o in range(3)]
+        return beta, gamma, [lambda t: 0.0] * 4
+    table = {**spec.fn_table(), "rho": _rho_chain(rho)}
+    return tuple([lambda t, f=compile_numeric(e): f({"r": spec.r, "t": t},
+                                                    table) for e in c]
+                 for c in _affine_exprs(gen))
 
 
 @functools.lru_cache(maxsize=1)
@@ -281,21 +285,27 @@ def infinitesimal_check(traj: Trajectory, gen: Generator, spec: NdeSpec,
 
 
 def finite_check(traj: Trajectory, gen: Generator, spec: NdeSpec,
-                 delta_grid, rho=None, substeps=48) -> float | None:
+                 delta_grid, rho=None, substeps=48, curves=None
+                 ) -> float | None:
     """Worst residual of the transformed curve against the equation over
     the group parameters, sampling away from the span ends and the images
     of the derivative-breaking points (the curve's segment boundaries).
     None when the grid is empty or any parameter gives no image or no
     admissible sample, so one failed parameter cannot hide behind
-    another."""
+    another.  A list passed as curves receives each parameter's curve, or
+    the ExprError that left it without one."""
     h = traj.hstep
     worst = None
     for delta in delta_grid:
         try:
             curve = transform_solution(traj, gen, float(delta), spec, rho,
                                        substeps)
-        except ExprError:
+        except ExprError as err:
+            if curves is not None:
+                curves.append(err)
             return None
+        if curves is not None:
+            curves.append(curve)
         cand = np.linspace(curve.t_lo + spec.r + h, curve.t_hi - h,
                            SAMPLES_PER_DELTA)[:, None]
         bi = curve.boundaries
@@ -324,12 +334,13 @@ def interior_samples(traj: Trajectory, spec: NdeSpec, count=30):
 
 
 def check_generator(traj: Trajectory, gen: Generator, spec: NdeSpec,
-                    samples, deltas, rho, tol_inf, tol_fin):
+                    samples, deltas, rho, tol_inf, tol_fin, curves=None):
     """Both invariance checks of one generator; it passes when each
     residual is under its tolerance, and never when the finite check
-    failed."""
+    failed.  curves is passed on to finite_check."""
     inf = infinitesimal_check(traj, gen, spec, samples, rho=rho)
-    fin = finite_check(traj, gen, spec, deltas, rho=rho, substeps=SUBSTEPS)
+    fin = finite_check(traj, gen, spec, deltas, rho=rho, substeps=SUBSTEPS,
+                       curves=curves)
     return {"infinitesimal_residual": inf, "finite_residual": fin,
             "pass": inf < tol_inf and fin is not None and fin < tol_fin}
 

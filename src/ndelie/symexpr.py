@@ -18,7 +18,9 @@ such identities use numeric sampling instead.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -240,6 +242,23 @@ def fn(name, delayed=False, order=0) -> Coeff:
 
 def app(name, arg) -> App:
     return App(name, _as_expr(arg))
+
+
+def _operands(e):
+    """The child nodes of e, none for a leaf."""
+    if isinstance(e, (Sum, Prod)):
+        return e.terms if isinstance(e, Sum) else e.factors
+    return (e.base,) if isinstance(e, Pow) else (
+        (e.arg,) if isinstance(e, App) else ())
+
+
+def _map_operands(e, f):
+    """e with f applied to each of its operands; a leaf as it is."""
+    if isinstance(e, (Sum, Prod)):
+        return type(e)(tuple(map(f, _operands(e))))
+    if isinstance(e, Pow):
+        return Pow(f(e.base), e.n)
+    return App(e.fn, f(e.arg)) if isinstance(e, App) else e
 
 
 # ---------------------------------------------------------------------------
@@ -556,15 +575,7 @@ def _contains_delayed(e):
         return e.delayed
     if isinstance(e, Par):
         return e.name == "r"
-    if isinstance(e, Sum):
-        return any(_contains_delayed(t) for t in e.terms)
-    if isinstance(e, Prod):
-        return any(_contains_delayed(f) for f in e.factors)
-    if isinstance(e, Pow):
-        return _contains_delayed(e.base)
-    if isinstance(e, App):
-        return _contains_delayed(e.arg)
-    return False
+    return any(_contains_delayed(k) for k in _operands(e))
 
 
 _SHIFT_JET = {"x": XR, "x1": X1R, "x2": X2R}
@@ -581,23 +592,13 @@ def shift(e) -> Expr:
 
 
 def _shift_raw(e):
-    if isinstance(e, (Rat, Par)):
-        return e
     if isinstance(e, Jet):
         if e.tag == "t":
             return Sum((T, Prod((Rat(Fraction(-1)), R))))
         return _SHIFT_JET[e.tag]
     if isinstance(e, Coeff):
         return Coeff(e.name, True, e.order)
-    if isinstance(e, Sum):
-        return Sum(tuple(_shift_raw(t) for t in e.terms))
-    if isinstance(e, Prod):
-        return Prod(tuple(_shift_raw(f) for f in e.factors))
-    if isinstance(e, Pow):
-        return Pow(_shift_raw(e.base), e.n)
-    if isinstance(e, App):
-        return App(e.fn, _shift_raw(e.arg))
-    raise ExprError(f"unexpected node {e!r}")
+    return _map_operands(e, _shift_raw)
 
 
 def substitute(e, bindings) -> Expr:
@@ -648,15 +649,7 @@ def substitute(e, bindings) -> Expr:
                     out = _shift_raw(normalize(out))
                 return out
             return node
-        if isinstance(node, Sum):
-            return Sum(tuple(repl(t) for t in node.terms))
-        if isinstance(node, Prod):
-            return Prod(tuple(repl(f) for f in node.factors))
-        if isinstance(node, Pow):
-            return Pow(repl(node.base), node.n)
-        if isinstance(node, App):
-            return App(node.fn, repl(node.arg))
-        return node
+        return _map_operands(node, repl)
 
     return normalize(repl(_as_expr(e)))
 
@@ -668,15 +661,7 @@ def substitute(e, bindings) -> Expr:
 def _mentions_jet(e, tags):
     if isinstance(e, Jet):
         return e.tag in tags
-    if isinstance(e, Sum):
-        return any(_mentions_jet(t, tags) for t in e.terms)
-    if isinstance(e, Prod):
-        return any(_mentions_jet(f, tags) for f in e.factors)
-    if isinstance(e, Pow):
-        return _mentions_jet(e.base, tags)
-    if isinstance(e, App):
-        return _mentions_jet(e.arg, tags)
-    return False
+    return any(_mentions_jet(k, tags) for k in _operands(e))
 
 
 def collect(e, jets) -> dict:
@@ -762,8 +747,15 @@ def compile_numeric(e):
     functions.  A domain or range error (sqrt or ln of a bad value, 0^-n,
     overflow) sets that element to NaN, so np.isnan of the result is the
     per-point mask of failed evaluations.
+
+    A tuple or list of expressions compiles to one program whose closure
+    gives the list of their values; each distinct node of the group, a
+    coefficient leaf included, is evaluated once per call.
     """
-    return _compile(_as_expr(e))
+    if isinstance(e, (tuple, list)):
+        return _compile([_as_expr(x) for x in e])
+    program = _compile([_as_expr(e)])
+    return lambda env, fns: program(env, fns)[0]
 
 
 def check_evaluated(what, ts, values):
@@ -775,24 +767,25 @@ def check_evaluated(what, ts, values):
         raise ExprError(f"{what} cannot be evaluated at t = {ts[bad][0]}")
 
 
-def _elementwise(fn, a):
-    """fn applied to each element with the math library; an element whose
-    call raises a domain or range error becomes NaN.  A float gives a
-    float."""
+def _elementwise(fn, a, *args):
+    """fn(element, *args) for each element with the math library, the loop
+    running in C (map into np.fromiter); an element whose call raises a
+    domain or range error becomes NaN.  A float gives a float."""
     if isinstance(a, float):
         try:
-            return fn(float(a))
+            return fn(float(a), *args)
         except (ArithmeticError, ValueError):
             return math.nan
     a = np.asarray(a, float)
     flat = a.ravel().tolist()
     try:
-        out = [fn(v) for v in flat]
+        out = np.fromiter(map(fn, flat, *map(itertools.repeat, args)), float,
+                          len(flat))
     except (ArithmeticError, ValueError):
         out = []
         for v in flat:
             try:
-                out.append(fn(v))
+                out.append(fn(v, *args))
             except (ArithmeticError, ValueError):
                 out.append(math.nan)
     return np.array(out, float).reshape(a.shape)
@@ -844,51 +837,58 @@ def _fsum_array(values):
     return r
 
 
-def _compile(e):
-    if isinstance(e, Rat):
-        v = float(e.q)
-        return lambda env, fns: v
-    if isinstance(e, Par):
-        if e.value is not None:
-            v = float(e.value)
-            return lambda env, fns: v
-        name = e.name
-        return lambda env, fns: env[name]
-    if isinstance(e, Jet):
-        tag = e.tag
-        return lambda env, fns: env[tag]
+def _compile(exprs):
+    """One program for a group of expressions: their distinct nodes in
+    post-order, each a step computing its value from the values of the
+    steps before it."""
+    index, steps = {}, []
+
+    def slot(node):
+        i = index.get(node)
+        if i is None:
+            op = _step(node, [slot(k) for k in _operands(node)])
+            i = index[node] = len(steps)
+            steps.append(op)
+        return i
+
+    outs = [slot(e) for e in exprs]
+
+    def program(env, fns):
+        v = []
+        for op in steps:
+            v.append(op(v, env, fns))
+        return [v[i] for i in outs]
+
+    return program
+
+
+def _step(e, k):
+    """Node e as a function of (values of the earlier steps, env,
+    fn_table); k lists the steps of its operands."""
+    if isinstance(e, Rat) or isinstance(e, Par) and e.value is not None:
+        c = float(e.q if isinstance(e, Rat) else e.value)
+        return lambda v, env, fns: c
+    if isinstance(e, (Par, Jet)):
+        name = e.name if isinstance(e, Par) else e.tag
+        return lambda v, env, fns: env[name]
     if isinstance(e, Coeff):
         name, delayed, order = e.name, e.delayed, e.order
-        if delayed:
-            return lambda env, fns: _coeff_value(
-                fns, name, order, env["t"] - env["r"])
-        return lambda env, fns: _coeff_value(fns, name, order, env["t"])
+        return lambda v, env, fns: _coeff_value(
+            fns, name, order, env["t"] - env["r"] if delayed else env["t"])
     if isinstance(e, Sum):
-        fs = tuple(_compile(t) for t in e.terms)
-        return lambda env, fns: _fsum_array([f(env, fns) for f in fs])
+        return lambda v, env, fns: _fsum_array([v[i] for i in k])
     if isinstance(e, Prod):
-        fs = tuple(_compile(f) for f in e.factors)
-
-        def _prod(env, fns):
-            out = 1.0
-            for f in fs:
-                out *= f(env, fns)
-            return out
-
-        return _prod
+        return lambda v, env, fns: functools.reduce(
+            operator.mul, [v[i] for i in k], 1.0)
+    if isinstance(e, Pow) and e.n == 0:
+        # nan ** 0 is 1.0; keep the mark of a failed base
+        return lambda v, env, fns: np.where(np.isnan(v[k[0]]), math.nan, 1.0)
     if isinstance(e, Pow):
-        fb = _compile(e.base)
-        n = e.n
-        if n == 0:
-            # nan ** 0 is 1.0; keep the mark of a failed base
-            return lambda env, fns: np.where(np.isnan(fb(env, fns)),
-                                             math.nan, 1.0)
-        pw = functools.partial(pow, exp=n)
-        return lambda env, fns: _elementwise(pw, fb(env, fns))
+        n = float(e.n)
+        return lambda v, env, fns: _elementwise(math.pow, v[k[0]], n)
     if isinstance(e, App):
-        fa = _compile(e.arg)
         g = _ARRAY_FNS[e.fn]
-        return lambda env, fns: g(fa(env, fns))
+        return lambda v, env, fns: g(v[k[0]])
     raise ExprError(f"unexpected node {e!r}")
 
 
@@ -915,16 +915,8 @@ def atoms(e):
     def walk(node):
         if isinstance(node, (Par, Jet, Coeff)):
             out.add(node)
-        elif isinstance(node, Sum):
-            for t in node.terms:
-                walk(t)
-        elif isinstance(node, Prod):
-            for f in node.factors:
-                walk(f)
-        elif isinstance(node, Pow):
-            walk(node.base)
-        elif isinstance(node, App):
-            walk(node.arg)
+        for k in _operands(node):
+            walk(k)
 
     walk(_as_expr(e))
     return out

@@ -197,3 +197,56 @@ def test_determine_keeps_free_constants_symbolic(free_constant_spec,
     payload = json.loads(capsys.readouterr().out)
     residuals = [eq["residual"] for eq in payload["reduced"]["equations"]]
     assert any("c1*rho'(t-r)" in res for res in residuals)
+
+
+def test_determine_names_its_constants_apart_from_the_spec(
+        free_constant_spec, capsys):
+    # the spec's c1 stays the coefficient's; the integration constant of
+    # the velocity row takes the first name neither uses
+    assert main(["determine", "--spec", free_constant_spec, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    velocity = [eq for eq in payload["reduced"]["equations"]
+                if eq.get("constant")]
+    assert [eq["constant"] for eq in velocity] == ["c4"]
+    assert velocity[0]["integrated"] == "-1*c4 - 1*beta'(t) + 2*gamma(t)"
+    (upsilon,) = [eq for eq in payload["canonical"]["equations"]
+                  if eq.get("catalog") == "E-upsilon"]
+    assert upsilon["note"] == "upsilon = ((omega_t + c4)/2) x + rho"
+    assert upsilon["residual"] == "-1/2*c4 + gamma(t) - 1/2*omega'(t)"
+
+
+def test_verify_curves_reuse_the_finite_check_image(ex1_spec, tmp_path,
+                                                    monkeypatch, capsys):
+    # the curve written for the first delta is the one the finite check
+    # built: one transform per generator, and the CSV holds the same bytes
+    # as a curve transformed anew
+    from ndelie import flowverify
+    from ndelie.classify import classify
+    from ndelie.ndesolve import integrate, solve_homogeneous_slot
+
+    real = flowverify.transform_solution
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    argv = ["verify", "--spec", ex1_spec, "--theta", "sin(t)", "--T",
+            "3*pi", "--delta", "0.25"]
+    assert main(argv + ["--json"]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(flowverify, "transform_solution", counting)
+    out = tmp_path / "out"
+    assert main(argv + ["--json", "--curves", "--out", str(out)]) == 0
+    assert len(calls) == 3
+    payload = json.loads((out / "verification.json").read_text())
+    paths = [rep.pop("curve_csv") for rep in payload["reports"]]
+    assert payload == plain
+    spec = NdeSpec.load(ex1_spec)
+    traj = integrate(spec, "sin(t)", 3 * math.pi, 64)
+    rho = solve_homogeneous_slot(spec, "sin(t)", 3 * math.pi, 64)
+    for idx, gen in enumerate(classify(spec).admitted):
+        assert paths[idx] == str(out / f"curve_{idx}.csv")
+        ref = tmp_path / f"ref_{idx}.csv"
+        real(traj, gen, 0.25, spec, rho=rho, substeps=24).to_csv(ref)
+        assert (out / f"curve_{idx}.csv").read_bytes() == ref.read_bytes()

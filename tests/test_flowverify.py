@@ -463,3 +463,25 @@ def test_breaking_point_images_are_curve_boundaries():
                     (sc.name, gen.label, img)
                 checked += 1
     assert checked > 100
+
+
+def test_prolonged_flow_asks_a_trajectory_rho_for_orders_up_to_two(
+        monkeypatch):
+    # the nine chains of one program read rho, rho' and rho'' only; a
+    # Trajectory has no third derivative to give
+    asked = []
+
+    class Recording(list):
+        def __getitem__(self, order):
+            asked.append(order)
+            return list.__getitem__(self, order)
+
+    real = flowverify._rho_chain
+    monkeypatch.setattr(flowverify, "_rho_chain",
+                        lambda rho: Recording(real(rho)))
+    gen = Generator("d/dt + rho d/dx", "parametric", omega=num(1),
+                    upsilon=fn("rho"))
+    moved = prolonged_flow(gen, [(1.0, 0.2, 0.1, -0.3)], 0.25, SPEC1, RHO1,
+                           substeps=4)
+    assert moved[0] is not None
+    assert sorted(set(asked)) == [0, 1, 2]

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import pickle
 from fractions import Fraction
@@ -551,6 +552,121 @@ def test_compile_array_masks_domain_errors():
     assert got[2] == 0.5
     # a constant expression broadcasts
     assert compile_numeric(parse("2/3"))({"t": t}, None) == 2 / 3
+
+
+# ---------------------------------------------------------------------------
+# one program for a group of expressions
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_exprs(fns=("sin", "cos", "exp", "ln", "sqrt")),
+                          st.booleans()), min_size=1, max_size=4),
+       st.integers(0, 10 ** 6))
+def test_group_gives_each_expression_its_own_closure_value(pairs, seed_int):
+    exprs = []
+    for e, canonical in pairs:
+        exprs.append(_try_normalize(e) if canonical else e)
+    assume(all(e is not None for e in exprs))
+    exprs.append(exprs[0])  # a repeated member shares all of its nodes
+    rng = np.random.default_rng(seed_int)
+    names = ("t", "x", "x1", "c1", "c2")
+    env = {name: rng.uniform(-2.0, 2.0, 8)
+           * 10.0 ** rng.choice([0, 1, 2, 60], 8) for name in names}
+    env["r"] = 0.4
+    tbl = {name: [lambda t: np.sin(t) + 2.0, np.cos,
+                  lambda t: -np.sin(t)] for name in ("b", "k")}
+    with np.errstate(all="ignore"):
+        group = compile_numeric(tuple(exprs))(env, tbl)
+        assert len(group) == len(exprs)
+        for e, got in zip(exprs, group):
+            want = np.broadcast_to(compile_numeric(e)(env, tbl), (8,))
+            got = np.broadcast_to(got, (8,))
+            mask = np.isnan(want)
+            assert np.isnan(got).tolist() == mask.tolist()
+            assert (got[~mask] == want[~mask]).all()
+
+
+def test_group_fetches_a_shared_coefficient_once_per_call():
+    calls = []
+
+    def b(t):
+        calls.append(t)
+        return np.sin(t) + 2.0
+
+    exprs = [parse("b(t)^(-2)"), parse("t*b(t) + 1"), parse("sin(b(t))"),
+             fn("b")]
+    program = compile_numeric(exprs)
+    t = np.linspace(0.0, 1.0, 5)
+    for n in (1, 2):
+        got = program({"t": t}, {"b": b})
+        assert len(calls) == n
+    for e, value in zip(exprs, got):
+        assert (value == compile_numeric(e)({"t": t}, {"b": b})).all()
+
+
+# ---------------------------------------------------------------------------
+# the math library's loop in C, bit for bit against the Python loop
+
+
+def _elementwise_reference(fn_, a):
+    """The loop _elementwise ran before: a list comprehension, with an
+    element whose call raises set to NaN."""
+    if isinstance(a, float):
+        try:
+            return fn_(float(a))
+        except (ArithmeticError, ValueError):
+            return math.nan
+    a = np.asarray(a, float)
+    out = []
+    for v in a.ravel().tolist():
+        try:
+            out.append(fn_(v))
+        except (ArithmeticError, ValueError):
+            out.append(math.nan)
+    return np.array(out, float).reshape(a.shape)
+
+
+_EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     -1e-310, 1e-160, -1e-160, 1e154, -1e154, 1e308,
+                     -1.7976931348623157e308, math.nan, math.inf,
+                     -math.inf, 1.0, -1.0]),
+    st.floats(-1e3, 1e3))
+
+
+def _same_bits(got, want):
+    mask = np.isnan(want)
+    assert np.isnan(got).tolist() == mask.tolist()
+    assert (got[~mask] == want[~mask]).all()
+    assert got[~mask].tobytes() == want[~mask].tobytes()  # signed zeros
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_EDGE_FLOATS, min_size=1, max_size=40),
+       st.integers(-8, 8).filter(bool))
+def test_elementwise_pow_matches_the_python_loop(values, n):
+    from ndelie.symexpr import _elementwise
+
+    a = np.array(values, float)
+    got = _elementwise(math.pow, a, float(n))
+    _same_bits(got, _elementwise_reference(functools.partial(pow, exp=n),
+                                           a))
+    for v, element in zip(values, got.tolist()):
+        one = _elementwise(math.pow, float(v), float(n))
+        assert type(one) is float
+        assert math.isnan(one) and math.isnan(element) or \
+            np.float64(one).tobytes() == np.float64(element).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_EDGE_FLOATS, min_size=1, max_size=40),
+       st.sampled_from([math.exp, math.log]))
+def test_elementwise_exp_and_log_match_the_python_loop(values, fn_):
+    from ndelie.symexpr import _elementwise
+
+    a = np.array(values, float).reshape(-1, 1)
+    _same_bits(_elementwise(fn_, a), _elementwise_reference(fn_, a))
 
 
 # ---------------------------------------------------------------------------
