@@ -248,8 +248,8 @@ def _operands(e):
     """The child nodes of e, none for a leaf."""
     if isinstance(e, (Sum, Prod)):
         return e.terms if isinstance(e, Sum) else e.factors
-    return (e.base,) if isinstance(e, Pow) else (
-        (e.arg,) if isinstance(e, App) else ())
+    return ((e.base,) if isinstance(e, Pow)
+            else (e.arg,) if isinstance(e, App) else ())
 
 
 def _map_operands(e, f):
