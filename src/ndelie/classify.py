@@ -33,13 +33,18 @@ from .symexpr import (
 )
 
 HALF = num(Fraction(1, 2))
+# bound of the classifier's numeric checks: delay compatibility, the fits
+# of a free constant, the third-order c-constraint along a numeric omega,
+# w b = 1 on the two-term omega equation, and a particular solution
+CHECK_TOL = 1e-6
+OMEGA_POINTS_PER_UNIT = 200  # grid density of a numeric omega
 
 
 # ---------------------------------------------------------------------------
 # numeric omega solutions
 
 OMEGA_ODES = (
-    "b-branch",       # c2 w w''' + c3 w'' = 0   (delayed velocity, d = 0)
+    "b-branch",       # c2 w w''' + w'' = 0   (delayed velocity, d = 0)
     "d-energy",       # c2 w''' + 2 d' w + 4 d w' = 0   (b = 0), monitoring
                       #   c2 w w'' - c2 w'^2/2 + 2 w^2 d
 )
@@ -121,13 +126,12 @@ def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
     The d-energy equation is linear, and each entry of init may instead be
     a row of values, one per solution: all of them advance together as one
     state, and OmegaSolution.column picks one out.
-    params: c2, c3 scalars as needed; d as [f, f'] callables over arrays
-    of times.
+    params: the scalar c2, and for d-energy d as [f, f'] callables over
+    arrays of times.
     """
     if case not in OMEGA_ODES:
         raise ExprError(f"unknown omega equation {case!r}")
     c2 = float(params.get("c2", 1.0))
-    c3 = float(params.get("c3", 1.0))
     ts = np.asarray(grid, float)
     y0 = np.array(init, float)
     divides_by_w = case == "b-branch"
@@ -141,7 +145,7 @@ def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
     def third(j, w, w1, w2):
         # j is the column of the coefficient values, or an array of them
         if divides_by_w:
-            return -c3 * w2 / (c2 * w)
+            return -w2 / (c2 * w)
         return -(2.0 * f1[j] * w + 4.0 * f0[j] * w1) / c2
 
     w, w1, w2 = (np.full((len(ts),) + y0.shape[1:], np.nan)
@@ -177,12 +181,11 @@ def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
     return OmegaSolution(ts, w, w1, w2, w3, conserved, truncated)
 
 
-def solve_omega_two_sided(case, params, init, t0, lo, hi,
-                          points_per_unit=200) -> OmegaSolution:
+def solve_omega_two_sided(case, params, init, t0, lo, hi) -> OmegaSolution:
     """Integrate the omega equation forward and backward from t0 on one
-    uniform grid covering [lo, hi]; initial data is given at t0, as in
-    omega_ode_solve."""
-    step = 1.0 / points_per_unit
+    uniform grid covering [lo, hi], OMEGA_POINTS_PER_UNIT nodes per unit
+    of t; initial data is given at t0, as in omega_ode_solve."""
+    step = 1.0 / OMEGA_POINTS_PER_UNIT
     n_b = max(int(math.ceil((t0 - lo) / step)), 1)
     n_f = max(int(math.ceil((hi - t0) / step)), 1)
     grid = t0 + step * np.arange(-n_b, n_f + 1)
@@ -244,13 +247,13 @@ def compat_c_from_d_pure_delay(d: Expr, c31=1) -> Expr:
                              - num(Fraction(5, 8)) * d1 ** 2 * d ** -2))
 
 
-def compatibility_c(spec: NdeSpec, omega, c_t0=None, grid=None, c6=1):
+def compatibility_c(spec: NdeSpec, omega, c_t0=None, grid=None):
     """c(t) making the third-order omega constraint hold.
 
     omega == 0 leaves c free ('free').  A constant omega forces c constant
     (the spec's own c is returned when constant).  For omega = c3/b the
-    closed form applies; otherwise c is integrated numerically from
-    c(t0) = c_t0 along the grid.
+    closed form applies, with c6 = 1; otherwise c is integrated
+    numerically from c(t0) = c_t0 along the grid.
     """
     if isinstance(omega, Expr):
         omega = normalize(omega)
@@ -264,7 +267,7 @@ def compatibility_c(spec: NdeSpec, omega, c_t0=None, grid=None, c6=1):
                 "varies")
         b_sym = normalize(spec.b.symbolic("b"))
         if b_sym != ZERO and isinstance(normalize(omega * b_sym), Rat):
-            return CoeffDescriptor.closed(compat_c_from_b(b_sym, c6))
+            return CoeffDescriptor.closed(compat_c_from_b(b_sym))
     # numeric route: c' = -(w''' + 4 c w') / (2 w)
     if grid is None:
         grid = np.linspace(spec.t0, spec.t0 + 3 * spec.r, 601)
@@ -471,7 +474,7 @@ class TransformRecord:
         return u
 
 
-def homogenize(spec: NdeSpec, particular, t_hi=None, tol=1e-6):
+def homogenize(spec: NdeSpec, particular, t_hi=None):
     """Shift by a particular solution so the right side becomes zero.
 
     particular is a Trajectory (or any object with sample(ts, der) and
@@ -483,9 +486,9 @@ def homogenize(spec: NdeSpec, particular, t_hi=None, tol=1e-6):
     t_hi = spec.t0 + 2 * spec.r if t_hi is None else t_hi
     samples = np.linspace(spec.t0 + 0.05 * spec.r, t_hi, 40)
     res = float(np.max(np.abs(spec.residual(particular, samples))))
-    if res > tol:
-        raise ExprError(
-            f"particular solution residual {res:.2e} exceeds {tol:.0e}")
+    if res > CHECK_TOL:
+        raise ExprError(f"particular solution residual {res:.2e} exceeds "
+                        f"{CHECK_TOL:.0e}")
     new = NdeSpec(a=spec.a, b=spec.b, c=spec.c, d=spec.d, k=spec.k,
                   h=CoeffDescriptor.zero(), r=spec.r, t0=spec.t0)
     return new, TransformRecord("homogenize", particular=particular,
@@ -534,7 +537,7 @@ def _s_chain(spec: NdeSpec, t_lo, t_hi):
     return [s0, s1, s2, s3]
 
 
-def remove_first_derivative(spec: NdeSpec, t_hi=None):
+def remove_first_derivative(spec: NdeSpec):
     """Substitute x = u s with s = exp(-int a / 2) so the x' term drops.
 
     Transformed coefficients (derived by direct substitution; note the
@@ -546,7 +549,7 @@ def remove_first_derivative(spec: NdeSpec, t_hi=None):
     """
     if spec.a.is_zero:
         return spec, TransformRecord("identity", note="no x' term present")
-    t_hi = spec.t0 + 4 * spec.r if t_hi is None else t_hi
+    t_hi = spec.t0 + 4 * spec.r
     chain = _s_chain(spec, spec.t0 - 2 * spec.r, t_hi + spec.r)
     # a NaN fails the comparison too
     if not (np.abs(chain[0](np.linspace(spec.t0 - spec.r, t_hi, 50)))
@@ -626,11 +629,11 @@ def _validate_closed(spec, gen, result, assumptions):
 
 
 def _check_delay_compat(gen, values, r, t0, result, what):
-    """Demote unless |f(t) - f(t-r)| stays under 1e-6 on [t0 + r,
+    """Demote unless |f(t) - f(t-r)| stays under CHECK_TOL on [t0 + r,
     t0 + 3r], where values is f over an array of times."""
     ts = np.linspace(t0 + r, t0 + r + 2 * r, 60)
     mism = _max_abs(what, ts, values(ts) - values(ts - r))
-    if mism > 1e-6:
+    if mism > CHECK_TOL:
         _demote(gen, result, f"delay compatibility violated: max "
                 f"|{what}(t) - {what}(t-r)| = {mism:.2e}")
 
@@ -642,13 +645,13 @@ def _closed_eval(expr, spec):
                                       np.shape(ts))
 
 
-def _fit_constant(fun, grid, tol=1e-6):
+def _fit_constant(fun, grid):
     """Median and spread of fun over the grid, fun taking the array."""
     vals = fun(grid)
     check_evaluated("the fitted quotient", grid, vals)
     c = float(np.median(vals))
     spread = float(np.max(np.abs(vals - c)))
-    return c, spread <= tol * max(1.0, abs(c)), spread
+    return c, spread <= CHECK_TOL * max(1.0, abs(c)), spread
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +801,7 @@ def _case_c3(spec, result, k_val, trace):
     w0 = 1.0 / b0
     w1 = -b1v * w0 ** 2
     w2 = (2 * b1v ** 2 - b0 * b2v) / b0 ** 3
-    sol = solve_omega_two_sided("b-branch", {"c2": k_val, "c3": 1.0},
+    sol = solve_omega_two_sided("b-branch", {"c2": k_val},
                                 (w0, w1, w2), spec.t0,
                                 spec.t0 - 2.5 * spec.r,
                                 spec.t0 + 3.5 * spec.r)
@@ -813,7 +816,7 @@ def _case_c3(spec, result, k_val, trace):
     else:
         ts = grid[:: len(grid) // 20]
         mism = _max_abs("w b", ts, sol.sample(ts) * spec.b.sample(ts) - 1.0)
-        if mism > 1e-6:
+        if mism > CHECK_TOL:
             _demote(gen_w, result, "b is not compatible with the "
                     f"two-term omega equation (max |w b - 1| = {mism:.2e})")
         _check_delay_compat(gen_w, sol.sample, spec.r, spec.t0, result,
@@ -824,14 +827,14 @@ def _case_c3(spec, result, k_val, trace):
     return result
 
 
-def c_varies_against_omega(spec, sol, tol=1e-6):
+def c_varies_against_omega(spec, sol):
     """Residual check of the third-order c-constraint along a numeric
     omega."""
     try:
         ts = sol.ts[:: max(len(sol.ts) // 40, 1)]
         res = (sol.sample(ts, 3) + 4 * spec.c.sample(ts) * sol.sample(ts, 1)
                + 2 * spec.c.sample(ts, 1) * sol.sample(ts, 0))
-        return _max_abs("the c-constraint", ts, res) > tol
+        return _max_abs("the c-constraint", ts, res) > CHECK_TOL
     except ExprError:
         return True
 

@@ -27,9 +27,7 @@ import numpy as np
 from .classify import classify
 from .detsys import canonical_constraints, determine, match_catalog, reduce_ansatz
 from .equation import NdeSpec
-from .flowverify import (
-    check_generator, interior_samples,
-)
+from .flowverify import TOL_FIN, TOL_INF, check_generator, interior_samples
 from .ndesolve import integrate, residual, solve_homogeneous_slot
 from .suite import build_scenarios, run_suite
 from .symexpr import ExprError, ParseError, render
@@ -93,12 +91,7 @@ def _load_spec(args):
 
 
 def cmd_classify(args):
-    spec = _load_spec(args)
-    try:
-        result = classify(spec)
-    except ExprError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    result = classify(_load_spec(args))
     payload = result.to_json()
     _emit(payload, args, "classification.json")
     if not args.json:
@@ -118,12 +111,8 @@ def cmd_classify(args):
 
 def cmd_determine(args):
     spec = _load_spec(args)
-    try:
-        reduced = reduce_ansatz(determine(spec))
-        canonical = canonical_constraints(reduced)
-    except ExprError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    reduced = reduce_ansatz(determine(spec))
+    canonical = canonical_constraints(reduced)
     payload = {
         "reduced": reduced.to_report(),
         "canonical": canonical.to_report(),
@@ -143,11 +132,7 @@ def cmd_determine(args):
 
 def cmd_integrate(args):
     spec = _load_spec(args)
-    try:
-        traj = integrate(spec, args.theta, args.T, args.steps)
-    except ExprError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    traj = integrate(spec, args.theta, args.T, args.steps)
     samples = np.linspace(spec.t0 + 0.1 * spec.r, traj.t_end, 97)
     res = residual(traj, spec, samples)
     out_dir = args.out or "."
@@ -162,14 +147,10 @@ def cmd_integrate(args):
 
 def cmd_verify(args):
     spec = _load_spec(args)
-    try:
-        result = classify(spec)
-        t_end = args.T if args.T else spec.t0 + 3 * spec.r
-        traj = integrate(spec, args.theta, t_end, args.steps)
-        rho = solve_homogeneous_slot(spec, args.rho_seed, t_end, args.steps)
-    except ExprError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    result = classify(spec)
+    t_end = args.T if args.T else spec.t0 + 3 * spec.r
+    traj = integrate(spec, args.theta, t_end, args.steps)
+    rho = solve_homogeneous_slot(spec, args.rho_seed, t_end, args.steps)
     samples = interior_samples(traj, spec)
     reports = []
     for idx, gen in enumerate(result.admitted):
@@ -265,8 +246,8 @@ def build_parser():
     p.add_argument("--steps", type=int, default=64)
     p.add_argument("--delta", type=_num, nargs="+", default=[0.25],
                    help="group parameters for the finite check")
-    p.add_argument("--tol-inf", type=float, default=1e-6)
-    p.add_argument("--tol-fin", type=float, default=1e-4)
+    p.add_argument("--tol-inf", type=float, default=TOL_INF)
+    p.add_argument("--tol-fin", type=float, default=TOL_FIN)
     p.add_argument("--curves", action="store_true",
                    help="with --out, export transformed curves as CSV")
     p.set_defaults(func=cmd_verify)
@@ -285,7 +266,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ExprError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

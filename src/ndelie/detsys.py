@@ -29,6 +29,11 @@ from .symexpr import (
 )
 
 SPLIT_JETS = (X, XR, X1, X1R, X2, X2R)
+# the sampled zero test: its seed, its number of points and its bound on
+# the largest |value| at a point
+ZERO_SEED = 0
+ZERO_POINTS = 64
+ZERO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -155,8 +160,8 @@ def split(residual: Expr, spec: NdeSpec = None,
                              spec=spec, ansatz=ansatz)
 
 
-def determine(spec: NdeSpec, a: InfinitesimalAnsatz = None):
-    a = generic_ansatz() if a is None else a
+def determine(spec: NdeSpec):
+    a = generic_ansatz()
     return split(invariance_residual(spec, a), spec, a)
 
 
@@ -543,21 +548,22 @@ def _instance_family(name, assumptions, rng, r):
     ]
 
 
-def is_zero(e: Expr, assumptions=(), fn_table=None, params=None,
-            seed=0, tol=1e-9, points=64) -> ZeroResult:
+def is_zero(e: Expr, assumptions=(), fn_table=None, params=None
+            ) -> ZeroResult:
     """Symbolic-or-sampled zero test.
 
     Returns symbolic truth when the normal form vanishes; otherwise samples
-    64 points with t in [0.1, 4], jet values in [-2, 2], and concrete
-    coefficient instances satisfying the assumptions.  Singular sample
-    points are skipped and counted; unless at least half of the points
-    evaluate, the sampled test fails.
+    ZERO_POINTS points with t in [0.1, 4], jet values in [-2, 2], and
+    concrete coefficient instances satisfying the assumptions, and passes
+    when every |value| is under ZERO_TOL.  Singular sample points are
+    skipped and counted; unless at least half of the points evaluate, the
+    sampled test fails.
     """
     canon = normalize(e)
     if canon == ZERO:
         return ZeroResult(True, "symbolic")
 
-    rng = np.random.RandomState(seed)
+    rng = np.random.RandomState(ZERO_SEED)
     params = dict(params or {})
     r = float(params.get("r", rng.uniform(0.5, 2.0)))
 
@@ -569,23 +575,24 @@ def is_zero(e: Expr, assumptions=(), fn_table=None, params=None,
 
     jet_names = [j.tag for j in SPLIT_JETS] + ["x2"]
     par_names = sorted({a.name for a in atoms(canon)
-                        if isinstance(a, Par) and a.value is None
-                        and a.name != "r" and a.name not in params})
+                        if isinstance(a, Par) and a.name != "r"
+                        and a.name not in params})
 
     # one row per point: t, then the jets and the free constants
     names = ["t"] + jet_names + par_names
     lo, hi = np.array([(0.1, 4.0)] + [(-2.0, 2.0)] * (len(names) - 1)).T
-    draws = rng.uniform(lo, hi, size=(points, len(names)))
+    draws = rng.uniform(lo, hi, size=(ZERO_POINTS, len(names)))
     env = {"r": r, **dict(zip(names, draws.T)), **params}
     try:
-        values = np.broadcast_to(compile_numeric(canon)(env, table), points)
+        values = np.broadcast_to(compile_numeric(canon)(env, table),
+                                 ZERO_POINTS)
     except ExprError:
         # a binding that cannot answer fails every point
-        values = np.full(points, np.nan)
+        values = np.full(ZERO_POINTS, np.nan)
     skipped = int(np.isnan(values).sum())
     worst = float(np.nanmax(np.abs(values), initial=0.0))
-    if 2 * skipped > points:
+    if 2 * skipped > ZERO_POINTS:
         # too few points evaluated to say anything
-        return ZeroResult(False, "sampled",
-                          worst if skipped < points else math.inf, skipped)
-    return ZeroResult(worst < tol, "sampled", worst, skipped)
+        return ZeroResult(False, "sampled", worst if skipped < ZERO_POINTS
+                          else math.inf, skipped)
+    return ZeroResult(worst < ZERO_TOL, "sampled", worst, skipped)

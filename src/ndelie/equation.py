@@ -111,8 +111,6 @@ class CoeffDescriptor:
         """The exact value of a constant, None for any other kind."""
         return self.expr.q if self.is_const else None
 
-    value = property(const_value)
-
     # -- symbolic and numeric views -----------------------------------------
 
     def symbolic(self, name) -> Expr:

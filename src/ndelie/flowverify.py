@@ -23,13 +23,17 @@ from .equation import NdeSpec
 from .ndesolve import Trajectory, _write_csv, rk4_step
 from .prolong import EquationResidual, apply_operator
 from .symexpr import (
-    ExprError, T, X, ZERO, check_evaluated, compile_numeric, diff, normalize,
-    substitute,
+    ExprError, T, X, ZERO, check_evaluated, compile_numeric, diff, fn,
+    normalize, substitute,
 )
 
 FINE = 2                 # source samples of a transformed curve per step
 SAMPLES_PER_DELTA = 40   # candidate times of the finite check per delta
-SUBSTEPS = 24            # flow substeps of check_generator
+SUBSTEPS = 24            # RK4 substeps of every flow in the group parameter
+INTERIOR_SAMPLES = 30    # about this many times for the infinitesimal check
+# the coefficient a numeric omega enters the compiled chains as; the parser
+# makes names of word characters only, so no parsed text can alias it
+PHI = "Phi#"
 
 
 def _rho_chain(rho):
@@ -41,6 +45,25 @@ def _rho_chain(rho):
     if isinstance(rho, Trajectory):
         return [lambda t, o=o: rho.sample(t, o) for o in range(3)]
     return rho  # a chain of callables over arrays, used as given
+
+
+def _pair(gen: Generator):
+    """omega and upsilon as expressions; a numeric omega is the
+    coefficient PHI, with upsilon = (1/2) PHI' x."""
+    if gen.kind == "numeric":
+        return fn(PHI), normalize(fn(PHI, order=1) * X / 2)
+    return (ZERO if gen.omega is None else gen.omega,
+            ZERO if gen.upsilon is None else gen.upsilon)
+
+
+def _fn_table(gen: Generator, spec: NdeSpec, rho):
+    """The coefficients the generator's chains read: the equation's, the
+    solution slot rho and, for a numeric generator, PHI."""
+    table = {**spec.fn_table(), "rho": _rho_chain(rho)}
+    if gen.kind == "numeric":
+        table[PHI] = [functools.partial(gen.omega_numeric.sample, der=o)
+                      for o in range(4)]
+    return table
 
 
 def _rk4(vel, y, delta, substeps):
@@ -59,26 +82,17 @@ def _rk4(vel, y, delta, substeps):
 
 
 def flow(gen: Generator, points, delta, spec: NdeSpec, rho=None,
-         substeps=64):
+         substeps=SUBSTEPS):
     """RK4 exponentiation of the generator from each point; entries become
     None where the flow leaves the numeric domain, NaN marking a point
     where the generator cannot be evaluated."""
-    if gen.kind == "numeric":
-        sol = gen.omega_numeric
-
-        def pair(t, x):
-            return sol.sample(t, 0), 0.5 * sol.sample(t, 1) * x
-    else:
-        table = {**spec.fn_table(), "rho": _rho_chain(rho)}
-        program = compile_numeric([ZERO if e is None else e
-                                   for e in (gen.omega, gen.upsilon)])
-
-        def pair(t, x):
-            return program({"t": t, "x": x, "r": spec.r}, table)
+    table = _fn_table(gen, spec, rho)
+    program = compile_numeric(list(_pair(gen)))
 
     def vel(_, y):
         out = np.empty_like(y)
-        out[:, 0], out[:, 1] = pair(y[:, 0], y[:, 1])
+        out[:, 0], out[:, 1] = program(
+            {"t": y[:, 0], "x": y[:, 1], "r": spec.r}, table)
         return out
 
     y = np.array(points, float).reshape(-1, 2)
@@ -122,7 +136,7 @@ class TransformedCurve:
 
 
 def prolonged_flow(gen: Generator, jets, delta, spec: NdeSpec, rho=None,
-                   substeps=48):
+                   substeps=SUBSTEPS):
     """Flow jet points (t, x, x', x'') with the generator extended to the
     first and second derivative coefficients, so the image of a curve
     carries its derivatives exactly (no numerical differentiation).
@@ -133,24 +147,13 @@ def prolonged_flow(gen: Generator, jets, delta, spec: NdeSpec, rho=None,
         x'' by gamma'' x + rho'' + (2 gamma' - beta'') x' +
              (gamma - 2 beta') x''.
     """
-    if gen.kind == "numeric":
-        fs = [c[o] for c in _affine_chains(gen, spec, rho) for o in range(3)]
-
-        def chains(t):
-            return [f(t) for f in fs]
-    else:
-        # one program for orders 0-2 of the three chains; order 3 stays
-        # out, since a Trajectory rho has no third derivative
-        table = {**spec.fn_table(), "rho": _rho_chain(rho)}
-        program = compile_numeric(
-            [e for c in _affine_exprs(gen) for e in c[:3]])
-
-        def chains(t):
-            return program({"r": spec.r, "t": t}, table)
+    table = _fn_table(gen, spec, rho)
+    program = compile_numeric([e for c in _affine_exprs(gen) for e in c])
 
     def vel(_, y):
         t, x, x1, x2 = y[:, 0], y[:, 1], y[:, 2], y[:, 3]
-        b0, b1v, b2v, g0, g1v, g2v, r0, r1v, r2v = chains(t)
+        b0, b1v, b2v, g0, g1v, g2v, r0, r1v, r2v = program(
+            {"r": spec.r, "t": t}, table)
         out = np.empty_like(y)
         out[:, 0] = b0
         out[:, 1] = g0 * x + r0
@@ -164,8 +167,7 @@ def prolonged_flow(gen: Generator, jets, delta, spec: NdeSpec, rho=None,
 
 
 def transform_solution(traj: Trajectory, gen: Generator, delta,
-                       spec: NdeSpec, rho=None, substeps=48
-                       ) -> TransformedCurve:
+                       spec: NdeSpec, rho=None) -> TransformedCurve:
     """Carry the solution curve through the prolonged flow and resample the
     image as a function of the transformed time.
 
@@ -192,7 +194,7 @@ def transform_solution(traj: Trajectory, gen: Generator, delta,
         both, traj.sample(both, 0), traj.sample(both, 1),
         np.concatenate([traj.sample(ts, 2),
                         traj.sample(ts[cut_idx], 2, side="-")])])
-    moved_all = prolonged_flow(gen, jets, delta, spec, rho, substeps)
+    moved_all = prolonged_flow(gen, jets, delta, spec, rho)
     moved = moved_all[:len(ts)]
     if any(m is None for m in moved):
         raise ExprError("flow left the numeric domain for some points")
@@ -223,17 +225,17 @@ def transform_solution(traj: Trajectory, gen: Generator, delta,
 
 def _affine_exprs(gen: Generator):
     """beta, gamma and rho of the affine pair omega = beta(t),
-    upsilon = gamma(t) x + rho(t), each with its first three derivatives
-    in t; every taxonomy generator is affine in x."""
-    w = gen.omega if gen.omega is not None else ZERO
-    u = gen.upsilon if gen.upsilon is not None else ZERO
+    upsilon = gamma(t) x + rho(t), each with its first two derivatives in
+    t, which are all the prolonged flow and the invariance residual read;
+    every taxonomy generator is affine in x."""
+    w, u = _pair(gen)
     gamma_expr = diff(u, X)
     if diff(gamma_expr, X) != ZERO or diff(w, X) != ZERO:
         raise ExprError("infinitesimal check covers pairs affine in x")
 
     def chain(e):
         exprs = [normalize(e)]
-        for _ in range(3):
+        for _ in range(2):
             exprs.append(diff(exprs[-1], T))
         return exprs
 
@@ -243,13 +245,7 @@ def _affine_exprs(gen: Generator):
 def _affine_chains(gen: Generator, spec: NdeSpec, rho):
     """beta/gamma/rho derivative chains of the affine pair over arrays of
     times, one callable per order."""
-    if gen.kind == "numeric":
-        # a numeric time-like generator carries no solution slot
-        sol = gen.omega_numeric
-        beta = [lambda t, o=o: sol.sample(t, o) for o in range(4)]
-        gamma = [lambda t, o=o: 0.5 * sol.sample(t, o + 1) for o in range(3)]
-        return beta, gamma, [lambda t: 0.0] * 4
-    table = {**spec.fn_table(), "rho": _rho_chain(rho)}
+    table = _fn_table(gen, spec, rho)
     return tuple([lambda t, f=compile_numeric(e): f({"r": spec.r, "t": t},
                                                     table) for e in c]
                  for c in _affine_exprs(gen))
@@ -285,8 +281,7 @@ def infinitesimal_check(traj: Trajectory, gen: Generator, spec: NdeSpec,
 
 
 def finite_check(traj: Trajectory, gen: Generator, spec: NdeSpec,
-                 delta_grid, rho=None, substeps=48, curves=None
-                 ) -> float | None:
+                 delta_grid, rho=None, curves=None) -> float | None:
     """Worst residual of the transformed curve against the equation over
     the group parameters, sampling away from the span ends and the images
     of the derivative-breaking points (the curve's segment boundaries).
@@ -298,8 +293,7 @@ def finite_check(traj: Trajectory, gen: Generator, spec: NdeSpec,
     worst = None
     for delta in delta_grid:
         try:
-            curve = transform_solution(traj, gen, float(delta), spec, rho,
-                                       substeps)
+            curve = transform_solution(traj, gen, float(delta), spec, rho)
         except ExprError as err:
             if curves is not None:
                 curves.append(err)
@@ -320,17 +314,22 @@ def finite_check(traj: Trajectory, gen: Generator, spec: NdeSpec,
     return worst
 
 
-def interior_samples(traj: Trajectory, spec: NdeSpec, count=30):
-    """About count grid nodes, at least one step away from the span ends
-    and 1.5 steps from the derivative-breaking points (in both the direct
-    and the delayed position)."""
+def interior_samples(traj: Trajectory, spec: NdeSpec):
+    """About INTERIOR_SAMPLES grid nodes, at least one step away from the
+    span ends and 1.5 steps from the derivative-breaking points (in both
+    the direct and the delayed position)."""
     ts, h = traj.ts, traj.hstep
     keep = (ts >= traj.t0 + h) & (ts <= traj.t_end - h)
     for bp in traj.breaking_points():
         keep &= (np.abs(ts - bp) >= 1.5 * h) & (np.abs(ts - spec.r - bp)
                                                 >= 1.5 * h)
     out = ts[keep].tolist()
-    return out[::max(len(out) // count, 1)]
+    return out[::max(len(out) // INTERIOR_SAMPLES, 1)]
+
+
+# acceptance tolerances of the infinitesimal and the finite residual
+TOL_INF = 1e-6
+TOL_FIN = 1e-4
 
 
 def check_generator(traj: Trajectory, gen: Generator, spec: NdeSpec,
@@ -339,8 +338,7 @@ def check_generator(traj: Trajectory, gen: Generator, spec: NdeSpec,
     residual is under its tolerance, and never when the finite check
     failed.  curves is passed on to finite_check."""
     inf = infinitesimal_check(traj, gen, spec, samples, rho=rho)
-    fin = finite_check(traj, gen, spec, deltas, rho=rho, substeps=SUBSTEPS,
-                       curves=curves)
+    fin = finite_check(traj, gen, spec, deltas, rho=rho, curves=curves)
     return {"infinitesimal_residual": inf, "finite_residual": fin,
             "pass": inf < tol_inf and fin is not None and fin < tol_fin}
 
@@ -350,7 +348,7 @@ def check_generator(traj: Trajectory, gen: Generator, spec: NdeSpec,
 
 
 def _flow_all(gen: Generator, points, delta, spec: NdeSpec, rho,
-              substeps):
+              substeps=SUBSTEPS):
     """flow() that keeps its rows aligned with the points: a row that left
     the numeric domain raises ExprError instead of coming back None."""
     moved = flow(gen, points, delta, spec, rho, substeps)
@@ -370,14 +368,12 @@ def identity_error(gen: Generator, points, spec: NdeSpec, rho=None):
     return _gap(_flow_all(gen, points, 0.0, spec, rho, 1), points)
 
 
-def inverse_error(gen: Generator, points, delta, spec: NdeSpec, rho=None,
-                  substeps=64):
-    fwd = _flow_all(gen, points, delta, spec, rho, substeps)
-    return _gap(_flow_all(gen, fwd, -delta, spec, rho, substeps), points)
+def inverse_error(gen: Generator, points, delta, spec: NdeSpec, rho=None):
+    fwd = _flow_all(gen, points, delta, spec, rho)
+    return _gap(_flow_all(gen, fwd, -delta, spec, rho), points)
 
 
-def closure_error(gen: Generator, points, d1, d2, spec: NdeSpec, rho=None,
-                  substeps=64):
-    step1 = _flow_all(gen, points, d1, spec, rho, substeps)
-    return _gap(_flow_all(gen, step1, d2, spec, rho, substeps),
-                _flow_all(gen, points, d1 + d2, spec, rho, substeps))
+def closure_error(gen: Generator, points, d1, d2, spec: NdeSpec, rho=None):
+    step1 = _flow_all(gen, points, d1, spec, rho)
+    return _gap(_flow_all(gen, step1, d2, spec, rho),
+                _flow_all(gen, points, d1 + d2, spec, rho))

@@ -24,13 +24,14 @@ from .classify import (
 )
 from .equation import NdeSpec
 from .flowverify import (
-    check_generator, closure_error, identity_error, interior_samples,
-    inverse_error,
+    TOL_FIN, TOL_INF, check_generator, closure_error, identity_error,
+    interior_samples, inverse_error,
 )
 from .ndesolve import integrate, solve_homogeneous_slot
 from .symexpr import parse
 
 HALF_PI = math.pi / 2
+TOL_AXIOM = 1e-7  # bound on the inverse and closure errors of a flow
 
 
 @dataclass
@@ -158,8 +159,7 @@ class ScenarioResult:
         }
 
 
-def run_scenario(sc: Scenario, steps=64, delta=0.25, tol_inf=1e-6,
-                 tol_fin=1e-4, tol_axiom=1e-7) -> ScenarioResult:
+def run_scenario(sc: Scenario, steps=64, delta=0.25) -> ScenarioResult:
     """Classify the scenario equation, integrate it, and push every
     admitted generator through both invariance checks and the group
     axioms."""
@@ -186,18 +186,17 @@ def run_scenario(sc: Scenario, steps=64, delta=0.25, tol_inf=1e-6,
             out.candidates.append(entry)
             continue
         entry.update(check_generator(traj, gen, sc.spec, samples, [delta],
-                                     rho, tol_inf, tol_fin))
+                                     rho, TOL_INF, TOL_FIN))
         if gen.kind != "numeric":
             ident = identity_error(gen, axiom_points, sc.spec, rho)
-            inv = inverse_error(gen, axiom_points, delta, sc.spec, rho,
-                                substeps=24)
+            inv = inverse_error(gen, axiom_points, delta, sc.spec, rho)
             clo = closure_error(gen, axiom_points, delta, delta / 2,
-                                sc.spec, rho, substeps=24)
+                                sc.spec, rho)
             entry["axiom_identity"] = ident
             entry["axiom_inverse"] = inv
             entry["axiom_closure"] = clo
             entry["pass"] = entry["pass"] and ident <= 1e-12 \
-                and inv < tol_axiom and clo < tol_axiom
+                and inv < TOL_AXIOM and clo < TOL_AXIOM
         all_ok = all_ok and entry["pass"]
         out.generators.append(entry)
     if len(out.candidates) != sc.expected_candidates:

@@ -122,11 +122,9 @@ class Rat(Expr):
 
 @dataclass(frozen=True, repr=False)
 class Par(Expr):
-    """Named parameter (c1..c99, the delay r, ...), optionally bound to an
-    exact rational that normalize() substitutes."""
+    """Named parameter (c1..c99, the delay r, ...)."""
 
     name: str
-    value: Fraction | None = None
 
 
 @dataclass(frozen=True, repr=False)
@@ -230,10 +228,6 @@ ONE = Rat(Fraction(1))
 def num(v) -> Rat:
     """Exact rational literal."""
     return Rat(Fraction(v))
-
-
-def par(name, value=None) -> Par:
-    return Par(name, None if value is None else Fraction(value))
 
 
 def fn(name, delayed=False, order=0) -> Coeff:
@@ -400,11 +394,7 @@ def _poly(e):
         return p
     if isinstance(e, Rat):
         return {} if e.q == 0 else {(): e.q}
-    if isinstance(e, Par):
-        if e.value is not None:
-            return {} if e.value == 0 else {(): e.value}
-        return _atom_poly(e)
-    if isinstance(e, (Jet, Coeff)):
+    if isinstance(e, (Par, Jet, Coeff)):
         return _atom_poly(e)
     if isinstance(e, App):
         arg = normalize(e.arg)
@@ -865,8 +855,8 @@ def _compile(exprs):
 def _step(e, k):
     """Node e as a function of (values of the earlier steps, env,
     fn_table); k lists the steps of its operands."""
-    if isinstance(e, Rat) or isinstance(e, Par) and e.value is not None:
-        c = float(e.q if isinstance(e, Rat) else e.value)
+    if isinstance(e, Rat):
+        c = float(e.q)
         return lambda v, env, fns: c
     if isinstance(e, (Par, Jet)):
         name = e.name if isinstance(e, Par) else e.tag

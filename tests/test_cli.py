@@ -251,5 +251,37 @@ def test_verify_curves_reuse_the_finite_check_image(ex1_spec, tmp_path,
     for idx, gen in enumerate(classify(spec).admitted):
         assert paths[idx] == str(out / f"curve_{idx}.csv")
         ref = tmp_path / f"ref_{idx}.csv"
-        real(traj, gen, 0.25, spec, rho=rho, substeps=24).to_csv(ref)
+        real(traj, gen, 0.25, spec, rho=rho).to_csv(ref)
         assert (out / f"curve_{idx}.csv").read_bytes() == ref.read_bytes()
+
+
+def test_integrate_reports_a_residual_that_cannot_be_evaluated(
+        tmp_path, capsys):
+    # b has a pole at t = 1/10, which no integration step lands on but the
+    # first residual sample does
+    path = tmp_path / "pole.json"
+    NdeSpec.make(b="1/(t - 1/10)", c=1, r=1.0).save(path)
+    code = main(["integrate", "--spec", str(path), "--theta", "sin(t)",
+                 "--T", "3", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: the equation residual cannot be evaluated at t = 0.1\n")
+
+
+def test_library_example_matches_verify(ex1_spec, capsys):
+    # the README's library example checks at the resolution verify uses
+    from ndelie import classify, finite_check, integrate
+    from ndelie.ndesolve import solve_homogeneous_slot
+
+    assert main(["verify", "--spec", ex1_spec, "--theta", "sin(t)",
+                 "--json"]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    spec = NdeSpec.make(k=1, r=math.pi)
+    traj = integrate(spec, "sin(t)", 3 * math.pi, 64)
+    rho = solve_homogeneous_slot(spec, "sin(t)", 3 * math.pi, 64)
+    admitted = classify(spec).admitted
+    assert [rep["generator"] for rep in reports] == \
+        [gen.label for gen in admitted]
+    for rep, gen in zip(reports, admitted):
+        assert finite_check(traj, gen, spec, [0.25], rho=rho) == \
+            rep["finite_residual"]

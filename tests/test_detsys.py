@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ndelie.detsys import (
-    SPLIT_JETS, Assumption, ZeroResult, _instance_family,
+    SPLIT_JETS, ZERO_POINTS, ZERO_SEED, ZERO_TOL, Assumption, ZeroResult,
+    _instance_family,
     apply_delay_equalities, canonical_constraints, catalog, determine,
     generic_ansatz, invariance_residual, is_zero, linear_antiderivative,
     match_catalog, product_antiderivative, reduce_ansatz, reduced_ansatz,
@@ -339,14 +340,13 @@ def test_is_zero_marks_an_overflow_as_skipped():
     assert 2 * res.skipped > 64 and not res.ok
 
 
-def _pointwise_is_zero(e, assumptions=(), fn_table=None, params=None,
-                       seed=0, tol=1e-9, points=64):
+def _pointwise_is_zero(e, assumptions=(), fn_table=None, params=None):
     """is_zero with its points drawn and evaluated one at a time: the
     reference of the single draw and single evaluation."""
     canon = normalize(e)
     if canon == ZERO:
         return ZeroResult(True, "symbolic")
-    rng = np.random.RandomState(seed)
+    rng = np.random.RandomState(ZERO_SEED)
     params = dict(params or {})
     r = float(params.get("r", rng.uniform(0.5, 2.0)))
     table = dict(fn_table or {})
@@ -356,11 +356,11 @@ def _pointwise_is_zero(e, assumptions=(), fn_table=None, params=None,
                                                 rng, r)
     jet_names = [j.tag for j in SPLIT_JETS] + ["x2"]
     par_names = sorted({a.name for a in atoms(canon)
-                        if isinstance(a, Par) and a.value is None
-                        and a.name != "r" and a.name not in params})
+                        if isinstance(a, Par) and a.name != "r"
+                        and a.name not in params})
     f = compile_numeric(canon)
     worst, skipped, evaluated = 0.0, 0, 0
-    for _ in range(points):
+    for _ in range(ZERO_POINTS):
         env = {"r": r, "t": rng.uniform(0.1, 4.0)}
         for name in jet_names + par_names:
             env[name] = rng.uniform(-2.0, 2.0)
@@ -374,10 +374,10 @@ def _pointwise_is_zero(e, assumptions=(), fn_table=None, params=None,
             continue
         evaluated += 1
         worst = max(worst, abs(v))
-    if 2 * evaluated < points:
+    if 2 * evaluated < ZERO_POINTS:
         return ZeroResult(False, "sampled",
                           worst if evaluated else float("inf"), skipped)
-    return ZeroResult(worst < tol, "sampled", worst, skipped)
+    return ZeroResult(worst < ZERO_TOL, "sampled", worst, skipped)
 
 
 def test_is_zero_matches_the_pointwise_loop_on_every_scenario(monkeypatch):

@@ -44,7 +44,7 @@ def test_flow_identity_at_zero():
 
 
 def test_flow_scaling_closed_form():
-    moved = flow(GEN_SCALE, POINTS, 0.7, SPEC1)
+    moved = flow(GEN_SCALE, POINTS, 0.7, SPEC1, substeps=64)
     for (t, x), m in zip(POINTS, moved):
         assert m[0] == pytest.approx(t, abs=1e-12)
         assert m[1] == pytest.approx(x * math.exp(0.7), rel=1e-10)
@@ -308,7 +308,7 @@ def test_left_hand_jets_ride_in_the_main_batch(monkeypatch):
         return prolonged_flow(*args, **kwargs)
 
     monkeypatch.setattr(flowverify, "prolonged_flow", counting)
-    curve = transform_solution(traj, gen, 0.25, spec, substeps=24)
+    curve = transform_solution(traj, gen, 0.25, spec)
     monkeypatch.undo()
     assert len(calls) == 1
     step = traj.hstep / 2
@@ -329,11 +329,14 @@ def test_left_hand_jets_ride_in_the_main_batch(monkeypatch):
 
 
 def test_rho_chain_refuses_third_derivative():
-    _, _, rho_chain = _affine_chains(GEN_RHO, SPEC1, RHO1)
+    # a Trajectory stores x, x' and x'' only
+    table = {"rho": flowverify._rho_chain(RHO1)}
+    second = compile_numeric(fn("rho", order=2))
+    third = compile_numeric(fn("rho", order=3))
     for t in (1.0, np.array(1.0), np.array([1.0, 1.5])):
-        rho_chain[2](t)
+        second({"t": t}, table)
         with pytest.raises(EvalError):
-            rho_chain[3](t)
+            third({"t": t}, table)
 
 
 def _scalar_prolonged_flow(gen, jets, delta, spec, rho, substeps):
@@ -419,13 +422,12 @@ def test_identity_error_names_the_point_that_left_the_domain():
 def test_inverse_error_keeps_rows_aligned():
     # dropping the failed row paired (1, .) with (-1, .) and gave 2.0
     with pytest.raises(ExprError, match=r"\(-1\.0, 0\.5\) by 0\.25"):
-        inverse_error(GEN_SQRT, SQRT_POINTS, 0.25, SPEC1, substeps=24)
+        inverse_error(GEN_SQRT, SQRT_POINTS, 0.25, SPEC1)
 
 
 def test_closure_error_keeps_rows_aligned():
     with pytest.raises(ExprError, match=r"\(-1\.0, 0\.5\) by 0\.25"):
-        closure_error(GEN_SQRT, SQRT_POINTS, 0.25, 0.125, SPEC1,
-                      substeps=24)
+        closure_error(GEN_SQRT, SQRT_POINTS, 0.25, 0.125, SPEC1)
 
 
 def test_finite_check_fails_when_one_delta_fails():
@@ -436,11 +438,11 @@ def test_finite_check_fails_when_one_delta_fails():
     traj = integrate(spec, sc.theta, spec.t0 + 3 * spec.r, 64)
     bogus = Generator("t^2 d/dt + t x d/dx", "closed",
                       omega=normalize(T * T), upsilon=normalize(T * X))
-    assert finite_check(traj, bogus, spec, [1e-9], substeps=24) < 1e-6
+    assert finite_check(traj, bogus, spec, [1e-9]) < 1e-6
     with pytest.raises(ExprError):
-        transform_solution(traj, bogus, 5.0, spec, substeps=24)
-    assert finite_check(traj, bogus, spec, [1e-9, 5.0], substeps=24) is None
-    assert finite_check(traj, bogus, spec, [], substeps=24) is None
+        transform_solution(traj, bogus, 5.0, spec)
+    assert finite_check(traj, bogus, spec, [1e-9, 5.0]) is None
+    assert finite_check(traj, bogus, spec, []) is None
 
 
 def test_breaking_point_images_are_curve_boundaries():
@@ -454,8 +456,7 @@ def test_breaking_point_images_are_curve_boundaries():
         rho = solve_homogeneous_slot(spec, sc.rho_seed, t_end, 64)
         points = [(t, traj.value(t, 0)) for t in traj.breaking_points()]
         for gen in classify(spec).admitted:
-            curve = transform_solution(traj, gen, 0.25, spec, rho,
-                                       substeps=24)
+            curve = transform_solution(traj, gen, 0.25, spec, rho)
             for img in flow(gen, points, 0.25, spec, rho, substeps=24):
                 if img is None:
                     continue
@@ -485,3 +486,68 @@ def test_prolonged_flow_asks_a_trajectory_rho_for_orders_up_to_two(
                            substeps=4)
     assert moved[0] is not None
     assert sorted(set(asked)) == [0, 1, 2]
+
+
+def _hand_written_numeric_chains(sol):
+    """beta = Phi and gamma = Phi'/2 of a numeric omega as callables, with
+    no solution slot: the form the flows used before a numeric omega
+    entered the compiled chains."""
+    beta = [lambda t, o=o: sol.sample(t, o) for o in range(4)]
+    gamma = [lambda t, o=o: 0.5 * sol.sample(t, o + 1) for o in range(3)]
+    return beta, gamma, [lambda t: 0.0] * 4
+
+
+# the omegas of C3 and C5 are constant on their scenarios; the three
+# directions of C7, demoted as they are, carry the Phi' and Phi'' terms
+@pytest.mark.parametrize("name", ["C3", "C5", "C7"])
+def test_numeric_omega_chains_match_the_hand_written_formulas(name):
+    sc = scenario_by_name(name)
+    spec = sc.spec
+    t_end = spec.t0 + sc.delays * spec.r
+    traj = integrate(spec, sc.theta, t_end, 32)
+    rho = solve_homogeneous_slot(spec, sc.rho_seed, t_end, 32)
+    samples = np.asarray(flowverify.interior_samples(traj, spec))
+    points = [(t, traj.value(t, 0)) for t in samples]
+    jets = np.column_stack([samples] + [traj.sample(samples, o)
+                                        for o in range(3)])
+    gens = [g for g in classify(spec).generators if g.kind == "numeric"]
+    assert len(gens) == (3 if name == "C7" else 1)
+    for gen in gens:
+        _check_numeric_chains(gen, spec, traj, rho, samples, points, jets)
+
+
+def _check_numeric_chains(gen, spec, traj, rho, samples, points, jets):
+    sol = gen.omega_numeric
+    beta, gamma, rho_chain = _hand_written_numeric_chains(sol)
+
+    def pair(_, y):
+        out = np.empty_like(y)
+        out[:, 0] = sol.sample(y[:, 0], 0)
+        out[:, 1] = 0.5 * sol.sample(y[:, 0], 1) * y[:, 1]
+        return out
+
+    def prolonged(_, y):
+        t, x, x1, x2 = y.T
+        b0, b1, b2 = (f(t) for f in beta[:3])
+        g0, g1, g2 = (f(t) for f in gamma)
+        return np.column_stack([
+            b0, g0 * x, g1 * x + (g0 - b1) * x1,
+            g2 * x + (2 * g1 - b2) * x1 + (g0 - 2 * b1) * x2])
+
+    for delta in (0.25, -0.3):
+        assert flow(gen, points, delta, spec, rho) == flowverify._rk4(
+            pair, np.array(points), delta, flowverify.SUBSTEPS)
+        assert prolonged_flow(gen, jets, delta, spec, rho) == \
+            flowverify._rk4(prolonged, jets, delta, flowverify.SUBSTEPS)
+
+    table = spec.fn_table()
+    table.update({"beta": beta, "gamma": gamma, "rho": rho_chain})
+    residual = compile_numeric(invariance_residual(spec, reduced_ansatz()))
+    td = samples - spec.r
+    env = {"t": samples, "r": spec.r,
+           "x": traj.sample(samples, 0), "xr": traj.sample(td, 0),
+           "x1": traj.sample(samples, 1), "x1r": traj.sample(td, 1),
+           "x2r": traj.sample(td, 2)}
+    want = float(np.max(np.abs(np.broadcast_to(residual(env, table),
+                                               samples.shape))))
+    assert infinitesimal_check(traj, gen, spec, samples, rho) == want

@@ -12,7 +12,7 @@ from ndelie.symexpr import (
     App, Coeff, EvalError, Expr, ExprError, Jet, Par, ParseError, Pow, Prod,
     Rat, Sum, T, X, X1, X1R, X2, X2R, XR, ZERO, _poly, app, atoms, collect,
     compile_numeric, diff, diff_explicit, equivalent, eval_numeric, fn,
-    normalize, num, par, parse, render, shift, substitute,
+    normalize, num, parse, render, shift, substitute,
 )
 
 
@@ -103,10 +103,6 @@ def test_normalize_constant_folding():
 def test_normalize_keeps_irrational_sqrt():
     e = normalize(app("sqrt", num(2)))
     assert e == App("sqrt", num(2))
-
-
-def test_normalize_substitutes_bound_parameter():
-    assert normalize(par("c1", 2) * X) == normalize(2 * X)
 
 
 def test_normalize_merges_powers():
@@ -390,8 +386,27 @@ def test_collect_is_a_partition(e):
     assert normalize(total) == canon
 
 
+def _input_sensitivity(e, env, tbl, value, ulps=4):
+    """First-order bound on how far e's value moves when each input moves
+    by ulps units in the last place: the sum over the inputs of the larger
+    change of the two directions."""
+    total = 0.0
+    for name in env:
+        worst = 0.0
+        for toward in (-math.inf, math.inf):
+            moved = dict(env)
+            for _ in range(ulps):
+                moved[name] = math.nextafter(moved[name], toward)
+            worst = max(worst, abs(eval_numeric(e, moved, tbl) - value))
+        total += worst
+    return total
+
+
 @settings(max_examples=80, deadline=None)
 @given(_exprs(), st.integers(0, 10 ** 6))
+# exp amplifies the last-bit difference of (t x)^-2 and t^-2 x^-2: the
+# two values differ by 7.3e-11, and 4 ulps of t and x move it by 5.1e-10
+@example(App("sin", App("exp", Pow(Prod((T, X)), -2))), 1050)
 def test_eval_normalize_consistent(e, seed_int):
     import random
 
@@ -412,10 +427,14 @@ def test_eval_normalize_consistent(e, seed_int):
     try:
         raw = eval_numeric(e, env, tbl)
         canon_val = eval_numeric(canon, env, tbl)
+        # the normal form rounds its intermediates differently, by a few
+        # ulps of the inputs at most
+        sensitivity = _input_sensitivity(e, env, tbl, raw)
     except EvalError:
         assume(False)
     assume(abs(raw) < 1e12)
-    assert abs(raw - canon_val) <= 1e-12 * max(1.0, abs(raw), abs(canon_val))
+    assert abs(raw - canon_val) <= sensitivity + 1e-12 * max(
+        1.0, abs(raw), abs(canon_val))
 
 
 @settings(max_examples=80, deadline=None)
@@ -449,7 +468,7 @@ def _scalar_eval(e, env, tbl):
     if isinstance(e, Rat):
         return float(e.q)
     if isinstance(e, Par):
-        return env[e.name] if e.value is None else float(e.value)
+        return env[e.name]
     if isinstance(e, Jet):
         return env[e.tag]
     if isinstance(e, Coeff):
