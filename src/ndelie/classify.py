@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .detsys import Assumption, invariance_residual, is_zero
-from .equation import CoeffDescriptor, NdeSpec
+from .equation import CoeffDescriptor, NdeSpec, Spline
 from .ndesolve import _hermite, rk4_step
 from .prolong import InfinitesimalAnsatz
 from .symexpr import (
@@ -515,9 +515,7 @@ def _s_chain(spec: NdeSpec, t_lo, t_hi):
     integral = np.concatenate(
         ([0.0], np.cumsum((avals[1:] + avals[:-1]) / 2.0
                           * np.diff(grid))))
-    from scipy.interpolate import CubicSpline
-
-    ispline = CubicSpline(grid, integral)
+    ispline = Spline(grid, integral, "the integral of a")
 
     def s0(t):
         return _elementwise(math.exp, -ispline(t) / 2.0)

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .classify import classify
-from .detsys import canonical_constraints, determine, match_catalog, reduce_ansatz
+from .detsys import canonical_constraints, determine, reduce_ansatz
 from .equation import NdeSpec
 from .flowverify import TOL_FIN, TOL_INF, check_generator, interior_samples
 from .ndesolve import integrate, residual, solve_homogeneous_slot
@@ -124,7 +124,7 @@ def cmd_determine(args):
     _emit(payload, args, "determining.json")
     if not args.json:
         for eq in reduced.nontrivial():
-            tag = eq.catalog_id or match_catalog(eq.residual) or "-"
+            tag = eq.catalog_id or "-"
             print(f"  [{tag:10s}] {render(eq.monomial)}: "
                   f"{render(eq.residual)} = 0")
     return 0

@@ -27,6 +27,120 @@ from .symexpr import (
 
 COEFF_NAMES = ("a", "b", "c", "d", "k", "h")
 
+# by derivative order, the falling factorials of the powers 3, 2, 1, 0
+# that the order keeps
+_FALLING = (np.array([1.0, 1.0, 1.0, 1.0]), np.array([3.0, 2.0, 1.0]),
+            np.array([6.0, 2.0]), np.array([6.0]))
+
+
+class Spline:
+    """The not-a-knot cubic spline through (x[i], y[i]) for each column of
+    y (de Boor, A Practical Guide to Splines, ch. IV), continued by the end
+    polynomials outside the knots; two knots give the line, three the
+    parabola.  The tests hold every operation's order fixed by comparing
+    the values bit for bit with a reference implementation.  `what` names
+    the data in the error for a bad table."""
+
+    def __init__(self, x, y, what):
+        x = np.asarray(x, float)
+        y = np.asarray(y, float)
+        n = len(x)
+        if n < 2:
+            raise ExprError(f"{what} needs at least 2 samples, got {n}")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ExprError(f"{what} has a time or value that is not finite")
+        dx = np.diff(x)
+        if not (dx > 0).all():
+            raise ExprError(f"{what} times are not strictly increasing")
+        cols = y.reshape(n, -1)
+        dxr = dx[:, None]
+        slope = np.diff(cols, axis=0) / dxr
+        # the tridiagonal system for the slopes at the knots
+        diag, upper, lower = np.ones(n), np.zeros(n - 1), np.zeros(n - 1)
+        rhs = np.empty_like(cols)
+        diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+        upper[1:] = dx[:-1]
+        lower[:-1] = dx[1:]
+        rhs[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        if n == 2:
+            rhs[:] = slope[0]
+        elif n == 3:
+            upper[0] = lower[-1] = 1.0
+            rhs[0] = 2 * slope[0]
+            rhs[-1] = 2 * slope[1]
+        else:
+            # the squares are Python floats, rounded by the math library's
+            # pow, which can differ from an array square in the last bit
+            d0, dn = x[2] - x[0], x[-1] - x[-3]
+            diag[0], upper[0] = dx[1], d0
+            rhs[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0]
+                      + float(dx[0]) ** 2 * slope[1]) / d0
+            diag[-1], lower[-1] = dx[-2], dn
+            rhs[-1] = (float(dx[-1]) ** 2 * slope[-2]
+                       + (2 * dn + dx[-1]) * dx[-2] * slope[-1]) / dn
+        s = _gtsv(lower.tolist(), diag.tolist(), upper.tolist(),
+                  rhs.T.tolist())
+        t = (s[:-1] + s[1:] - 2 * slope) / dxr
+        coeffs = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1],
+                           cols[:-1]))
+        # per derivative order, the rows of powers it keeps, each scaled
+        self.orders = [coeffs[:4 - o] * _FALLING[o][:, None, None]
+                       for o in range(4)]
+        self.x = x
+        self.shape = y.shape[1:]
+
+    def __call__(self, q, der=0):
+        """The der-th derivative (0..3) at q, shaped q.shape + the shape of
+        a row of y; a NaN time gives NaN."""
+        q = np.asarray(q, float)
+        flat = q.reshape(-1)
+        # the interval holding each time, the end ones stretched outward
+        i = np.searchsorted(self.x[1:-1], flat, "right")
+        z = (flat - self.x[i])[:, None]
+        res, power = 0.0, 1.0
+        for row in self.orders[der][::-1, i]:
+            res = res + row * power
+            power = power * z
+        if der == 3:
+            # a constant per interval: a NaN time reads no z to carry it
+            res = np.where(np.isnan(z), np.nan, res)
+        return res.reshape(q.shape + self.shape)
+
+
+def _gtsv(dl, d, du, cols):
+    """The tridiagonal system (lists of floats: sub-, main and
+    superdiagonal) solved for each right-hand side in cols, as LAPACK dgtsv
+    solves it: two rows swap only where the subdiagonal entry is larger.
+    One elimination serves every column; one column of the result each."""
+    n = len(d)
+    du2 = [0.0] * n
+    steps = []
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            steps.append((False, fact))
+        else:
+            fact = d[i] / dl[i]
+            d[i], temp = dl[i], d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                du2[i] = du[i + 1]
+                du[i + 1] = -fact * du2[i]
+            du[i] = temp
+            steps.append((True, fact))
+    for b in cols:
+        for i, (swap, fact) in enumerate(steps):
+            if swap:
+                b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+            else:
+                b[i + 1] = b[i + 1] - fact * b[i]
+        b[-1] = b[-1] / d[-1]
+        b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+        for i in range(n - 3, -1, -1):
+            b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / d[i]
+    return np.array(cols).T
+
 
 @dataclass
 class CoeffDescriptor:
@@ -78,15 +192,12 @@ class CoeffDescriptor:
 
     @classmethod
     def from_table(cls, ts, vs):
-        from scipy.interpolate import CubicSpline
-
         ts = [float(t) for t in ts]
         vs = [float(v) for v in vs]
-        spline = CubicSpline(np.asarray(ts), np.asarray(vs))
-        ders = [spline] + [spline.derivative(i) for i in range(1, 4)]
+        spline = Spline(ts, vs, "numeric table")
         return cls(None,
-                   fns=tuple((lambda d: (lambda t: float(d(t))))(d)
-                             for d in ders),
+                   fns=tuple(lambda t, o=o: float(spline(t, o))
+                             for o in range(4)),
                    samples=tuple(zip(ts, vs)))
 
     # -- predicates ---------------------------------------------------------
@@ -195,9 +306,11 @@ class CoeffDescriptor:
             return cls.closed(obj["expr"])
         if kind == "numeric-table":
             samples = obj["samples"]
-            ts = [s[0] for s in samples]
-            vs = [s[1] for s in samples]
-            return cls.from_table(ts, vs)
+            if not all(isinstance(s, list) and len(s) == 2 for s in samples):
+                raise ExprError("numeric table samples must be [t, value] "
+                                "pairs")
+            return cls.from_table([s[0] for s in samples],
+                                  [s[1] for s in samples])
         raise ExprError(f"unknown descriptor kind {kind!r}")
 
 
@@ -281,7 +394,10 @@ class NdeSpec:
         kwargs = {}
         for name in COEFF_NAMES:
             if name in obj:
-                kwargs[name] = CoeffDescriptor.from_json(obj[name])
+                try:
+                    kwargs[name] = CoeffDescriptor.from_json(obj[name])
+                except ExprError as err:
+                    raise ExprError(f"coefficient {name}: {err}") from None
             else:
                 kwargs[name] = CoeffDescriptor.zero()
         return cls(r=float(obj["r"]), t0=float(obj.get("t0", 0.0)), **kwargs)

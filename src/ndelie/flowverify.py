@@ -19,7 +19,7 @@ import numpy as np
 
 from .classify import Generator
 from .detsys import reduced_ansatz, reduced_equation
-from .equation import NdeSpec
+from .equation import NdeSpec, Spline
 from .ndesolve import Trajectory, _write_csv, rk4_step
 from .prolong import EquationResidual, apply_operator
 from .symexpr import (
@@ -106,7 +106,7 @@ class TransformedCurve:
     of the transported acceleration."""
 
     boundaries: np.ndarray
-    segments: list  # per segment: (lo, hi, (spline, spline', spline''))
+    segments: list  # per segment: (lo, hi, spline of x, x', x'')
     t_lo: float
     t_hi: float
 
@@ -125,9 +125,9 @@ class TransformedCurve:
         flat = ts.reshape(-1)
         out = np.full(flat.shape, np.nan)
         todo = (flat >= self.t_lo - 1e-9) & (flat <= self.t_hi + 1e-9)
-        for lo, hi, splines in self.segments:
+        for lo, hi, spline in self.segments:
             hit = todo & (flat >= lo - 1e-9) & (flat <= hi + 1e-9)
-            out[hit] = splines[der](flat[hit])
+            out[hit] = spline(flat[hit])[:, der]
             todo &= ~hit
         return out.reshape(ts.shape)
 
@@ -175,8 +175,6 @@ def transform_solution(traj: Trajectory, gen: Generator, delta,
     its most accurate; the image splines only interpolate transported
     values, they are never differentiated.
     """
-    from scipy.interpolate import CubicSpline
-
     step = traj.hstep / FINE
     count = int(round((traj.t_end - (traj.t0 - traj.r)) / step))
     ts = (traj.t0 - traj.r) + step * np.arange(count + 1)
@@ -213,11 +211,9 @@ def transform_solution(traj: Trajectory, gen: Generator, delta,
         seg_moved = list(moved[lo_i:hi_i + 1])
         if hi_i in moved_left:
             seg_moved[-1] = moved_left[hi_i]
-        seg_t = np.array([m[0] for m in seg_moved])
-        splines = tuple(
-            CubicSpline(seg_t, np.array([m[i] for m in seg_moved]))
-            for i in (1, 2, 3))
-        segments.append((float(seg_t[0]), float(seg_t[-1]), splines))
+        seg = np.array(seg_moved)
+        segments.append((float(seg[0, 0]), float(seg[-1, 0]),
+                         Spline(seg[:, 0], seg[:, 1:], "the image curve")))
     boundaries = np.array([tbar[i] for i in cuts])
     return TransformedCurve(boundaries, segments, float(tbar[0]),
                             float(tbar[-1]))

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -58,6 +61,33 @@ def test_classify_malformed_spec(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--spec", str(bad)])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("samples,why", [
+    ([[0.0, 1.0]], "needs at least 2 samples, got 1"),
+    ([[0.0, 1.0], [1.0, 2.0], [1.0, 0.5], [2.0, 1.0]],
+     "times are not strictly increasing"),
+    ([[0.0, 1.0], [2.0, 2.0], [1.0, 0.5], [3.0, 1.0]],
+     "times are not strictly increasing"),
+    ([[0.0, 1.0], [1.0, math.nan], [2.0, 0.5], [3.0, 1.0]],
+     "has a time or value that is not finite"),
+    ([[0.0, 1.0], [math.inf, 2.0], [2.0, 0.5], [3.0, 1.0]],
+     "has a time or value that is not finite"),
+    ([[0.0, 1.0], [1.0], [2.0, 0.5], [3.0, 1.0]],
+     "samples must be [t, value] pairs"),
+])
+def test_a_bad_numeric_table_is_refused_by_name(tmp_path, capsys, samples,
+                                                why):
+    # json writes and reads NaN and Infinity
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({
+        "b": {"kind": "const", "value": "1"},
+        "c": {"kind": "numeric-table", "samples": samples}, "r": 1.0}))
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--spec", str(path)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == (
+        f"error: malformed spec file: coefficient c: numeric table {why}\n")
 
 
 def test_classify_warnings_exit_code(tmp_path, capsys):
@@ -285,3 +315,55 @@ def test_library_example_matches_verify(ex1_spec, capsys):
     for rep, gen in zip(reports, admitted):
         assert finite_check(traj, gen, spec, [0.25], rho=rho) == \
             rep["finite_residual"]
+
+
+NO_SCIPY = """
+import importlib.abc
+import sys
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}")
+
+
+sys.meta_path.insert(0, NoScipy())
+
+import math
+
+import numpy as np
+
+from ndelie.classify import classify, remove_first_derivative
+from ndelie.cli import main
+from ndelie.equation import CoeffDescriptor, NdeSpec
+from ndelie.suite import build_scenarios, run_scenario
+
+c2 = next(sc for sc in build_scenarios() if sc.name == "C2")
+assert run_scenario(c2).ok
+NdeSpec.make(k=1, r=math.pi).save(sys.argv[1] + "/ex1.json")
+assert main(["verify", "--spec", sys.argv[1] + "/ex1.json", "--theta",
+             "sin(t)", "--curves", "--out", sys.argv[1]]) == 0
+grid = np.linspace(0.0, 3.0, 41)
+table = NdeSpec.make(b=1, c=CoeffDescriptor.from_table(
+    grid, 2 + np.cos(4 * grid) / 10), r=1.0)
+assert classify(table).case_id
+new, _ = remove_first_derivative(NdeSpec.make(a="sin(t)", b=1, c=1, r=1.0))
+assert math.isfinite(new.c.eval(0.5))
+assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
+"""
+
+
+def test_the_package_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: a suite scenario, the verify
+    # command with its curves, a table classification and the x' removal
+    # all run with every scipy import refused
+    import ndelie
+
+    src = os.path.dirname(os.path.dirname(ndelie.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "curve_0.csv").exists()

@@ -2,9 +2,11 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ndelie.equation import CoeffDescriptor as CD, NdeSpec
+from ndelie.equation import CoeffDescriptor as CD, NdeSpec, Spline
 from ndelie.symexpr import Coeff, ExprError, Rat, ZERO, parse
 
 
@@ -112,3 +114,72 @@ def test_descriptor_public_view(given, kind, value, sym, obj):
     assert desc.symbolic("b") == sym
     assert desc.to_json() == obj
     assert CD.from_json(obj).to_json() == obj
+
+
+# -- the spline against scipy's CubicSpline, the reference it copies -------
+
+
+def _reference(x, y, der, q):
+    """scipy's not-a-knot spline through one column, at order der."""
+    spline = pytest.importorskip("scipy.interpolate").CubicSpline(x, y)
+    return (spline.derivative(der) if der else spline)(q)
+
+
+def _queries(x, rng):
+    # inside the knots, on them, up to one unit outside, and NaN
+    return np.concatenate([rng.uniform(x[0] - 1.0, x[-1] + 1.0, 40), x,
+                           [np.nan]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(gaps=st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=40),
+       columns=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+# a wide gap after two narrow ones makes the elimination swap rows
+@example(gaps=[1.0, 1.0, 100.0, 1.0, 1.0], columns=2, seed=0)
+# glibc's pow squares the first gap one ulp away from gap * gap
+@example(gaps=[9.76582045230678, 1.0, 2.0, 1.5], columns=1, seed=1)
+def test_spline_matches_scipy_bit_for_bit(gaps, columns, seed):
+    pytest.importorskip("scipy")
+    x = np.concatenate([[0.0], np.cumsum(gaps)])
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(len(x), columns)) * 10.0 ** rng.uniform(-3, 3)
+    q = _queries(x, rng)
+    spline = Spline(x, y, "table")
+    for der in range(4):
+        got = spline(q, der)
+        assert got.shape == (len(q), columns)
+        for j in range(columns):
+            np.testing.assert_array_equal(got[:, j],
+                                          _reference(x, y[:, j], der, q))
+
+
+def test_two_and_three_sample_splines_against_scipy():
+    # two samples give the straight line, bit for bit; for three, scipy
+    # solves the parabola's 3 x 3 system with a dense LAPACK solver whose
+    # rounding differs from the tridiagonal elimination, so the values
+    # agree to 1e-12 of the largest value of orders 0-2 (2.5e-13 seen)
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        x = np.cumsum(rng.uniform(0.1, 2.0, 3))
+        y = rng.normal(size=3) * 10.0 ** rng.uniform(-3, 3)
+        q = _queries(x, rng)
+        two = Spline(x[:2], y[:2], "table")
+        three = Spline(x, y, "table")
+        want = [_reference(x, y, der, q) for der in range(4)]
+        scale = max(np.nanmax(np.abs(w)) for w in want[:3])
+        for der in range(4):
+            np.testing.assert_array_equal(two(q, der),
+                                          _reference(x[:2], y[:2], der, q))
+            got = three(q, der)
+            assert np.array_equal(np.isnan(got), np.isnan(want[der]))
+            assert np.nanmax(np.abs(got - want[der])) <= 1e-12 * scale
+
+
+def test_table_descriptor_reads_its_spline():
+    desc = CD.from_table([0.0, 0.4, 1.0, 1.3], [1.0, -0.5, 2.0, 0.25])
+    spline = Spline([0.0, 0.4, 1.0, 1.3], [1.0, -0.5, 2.0, 0.25], "table")
+    q = np.array([-0.5, 0.0, 0.7, 1.3, 2.0])
+    for der in range(4):
+        np.testing.assert_array_equal(desc.sample(q, der), spline(q, der))
+        assert desc.eval(0.7, der) == float(spline(0.7, der))

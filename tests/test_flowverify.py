@@ -233,7 +233,7 @@ def test_transformed_curve_sample_reads_the_first_holding_segment():
             hit = [seg for seg in curve.segments
                    if seg[0] - 1e-9 <= t <= seg[1] + 1e-9
                    and curve.t_lo - 1e-9 <= t <= curve.t_hi + 1e-9]
-            want.append(float(hit[0][2][der](t)) if hit else math.nan)
+            want.append(float(hit[0][2](t)[der]) if hit else math.nan)
         np.testing.assert_array_equal(curve.sample(ts, der), want)
     with pytest.raises(ExprError):
         curve.value(curve.t_hi + 1.0)
@@ -322,7 +322,7 @@ def test_left_hand_jets_ride_in_the_main_batch(monkeypatch):
         seg = next(s for s in curve.segments
                    if abs(s[1] - moved[0]) < step / 4)
         for i in (1, 2, 3):
-            assert float(seg[2][i - 1](seg[1])) == pytest.approx(
+            assert float(seg[2](seg[1])[i - 1]) == pytest.approx(
                 moved[i], rel=1e-12, abs=1e-12)
         checked += 1
     assert checked == 2
