@@ -28,7 +28,7 @@ from .ndesolve import _hermite, rk4_step
 from .prolong import InfinitesimalAnsatz
 from .symexpr import (
     App, Expr, ExprError, ONE, Pow, Rat, T, X, ZERO, _elementwise,
-    check_evaluated, compile_numeric, diff, fn, normalize, num, render,
+    check_evaluated, diff, fn, normalize, num, render,
     substitute,
 )
 
@@ -126,8 +126,8 @@ def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
     The d-energy equation is linear, and each entry of init may instead be
     a row of values, one per solution: all of them advance together as one
     state, and OmegaSolution.column picks one out.
-    params: the scalar c2, and for d-energy d as [f, f'] callables over
-    arrays of times.
+    params: the scalar c2, and for d-energy the coefficient d, a function
+    of t answering sample(ts, order).
     """
     if case not in OMEGA_ODES:
         raise ExprError(f"unknown omega equation {case!r}")
@@ -138,8 +138,7 @@ def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
     at = {}
     if not divides_by_w:
         times, at = _stage_times(ts)
-        f0, f1 = (np.broadcast_to(params["d"][o](times), times.shape)
-                  for o in (0, 1))
+        f0, f1 = (params["d"].sample(times, o) for o in (0, 1))
         check_evaluated("the coefficient d", times, (f0, f1))
 
     def third(j, w, w1, w2):
@@ -275,11 +274,9 @@ def compatibility_c(spec: NdeSpec, omega, c_t0=None, grid=None):
     if c_t0 is None:
         c_t0 = spec.c.eval(grid[0])
     times, at = _stage_times(grid)
-    if isinstance(omega, OmegaSolution):
-        w0, w1, w3 = (omega.sample(times, o) for o in (0, 1, 3))
-    else:
-        w0, w1, w3 = (np.broadcast_to(compile_numeric(diff_n(omega, o))(
-            {"t": times}, None), times.shape) for o in (0, 1, 3))
+    if isinstance(omega, Expr):
+        omega = CoeffDescriptor(omega)
+    w0, w1, w3 = (omega.sample(times, o) for o in (0, 1, 3))
     check_evaluated("omega", times, (w0, w1, w3))
     if (np.abs(w0) < 1e-12).any():
         raise ExprError("omega vanishes inside the grid; cannot continue c")
@@ -293,12 +290,6 @@ def compatibility_c(spec: NdeSpec, omega, c_t0=None, grid=None):
     for i in range(len(grid) - 1):
         cs[i + 1] = rk4_step(slope, grid[i], cs[i], grid[i + 1] - grid[i])
     return CoeffDescriptor.from_table(grid, cs)
-
-
-def diff_n(e, order):
-    for _ in range(order):
-        e = diff(e, T)
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +446,7 @@ def _rho_relation(spec: NdeSpec):
 class TransformRecord:
     kind: str
     note: str = ""
-    s_chain: list | None = None
+    s_chain: CoeffDescriptor | None = None
     particular: object = None
 
     def push(self, t, x):
@@ -463,14 +454,14 @@ class TransformRecord:
         if self.kind == "homogenize":
             return x - self.particular.value(t, 0)
         if self.kind == "prime-removal":
-            return x / self.s_chain[0](t)
+            return x / self.s_chain.eval(t)
         return x
 
     def pull(self, t, u):
         if self.kind == "homogenize":
             return u + self.particular.value(t, 0)
         if self.kind == "prime-removal":
-            return u * self.s_chain[0](t)
+            return u * self.s_chain.eval(t)
         return u
 
 
@@ -496,8 +487,7 @@ def homogenize(spec: NdeSpec, particular, t_hi=None):
 
 
 def _s_chain(spec: NdeSpec, t_lo, t_hi):
-    """s = exp(-int a / 2) with derivatives up to order 2, plus order 3
-    of the integrand where needed."""
+    """s = exp(-int a / 2) as a numeric descriptor of orders 0..3."""
     a = spec.a
     if a.is_const:
         alpha = float(a.const_value())
@@ -505,10 +495,10 @@ def _s_chain(spec: NdeSpec, t_lo, t_hi):
         def s0(t):
             return _elementwise(math.exp, -alpha * (t - spec.t0) / 2.0)
 
-        return [s0,
-                lambda t: -alpha / 2.0 * s0(t),
-                lambda t: alpha ** 2 / 4.0 * s0(t),
-                lambda t: -alpha ** 3 / 8.0 * s0(t)]
+        return CoeffDescriptor.numeric(
+            s0, lambda t: -alpha / 2.0 * s0(t),
+            lambda t: alpha ** 2 / 4.0 * s0(t),
+            lambda t: -alpha ** 3 / 8.0 * s0(t))
     grid = np.linspace(t_lo, t_hi, 2001)
     avals = a.sample(grid)
     check_evaluated("a", grid, avals)
@@ -532,7 +522,7 @@ def _s_chain(spec: NdeSpec, t_lo, t_hi):
         cube = _elementwise(lambda v: v ** 3, av)
         return (-a2 / 2.0 + 0.75 * av * a1 - cube / 8.0) * s0(t)
 
-    return [s0, s1, s2, s3]
+    return CoeffDescriptor.numeric(s0, s1, s2, s3)
 
 
 def remove_first_derivative(spec: NdeSpec):
@@ -550,14 +540,12 @@ def remove_first_derivative(spec: NdeSpec):
     t_hi = spec.t0 + 4 * spec.r
     chain = _s_chain(spec, spec.t0 - 2 * spec.r, t_hi + spec.r)
     # a NaN fails the comparison too
-    if not (np.abs(chain[0](np.linspace(spec.t0 - spec.r, t_hi, 50)))
+    if not (np.abs(chain.sample(np.linspace(spec.t0 - spec.r, t_hi, 50)))
             >= 1e-12).all():
         raise ExprError("scaling function vanishes or has no value in the "
                         "interval")
 
-    table = {"a": spec.a.fn_entry(), "b": spec.b.fn_entry(),
-             "c": spec.c.fn_entry(), "d": spec.d.fn_entry(),
-             "k": spec.k.fn_entry(), "s": chain}
+    table = {**spec.descriptors(), "s": chain}
     s, s_r = fn("s"), fn("s", delayed=True)
     s1_r, s2_r = fn("s", True, 1), fn("s", True, 2)
     exprs = {
@@ -578,16 +566,12 @@ def remove_first_derivative(spec: NdeSpec):
                 chain_exprs.append(diff(chain_exprs[-1], T))
             except ExprError:
                 break
-        compiled = [compile_numeric(e) for e in chain_exprs]
-        fns = [lambda t, f=f: f({"t": t, "r": spec.r}, table)
-               for f in compiled]
+        desc = CoeffDescriptor.bound(chain_exprs, table, spec.r)
         probe = np.linspace(spec.t0, t_hi, 25)
-        vals = np.broadcast_to(fns[0](probe), probe.shape)
+        vals = desc.sample(probe)
         check_evaluated(f"the transformed {name}", probe, vals)
-        if np.max(np.abs(vals)) < 1e-13:
-            new_desc[name] = CoeffDescriptor.zero()
-        else:
-            new_desc[name] = CoeffDescriptor.numeric(*fns)
+        new_desc[name] = (CoeffDescriptor.zero()
+                          if np.max(np.abs(vals)) < 1e-13 else desc)
     new = NdeSpec(a=CoeffDescriptor.zero(), b=new_desc["b"], c=new_desc["c"],
                   d=new_desc["d"], k=new_desc["k"],
                   h=CoeffDescriptor.zero() if spec.h.is_zero else spec.h,
@@ -626,21 +610,15 @@ def _validate_closed(spec, gen, result, assumptions):
         gen.note = (gen.note + f" [invariance zero: {zr.mode}]").strip()
 
 
-def _check_delay_compat(gen, values, r, t0, result, what):
+def _check_delay_compat(gen, f, spec, result, what):
     """Demote unless |f(t) - f(t-r)| stays under CHECK_TOL on [t0 + r,
-    t0 + 3r], where values is f over an array of times."""
-    ts = np.linspace(t0 + r, t0 + r + 2 * r, 60)
-    mism = _max_abs(what, ts, values(ts) - values(ts - r))
+    t0 + 3r], for a function of t f that answers sample(ts, order)."""
+    r = spec.r
+    ts = np.linspace(spec.t0 + r, spec.t0 + r + 2 * r, 60)
+    mism = _max_abs(what, ts, f.sample(ts) - f.sample(ts - r))
     if mism > CHECK_TOL:
         _demote(gen, result, f"delay compatibility violated: max "
                 f"|{what}(t) - {what}(t-r)| = {mism:.2e}")
-
-
-def _closed_eval(expr, spec):
-    """expr over an array of times, with the spec's coefficients."""
-    f, table = compile_numeric(expr), spec.fn_table()
-    return lambda ts: np.broadcast_to(f({"t": ts, "r": spec.r}, table),
-                                      np.shape(ts))
 
 
 def _fit_constant(fun, grid):
@@ -756,14 +734,16 @@ def _b_family(spec, result, base_d, c_div, d_div):
                             Pow(b_sym, -1) if not isinstance(b_sym, Rat)
                             else num(Fraction(1) / b_sym.q))
     result.generators = [_gen_scale(), gen_b, _gen_rho()]
-    _check_delay_compat(gen_b, spec.b.sample, spec.r, spec.t0, result, "b")
+    _check_delay_compat(gen_b, spec.b, spec, result, "b")
     grid = np.linspace(spec.t0 + 0.05, spec.t0 + 3 * spec.r, 60)
+    table = spec.fn_table()
 
     def fit(desc, base, div):
-        fb = _closed_eval(base, spec)
-        scale = _closed_eval(normalize(b_sym ** 2 / div), spec)
-        return _fit_constant(lambda t: (desc.sample(t) - fb(t)) / scale(t),
-                             grid)[:2]
+        fb, scale = (CoeffDescriptor.bound([e], table, spec.r)
+                     for e in (base, normalize(b_sym ** 2 / div)))
+        return _fit_constant(
+            lambda t: (desc.sample(t) - fb.sample(t)) / scale.sample(t),
+            grid)[:2]
 
     return gen_b, (fit(spec.c, compat_c_from_b(b_sym, c6=0), c_div),
                    fit(spec.d, base_d, d_div))
@@ -817,8 +797,7 @@ def _case_c3(spec, result, k_val, trace):
         if mism > CHECK_TOL:
             _demote(gen_w, result, "b is not compatible with the "
                     f"two-term omega equation (max |w b - 1| = {mism:.2e})")
-        _check_delay_compat(gen_w, sol.sample, spec.r, spec.t0, result,
-                            "omega")
+        _check_delay_compat(gen_w, sol, spec, result, "omega")
     if c_varies_against_omega(spec, sol):
         _demote(gen_w, result,
                 "c(t) incompatible with the third-order constraint")
@@ -853,7 +832,7 @@ def _energy_omegas(spec, k_val, inits):
     """Solutions of the d-energy omega equation from each initial datum
     (w, w', w'') at t0, advanced together as one state."""
     sols = solve_omega_two_sided("d-energy",
-                                 {"c2": k_val, "d": spec.d.fn_entry()[:2]},
+                                 {"c2": k_val, "d": spec.d},
                                  np.transpose(inits), spec.t0,
                                  spec.t0 - 2.5 * spec.r,
                                  spec.t0 + 3.5 * spec.r)
@@ -863,7 +842,7 @@ def _energy_omegas(spec, k_val, inits):
 def _check_numeric_omega(spec, gen, sol, result):
     """Delay compatibility of a numeric omega and the third-order
     c-constraint along it; demotes on failure."""
-    _check_delay_compat(gen, sol.sample, spec.r, spec.t0, result, "omega")
+    _check_delay_compat(gen, sol, spec, result, "omega")
     if c_varies_against_omega(spec, sol):
         _demote(gen, result,
                 "c(t) incompatible with the third-order constraint")
@@ -938,8 +917,8 @@ def _case_c9(spec, result, k_val, trace):
     for g in gens:
         if g.kind == "closed" and g.omega not in (None, ZERO) \
                 and g.status == "admitted" and g.omega != num(1):
-            _check_delay_compat(g, _closed_eval(g.omega, spec), spec.r,
-                                spec.t0, result, "omega")
+            omega = CoeffDescriptor.bound([g.omega], spec.fn_table(), spec.r)
+            _check_delay_compat(g, omega, spec, result, "omega")
     return result
 
 
@@ -991,15 +970,14 @@ def _case_c12(spec, result, trace):
         check_evaluated("d", ts[:stop[0] + 1], dv[:stop[0] + 1])
         _demote(gen_w, result, "d must stay positive for 1/sqrt(d)")
     if gen_w.status == "admitted":
-        _check_delay_compat(gen_w, spec.d.sample, spec.r, spec.t0, result,
-                            "d")
+        _check_delay_compat(gen_w, spec.d, spec, result, "d")
     # compatibility: c = (c31 d + d''/(2d) - (5/8)(d'/d)^2)/2
     grid = np.linspace(spec.t0 + 0.05, spec.t0 + 3 * spec.r, 60)
     base = compat_c_from_d_pure_delay(d_sym, c31=0)
-    bc = _closed_eval(base, spec)
-    half_d = _closed_eval(normalize(HALF * d_sym), spec)
+    bc, half_d = (CoeffDescriptor.bound([e], spec.fn_table(), spec.r)
+                  for e in (base, normalize(HALF * d_sym)))
     c31, ok_c, _ = _fit_constant(
-        lambda t: (spec.c.sample(t) - bc(t)) / half_d(t), grid)
+        lambda t: (spec.c.sample(t) - bc.sample(t)) / half_d.sample(t), grid)
     result.compatibility["c"] = (
         "c = (c31 d + d''/(2d) - (5/8)(d'/d)^2)/2, c31 = %.6g" % c31)
     if not ok_c:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .equation import NdeSpec
+from .equation import CoeffDescriptor, NdeSpec
 from .prolong import EquationResidual, InfinitesimalAnsatz, apply_operator
 from .symexpr import (
     Coeff, Expr, ExprError, Par, Rat, T, X, X1, X1R, X2, X2R, XR, ZERO,
@@ -514,38 +514,33 @@ class ZeroResult:
 
 def _instance_family(name, assumptions, rng, r):
     """Concrete coefficient instance with analytic derivatives honoring the
-    recorded assumptions for this name."""
+    recorded assumptions for this name, as a descriptor."""
     props = {a.prop for a in assumptions if a.subject == name}
     if "zero" in props:
-        z = lambda t: 0.0
-        return [z, z, z, z]
+        return CoeffDescriptor.zero()
     if "constant" in props:
-        v = rng.uniform(0.5, 2.0)
-        zero = lambda t: 0.0
-        return [lambda t: v, zero, zero, zero]
+        return CoeffDescriptor.const(rng.uniform(0.5, 2.0))
     if "delay-equal" in props:
         w = 2.0 * math.pi / r
         a1, a2 = rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)
         c0 = rng.uniform(1.0, 2.0) if "nonzero" in props else \
             rng.uniform(-0.5, 0.5)
-        return [
+        return CoeffDescriptor.numeric(
             lambda t: c0 + a1 * np.sin(w * t) + a2 * np.cos(w * t),
             lambda t: w * (a1 * np.cos(w * t) - a2 * np.sin(w * t)),
             lambda t: -w * w * (a1 * np.sin(w * t) + a2 * np.cos(w * t)),
-            lambda t: -w ** 3 * (a1 * np.cos(w * t) - a2 * np.sin(w * t)),
-        ]
+            lambda t: -w ** 3 * (a1 * np.cos(w * t) - a2 * np.sin(w * t)))
     a0 = rng.uniform(-1.5, 1.5)
     a1 = rng.uniform(-1.0, 1.0)
     a2 = rng.uniform(-1.0, 1.0)
     wv = rng.uniform(0.5, 1.5)
     if "nonzero" in props:
         a0 = (2.0 + abs(a0)) * (1 if rng.random() < 0.5 else -1)
-    return [
+    return CoeffDescriptor.numeric(
         lambda t: a0 + a1 * t + a2 * np.sin(wv * t),
         lambda t: a1 + a2 * wv * np.cos(wv * t),
         lambda t: -a2 * wv * wv * np.sin(wv * t),
-        lambda t: -a2 * wv ** 3 * np.cos(wv * t),
-    ]
+        lambda t: -a2 * wv ** 3 * np.cos(wv * t))
 
 
 def is_zero(e: Expr, assumptions=(), fn_table=None, params=None

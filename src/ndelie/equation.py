@@ -150,9 +150,12 @@ class CoeffDescriptor:
     kind 'const'    -- an exact rational expression q
     kind 'closed'   -- any other expression in t, differentiated
                        symbolically
-    kind 'numeric'  -- no expression; callables for orders 0..3, and a
-                       cubic-spline table keeps its samples, which is
-                       what its JSON form holds
+    kind 'numeric'  -- no expression; callables over arrays of times for
+                       orders 0..3, and a cubic-spline table keeps its
+                       samples, which is what its JSON form holds
+
+    Every function of t that a compiled program reads, a descriptor or
+    anything else, answers sample(ts, order).
     """
 
     expr: Expr | None
@@ -186,18 +189,26 @@ class CoeffDescriptor:
 
     @classmethod
     def numeric(cls, *fns):
+        """fns[o] gives the o-th derivative over an array of times, or a
+        value that broadcasts against them."""
         if not fns:
             raise ExprError("numeric descriptor needs at least f(t)")
         return cls(None, fns=tuple(fns))
+
+    @classmethod
+    def bound(cls, exprs, table, r):
+        """Numeric descriptor whose o-th derivative is exprs[o], compiled
+        and read with the functions of t in table and the delay r."""
+        return cls.numeric(*(lambda t, f=compile_numeric(e): f(
+            {"t": t, "r": r}, table) for e in exprs))
 
     @classmethod
     def from_table(cls, ts, vs):
         ts = [float(t) for t in ts]
         vs = [float(v) for v in vs]
         spline = Spline(ts, vs, "numeric table")
-        return cls(None,
-                   fns=tuple(lambda t, o=o: float(spline(t, o))
-                             for o in range(4)),
+        return cls(None, fns=tuple(lambda t, o=o: spline(t, o)
+                                   for o in range(4)),
                    samples=tuple(zip(ts, vs)))
 
     # -- predicates ---------------------------------------------------------
@@ -243,22 +254,24 @@ class CoeffDescriptor:
 
     def eval(self, t, order=0):
         """The order-th derivative at t; EvalError where it has no value."""
-        v = float(self._values(float(t), order))
+        v = self.sample(float(t), order)
         if math.isnan(v):
             what = self.kind if self.expr is None else render(self.expr)
             raise EvalError(f"coefficient {what} has no value at t = {t}")
         return v
 
     def sample(self, ts, order=0):
-        """The order-th derivative over an array of times; NaN marks a time
-        where it has no value."""
+        """The order-th derivative over an array of times, or a float at a
+        float time; NaN marks a time where it has no value."""
+        if isinstance(ts, float):
+            return float(self._values(ts, order))
         ts = np.asarray(ts, float)
         return np.broadcast_to(self._values(ts, order), ts.shape)
 
     def _values(self, t, order):
         """The order-th derivative at a float or an array of times: an
-        expression through its compiled closure, callables point by
-        point."""
+        expression through its compiled closure, or the order's
+        callable."""
         if not 0 <= order <= 3:
             raise ExprError(f"derivative order {order} is not in 0..3")
         if self.expr is not None:
@@ -268,16 +281,9 @@ class CoeffDescriptor:
                 raise EvalError(f"unbound symbol {err.args[0]} in "
                                 f"{render(self.expr)}") from None
         if order >= len(self.fns):
-            raise ExprError("numeric descriptor supplies orders "
+            raise EvalError("numeric descriptor supplies orders "
                             f"0..{len(self.fns) - 1}")
-        f = self.fns[order]
-        return np.array([f(x) for x in np.ravel(t).tolist()],
-                        float).reshape(np.shape(t))
-
-    def fn_entry(self):
-        """Entry for a symexpr fn_table: callables over arrays of times,
-        indexed by order."""
-        return [lambda t, o=o: self.sample(t, o) for o in range(4)]
+        return self.fns[order](t)
 
     # -- JSON ---------------------------------------------------------------
 
@@ -297,15 +303,23 @@ class CoeffDescriptor:
 
     @classmethod
     def from_json(cls, obj):
+        if not isinstance(obj, dict):
+            raise ExprError(f"a descriptor is a JSON object, not {obj!r}")
         kind = obj.get("kind")
+
+        def need(key):
+            if key not in obj:
+                raise ExprError(f"{kind} descriptor has no {key!r}")
+            return obj[key]
+
         if kind == "zero":
             return cls.zero()
         if kind == "const":
-            return cls.const(Fraction(str(obj["value"])))
+            return cls.const(Fraction(str(need("value"))))
         if kind == "closed":
-            return cls.closed(obj["expr"])
+            return cls.closed(need("expr"))
         if kind == "numeric-table":
-            samples = obj["samples"]
+            samples = need("samples")
             if not all(isinstance(s, list) and len(s) == 2 for s in samples):
                 raise ExprError("numeric table samples must be [t, value] "
                                 "pairs")
@@ -355,8 +369,8 @@ class NdeSpec:
                         (self.a, self.b, self.c, self.d, self.k, self.h)))
 
     def fn_table(self):
-        return {name: desc.fn_entry()
-                for name, desc in self.descriptors().items()
+        """The coefficients that enter a residual as functions of t."""
+        return {name: desc for name, desc in self.descriptors().items()
                 if desc.kind in ("closed", "numeric")}
 
     def residual(self, curve, ts):
@@ -400,6 +414,8 @@ class NdeSpec:
                     raise ExprError(f"coefficient {name}: {err}") from None
             else:
                 kwargs[name] = CoeffDescriptor.zero()
+        if "r" not in obj:
+            raise ExprError("the spec has no delay 'r'")
         return cls(r=float(obj["r"]), t0=float(obj.get("t0", 0.0)), **kwargs)
 
     @classmethod

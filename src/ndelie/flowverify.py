@@ -19,7 +19,7 @@ import numpy as np
 
 from .classify import Generator
 from .detsys import reduced_ansatz, reduced_equation
-from .equation import NdeSpec, Spline
+from .equation import CoeffDescriptor, NdeSpec, Spline
 from .ndesolve import Trajectory, _write_csv, rk4_step
 from .prolong import EquationResidual, apply_operator
 from .symexpr import (
@@ -36,17 +36,6 @@ INTERIOR_SAMPLES = 30    # about this many times for the infinitesimal check
 PHI = "Phi#"
 
 
-def _rho_chain(rho):
-    """Derivative chain of the solution slot over arrays of times.  A
-    Trajectory stores x, x' and x'' only, so a request for a higher order
-    fails with EvalError."""
-    if rho is None:
-        return [lambda t: 0.0] * 4
-    if isinstance(rho, Trajectory):
-        return [lambda t, o=o: rho.sample(t, o) for o in range(3)]
-    return rho  # a chain of callables over arrays, used as given
-
-
 def _pair(gen: Generator):
     """omega and upsilon as expressions; a numeric omega is the
     coefficient PHI, with upsilon = (1/2) PHI' x."""
@@ -58,11 +47,13 @@ def _pair(gen: Generator):
 
 def _fn_table(gen: Generator, spec: NdeSpec, rho):
     """The coefficients the generator's chains read: the equation's, the
-    solution slot rho and, for a numeric generator, PHI."""
-    table = {**spec.fn_table(), "rho": _rho_chain(rho)}
+    solution slot rho (zero when None; a Trajectory stores x, x' and x''
+    only, so a higher order fails with EvalError) and, for a numeric
+    generator, PHI."""
+    table = {**spec.fn_table(),
+             "rho": CoeffDescriptor.zero() if rho is None else rho}
     if gen.kind == "numeric":
-        table[PHI] = [functools.partial(gen.omega_numeric.sample, der=o)
-                      for o in range(4)]
+        table[PHI] = gen.omega_numeric
     return table
 
 
@@ -239,11 +230,10 @@ def _affine_exprs(gen: Generator):
 
 
 def _affine_chains(gen: Generator, spec: NdeSpec, rho):
-    """beta/gamma/rho derivative chains of the affine pair over arrays of
-    times, one callable per order."""
+    """beta, gamma and rho of the affine pair as functions of t, read with
+    the generator's table."""
     table = _fn_table(gen, spec, rho)
-    return tuple([lambda t, f=compile_numeric(e): f({"r": spec.r, "t": t},
-                                                    table) for e in c]
+    return tuple(CoeffDescriptor.bound(c, table, spec.r)
                  for c in _affine_exprs(gen))
 
 
@@ -260,9 +250,9 @@ def infinitesimal_check(traj: Trajectory, gen: Generator, spec: NdeSpec,
     """Max |invariance residual| along the solution, all jet values read
     from dense output; raises ExprError where a jet or the residual cannot
     be evaluated."""
-    beta, gamma, rho_chain = _affine_chains(gen, spec, rho)
-    table = spec.fn_table()
-    table.update({"beta": beta, "gamma": gamma, "rho": rho_chain})
+    beta, gamma, rho_part = _affine_chains(gen, spec, rho)
+    table = {**spec.fn_table(), "beta": beta, "gamma": gamma,
+             "rho": rho_part}
     ts = np.asarray(samples, float)
     td = ts - spec.r
     env = {"t": ts, "r": spec.r,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equation import CoeffDescriptor, NdeSpec
-from .symexpr import Expr, ExprError, check_evaluated
+from .symexpr import EvalError, Expr, ExprError, check_evaluated
 
 
 def _hermite(y0, y1, m0, m1, s, h, der):
@@ -78,7 +78,7 @@ class Trajectory:
 
     def sample(self, ts, der=0, side="+", _cap=None):
         """value over an array of times; a query outside the span gives NaN
-        instead of raising.
+        instead of raising, and an order above 2 raises EvalError.
 
         _cap is the highest dense interval each query may read; a negative
         cap reads the initial function.  The integrator caps every step at
@@ -86,7 +86,7 @@ class Trajectory:
         piece with that piece's one-sided closures.  side='-' caps the
         acceleration at a node to the interval that ends there."""
         if der not in (0, 1, 2):
-            raise ExprError(f"derivative order {der} not stored")
+            raise EvalError(f"derivative order {der} not stored")
         ts = np.asarray(ts, float)
         flat = ts.reshape(-1)
         t0, h = self.t0, self.hstep

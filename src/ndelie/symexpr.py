@@ -699,22 +699,17 @@ def collect(e, jets) -> dict:
 def _coeff_value(fn_table, name, order, tval):
     if fn_table is None or name not in fn_table:
         raise EvalError(f"no numeric binding for coefficient function {name}")
-    entry = fn_table[name]
-    try:
-        f = (entry,)[order] if callable(entry) else entry[order]
-    except (IndexError, KeyError, TypeError):
-        raise EvalError(
-            f"derivative of order {order} of {name} not supplied"
-        ) from None
-    return f(tval)
+    return fn_table[name].sample(tval, order)
 
 
 def eval_numeric(e, env, fn_table=None) -> float:
     """Evaluate at a point through compile_numeric.  env maps symbol names
     ('t', 'x', 'x1r', 'c1', 'r', ...) to floats; fn_table maps
-    coefficient-function names to either a callable (order 0) or a
-    sequence of callables indexed by derivative order.  An unbound name,
-    or a point the expression has no value at, raises EvalError."""
+    coefficient-function names to functions of t, each anything that
+    answers sample(ts, order) with the order-th derivative over an array
+    of times (a CoeffDescriptor, a Trajectory, an OmegaSolution).  An
+    unbound name, an order its function does not supply, or a point the
+    expression has no value at, raises EvalError."""
     f = compile_numeric(e)
     try:
         v = float(f({k: float(v) for k, v in env.items()}, fn_table))
@@ -729,18 +724,20 @@ def eval_numeric(e, env, fn_table=None) -> float:
 def compile_numeric(e):
     """Compile to a closure f(env, fn_table) over floats or numpy arrays.
 
-    env values and the fn_table callables take and return arrays or
-    floats; the result broadcasts against them.  Each element gets the
-    value the math library gives at that point (numpy's sin, cos and sqrt
-    agree with it here): sums are rounded as math.fsum rounds them, and
-    exp, ln and integer powers are evaluated per element with the math
+    env values are arrays or floats, and fn_table maps each coefficient
+    name to a function of t that answers sample(ts, order) over them (see
+    eval_numeric); the result broadcasts against them.  Each element gets
+    the value the math library gives at that point (numpy's sin, cos and
+    sqrt agree with it here): sums are rounded as math.fsum rounds them,
+    and exp, ln and integer powers are evaluated per element with the math
     functions.  A domain or range error (sqrt or ln of a bad value, 0^-n,
     overflow) sets that element to NaN, so np.isnan of the result is the
     per-point mask of failed evaluations.
 
     A tuple or list of expressions compiles to one program whose closure
     gives the list of their values; each distinct node of the group, a
-    coefficient leaf included, is evaluated once per call.
+    coefficient leaf included, is evaluated once per call, and so is the
+    delayed time t - r that the delayed leaves read.
     """
     if isinstance(e, (tuple, list)):
         return _compile([_as_expr(x) for x in e])
@@ -827,16 +824,26 @@ def _fsum_array(values):
     return r
 
 
+# the step a delayed coefficient reads its time from
+_DELAYED_T = object()
+
+
 def _compile(exprs):
     """One program for a group of expressions: their distinct nodes in
     post-order, each a step computing its value from the values of the
-    steps before it."""
+    steps before it.  A coefficient's operand is its time: the step of t,
+    or the step forming t - r."""
     index, steps = {}, []
 
     def slot(node):
         i = index.get(node)
         if i is None:
-            op = _step(node, [slot(k) for k in _operands(node)])
+            if node is _DELAYED_T:
+                op = _delayed_time
+            else:
+                kids = ((_DELAYED_T if node.delayed else T,)
+                        if isinstance(node, Coeff) else _operands(node))
+                op = _step(node, [slot(k) for k in kids])
             i = index[node] = len(steps)
             steps.append(op)
         return i
@@ -852,6 +859,10 @@ def _compile(exprs):
     return program
 
 
+def _delayed_time(v, env, fns):
+    return env["t"] - env["r"]
+
+
 def _step(e, k):
     """Node e as a function of (values of the earlier steps, env,
     fn_table); k lists the steps of its operands."""
@@ -862,9 +873,8 @@ def _step(e, k):
         name = e.name if isinstance(e, Par) else e.tag
         return lambda v, env, fns: env[name]
     if isinstance(e, Coeff):
-        name, delayed, order = e.name, e.delayed, e.order
-        return lambda v, env, fns: _coeff_value(
-            fns, name, order, env["t"] - env["r"] if delayed else env["t"])
+        name, order = e.name, e.order
+        return lambda v, env, fns: _coeff_value(fns, name, order, v[k[0]])
     if isinstance(e, Sum):
         return lambda v, env, fns: _fsum_array([v[i] for i in k])
     if isinstance(e, Prod):

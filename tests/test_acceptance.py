@@ -173,10 +173,10 @@ def test_criterion_5_splitting_oracle():
     rng = np.random.RandomState(42)
 
     def trig(a0, a1, w):
-        return [lambda t: a0 + a1 * math.sin(w * t),
-                lambda t: a1 * w * math.cos(w * t),
-                lambda t: -a1 * w * w * math.sin(w * t),
-                lambda t: -a1 * w ** 3 * math.cos(w * t)]
+        return CD.numeric(lambda t: a0 + a1 * np.sin(w * t),
+                          lambda t: a1 * w * np.cos(w * t),
+                          lambda t: -a1 * w * w * np.sin(w * t),
+                          lambda t: -a1 * w ** 3 * np.cos(w * t))
 
     names = ("b", "c", "d", "k", "beta", "gamma", "rho", "alpha",
              "alpha2", "gamma2")
@@ -228,10 +228,10 @@ def test_criterion_7_varying_neutral_branch():
 
 def test_criterion_8_first_integral_conservation():
     chains = {
-        "1": [lambda t: 1.0, lambda t: 0.0],
-        "exp(t)": [np.exp, np.exp],
-        "sin(t)": [np.sin, np.cos],
-        "t^2": [lambda t: t * t, lambda t: 2.0 * t],
+        "1": CD.numeric(lambda t: 1.0, lambda t: 0.0),
+        "exp(t)": CD.numeric(np.exp, np.exp),
+        "sin(t)": CD.numeric(np.sin, np.cos),
+        "t^2": CD.numeric(lambda t: t * t, lambda t: 2.0 * t),
     }
     drifts = {}
     for name, chain in chains.items():

@@ -6,15 +6,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ndelie.classify import (
-    CoeffDescriptor as CD, NdeSpec, classify, compat_c_from_b,
+    ClassificationResult, CoeffDescriptor as CD, Generator, NdeSpec,
+    _validate_closed, classify, compat_c_from_b,
     compat_c_from_d_pure_delay, compat_d_from_b, compat_d_from_b_pure_delay,
-    compatibility_c, diff_n, homogenize, omega_ode_solve,
+    compatibility_c, homogenize, omega_ode_solve,
     remove_first_derivative, solve_omega_two_sided,
 )
 from ndelie.ndesolve import integrate, rk4_step
 from ndelie.symexpr import (
-    App, ExprError, Pow, T, ZERO, eval_numeric, fn, normalize, num, parse,
+    App, ExprError, Pow, T, X, ZERO, diff, eval_numeric, fn, normalize, num,
+    parse,
 )
+
+
+def diff_n(e, order):
+    for _ in range(order):
+        e = diff(e, T)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +63,8 @@ def test_compat_c_pure_delay_keeps_energy_constant():
     w = normalize(Pow(App("sqrt", d), -1))
     energy = normalize(w * diff_n(w, 2) - num(Fraction(1, 2))
                        * diff_n(w, 1) ** 2 + 2 * c * w ** 2 - 2)
-    tbl = {"d": [lambda t: 2 + math.sin(t), lambda t: math.cos(t),
-                 lambda t: -math.sin(t), lambda t: -math.cos(t)]}
+    tbl = {"d": CD.numeric(lambda t: 2 + np.sin(t), lambda t: np.cos(t),
+                           lambda t: -np.sin(t), lambda t: -np.cos(t))}
     worst = max(abs(eval_numeric(energy, {"t": t}, tbl))
                 for t in np.linspace(0.2, 5.0, 23))
     assert worst < 1e-12
@@ -78,10 +86,10 @@ def test_line_solves_two_term_equation():
 
 
 @pytest.mark.parametrize("dname,chain", [
-    ("one", [lambda t: 1.0, lambda t: 0.0]),
-    ("exp", [np.exp, np.exp]),
-    ("sin", [np.sin, np.cos]),
-    ("square", [lambda t: t * t, lambda t: 2 * t]),
+    ("one", CD.numeric(lambda t: 1.0, lambda t: 0.0)),
+    ("exp", CD.numeric(np.exp, np.exp)),
+    ("sin", CD.numeric(np.sin, np.cos)),
+    ("square", CD.numeric(lambda t: t * t, lambda t: 2 * t)),
 ])
 def test_energy_form_conserves_first_integral(dname, chain):
     grid = np.linspace(0.0, 2.0, 4001)
@@ -94,7 +102,7 @@ def test_c_energy_trivial_case():
     grid = np.linspace(0.0, 2.0, 201)
     # w''' + 4 c w' + 2 c' w = 0 is the d-energy equation with d = c and
     # c2 = 1; with c = 0 the constant stays put
-    chain = [lambda t: 0.0, lambda t: 0.0]
+    chain = CD.numeric(lambda t: 0.0, lambda t: 0.0)
     sol = omega_ode_solve("d-energy", {"d": chain}, (1.0, 0.0, 0.0), grid)
     assert max(abs(sol.w - 1.0)) < 1e-14
 
@@ -110,7 +118,8 @@ def test_truncation_on_zero_crossing():
 
 def test_two_sided_solution_covers_backward_range():
     sol = solve_omega_two_sided("d-energy",
-                                {"d": [lambda t: 0.0, lambda t: 0.0]},
+                                {"d": CD.numeric(lambda t: 0.0,
+                                                 lambda t: 0.0)},
                                 (1.0, 0.0, 0.0), 0.0, -2.0, 3.0)
     assert sol.value(-1.5) == pytest.approx(1.0, abs=1e-12)
     assert sol.value(2.5) == pytest.approx(1.0, abs=1e-12)
@@ -138,7 +147,7 @@ def test_compatibility_c_numeric_matches_independent_quadrature():
     # omega from the energy form with d = e^t; c from our solver against
     # a finer independent integration of the same linear equation
     spec = NdeSpec.make(d="exp(t)", k=1, r=1.0)
-    chain = [np.exp, np.exp]
+    chain = CD.numeric(np.exp, np.exp)
     sol = solve_omega_two_sided("d-energy", {"c2": 1.0, "d": chain},
                                 (1.0, 0.0, 0.0), 0.0, -0.5, 3.5)
     grid = np.linspace(0.0, 3.0, 601)
@@ -247,7 +256,7 @@ def test_remove_first_derivative_numeric_roundtrip():
     for t in np.linspace(1.2, 3.9, 40):
         def u(tv, der=0):
             x0, x1v, x2v = (traj.value(tv, o) for o in range(3))
-            s0, s1v, s2v = s[0](tv), s[1](tv), s[2](tv)
+            s0, s1v, s2v = (s.sample(tv, o) for o in range(3))
             if der == 0:
                 return x0 / s0
             if der == 1:
@@ -283,7 +292,7 @@ def test_full_reduction_chain_roundtrip():
             # push: subtract the particular solution, then divide by s
             vals = [other.value(tv, o) - part.value(tv, o)
                     for o in range(3)]
-            s0, s1v, s2v = s[0](tv), s[1](tv), s[2](tv)
+            s0, s1v, s2v = (s.sample(tv, o) for o in range(3))
             if der == 0:
                 return vals[0] / s0
             u0 = vals[0] / s0
@@ -304,8 +313,59 @@ def test_full_reduction_chain_roundtrip():
     assert worst < 1e-6
 
 
+def test_s_chain_of_a_varying_a_has_its_closed_form():
+    # a = 2/(t + 10) integrates to 2 ln(t + 10), so s = exp(-int a/2) is a
+    # constant over t + 10, and s'/s = -a/2
+    spec = NdeSpec.make(a="2/(t + 10)", c=1, d=Fraction(1, 2), k=1, r=1.0)
+    _, rec = remove_first_derivative(spec)
+    s = rec.s_chain
+    ts = np.linspace(spec.t0 - 2 * spec.r, spec.t0 + 5 * spec.r, 200)
+    scaled = s.sample(ts) * (ts + 10.0)
+    assert np.max(np.abs(scaled / scaled[0] - 1.0)) < 1e-7
+    np.testing.assert_allclose(s.sample(ts, 1) / s.sample(ts),
+                               -spec.a.sample(ts) / 2, rtol=1e-12)
+    assert rec.pull(2.0, rec.push(2.0, 1.23)) == pytest.approx(1.23)
+
+
 # ---------------------------------------------------------------------------
 # dispatch
+
+
+def test_constant_numeric_table_classifies_as_its_constant():
+    ts = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    table = classify(NdeSpec.make(b=1, c=CD.from_table(ts, [0.25] * 7),
+                                  k=1, r=1.0))
+    exact = classify(NdeSpec.make(b=1, c=Fraction(1, 4), k=1, r=1.0))
+    assert table.case_id == exact.case_id == "C4"
+    assert table.predicate_trace == exact.predicate_trace
+    assert [(g.label, g.status) for g in table.generators] == \
+        [(g.label, g.status) for g in exact.generators]
+    assert len(table.admitted) == 3
+
+
+@pytest.mark.parametrize("spec", [
+    NdeSpec.make(c=1, d=Fraction(1, 2), k=1, r=1.0),
+    # a numeric coefficient reaches the sampled test through the table
+    NdeSpec.make(c=CD.from_table([0.0, 1.0, 2.0, 3.0, 4.0],
+                                 [1.0, 1.2, 0.9, 1.1, 1.0]),
+                 d=1, k=1, r=1.0),
+], ids=["closed", "numeric-c"])
+def test_validate_closed_demotes_a_generator_off_the_equation(spec):
+    # t x d/dx scales x(t) and x(t-r) by different factors, so the delayed
+    # terms leave a residual; x d/dx, linearity, stays admitted
+    wrong = Generator("t x d/dx", "closed", omega=ZERO,
+                      upsilon=normalize(T * X))
+    right = Generator("x d/dx", "closed", omega=ZERO, upsilon=X)
+    result = ClassificationResult(case_id="C9", generators=[wrong, right])
+    for gen in (wrong, right):
+        _validate_closed(spec, gen, result, [])
+    assert wrong.status == "candidate" and right.status == "admitted"
+    assert len(result.warnings) == 1
+    warning = result.warnings[0]
+    assert warning.startswith("t x d/dx: invariance residual not zero (max ")
+    assert warning.endswith(", sampled)")
+    assert wrong.warnings == [warning[len("t x d/dx: "):]]
+    assert right.note == "[invariance zero: symbolic]"
 
 
 def test_classify_requires_reduced_form():
@@ -481,13 +541,12 @@ def test_batched_omega_directions_equal_single_solves(name):
     res = classify(spec)
     got = [g.omega_numeric for g in res.generators
            if g.omega_numeric is not None]
-    d_chain = [spec.d.sample, lambda t: spec.d.sample(t, 1)]
     k_val = float(spec.k.const_value())
     assert len(got) == 3
     for sol, init in zip(got, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
                                (0.0, 0.0, 1.0))):
         want = solve_omega_two_sided(
-            "d-energy", {"c2": k_val, "d": d_chain}, init, spec.t0,
+            "d-energy", {"c2": k_val, "d": spec.d}, init, spec.t0,
             spec.t0 - 2.5 * spec.r, spec.t0 + 3.5 * spec.r)
         assert sol.truncated == want.truncated
         for field in ("ts", "w", "w1", "w2", "w3", "conserved"):
@@ -531,7 +590,7 @@ def test_sampled_omega_coefficients_equal_pointwise_reads(name):
     for ts in (grid[n_b:], grid[n_b::-1]):
         for init in inits:
             got = omega_ode_solve("d-energy",
-                                  {"c2": k_val, "d": spec.d.fn_entry()[:2]},
+                                  {"c2": k_val, "d": spec.d},
                                   init, ts)
             want = _pointwise_energy_solve(k_val, spec.d, init, ts)
             assert np.array_equal(got.ts, ts)

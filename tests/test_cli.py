@@ -90,6 +90,26 @@ def test_a_bad_numeric_table_is_refused_by_name(tmp_path, capsys, samples,
         f"error: malformed spec file: coefficient c: numeric table {why}\n")
 
 
+@pytest.mark.parametrize("spec,why", [
+    ({"c": {"kind": "numeric-table"}, "r": 1.0},
+     "coefficient c: numeric-table descriptor has no 'samples'"),
+    ({"b": {"kind": "const"}, "r": 1.0},
+     "coefficient b: const descriptor has no 'value'"),
+    ({"d": {"kind": "closed"}, "r": 1.0},
+     "coefficient d: closed descriptor has no 'expr'"),
+    ({"c": {"kind": "const", "value": "1"}}, "the spec has no delay 'r'"),
+    ({"c": "1", "r": 1.0},
+     "coefficient c: a descriptor is a JSON object, not '1'"),
+])
+def test_a_missing_spec_key_is_named(tmp_path, capsys, spec, why):
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--spec", str(path)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"error: malformed spec file: {why}\n"
+
+
 def test_classify_warnings_exit_code(tmp_path, capsys):
     # unit right shift whose c does not match 1/k: the trigonometric pair
     # is demoted with a warning

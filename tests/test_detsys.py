@@ -213,10 +213,11 @@ def test_is_zero_delay_equal_instances():
 
 def _instance(rng):
     def trig(a0, a1, w):
-        return [lambda t: a0 + a1 * math.sin(w * t),
-                lambda t: a1 * w * math.cos(w * t),
-                lambda t: -a1 * w * w * math.sin(w * t),
-                lambda t: -a1 * w ** 3 * math.cos(w * t)]
+        return CD.numeric(
+            lambda t: a0 + a1 * np.sin(w * t),
+            lambda t: a1 * w * np.cos(w * t),
+            lambda t: -a1 * w * w * np.sin(w * t),
+            lambda t: -a1 * w ** 3 * np.cos(w * t))
 
     table = {}
     for name in ("b", "c", "d", "k", "beta", "gamma", "rho",
@@ -268,12 +269,11 @@ def test_reduced_system_is_complete():
 
     # b periodic in r and nonvanishing, so beta = c3/b is delay-equal
     two_pi = 2 * math.pi
-    b_table = [
-        lambda t: 2.0 + 0.3 * math.sin(two_pi * t),
-        lambda t: 0.3 * two_pi * math.cos(two_pi * t),
-        lambda t: -0.3 * two_pi ** 2 * math.sin(two_pi * t),
-        lambda t: -0.3 * two_pi ** 3 * math.cos(two_pi * t),
-    ]
+    b_table = CD.numeric(
+        lambda t: 2.0 + 0.3 * np.sin(two_pi * t),
+        lambda t: 0.3 * two_pi * np.cos(two_pi * t),
+        lambda t: -0.3 * two_pi ** 2 * np.sin(two_pi * t),
+        lambda t: -0.3 * two_pi ** 3 * np.cos(two_pi * t))
 
     b = fn("b")
     b1, b2 = fn("b", order=1), fn("b", order=2)
@@ -293,15 +293,16 @@ def test_reduced_system_is_complete():
         for _ in range(orders):
             exprs.append(diff(exprs[-1], T))
         compiled = [compile_numeric(e) for e in exprs]
-        return [lambda t, f=f: f({"t": t, "c1": c1v}, {"b": b_table})
-                for f in compiled]
+        return CD.numeric(
+            *[lambda t, f=f: f({"t": t, "c1": c1v}, {"b": b_table})
+              for f in compiled])
 
     table = {
         "b": b_table,
-        "k": [lambda t: float(kconst)] + [lambda t: 0.0] * 3,
+        "k": CD.numeric(lambda t: float(kconst), *[lambda t: 0.0] * 3),
         "beta": chain(beta_expr, 3),
         "gamma": chain(gamma_expr, 2),
-        "rho": [lambda t: 0.0] * 4,
+        "rho": CD.zero(),
         "c": chain(c_expr, 1),
         "d": chain(d_expr, 1),
     }

@@ -33,7 +33,7 @@ def test_every_descriptor_kind_round_trips():
 
 
 def test_callable_numeric_descriptor_refuses_json():
-    spec = NdeSpec.make(c=CD.numeric(math.cos, lambda t: -math.sin(t)))
+    spec = NdeSpec.make(c=CD.numeric(np.cos, lambda t: -np.sin(t)))
     with pytest.raises(ExprError):
         spec.to_json()
 
@@ -58,8 +58,8 @@ def test_closed_descriptor_derives_on_first_use():
 
 @pytest.mark.parametrize("desc", [
     CD.zero(), CD.const(3), CD.closed("t^2"),
-    CD.numeric(math.sin, math.cos, lambda t: -math.sin(t),
-               lambda t: -math.cos(t))])
+    CD.numeric(np.sin, np.cos, lambda t: -np.sin(t),
+               lambda t: -np.cos(t))])
 def test_descriptor_rejects_order_outside_0_to_3(desc):
     for order in (-1, 4):
         with pytest.raises(ExprError):
@@ -183,3 +183,46 @@ def test_table_descriptor_reads_its_spline():
     for der in range(4):
         np.testing.assert_array_equal(desc.sample(q, der), spline(q, der))
         assert desc.eval(0.7, der) == float(spline(0.7, der))
+
+
+# -- a numeric descriptor answers an array with one call, bit for bit ------
+
+
+def _same_bits(got, want):
+    """Equal arrays, NaN where NaN and every other value to the bit, the
+    sign of zero included."""
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(gaps=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_table_descriptor_samples_its_spline_bit_for_bit(gaps, seed):
+    x = np.concatenate([[0.0], np.cumsum(gaps)])
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=len(x)) * 10.0 ** rng.uniform(-3, 3)
+    q = _queries(x, rng)
+    desc, spline = CD.from_table(x, y), Spline(x, y, "table")
+    for order in range(4):
+        got = desc.sample(q, order)
+        _same_bits(got, spline(q, order))
+        # each time alone reads the value the array gave it
+        _same_bits([desc.sample(float(t), order) for t in q], got)
+
+
+def test_prime_removed_descriptors_sample_what_they_eval():
+    from ndelie.classify import remove_first_derivative
+
+    spec = NdeSpec.make(a="2/(t + 10)", b="1/4", c="cos(t)", d="1/3",
+                        k="1 + t/5", r=0.75, t0=0.25)
+    new, rec = remove_first_derivative(spec)
+    ts = np.linspace(spec.t0 - spec.r, spec.t0 + 4 * spec.r, 61)
+    descs = [rec.s_chain] + [getattr(new, c) for c in "bcdk"]
+    assert all(d.kind == "numeric" for d in descs)
+    for desc in descs:
+        for order in range(len(desc.fns)):
+            _same_bits(desc.sample(ts, order),
+                       [desc.eval(t, order) for t in ts])

@@ -330,7 +330,7 @@ def test_left_hand_jets_ride_in_the_main_batch(monkeypatch):
 
 def test_rho_chain_refuses_third_derivative():
     # a Trajectory stores x, x' and x'' only
-    table = {"rho": flowverify._rho_chain(RHO1)}
+    table = {"rho": RHO1}
     second = compile_numeric(fn("rho", order=2))
     third = compile_numeric(fn("rho", order=3))
     for t in (1.0, np.array(1.0), np.array([1.0, 1.5])):
@@ -347,12 +347,12 @@ def _scalar_prolonged_flow(gen, jets, delta, spec, rho, substeps):
 
     def vel(y):
         t, x, x1, x2 = y
-        b0, b1, b2 = beta[0](t), beta[1](t), beta[2](t)
-        g0, g1, g2 = gamma[0](t), gamma[1](t), gamma[2](t)
+        b0, b1, b2 = (beta.sample(t, o) for o in range(3))
+        g0, g1, g2 = (gamma.sample(t, o) for o in range(3))
         return np.array([
-            b0, g0 * x + rho_chain[0](t),
-            g1 * x + rho_chain[1](t) + (g0 - b1) * x1,
-            g2 * x + rho_chain[2](t) + (2 * g1 - b2) * x1
+            b0, g0 * x + rho_chain.sample(t, 0),
+            g1 * x + rho_chain.sample(t, 1) + (g0 - b1) * x1,
+            g2 * x + rho_chain.sample(t, 2) + (2 * g1 - b2) * x1
             + (g0 - 2 * b1) * x2])
 
     out = []
@@ -466,35 +466,32 @@ def test_breaking_point_images_are_curve_boundaries():
     assert checked > 100
 
 
-def test_prolonged_flow_asks_a_trajectory_rho_for_orders_up_to_two(
-        monkeypatch):
+def test_prolonged_flow_asks_a_trajectory_rho_for_orders_up_to_two():
     # the nine chains of one program read rho, rho' and rho'' only; a
     # Trajectory has no third derivative to give
     asked = []
 
-    class Recording(list):
-        def __getitem__(self, order):
+    class Recording:
+        def sample(self, ts, order):
             asked.append(order)
-            return list.__getitem__(self, order)
+            return RHO1.sample(ts, order)
 
-    real = flowverify._rho_chain
-    monkeypatch.setattr(flowverify, "_rho_chain",
-                        lambda rho: Recording(real(rho)))
     gen = Generator("d/dt + rho d/dx", "parametric", omega=num(1),
                     upsilon=fn("rho"))
-    moved = prolonged_flow(gen, [(1.0, 0.2, 0.1, -0.3)], 0.25, SPEC1, RHO1,
-                           substeps=4)
+    moved = prolonged_flow(gen, [(1.0, 0.2, 0.1, -0.3)], 0.25, SPEC1,
+                           Recording(), substeps=4)
     assert moved[0] is not None
     assert sorted(set(asked)) == [0, 1, 2]
 
 
 def _hand_written_numeric_chains(sol):
-    """beta = Phi and gamma = Phi'/2 of a numeric omega as callables, with
-    no solution slot: the form the flows used before a numeric omega
-    entered the compiled chains."""
-    beta = [lambda t, o=o: sol.sample(t, o) for o in range(4)]
-    gamma = [lambda t, o=o: 0.5 * sol.sample(t, o + 1) for o in range(3)]
-    return beta, gamma, [lambda t: 0.0] * 4
+    """beta = Phi and gamma = Phi'/2 of a numeric omega as numeric
+    descriptors, with no solution slot: the form the flows used before a
+    numeric omega entered the compiled chains."""
+    beta = CD.numeric(*[lambda t, o=o: sol.sample(t, o) for o in range(4)])
+    gamma = CD.numeric(*[lambda t, o=o: 0.5 * sol.sample(t, o + 1)
+                         for o in range(3)])
+    return beta, gamma, CD.zero()
 
 
 # the omegas of C3 and C5 are constant on their scenarios; the three
@@ -528,8 +525,8 @@ def _check_numeric_chains(gen, spec, traj, rho, samples, points, jets):
 
     def prolonged(_, y):
         t, x, x1, x2 = y.T
-        b0, b1, b2 = (f(t) for f in beta[:3])
-        g0, g1, g2 = (f(t) for f in gamma)
+        b0, b1, b2 = (beta.sample(t, o) for o in range(3))
+        g0, g1, g2 = (gamma.sample(t, o) for o in range(3))
         return np.column_stack([
             b0, g0 * x, g1 * x + (g0 - b1) * x1,
             g2 * x + (2 * g1 - b2) * x1 + (g0 - 2 * b1) * x2])

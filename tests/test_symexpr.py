@@ -8,6 +8,7 @@ import pytest
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
+from ndelie.equation import CoeffDescriptor
 from ndelie.symexpr import (
     App, Coeff, EvalError, Expr, ExprError, Jet, Par, ParseError, Pow, Prod,
     Rat, Sum, T, X, X1, X1R, X2, X2R, XR, ZERO, _poly, app, atoms, collect,
@@ -263,7 +264,8 @@ def test_eval_examples():
     half = num(Fraction(1, 2))
     e = half * (fn("beta", order=1) + Par("c1")) * X
     v = eval_numeric(e, {"t": 0.0, "c1": 2.0, "x": 3.0},
-                     {"beta": [lambda t: 7.0, lambda t: 0.0]})
+                     {"beta": CoeffDescriptor.numeric(lambda t: 7.0,
+                                                      lambda t: 0.0)})
     assert v == pytest.approx(3.0)
     assert eval_numeric(2 * T, {"t": 1.5}) == pytest.approx(3.0)
 
@@ -294,7 +296,7 @@ def test_eval_overflow_raises_eval_error():
 
 
 def test_eval_delayed_coeff_needs_r():
-    tbl = {"b": [math.sin]}
+    tbl = {"b": CoeffDescriptor.numeric(np.sin)}
     assert eval_numeric(fn("b", delayed=True), {"t": 2.0, "r": 0.5},
                         tbl) == pytest.approx(math.sin(1.5))
     with pytest.raises(EvalError):
@@ -304,7 +306,7 @@ def test_eval_delayed_coeff_needs_r():
 def test_compile_matches_eval():
     e = normalize(parse("sin(t)*x1 + b(t-r)^2 - c1/2"))
     env = {"t": 1.3, "x1": -0.7, "r": 0.4, "c1": 3.0}
-    tbl = {"b": [math.cos]}
+    tbl = {"b": CoeffDescriptor.numeric(np.cos)}
     assert compile_numeric(e)(env, tbl) == pytest.approx(
         eval_numeric(e, env, tbl), rel=1e-14)
 
@@ -416,14 +418,7 @@ def test_eval_normalize_consistent(e, seed_int):
     env = {name: rng.uniform(-2.0, 2.0)
            for name in ("t", "x", "x1", "c1", "c2", "r")}
     scale = rng.uniform(0.5, 1.5)
-    tbl = {
-        "b": [lambda t: math.sin(scale * t) + 2.0,
-              lambda t: scale * math.cos(scale * t),
-              lambda t: -scale * scale * math.sin(scale * t)],
-        "k": [lambda t: math.exp(0.3 * t),
-              lambda t: 0.3 * math.exp(0.3 * t),
-              lambda t: 0.09 * math.exp(0.3 * t)],
-    }
+    tbl = _numeric(_tables(scale, math))
     try:
         raw = eval_numeric(e, env, tbl)
         canon_val = eval_numeric(canon, env, tbl)
@@ -492,6 +487,12 @@ def _scalar_eval(e, env, tbl):
     return getattr(math, "log" if e.fn == "ln" else e.fn)(a)
 
 
+def _numeric(tables):
+    """The lists of callables of a table as numeric descriptors."""
+    return {name: CoeffDescriptor.numeric(*fns)
+            for name, fns in tables.items()}
+
+
 def _tables(scale, lib):
     return {
         "b": [lambda t: lib.sin(scale * t) + 2.0,
@@ -515,7 +516,7 @@ def test_compile_array_matches_scalar(e, seed_int, canonical):
     env = {name: rng.uniform(-2.0, 2.0, 12) for name in names}
     env["r"] = 0.4
     scale = float(rng.uniform(0.5, 1.5))
-    got = compile_numeric(e)(env, _tables(scale, np))
+    got = compile_numeric(e)(env, _numeric(_tables(scale, np)))
     got = np.broadcast_to(got, (12,))
     for i in range(12):
         point = {name: float(env[name][i]) for name in names}
@@ -547,8 +548,9 @@ def test_compiled_closure_gives_a_point_its_array_value(e, seed_int,
     env = {name: rng.uniform(-2.0, 2.0, 8)
            * 10.0 ** rng.choice([0, 1, 2, 60], 8) for name in names}
     env["r"] = 0.4
-    tbl = {name: [lambda t: np.sin(t) + 2.0, np.cos,
-                  lambda t: -np.sin(t)] for name in ("b", "k")}
+    tbl = {name: CoeffDescriptor.numeric(lambda t: np.sin(t) + 2.0, np.cos,
+                                         lambda t: -np.sin(t))
+           for name in ("b", "k")}
     f = compile_numeric(e)
     with np.errstate(all="ignore"):
         got = np.broadcast_to(f(env, tbl), (8,))
@@ -592,8 +594,9 @@ def test_group_gives_each_expression_its_own_closure_value(pairs, seed_int):
     env = {name: rng.uniform(-2.0, 2.0, 8)
            * 10.0 ** rng.choice([0, 1, 2, 60], 8) for name in names}
     env["r"] = 0.4
-    tbl = {name: [lambda t: np.sin(t) + 2.0, np.cos,
-                  lambda t: -np.sin(t)] for name in ("b", "k")}
+    tbl = {name: CoeffDescriptor.numeric(lambda t: np.sin(t) + 2.0, np.cos,
+                                         lambda t: -np.sin(t))
+           for name in ("b", "k")}
     with np.errstate(all="ignore"):
         group = compile_numeric(tuple(exprs))(env, tbl)
         assert len(group) == len(exprs)
@@ -616,11 +619,12 @@ def test_group_fetches_a_shared_coefficient_once_per_call():
              fn("b")]
     program = compile_numeric(exprs)
     t = np.linspace(0.0, 1.0, 5)
+    table = {"b": CoeffDescriptor.numeric(b)}
     for n in (1, 2):
-        got = program({"t": t}, {"b": b})
+        got = program({"t": t}, table)
         assert len(calls) == n
     for e, value in zip(exprs, got):
-        assert (value == compile_numeric(e)({"t": t}, {"b": b})).all()
+        assert (value == compile_numeric(e)({"t": t}, table)).all()
 
 
 # ---------------------------------------------------------------------------
