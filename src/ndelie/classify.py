@@ -546,14 +546,16 @@ def remove_first_derivative(spec: NdeSpec):
                         "interval")
 
     table = {**spec.descriptors(), "s": chain}
+    # a closed coefficient enters as its expression, so a zero one drops
+    # the derivatives of s it multiplies and leaves more orders to the rest
+    a, b, c, d, k = (getattr(spec, name).symbolic(name) for name in "abcdk")
     s, s_r = fn("s"), fn("s", delayed=True)
     s1_r, s2_r = fn("s", True, 1), fn("s", True, 2)
     exprs = {
-        "b": (fn("b") * s_r + 2 * fn("k") * s1_r) * s ** -1,
-        "c": (fn("s", order=2) + fn("a") * fn("s", order=1)
-              + fn("c") * s) * s ** -1,
-        "d": (fn("b") * s1_r + fn("d") * s_r + fn("k") * s2_r) * s ** -1,
-        "k": fn("k") * s_r * s ** -1,
+        "b": (b * s_r + 2 * k * s1_r) * s ** -1,
+        "c": (fn("s", order=2) + a * fn("s", order=1) + c * s) * s ** -1,
+        "d": (b * s1_r + d * s_r + k * s2_r) * s ** -1,
+        "k": k * s_r * s ** -1,
     }
     new_desc = {}
     for name, expr in exprs.items():
@@ -955,9 +957,12 @@ def _case_c12(spec, result, trace):
     result.case_id = "C12"
     trace.append("b = 0, d != 0, k = 0: omega = 1/sqrt(d)")
     d_sym = spec.d.symbolic("d")
-    w = normalize(Pow(App("sqrt", d_sym), -1))
-    gen_w = _gen_from_omega(
-        "(1/sqrt(d)) d/dt - (d'/(4 d^(3/2))) x d/dx", w)
+    label = "(1/sqrt(d)) d/dt - (d'/(4 d^(3/2))) x d/dx"
+    # a negative constant d has no real square root to form omega from;
+    # the positivity check below demotes that generator
+    gen_w = (Generator(label, "closed")
+             if isinstance(d_sym, Rat) and d_sym.q < 0
+             else _gen_from_omega(label, Pow(App("sqrt", d_sym), -1)))
     gen_w.note = ("merges the time-like direction with its tied x-scaling; "
                   "the pair is admitted only jointly")
     gens = [gen_w, _gen_half_scale(), _gen_rho()]
@@ -976,6 +981,8 @@ def _case_c12(spec, result, trace):
     base = compat_c_from_d_pure_delay(d_sym, c31=0)
     bc, half_d = (CoeffDescriptor.bound([e], spec.fn_table(), spec.r)
                   for e in (base, normalize(HALF * d_sym)))
+    # the form is singular where d vanishes; the fit reads the other points
+    grid = grid[half_d.sample(grid) != 0]
     c31, ok_c, _ = _fit_constant(
         lambda t: (spec.c.sample(t) - bc.sample(t)) / half_d.sample(t), grid)
     result.compatibility["c"] = (

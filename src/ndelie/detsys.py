@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -82,10 +81,10 @@ class DetEquation:
 @dataclass
 class DeterminingSystem:
     equations: list
+    spec: NdeSpec
+    ansatz: InfinitesimalAnsatz
     functional_constraints: list = field(default_factory=list)
     assumptions: list = field(default_factory=list)
-    spec: NdeSpec | None = None
-    ansatz: InfinitesimalAnsatz | None = None
 
     def nontrivial(self):
         return [eq for eq in self.equations if eq.residual != ZERO]
@@ -142,22 +141,20 @@ def invariance_residual(spec: NdeSpec, a: InfinitesimalAnsatz) -> Expr:
     return apply_operator(a, reduced_equation(spec))
 
 
-def split(residual: Expr, spec: NdeSpec = None,
-          ansatz: InfinitesimalAnsatz = None) -> DeterminingSystem:
-    """One equation per jet monomial with nonzero coefficient, plus the
-    delay-point constraint omega(t-r, x(t-r)) = omega(t, x)."""
+def split(residual: Expr, spec: NdeSpec,
+          ansatz: InfinitesimalAnsatz) -> DeterminingSystem:
+    """One equation per jet monomial with nonzero coefficient of the
+    residual of spec under ansatz, plus the delay-point constraint
+    omega(t-r, x(t-r)) = omega(t, x)."""
     parts = collect(residual, set(SPLIT_JETS))
     equations = [DetEquation(monomial=m, residual=coeff)
                  for m, coeff in sorted(parts.items(),
                                         key=lambda kv: render(kv[0]))]
-    constraints = []
-    if ansatz is not None:
-        constraints.append(FunctionalConstraint(
+    return DeterminingSystem(
+        equations=equations, spec=spec, ansatz=ansatz,
+        functional_constraints=[FunctionalConstraint(
             label="omega(t,x) = omega(t-r, x(t-r))",
-            lhs=ansatz.omega, rhs=shift(ansatz.omega)))
-    return DeterminingSystem(equations=equations,
-                             functional_constraints=constraints,
-                             spec=spec, ansatz=ansatz)
+            lhs=ansatz.omega, rhs=shift(ansatz.omega))])
 
 
 def determine(spec: NdeSpec):
@@ -249,8 +246,6 @@ def reduce_ansatz(sys: DeterminingSystem) -> DeterminingSystem:
     second-prolongation expansion), and the squared-velocity row kills the
     x^2 part of upsilon.
     """
-    if sys.spec is None or sys.ansatz is None:
-        raise ExprError("reduce_ansatz needs the system context")
     spec = sys.spec
     assumptions = list(sys.assumptions)
 
@@ -332,11 +327,11 @@ def reduce_ansatz(sys: DeterminingSystem) -> DeterminingSystem:
     return out
 
 
-def _own_constants(spec: NdeSpec | None):
+def _own_constants(spec: NdeSpec):
     """Names of the three constants the reduction introduces: c1, c2 and
     c3, except that a name a coefficient of the spec already carries gives
     way to the first of c4, c5, ... that the spec leaves free."""
-    used = {a.name for desc in (spec.descriptors().values() if spec else ())
+    used = {a.name for desc in spec.descriptors().values()
             if desc.expr is not None for a in atoms(desc.expr)
             if isinstance(a, Par)}
     free = (f"c{n}" for n in itertools.count(4) if f"c{n}" not in used)
@@ -356,7 +351,7 @@ def canonical_constraints(sys: DeterminingSystem) -> DeterminingSystem:
     c1, c2, c3 = _own_constants(sys.spec)
     rename, gamma_rule = {fn("beta"): fn("omega")}, _gamma_rule(c1)
     w = fn("omega")
-    w1, w2, w3 = (fn("omega", order=i) for i in (1, 2, 3))
+    w1 = fn("omega", order=1)
 
     equations = []
     assumptions = list(sys.assumptions)
@@ -421,80 +416,6 @@ def canonical_constraints(sys: DeterminingSystem) -> DeterminingSystem:
                                      fn("omega", delayed=True))],
                              assumptions=assumptions,
                              spec=sys.spec, ansatz=sys.ansatz)
-
-
-# ---------------------------------------------------------------------------
-# catalog of the classical determining equations (neutral ids)
-
-
-def _beta(o=0, d=False):
-    return Coeff("beta", d, o)
-
-
-def _gamma(o=0, d=False):
-    return Coeff("gamma", d, o)
-
-
-def _rho(o=0, d=False):
-    return Coeff("rho", d, o)
-
-
-def catalog() -> dict:
-    """Golden normal forms of the classical split system."""
-    b, c, d, k = fn("b"), fn("c"), fn("d"), fn("k")
-    w = fn("omega")
-    w1, w2, w3 = (fn("omega", order=i) for i in (1, 2, 3))
-    return {
-        "E-x": normalize(_gamma(2) + 2 * _beta(1) * c + _beta() * fn("c", order=1)),
-        "E-x1": normalize(2 * _gamma(1) - _beta(2)),
-        "E-x1-int": normalize(_gamma() - num(1) / 2 * (_beta(1) + Par("c1"))),
-        "E-1": normalize(_rho(2) + b * _rho(1, True) + c * _rho()
-                         + d * _rho(0, True) + k * _rho(2, True)),
-        "E-x2r": normalize(_beta() * fn("k", order=1)),
-        "E-xr": normalize(k * _gamma(2) + 2 * _beta(1) * d
-                          + _beta() * fn("d", order=1) + b * _gamma(1)),
-        "E-x1r": normalize(b * _beta(1) + _beta() * fn("b", order=1)),
-        "E-x1r-int": normalize(b * _beta() - Par("c3")),
-        "E-omega-c": normalize(w3 + 4 * c * w1 + 2 * fn("c", order=1) * w),
-        "E-omega-d": normalize(Par("c2") * w3 + 2 * fn("d", order=1) * w
-                               + 4 * d * w1 + b * w2),
-        "E-omega-b": normalize(b * w - Par("c3")),
-        "E-upsilon": normalize(_gamma() - num(1) / 2
-                               * (fn("omega", order=1) + Par("c1"))),
-    }
-
-
-def match_catalog(e: Expr, table=None):
-    """Catalog id whose golden form equals e up to a nonzero rational
-    scale, under either the beta or the omega naming, if any."""
-    table = catalog() if table is None else table
-    e = normalize(e)
-    if e == ZERO:
-        return None
-    renamed = substitute(e, {fn("omega"): fn("beta")})
-    for cid, golden in table.items():
-        beta_golden = substitute(golden, {fn("omega"): fn("beta")})
-        if _match_up_to_scale(e, golden) or \
-                _match_up_to_scale(renamed, beta_golden):
-            return cid
-    return None
-
-
-def _leading_coeff(e):
-    p_terms = e.terms if hasattr(e, "terms") else (e,)
-    first = p_terms[0]
-    factors = first.factors if hasattr(first, "factors") else (first,)
-    for f in factors:
-        if isinstance(f, Rat):
-            return f.q
-    return 1
-
-
-def _match_up_to_scale(e1, e2):
-    c1, c2 = _leading_coeff(e1), _leading_coeff(e2)
-    if c1 == 0 or c2 == 0:
-        return e1 == e2
-    return normalize(Rat(Fraction(c2) / Fraction(c1)) * e1) == normalize(e2)
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,10 @@ class Trajectory:
     delegate to the initial function.
 
     With a neutral term the acceleration jumps at the breaking points
-    t0 + n r; stored node accelerations are right-hand values (derivatives
-    at the solution start are right-hand by convention) and the left-hand
-    values live in left_x2, so each dense interval sees the one-sided
-    slopes of its own smooth piece.
+    t0 + n r; x2s holds the right-hand acceleration at every node
+    (derivatives at the solution start are right-hand by convention) and
+    x2l the left-hand one, equal to x2s except at the breaking points, so
+    each dense interval sees the one-sided slopes of its own smooth piece.
     """
 
     t0: float
@@ -55,8 +55,8 @@ class Trajectory:
     xs: np.ndarray
     x1s: np.ndarray
     x2s: np.ndarray
+    x2l: np.ndarray
     theta: CoeffDescriptor
-    left_x2: dict = None
 
     @property
     def t_end(self):
@@ -106,14 +106,9 @@ class Trajectory:
             out = _hermite(self.xs[i], self.xs[i + 1], self.x1s[i],
                            self.x1s[i + 1], s, h, 0)
         else:
-            # right-hand slope of each interval: the left-hand acceleration
-            # where the interval closes at a breaking point
-            right = self.x2s.copy()
-            for j, v in (self.left_x2 or {}).items():
-                if j > 0:
-                    right[j] = v
+            # each interval closes on the left-hand acceleration of its end
             out = _hermite(self.x1s[i], self.x1s[i + 1], self.x2s[i],
-                           right[i + 1], s, h, der - 1)
+                           self.x2l[i + 1], s, h, der - 1)
         if early.any():
             out[early] = self.theta.sample(flat[early], der)
         outside = (flat < t0 - self.r - 1e-9) | (flat > self.t_end + 1e-9)
@@ -188,11 +183,12 @@ def integrate(spec: NdeSpec, theta, t_end, steps_per_delay=64) -> Trajectory:
     xs = np.zeros(total + 1)
     x1s = np.zeros(total + 1)
     x2s = np.zeros(total + 1)
+    x2l = np.zeros(total + 1)
     xs[0] = theta.eval(t0, 0)
     x1s[0] = theta.eval(t0, 1)
-    left_x2 = {0: theta.eval(t0, 2)}
+    x2l[0] = theta.eval(t0, 2)
     traj = Trajectory(t0=t0, r=r, hstep=h, ts=ts, xs=xs, x1s=x1s, x2s=x2s,
-                      theta=theta, left_x2=left_x2)
+                      x2l=x2l, theta=theta)
     # the coefficients (h, a, b, c, d, k) at every node, then every
     # mid-step and every step-end time
     times = np.concatenate([ts, ts[:-1] + h / 2, ts[:-1] + h])
@@ -206,9 +202,8 @@ def integrate(spec: NdeSpec, theta, t_end, steps_per_delay=64) -> Trajectory:
             if i:
                 # breaking point: keep the left-hand acceleration too
                 jd = i - n
-                left_x2[i] = _accel(
-                    (*coefs[:, i], xs[jd], x1s[jd], left_x2[jd]),
-                    xs[i], x1s[i])
+                x2l[i] = _accel((*coefs[:, i], xs[jd], x1s[jd], x2l[jd]),
+                                xs[i], x1s[i])
             # rows for this delay interval's n nodes and the mid- and
             # end-stage times of its n steps (the last interval holds only
             # the final node); each delayed read is capped at the last
@@ -224,6 +219,8 @@ def integrate(spec: NdeSpec, theta, t_end, steps_per_delay=64) -> Trajectory:
             rows = list(zip(*coefs[:, at].tolist(),
                             *(p.tolist() for p in past)))
         x2s[i] = _accel(rows[q], xs[i], x1s[i])
+        if q:
+            x2l[i] = x2s[i]
         if i == total:
             break
         t = ts[i]

@@ -128,13 +128,6 @@ def build_scenarios():
     ]
 
 
-def scenario_by_name(name):
-    for sc in build_scenarios():
-        if sc.name == name:
-            return sc
-    raise KeyError(f"no scenario named {name!r}")
-
-
 @dataclass
 class ScenarioResult:
     name: str

@@ -234,10 +234,6 @@ def fn(name, delayed=False, order=0) -> Coeff:
     return Coeff(name, delayed, order)
 
 
-def app(name, arg) -> App:
-    return App(name, _as_expr(arg))
-
-
 def _operands(e):
     """The child nodes of e, none for a leaf."""
     if isinstance(e, (Sum, Prod)):

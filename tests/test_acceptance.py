@@ -18,8 +18,8 @@ import pytest
 
 from ndelie.classify import Generator, classify, omega_ode_solve
 from ndelie.detsys import (
-    catalog, determine, generic_ansatz, invariance_residual, is_zero,
-    match_catalog, reduce_ansatz, split,
+    determine, generic_ansatz, invariance_residual, is_zero, reduce_ansatz,
+    split,
 )
 from ndelie.equation import CoeffDescriptor as CD, NdeSpec
 from ndelie.flowverify import flow, infinitesimal_check
@@ -27,8 +27,11 @@ from ndelie.ndesolve import integrate, solve_homogeneous_slot
 from ndelie.prolong import InfinitesimalAnsatz
 from ndelie.suite import run_suite
 from ndelie.symexpr import (
-    T, X, ZERO, app, compile_numeric, fn, normalize, num, substitute,
+    App, T, X, ZERO, compile_numeric, fn, normalize, num, render,
+    substitute,
 )
+
+from golden_forms import GOLDEN
 
 
 def report(criterion, ok, detail=""):
@@ -75,7 +78,7 @@ def test_criterion_2_example1_generators(example1):
     # the concrete sine binding is a trigonometric identity at r = pi,
     # certified by sampling
     res_sin = invariance_residual(
-        spec, InfinitesimalAnsatz(ZERO, app("sin", T)))
+        spec, InfinitesimalAnsatz(ZERO, App("sin", T)))
     zr = is_zero(res_sin, params={"r": math.pi})
     sampled_ok = zr.ok and zr.mode == "sampled"
     # numeric infinitesimal residual along the solution
@@ -110,7 +113,7 @@ POINTS_3 = [(0.0, 0.0), (0.7, 0.4), (2.0, -1.0), (5.0, 0.6)]
 def test_criterion_3_closed_form_group_as_stated(example1):
     spec, _, _ = example1
     stated = Generator("stated pair", "closed", omega=num(1),
-                       upsilon=normalize(X / 2 + app("sin", T)))
+                       upsilon=normalize(X / 2 + App("sin", T)))
     worst = 0.0
     for delta in (-1.0, -0.5, 0.1, 0.5, 1.0):
         moved = flow(stated, POINTS_3, delta, spec, substeps=64)
@@ -131,7 +134,7 @@ def test_criterion_3_closed_form_group_corrected(example1):
     law = max(abs(t2 - td), abs(x2 - xd))
     corrected = Generator(
         "corrected pair", "closed", omega=num(1),
-        upsilon=normalize(X / 2 + app("sin", T) - 2 * app("cos", T)))
+        upsilon=normalize(X / 2 + App("sin", T) - 2 * App("cos", T)))
     worst = 0.0
     for delta in (-1.0, -0.5, 0.1, 0.5, 1.0):
         moved = flow(corrected, POINTS_3, delta, spec, substeps=64)
@@ -147,16 +150,21 @@ def test_criterion_4_determining_system_fidelity():
     gen = NdeSpec.make(b=CD.closed(fn("b")), c=CD.closed(fn("c")),
                        d=CD.closed(fn("d")), k=CD.closed(fn("k")), r=1.0)
     sys1 = reduce_ansatz(determine(gen))
-    cat = catalog()
     from ndelie.symexpr import X1, X1R, X2R
 
-    checks = {
-        "E-x": match_catalog(sys1.find(X).residual, cat),
-        "E-x1-int": match_catalog(sys1.find(X1).integrated, cat),
-        "E-1": match_catalog(sys1.find(num(1)).residual, cat),
-        "E-x2r": match_catalog(sys1.find(X2R).residual, cat),
-        "E-x1r": match_catalog(sys1.find(X1R).residual, cat),
+    # each row and the exact golden form it must equal; the velocity row
+    # integrates to twice its golden first integral
+    rows = {
+        "E-x": (sys1.find(X).residual, GOLDEN["E-x"]),
+        "E-x1-int": (sys1.find(X1).integrated,
+                     normalize(2 * GOLDEN["E-x1-int"])),
+        "E-1": (sys1.find(num(1)).residual, GOLDEN["E-1"]),
+        "E-x2r": (sys1.find(X2R).residual, GOLDEN["E-x2r"]),
+        "E-x1r": (sys1.find(X1R).residual, GOLDEN["E-x1r"]),
     }
+    # a matching row prints its id, any other its rendered form
+    checks = {cid: cid if got == form else render(got)
+              for cid, (got, form) in rows.items()}
     ok = all(got == want for want, got in checks.items())
     report(4, ok, ", ".join(f"{w}: {g}" for w, g in checks.items()))
 

@@ -107,7 +107,8 @@ def test_traced_scenario_runs_the_verification_pipeline():
     tracer.install(nd)
     try:
         tracer.paused = False
-        result = nd.suite.run_scenario(nd.suite.scenario_by_name("C4"))
+        c4 = {sc.name: sc for sc in nd.suite.build_scenarios()}["C4"]
+        result = nd.suite.run_scenario(c4)
         tracer.paused = True
     finally:
         tracer.uninstall()

@@ -368,6 +368,93 @@ def test_validate_closed_demotes_a_generator_off_the_equation(spec):
     assert right.note == "[invariance zero: symbolic]"
 
 
+def test_validate_closed_demotes_a_generator_it_cannot_evaluate():
+    # a delayed omega has no shift to the delay point, so forming the
+    # invariance residual itself raises
+    spec = NdeSpec.make(b=1, c=1, k=1, r=1.0)
+    gen = Generator("b(t-r) d/dt", "closed", omega=fn("b", delayed=True),
+                    upsilon=ZERO)
+    result = ClassificationResult(case_id="C3", generators=[gen])
+    _validate_closed(spec, gen, result, [])
+    assert gen.status == "candidate"
+    assert gen.warnings == ["validation failed to evaluate: omega must not "
+                            "contain delayed symbols"]
+    assert result.warnings == ["b(t-r) d/dt: " + gen.warnings[0]]
+
+
+PHI = "Phi d/dt + (x/2) Phi' d/dx"
+ROOT_D = "(1/sqrt(d)) d/dt - (d'/(4 d^(3/2))) x d/dx"
+C_CONSTRAINT = "c(t) incompatible with the third-order constraint"
+D_POSITIVE = "d must stay positive for 1/sqrt(d)"
+C_FORM = "required c(t) form not met"
+
+
+# near misses of the classes: each report carries a demotion or warning
+# that the clean equations of the scenarios and the batch never reach.
+# The demoted generator's warnings are given as prefixes, in order; every
+# other generator stays admitted.
+@pytest.mark.parametrize("spec, case, label, warnings", [
+    (NdeSpec.make(k=1, c="1 + t/5", r=1.0), "C9", None,
+     ["c(t) varies: no time translation admitted"]),
+    (NdeSpec.make(b="1/(1 - t)", c=1, k=2, r=1.0), "C3", PHI,
+     ["omega crossed zero; solution truncated", C_CONSTRAINT]),
+    (NdeSpec.make(b="2 + sin(t)/5", c=1, k=2, r=1.0), "C3", PHI,
+     ["b is not compatible with the two-term omega equation (max "
+      "|w b - 1| = ", "delay compatibility violated: ", C_CONSTRAINT]),
+    (NdeSpec.make(c="1 + t/5", d=2, k=1, r=1.0), "C5", PHI,
+     [C_CONSTRAINT]),
+    (NdeSpec.make(c=1, d="cos(t)", r=1.0), "C12", ROOT_D,
+     [D_POSITIVE, C_FORM]),
+    (NdeSpec.make(c="t", d="5/4 + sin(4*t)/4", r=math.pi / 2), "C12",
+     ROOT_D, [C_FORM]),
+    # d with no positive value, or with a zero on the fit's grid
+    (NdeSpec.make(c=1, d=-1, r=1.0), "C12", ROOT_D, [D_POSITIVE]),
+    (NdeSpec.make(c=1, d="1 - t", r=1.0), "C12", ROOT_D,
+     [D_POSITIVE, C_FORM]),
+    (NdeSpec.make(b=1, c="1 + t/5", d=1, r=1.0), "C10",
+     "(1/b) d/dt + (x/2)(1/b)' d/dx", ["required c(t), d(t) forms not met"]),
+    (NdeSpec.make(b="1 + t/5", c=1, r=1.0), "C11", "d/dt",
+     ["time translation needs constant b and c"]),
+], ids=["c9-varying-c", "c3-omega-crosses-zero", "c3-b-off-omega",
+        "c5-varying-c", "c12-d-changes-sign", "c12-c-off-form",
+        "c12-negative-d", "c12-d-vanishes", "c10-varying-c",
+        "c11-varying-b"])
+def test_near_miss_reports_its_demotion(spec, case, label, warnings):
+    res = classify(spec)
+    assert res.case_id == case
+    demoted = [g for g in res.generators if g.status != "admitted"]
+    if label is None:
+        assert demoted == [] and res.warnings == warnings
+        assert "d/dt" not in [g.label for g in res.generators]
+        return
+    (gen,) = demoted
+    assert gen.label == label
+    assert len(gen.warnings) == len(warnings)
+    for got, want in zip(gen.warnings, warnings):
+        assert got.startswith(want)
+    assert res.warnings == [f"{label}: {w}" for w in gen.warnings]
+
+
+@pytest.mark.parametrize("a, g0, slope", [
+    ("1/2", 0.25, 0.0),
+    ("1 + t/3", 5 / 12, 1 / 6),
+])
+def test_prime_removal_keeps_the_orders_c12_reads(a, g0, slope):
+    # with b = k = 0 the new d is d s(t-r)/s, which carries no s'', so it
+    # keeps orders 0..3: s(t-r)/s(t) = exp((A(t) - A(t-r))/2) with A the
+    # integral of a, here exp(g0 + slope t)
+    new, _ = remove_first_derivative(NdeSpec.make(a=a, c=2, d=1, r=1.0))
+    ts = np.linspace(0.0, 4.0, 9)
+    for order in range(4):
+        want = slope ** order * np.exp(g0 + slope * ts)
+        assert np.allclose(new.d.sample(ts, order), want, rtol=1e-9,
+                           atol=1e-12)
+    res = classify(new)
+    assert res.case_id == "C12"
+    assert [g.label for g in res.admitted][-2:] == ["(x/2) d/dx",
+                                                    "rho(t) d/dx"]
+
+
 def test_classify_requires_reduced_form():
     with pytest.raises(ExprError):
         classify(NdeSpec.make(a=1, k=1, r=1.0))
@@ -535,9 +622,9 @@ def test_case_partition(bk, ck, dk, kk, expr_text):
 
 @pytest.mark.parametrize("name", ["C6", "C7", "C8"])
 def test_batched_omega_directions_equal_single_solves(name):
-    from ndelie.suite import scenario_by_name
+    from ndelie.suite import build_scenarios
 
-    spec = scenario_by_name(name).spec
+    spec = {sc.name: sc for sc in build_scenarios()}[name].spec
     res = classify(spec)
     got = [g.omega_numeric for g in res.generators
            if g.omega_numeric is not None]
@@ -577,9 +664,9 @@ def _pointwise_energy_solve(c2, d, init, grid):
 
 @pytest.mark.parametrize("name", ["C5", "C6", "C7", "C8"])
 def test_sampled_omega_coefficients_equal_pointwise_reads(name):
-    from ndelie.suite import scenario_by_name
+    from ndelie.suite import build_scenarios
 
-    spec = scenario_by_name(name).spec
+    spec = {sc.name: sc for sc in build_scenarios()}[name].spec
     k_val = float(spec.k.const_value())
     res = classify(spec)
     sols = [g.omega_numeric for g in res.generators

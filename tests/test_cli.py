@@ -110,6 +110,14 @@ def test_a_missing_spec_key_is_named(tmp_path, capsys, spec, why):
     assert capsys.readouterr().err == f"error: malformed spec file: {why}\n"
 
 
+def test_a_missing_spec_file_is_named(tmp_path, capsys):
+    path = str(tmp_path / "absent.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--spec", path])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"error: spec file {path!r} not found\n"
+
+
 def test_classify_warnings_exit_code(tmp_path, capsys):
     # unit right shift whose c does not match 1/k: the trigonometric pair
     # is demoted with a warning
@@ -126,6 +134,17 @@ def test_determine_report(ex1_spec, capsys):
     # constant k makes the branch row trivial, so it is absent here
     assert {"E-x1", "E-1"} <= tags
     assert "E-x2r" not in tags
+
+
+def test_determine_text_lists_the_reduced_rows(ex1_spec, capsys):
+    assert main(["determine", "--spec", ex1_spec]) == 0
+    out = capsys.readouterr().out
+    report, rows = out.split("\n}\n")
+    assert json.loads(report + "}")["reduced"]["equations"]
+    assert rows == ("  [E-1       ] 1: rho''(t) + rho''(t-r) = 0\n"
+                    "  [E-x       ] x: gamma''(t) = 0\n"
+                    "  [E-x1      ] x1: -1*beta''(t) + 2*gamma'(t) = 0\n"
+                    "  [E-xr      ] xr: gamma''(t) = 0\n")
 
 
 def test_determine_varying_k_branch_row(c1_spec, capsys):
@@ -186,6 +205,14 @@ def test_paper_suite_single(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["pass"]
     assert payload["scenarios"][0]["name"] == "EX2"
+
+
+def test_paper_suite_text_gives_each_verdict(capsys):
+    assert main(["paper-suite", "--only", "C4"]) == 0
+    report, verdicts = capsys.readouterr().out.split("\n}\n")
+    assert json.loads(report + "}")["pass"]
+    assert verdicts == ("  C4    case=C4               pass\n"
+                        "all scenarios pass\n")
 
 
 def test_paper_suite_unknown_scenario(capsys):

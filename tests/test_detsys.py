@@ -8,19 +8,21 @@ import pytest
 from ndelie.detsys import (
     SPLIT_JETS, ZERO_POINTS, ZERO_SEED, ZERO_TOL, Assumption, ZeroResult,
     _instance_family,
-    apply_delay_equalities, canonical_constraints, catalog, determine,
+    apply_delay_equalities, canonical_constraints, determine,
     generic_ansatz, invariance_residual, is_zero, linear_antiderivative,
-    match_catalog, product_antiderivative, reduce_ansatz, reduced_ansatz,
-    split, verify_first_integral,
+    product_antiderivative, reduce_ansatz, reduced_ansatz, split,
+    verify_first_integral,
 )
 from ndelie.equation import CoeffDescriptor as CD, NdeSpec
 from ndelie.prolong import InfinitesimalAnsatz
 from ndelie.suite import build_scenarios
 from ndelie.symexpr import (
-    Coeff, ExprError, Par, T, X, X1, X1R, X2R, XR, ZERO, app, atoms,
+    App, Coeff, ExprError, Par, T, X, X1, X1R, X2R, XR, ZERO, atoms,
     compile_numeric, diff, equivalent, eval_numeric, fn, normalize, num,
     parse, shift,
 )
+
+from golden_forms import GOLDEN, beta_to_omega
 
 
 def generic_spec():
@@ -48,9 +50,9 @@ def test_cubic_delayed_velocity_row():
 def test_neutral_sin_residual():
     # b = c = d = 0, k = 1 with upsilon = sin t
     spec = NdeSpec.make(k=1, r=1.0)
-    a = InfinitesimalAnsatz(ZERO, app("sin", T))
+    a = InfinitesimalAnsatz(ZERO, App("sin", T))
     res = invariance_residual(spec, a)
-    assert equivalent(res, -app("sin", T) - app("sin", T - Par("r")))
+    assert equivalent(res, -App("sin", T) - App("sin", T - Par("r")))
     # vanishes when the delay is pi
     vals = [eval_numeric(res, {"t": t, "r": math.pi})
             for t in np.linspace(0.0, 6.0, 13)]
@@ -67,33 +69,26 @@ def test_zero_ansatz_residual():
 
 
 def test_split_zero_residual():
-    sys0 = split(ZERO)
+    sys0 = split(ZERO, generic_spec(), generic_ansatz())
     assert sys0.nontrivial() == []
+    assert [fc.label for fc in sys0.functional_constraints] == [
+        "omega(t,x) = omega(t-r, x(t-r))"]
 
 
 def test_reduced_system_matches_catalog():
     sys1 = reduce_ansatz(determine(generic_spec()))
-    cat = catalog()
-
-    def row(monomial):
-        return sys1.find(monomial).residual
-
-    assert match_catalog(row(X), cat) == "E-x"
-    assert match_catalog(row(X1), cat) == "E-x1"
-    assert match_catalog(row(num(1)), cat) == "E-1"
-    assert match_catalog(row(X2R), cat) == "E-x2r"
-    assert match_catalog(row(XR), cat) == "E-xr"
-    assert match_catalog(row(X1R), cat) == "E-x1r"
+    for monomial, cid in ((X, "E-x"), (X1, "E-x1"), (num(1), "E-1"),
+                          (X2R, "E-x2r"), (XR, "E-xr"), (X1R, "E-x1r")):
+        row = sys1.find(monomial)
+        assert row.catalog_id == cid
+        assert row.residual == GOLDEN[cid]
 
 
 def test_reduced_system_integrations():
     sys1 = reduce_ansatz(determine(generic_spec()))
-    x1 = sys1.find(X1)
-    assert x1.integrated is not None
-    assert match_catalog(x1.integrated) == "E-x1-int"
-    x1r = sys1.find(X1R)
-    assert x1r.integrated is not None
-    assert match_catalog(x1r.integrated) == "E-x1r-int"
+    # the velocity row integrates to twice its golden first integral
+    assert sys1.find(X1).integrated == normalize(2 * GOLDEN["E-x1-int"])
+    assert sys1.find(X1R).integrated == GOLDEN["E-x1r-int"]
 
 
 def test_reduced_system_delay_constraints():
@@ -105,15 +100,17 @@ def test_reduced_system_delay_constraints():
 
 def test_canonical_constraints_forms():
     sys2 = canonical_constraints(reduce_ansatz(determine(generic_spec())))
-    cat = catalog()
     got = {eq.catalog_id: eq.residual for eq in sys2.equations}
-    assert match_catalog(got["E-omega-c"], cat) == "E-omega-c"
-    assert match_catalog(got["E-omega-d"], cat) == "E-omega-d"
+    assert got["E-omega-c"] == GOLDEN["E-omega-c"]
+    assert got["E-omega-d"] == GOLDEN["E-omega-d"]
     # the omega pinning is the delayed-velocity first integral renamed
-    assert match_catalog(got["E-omega-b"], cat) in ("E-omega-b", "E-x1r-int")
-    assert match_catalog(got["E-x2r"], cat) == "E-x2r"
+    assert got["E-omega-b"] == GOLDEN["E-omega-b"] \
+        == beta_to_omega(GOLDEN["E-x1r-int"])
+    assert got["E-x2r"] == beta_to_omega(GOLDEN["E-x2r"])
+    assert got["E-1"] == GOLDEN["E-1"]
     # the upsilon record is the integrated velocity row renamed
-    assert match_catalog(got["E-upsilon"], cat) in ("E-upsilon", "E-x1-int")
+    assert got["E-upsilon"] == GOLDEN["E-upsilon"] \
+        == beta_to_omega(GOLDEN["E-x1-int"])
 
 
 def test_nonconstant_k_forces_beta_zero():

@@ -12,9 +12,9 @@ from ndelie.flowverify import (
     infinitesimal_check, inverse_error, prolonged_flow, transform_solution,
 )
 from ndelie.ndesolve import integrate, solve_homogeneous_slot
-from ndelie.suite import build_scenarios, scenario_by_name
+from ndelie.suite import build_scenarios
 from ndelie.symexpr import (
-    EvalError, ExprError, T, X, ZERO, app, compile_numeric, fn, normalize,
+    App, EvalError, ExprError, T, X, ZERO, compile_numeric, fn, normalize,
     num, parse,
 )
 
@@ -60,7 +60,7 @@ def test_flow_group_axioms():
 def test_flow_marks_escaping_points():
     # dx/d(delta) = exp(x) escapes to infinity in finite group time
     gen = Generator("exp(x) d/dx", "closed", omega=ZERO,
-                    upsilon=app("exp", X))
+                    upsilon=App("exp", X))
     moved = flow(gen, [(0.0, 0.0), (0.0, -5.0)], 2.0, SPEC1, substeps=64)
     assert moved[0] is None
     assert moved[1] is not None
@@ -87,7 +87,7 @@ def test_printed_example_group_closure_and_generator():
 
     corrected = Generator(
         "group generator of the printed map", "closed", omega=num(1),
-        upsilon=normalize(X / 2 + app("sin", T) - 2 * app("cos", T)))
+        upsilon=normalize(X / 2 + App("sin", T) - 2 * App("cos", T)))
     for delta in (-1.0, -0.5, 0.1, 0.5, 1.0):
         moved = flow(corrected, POINTS, delta, SPEC1, substeps=64)
         worst = max(
@@ -98,7 +98,7 @@ def test_printed_example_group_closure_and_generator():
 
     # the literally stated pair is not the generator of the printed map
     stated = Generator("stated pair", "closed", omega=num(1),
-                       upsilon=normalize(X / 2 + app("sin", T)))
+                       upsilon=normalize(X / 2 + App("sin", T)))
     moved = flow(stated, POINTS, 0.5, SPEC1, substeps=64)
     worst = max(abs(m[1] - printed(p[0], p[1], 0.5)[1])
                 for m, p in zip(moved, POINTS))
@@ -408,7 +408,7 @@ def test_flow_reads_equation_coefficients_as_arrays(b):
 # ---------------------------------------------------------------------------
 # failures are reported, never skipped
 
-GEN_SQRT = Generator("sqrt(t) d/dt", "closed", omega=app("sqrt", T),
+GEN_SQRT = Generator("sqrt(t) d/dt", "closed", omega=App("sqrt", T),
                      upsilon=ZERO)
 # sqrt(t) has no value at t = -1, so the first row leaves the domain
 SQRT_POINTS = [(-1.0, 0.5), (1.0, 0.3), (2.0, -0.2)]
@@ -433,7 +433,7 @@ def test_closure_error_keeps_rows_aligned():
 def test_finite_check_fails_when_one_delta_fails():
     # on the unit right-shift class the flow of this pair by 5.0 leaves the
     # numeric domain; a tiny delta alone gives a small residual
-    sc = scenario_by_name("C9")
+    sc = {sc.name: sc for sc in build_scenarios()}["C9"]
     spec = sc.spec
     traj = integrate(spec, sc.theta, spec.t0 + 3 * spec.r, 64)
     bogus = Generator("t^2 d/dt + t x d/dx", "closed",
@@ -498,7 +498,7 @@ def _hand_written_numeric_chains(sol):
 # directions of C7, demoted as they are, carry the Phi' and Phi'' terms
 @pytest.mark.parametrize("name", ["C3", "C5", "C7"])
 def test_numeric_omega_chains_match_the_hand_written_formulas(name):
-    sc = scenario_by_name(name)
+    sc = {sc.name: sc for sc in build_scenarios()}[name]
     spec = sc.spec
     t_end = spec.t0 + sc.delays * spec.r
     traj = integrate(spec, sc.theta, t_end, 32)

@@ -185,14 +185,13 @@ def _neutral_run():
     return integrate(spec, "sin(t) + 2", 3.5, 16)
 
 
-def _interval_value(ts, h, xs, x1s, x2s, left_x2, i, t, der):
+def _interval_value(ts, h, xs, x1s, x2s, x2l, i, t, der):
     """Cubic Hermite on interval i, with the left-hand acceleration as the
     closing slope where the interval ends at a breaking point."""
     s = (t - ts[i]) / h
     if der == 0:
         return _hermite(xs[i], xs[i + 1], x1s[i], x1s[i + 1], s, h, 0)
-    m1 = left_x2.get(i + 1, x2s[i + 1])
-    return _hermite(x1s[i], x1s[i + 1], x2s[i], m1, s, h, der - 1)
+    return _hermite(x1s[i], x1s[i + 1], x2s[i], x2l[i + 1], s, h, der - 1)
 
 
 def _scalar_value(traj, t, der, side="+"):
@@ -206,7 +205,7 @@ def _scalar_value(traj, t, der, side="+"):
     if side == "-" and der == 2 and i > 0 and t <= traj.ts[i]:
         i -= 1
     return _interval_value(traj.ts, traj.hstep, traj.xs, traj.x1s,
-                           traj.x2s, traj.left_x2, i, t, der)
+                           traj.x2s, traj.x2l, i, t, der)
 
 
 def _scalar_integrate(spec, theta, t_end, n):
@@ -218,9 +217,9 @@ def _scalar_integrate(spec, theta, t_end, n):
     h = r / n
     total = round((t_end - t0) / r) * n
     ts = t0 + h * np.arange(total + 1)
-    xs, x1s, x2s = np.zeros((3, total + 1))
+    xs, x1s, x2s, x2l = np.zeros((4, total + 1))
     xs[0], x1s[0] = theta.eval(t0, 0), theta.eval(t0, 1)
-    left = {0: theta.eval(t0, 2)}
+    x2l[0] = theta.eval(t0, 2)
     co = [getattr(spec, name).eval for name in "habcdk"]
 
     def solved(t, x, xr, x1, x1r, x2r):
@@ -233,7 +232,7 @@ def _scalar_integrate(spec, theta, t_end, n):
         if t == t0:
             return x2s[0]
         i = min(max(int((t - t0) / h + 1e-9), 0), cap)
-        return _interval_value(ts, h, xs, x1s, x2s, left, i, t, der)
+        return _interval_value(ts, h, xs, x1s, x2s, x2l, i, t, der)
 
     def accel(t, x, x1, cap):
         return solved(t, x, hist(t - r, 0, cap), x1, hist(t - r, 1, cap),
@@ -252,10 +251,12 @@ def _scalar_integrate(spec, theta, t_end, n):
         x1s[i + 1] = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
         if (i + 1) % n == 0:
             jd = i + 1 - n
-            left[i + 1] = solved(ts[i + 1], xs[i + 1], xs[jd], x1s[i + 1],
-                                 x1s[jd], left[jd])
+            x2l[i + 1] = solved(ts[i + 1], xs[i + 1], xs[jd], x1s[i + 1],
+                                x1s[jd], x2l[jd])
         x2s[i + 1] = accel(ts[i + 1], xs[i + 1], x1s[i + 1], i + 1 - n)
-    return xs, x1s, x2s, left
+        if (i + 1) % n:
+            x2l[i + 1] = x2s[i + 1]
+    return xs, x1s, x2s, x2l
 
 
 @pytest.mark.parametrize("spec, theta, delays, n", [
@@ -267,12 +268,12 @@ def _scalar_integrate(spec, theta, t_end, n):
 ])
 def test_integrate_reproduces_the_scalar_loop(spec, theta, delays, n):
     traj = integrate(spec, theta, spec.t0 + delays * spec.r, n)
-    xs, x1s, x2s, left = _scalar_integrate(spec, theta,
-                                           spec.t0 + delays * spec.r, n)
+    xs, x1s, x2s, x2l = _scalar_integrate(spec, theta,
+                                          spec.t0 + delays * spec.r, n)
     assert traj.xs.tolist() == xs.tolist()
     assert traj.x1s.tolist() == x1s.tolist()
     assert traj.x2s.tolist() == x2s.tolist()
-    assert traj.left_x2 == left
+    assert traj.x2l.tolist() == x2l.tolist()
 
 
 def test_sample_matches_value_bit_for_bit():

@@ -8,7 +8,7 @@ from ndelie.prolong import (
     prolong_first, prolong_second, total_derivative,
 )
 from ndelie.symexpr import (
-    ExprError, Par, T, X, X1, X1R, X2, X2R, XR, ZERO, app, diff,
+    App, ExprError, Par, T, X, X1, X1R, X2, X2R, XR, ZERO, diff,
     diff_explicit, equivalent, fn, normalize, num, shift, substitute,
 )
 
@@ -59,7 +59,7 @@ def test_prolong_first_translation_scaling():
 
 
 def test_prolong_first_time_dependent():
-    assert prolong_first(ansatz(ZERO, app("sin", T))) == app("cos", T)
+    assert prolong_first(ansatz(ZERO, App("sin", T))) == App("cos", T)
 
 
 def test_prolong_first_linear_ansatz():
@@ -70,8 +70,8 @@ def test_prolong_first_linear_ansatz():
 
 
 def test_prolong_second_sin():
-    assert equivalent(prolong_second(ansatz(ZERO, app("sin", T))),
-                      -app("sin", T))
+    assert equivalent(prolong_second(ansatz(ZERO, App("sin", T))),
+                      -App("sin", T))
 
 
 def test_prolong_second_scaling():
@@ -87,8 +87,8 @@ def test_prolong_second_linear_ansatz():
 
 
 def test_prolong_delayed_components():
-    p = prolong_delayed(ansatz(ZERO, app("sin", T)))
-    assert equivalent(p.ups_tt_r, -app("sin", T - Par("r")))
+    p = prolong_delayed(ansatz(ZERO, App("sin", T)))
+    assert equivalent(p.ups_tt_r, -App("sin", T - Par("r")))
 
     p = prolong_delayed(BETA_GAMMA_RHO)
     want = (fn("gamma", True, 1) * XR + fn("rho", True, 1)
@@ -133,8 +133,8 @@ def test_apply_operator_neutral_sin():
     # x'' + x''(t-r) = 0 with upsilon = sin t: the residual vanishes
     # exactly when sin(t-r) = -sin t, which is the r = pi case
     eq = linear_delta(ZERO, ZERO, ZERO, num(1))
-    got = apply_operator(ansatz(ZERO, app("sin", T)), eq)
-    assert equivalent(got, -app("sin", T) - app("sin", T - Par("r")))
+    got = apply_operator(ansatz(ZERO, App("sin", T)), eq)
+    assert equivalent(got, -App("sin", T) - App("sin", T - Par("r")))
 
 
 def test_apply_operator_linearity_symmetry():
@@ -311,6 +311,6 @@ def test_shared_operator_follows_the_equation():
     # and forth must never reuse those of the other one
     a = ansatz(fn("beta"), fn("gamma") * X + fn("rho"))
     eq1 = linear_delta(fn("b"), fn("c"), ZERO, fn("k"))
-    eq2 = linear_delta(ZERO, app("sin", T), fn("d"), num(1))
+    eq2 = linear_delta(ZERO, App("sin", T), fn("d"), num(1))
     for eq in (eq1, eq2, eq1, eq2):
         assert apply_operator(a, eq) == _reference_apply_operator(a, eq)

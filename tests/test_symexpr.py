@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from ndelie.equation import CoeffDescriptor
 from ndelie.symexpr import (
     App, Coeff, EvalError, Expr, ExprError, Jet, Par, ParseError, Pow, Prod,
-    Rat, Sum, T, X, X1, X1R, X2, X2R, XR, ZERO, _poly, app, atoms, collect,
+    Rat, Sum, T, X, X1, X1R, X2, X2R, XR, ZERO, _poly, atoms, collect,
     compile_numeric, diff, diff_explicit, equivalent, eval_numeric, fn,
     normalize, num, parse, render, shift, substitute,
 )
@@ -94,15 +94,15 @@ def test_normalize_annihilates_zero_factor():
 
 
 def test_normalize_constant_folding():
-    assert normalize(app("sin", num(0))) == ZERO
-    assert normalize(app("cos", num(0))) == num(1)
-    assert normalize(app("exp", num(0))) == num(1)
-    assert normalize(app("ln", num(1))) == ZERO
-    assert normalize(app("sqrt", num(Fraction(9, 4)))) == num(Fraction(3, 2))
+    assert normalize(App("sin", num(0))) == ZERO
+    assert normalize(App("cos", num(0))) == num(1)
+    assert normalize(App("exp", num(0))) == num(1)
+    assert normalize(App("ln", num(1))) == ZERO
+    assert normalize(App("sqrt", num(Fraction(9, 4)))) == num(Fraction(3, 2))
 
 
 def test_normalize_keeps_irrational_sqrt():
-    e = normalize(app("sqrt", num(2)))
+    e = normalize(App("sqrt", num(2)))
     assert e == App("sqrt", num(2))
 
 
@@ -164,9 +164,9 @@ def test_diff_order_cap():
 
 
 def test_diff_elementary():
-    assert diff(app("sin", T), T) == App("cos", T)
-    assert equivalent(diff(app("ln", T), T), Pow(T, -1))
-    assert equivalent(diff(app("sqrt", T), T),
+    assert diff(App("sin", T), T) == App("cos", T)
+    assert equivalent(diff(App("ln", T), T), Pow(T, -1))
+    assert equivalent(diff(App("sqrt", T), T),
                       num(Fraction(1, 2)) * Pow(App("sqrt", T), -1))
 
 
@@ -175,7 +175,7 @@ def test_diff_elementary():
 
 
 def test_shift_examples():
-    assert equivalent(shift(app("sin", T)), app("sin", T - Par("r")))
+    assert equivalent(shift(App("sin", T)), App("sin", T - Par("r")))
     assert equivalent(
         shift(parse("gamma(t)*x + rho(t)")),
         fn("gamma", delayed=True) * XR + fn("rho", delayed=True))
@@ -188,7 +188,7 @@ def test_shift_rejects_double_delay():
     with pytest.raises(ExprError):
         shift(fn("b", delayed=True))
     with pytest.raises(ExprError):
-        shift(shift(app("sin", T)))
+        shift(shift(App("sin", T)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +250,7 @@ def test_collect_binomial():
 
 def test_collect_rejects_nonpolynomial():
     with pytest.raises(ExprError):
-        collect(app("sin", X1), {X1})
+        collect(App("sin", X1), {X1})
     with pytest.raises(ExprError):
         collect(Pow(X1, -1), {X1})
 
@@ -260,7 +260,7 @@ def test_collect_rejects_nonpolynomial():
 
 
 def test_eval_examples():
-    assert eval_numeric(app("sin", T), {"t": 0.0}) == 0.0
+    assert eval_numeric(App("sin", T), {"t": 0.0}) == 0.0
     half = num(Fraction(1, 2))
     e = half * (fn("beta", order=1) + Par("c1")) * X
     v = eval_numeric(e, {"t": 0.0, "c1": 2.0, "x": 3.0},
@@ -279,9 +279,9 @@ def test_eval_unbound():
 
 def test_eval_domain_errors():
     with pytest.raises(EvalError):
-        eval_numeric(app("ln", T), {"t": -1.0})
+        eval_numeric(App("ln", T), {"t": -1.0})
     with pytest.raises(EvalError):
-        eval_numeric(app("sqrt", T), {"t": -1.0})
+        eval_numeric(App("sqrt", T), {"t": -1.0})
     with pytest.raises(EvalError):
         eval_numeric(Pow(T, -1), {"t": 0.0})
 
@@ -723,7 +723,7 @@ def _reuse(n):
             pass
     for op in (lambda: diff(n, T), lambda: diff(n, X),
                lambda: collect(n, {X, X1}), lambda: shift(n),
-               lambda: substitute(n, {X: T + 1, fn("b"): app("sin", T)}),
+               lambda: substitute(n, {X: T + 1, fn("b"): App("sin", T)}),
                lambda: compile_numeric(n)):
         try:
             op()
