@@ -220,6 +220,7 @@ def integrate(spec: NdeSpec, theta, t_end, steps_per_delay=64) -> Trajectory:
                             *(p.tolist() for p in past)))
         x2s[i] = _accel(rows[q], xs[i], x1s[i])
         if q:
+            # off the breaking points x'' is continuous
             x2l[i] = x2s[i]
         if i == total:
             break
