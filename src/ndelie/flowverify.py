@@ -57,6 +57,28 @@ def _fn_table(gen: Generator, spec: NdeSpec, rho):
     return table
 
 
+class _LastAnswer:
+    """A function of t for one flow's table: a query at the same order and
+    the same times, compared bit for bit (-0.0 is not 0.0), gets the last
+    answer again, stored read-only.  So a flow whose t stays put, as under
+    rho(t) d/dx, reads each function of t once per distinct set of times."""
+
+    def __init__(self, source):
+        self.source, self.last = source, {}
+
+    def sample(self, ts, order=0):
+        arr = np.asarray(ts, float)
+        key = (arr.shape, arr.tobytes())
+        hit = self.last.get(order)
+        if hit is None or hit[0] != key:
+            value = self.source.sample(ts, order)
+            if isinstance(value, np.ndarray):
+                value = value.view()
+                value.flags.writeable = False
+            hit = self.last[order] = (key, value)
+        return hit[1]
+
+
 def _rk4(vel, y, delta, substeps):
     """Classic RK4 in the group parameter for every row of y at once; the
     velocity vel(s, y) does not depend on the parameter s.  A row that
@@ -77,7 +99,7 @@ def flow(gen: Generator, points, delta, spec: NdeSpec, rho=None,
     """RK4 exponentiation of the generator from each point; entries become
     None where the flow leaves the numeric domain, NaN marking a point
     where the generator cannot be evaluated."""
-    table = _fn_table(gen, spec, rho)
+    table = {k: _LastAnswer(f) for k, f in _fn_table(gen, spec, rho).items()}
     program = compile_numeric(list(_pair(gen)))
 
     def vel(_, y):
@@ -138,7 +160,7 @@ def prolonged_flow(gen: Generator, jets, delta, spec: NdeSpec, rho=None,
         x'' by gamma'' x + rho'' + (2 gamma' - beta'') x' +
              (gamma - 2 beta') x''.
     """
-    table = _fn_table(gen, spec, rho)
+    table = {k: _LastAnswer(f) for k, f in _fn_table(gen, spec, rho).items()}
     program = compile_numeric([e for c in _affine_exprs(gen) for e in c])
 
     def vel(_, y):

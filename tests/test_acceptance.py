@@ -10,13 +10,16 @@ expected failure; the corrected-generator check passes at the stated
 tolerance.
 """
 
+import argparse
 import math
+import pathlib
 import time
 
 import numpy as np
 import pytest
 
 from ndelie.classify import Generator, classify, omega_ode_solve
+from ndelie.cli import _emit
 from ndelie.detsys import (
     determine, generic_ansatz, invariance_residual, is_zero, reduce_ansatz,
     split,
@@ -262,6 +265,18 @@ def test_criterion_9_integrator_order():
     r2 = errs[64] / errs[128]
     ok = 12 <= r1 <= 20 and 12 <= r2 <= 20
     report(9, ok, f"ratios {r1:.1f}, {r2:.1f}")
+
+
+def test_suite_report_keeps_its_bytes(suite_results, capsys):
+    # the report paper-suite --json prints at the default settings; a
+    # change of any bit of any residual shows here
+    results = list(suite_results.values())
+    payload = {"scenarios": [r.to_json() for r in results],
+               "pass": all(r.ok for r in results)}
+    capsys.readouterr()
+    _emit(payload, argparse.Namespace(out=None), "paper_suite.json")
+    want = pathlib.Path(__file__).parent / "data" / "paper_suite.json"
+    assert capsys.readouterr().out.encode() == want.read_bytes()
 
 
 def test_criterion_10_group_axioms(suite_results):

@@ -435,6 +435,28 @@ def test_near_miss_reports_its_demotion(spec, case, label, warnings):
     assert res.warnings == [f"{label}: {w}" for w in gen.warnings]
 
 
+# C2 and C9 demote without _demote: the report's warning is their own and
+# does not name the generator.  Without these checks _validate_closed would
+# demote the same generators as "invariance residual not zero"
+@pytest.mark.parametrize("spec, case, labels, reason, warning", [
+    (NdeSpec.make(b=1, c="1 + t/5", d=1, k=1, r=1.0), "C2",
+     ["(1/b) d/dt + (x/2)(1/b)' d/dx"], C_FORM,
+     "c(t) does not fit the required family"),
+    (NdeSpec.make(c=2, d=1, k=1, r=math.pi), "C9",
+     ["sin(2t/sqrt(k)) d/dt + ...", "cos(2t/sqrt(k)) d/dt + ..."],
+     "requires c = 1/k (max deviation 1.00e+00)",
+     "trigonometric pair needs c = 1/k"),
+], ids=["c2-c-off-form", "c9-c-not-one-over-k"])
+def test_near_miss_demotes_with_a_warning_of_its_own(spec, case, labels,
+                                                     reason, warning):
+    res = classify(spec)
+    assert res.case_id == case
+    demoted = [g for g in res.generators if g.status != "admitted"]
+    assert [g.label for g in demoted] == labels
+    assert [g.warnings for g in demoted] == [[reason]] * len(labels)
+    assert res.warnings == [warning]
+
+
 @pytest.mark.parametrize("a, g0, slope", [
     ("1/2", 0.25, 0.0),
     ("1 + t/3", 5 / 12, 1 / 6),

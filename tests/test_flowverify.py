@@ -30,9 +30,12 @@ SPEC1, TRAJ1, RHO1 = example1()
 GEN_T = Generator("d/dt", "closed", omega=num(1), upsilon=ZERO)
 GEN_SCALE = Generator("x d/dx", "closed", omega=ZERO, upsilon=X)
 GEN_RHO = Generator("rho d/dx", "parametric", omega=ZERO, upsilon=fn("rho"))
+GEN_T_RHO = Generator("d/dt + rho d/dx", "parametric", omega=num(1),
+                      upsilon=fn("rho"))
 GEN_BOGUS = Generator("t x d/dx", "closed", omega=ZERO,
                       upsilon=normalize(T * X))
 POINTS = [(0.5, 0.3), (2.0, -1.0), (4.0, 0.8), (7.0, 0.1)]
+JETS = [(0.1 * i, 1.0 + 0.05 * i, -0.3, 0.2 * i) for i in range(40)]
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +288,12 @@ def test_omega_solution_sample_matches_value():
 def test_prolonged_flow_domain_exit_is_per_jet():
     # d/dt + rho d/dx carries a jet near the span end past the end of the
     # rho trajectory; only that jet fails
-    gen = Generator("d/dt + rho d/dx", "parametric", omega=num(1),
-                    upsilon=fn("rho"))
     jets = [(1.0, 0.2, 0.1, -0.3), (3 * math.pi - 0.1, 0.5, 0.0, 0.1),
             (5.0, -0.4, 0.3, 0.2)]
-    batch = prolonged_flow(gen, jets, 0.25, SPEC1, RHO1, substeps=24)
+    batch = prolonged_flow(GEN_T_RHO, jets, 0.25, SPEC1, RHO1, substeps=24)
     assert batch[1] is None
     for i in (0, 2):
-        alone = prolonged_flow(gen, [jets[i]], 0.25, SPEC1, RHO1,
+        alone = prolonged_flow(GEN_T_RHO, [jets[i]], 0.25, SPEC1, RHO1,
                                substeps=24)
         assert batch[i] == alone[0]
 
@@ -375,13 +376,10 @@ def test_prolonged_flow_reproduces_the_scalar_loop():
     gen = Generator("(1/b) d/dt", "closed",
                     omega=normalize(parse(f"({b})^(-1)")),
                     upsilon=normalize(parse(f"x*sin(4*t)/5*({b})^(-2)")))
-    jets = [(0.1 * i, 1.0 + 0.05 * i, -0.3, 0.2 * i) for i in range(40)]
-    got = prolonged_flow(gen, jets, 0.25, SPEC1, substeps=12)
-    assert got == _scalar_prolonged_flow(gen, jets, 0.25, SPEC1, None, 12)
-    gen_rho = Generator("d/dt + rho d/dx", "parametric", omega=num(1),
-                        upsilon=fn("rho"))
-    got = prolonged_flow(gen_rho, jets, 0.25, SPEC1, RHO1, substeps=12)
-    assert got == _scalar_prolonged_flow(gen_rho, jets, 0.25, SPEC1, RHO1,
+    got = prolonged_flow(gen, JETS, 0.25, SPEC1, substeps=12)
+    assert got == _scalar_prolonged_flow(gen, JETS, 0.25, SPEC1, None, 12)
+    got = prolonged_flow(GEN_T_RHO, JETS, 0.25, SPEC1, RHO1, substeps=12)
+    assert got == _scalar_prolonged_flow(GEN_T_RHO, JETS, 0.25, SPEC1, RHO1,
                                          12)
 
 
@@ -466,22 +464,86 @@ def test_breaking_point_images_are_curve_boundaries():
     assert checked > 100
 
 
+class Recording:
+    """A function of t that lists the orders it is asked for, and each
+    query as its order and the bytes of its times."""
+
+    def __init__(self, fn):
+        self.fn, self.asked, self.queries = fn, [], []
+
+    def sample(self, ts, order):
+        self.asked.append(order)
+        self.queries.append((order, np.asarray(ts, float).tobytes()))
+        return self.fn.sample(ts, order)
+
+
 def test_prolonged_flow_asks_a_trajectory_rho_for_orders_up_to_two():
     # the nine chains of one program read rho, rho' and rho'' only; a
     # Trajectory has no third derivative to give
-    asked = []
-
-    class Recording:
-        def sample(self, ts, order):
-            asked.append(order)
-            return RHO1.sample(ts, order)
-
-    gen = Generator("d/dt + rho d/dx", "parametric", omega=num(1),
-                    upsilon=fn("rho"))
-    moved = prolonged_flow(gen, [(1.0, 0.2, 0.1, -0.3)], 0.25, SPEC1,
-                           Recording(), substeps=4)
+    rho = Recording(RHO1)
+    moved = prolonged_flow(GEN_T_RHO, [(1.0, 0.2, 0.1, -0.3)], 0.25, SPEC1,
+                           rho, substeps=4)
     assert moved[0] is not None
-    assert sorted(set(asked)) == [0, 1, 2]
+    assert sorted(set(rho.asked)) == [0, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# a flow reads each function of t once per distinct set of times
+
+@pytest.mark.parametrize("gen", [GEN_RHO, GEN_T_RHO], ids=lambda g: g.label)
+@pytest.mark.parametrize("delta", [-0.3, 0.5])
+def test_rho_flows_reproduce_the_scalar_loop(gen, delta):
+    # the flow of (t, x) is the first two rows of the prolonged flow, whose
+    # t and x do not read x' and x''
+    want = _scalar_prolonged_flow(gen, JETS, delta, SPEC1, RHO1, 12)
+    assert prolonged_flow(gen, JETS, delta, SPEC1, RHO1, substeps=12) == want
+    points = [jet[:2] for jet in JETS]
+    assert flow(gen, points, delta, SPEC1, RHO1, substeps=12) == [
+        m[:2] for m in want]
+
+
+def test_a_flow_asks_each_order_once_per_distinct_set_of_times():
+    # rho(t) d/dx leaves t fixed, so all 4 x 4 RK4 stages read rho at the
+    # same times.  d/dt + rho d/dx moves t: the second and third stage of
+    # a step both read at t + h/2, and each step starts at the times the
+    # last stage of the step before read, so it reads 1 + 4 x 2 sets
+    for gen, reads in ((GEN_RHO, 1), (GEN_T_RHO, 9)):
+        rho = Recording(RHO1)
+        prolonged_flow(gen, JETS, 0.25, SPEC1, rho, substeps=4)
+        assert sorted(rho.asked) == sorted([0, 1, 2] * reads)
+        assert len(set(rho.queries)) == 3 * reads
+        rho = Recording(RHO1)
+        flow(gen, [jet[:2] for jet in JETS], 0.25, SPEC1, rho, substeps=4)
+        assert rho.asked == [0] * reads
+        assert len(set(rho.queries)) == reads
+
+
+class SignOfT:
+    """A function of t whose value tells -0.0 from 0.0."""
+
+    def sample(self, ts, order):
+        return np.copysign(1.0 + order, ts)
+
+
+def test_a_repeated_query_is_compared_bit_for_bit():
+    rec = Recording(SignOfT())
+    entry = flowverify._LastAnswer(rec)
+    assert entry.sample(np.array([0.0, 1.0]), 0).tolist() == [1.0, 1.0]
+    assert entry.sample(np.array([0.0, 1.0]), 0).tolist() == [1.0, 1.0]
+    assert entry.sample(np.array([-0.0, 1.0]), 0).tolist() == [-1.0, 1.0]
+    assert entry.sample(np.array([-0.0, 1.0]), 1).tolist() == [-2.0, 2.0]
+    assert entry.sample(np.array([-0.0, 1.0]), 0).tolist() == [-1.0, 1.0]
+    assert rec.asked == [0, 0, 1]
+
+
+def test_a_reused_answer_is_read_only():
+    entry = flowverify._LastAnswer(RHO1)
+    ts = np.array([1.0, 2.0])
+    first = entry.sample(ts, 1)
+    for value in (first, entry.sample(ts, 1)):
+        with pytest.raises(ValueError):
+            value[0] = 0.0
+    assert entry.sample(ts, 1).tolist() == RHO1.sample(ts, 1).tolist()
 
 
 def _hand_written_numeric_chains(sol):
