@@ -22,9 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .detsys import Assumption, invariance_residual, is_zero
+from .detsys import invariance_residual, is_zero
 from .equation import CoeffDescriptor, NdeSpec, Spline
-from .ndesolve import _hermite, rk4_step
+from .ndesolve import _hermite, rk4_step, stage_times
 from .prolong import InfinitesimalAnsatz
 from .symexpr import (
     App, Expr, ExprError, ONE, Pow, Rat, T, X, ZERO, _elementwise,
@@ -108,15 +108,6 @@ class OmegaSolution:
         return float(np.max(np.abs(self.conserved - q0)) / scale)
 
 
-def _stage_times(ts):
-    """Every node of a grid, then each step's mid- and end-stage time
-    formed as rk4_step forms them, and a map from a time to its column, so
-    a stage reads values sampled once over these times by its own time."""
-    steps = ts[1:] - ts[:-1]
-    times = np.concatenate([ts, ts[:-1] + steps / 2, ts[:-1] + steps])
-    return times, {t: j for j, t in enumerate(times.tolist())}
-
-
 def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
     """Classic RK4 for the named third-order omega equation.
 
@@ -135,9 +126,9 @@ def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
     ts = np.asarray(grid, float)
     y0 = np.array(init, float)
     divides_by_w = case == "b-branch"
-    at = {}
+    steps = ts[1:] - ts[:-1]
+    times, off = stage_times(ts, steps)
     if not divides_by_w:
-        times, at = _stage_times(ts)
         f0, f1 = (params["d"].sample(times, o) for o in (0, 1))
         check_evaluated("the coefficient d", times, (f0, f1))
 
@@ -153,14 +144,14 @@ def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
     truncated = False
     last = 0
 
-    def f(t, y):
+    def f(s, y):
         if divides_by_w and abs(y[0]) < 1e-12:
             return np.array([y[1], y[2], np.nan])
-        return np.array([y[1], y[2], third(at.get(t), *y)])
+        return np.array([y[1], y[2], third(i + off[s], *y)])
 
     for i in range(len(ts) - 1):
         y = np.array([w[i], w1[i], w2[i]])
-        ynew = rk4_step(f, ts[i], y, ts[i + 1] - ts[i])
+        ynew = rk4_step(f, y, steps[i])
         if divides_by_w and (np.isnan(ynew).any() or ynew[0] * y[0] <= 0.0):
             truncated = True
             break
@@ -273,7 +264,8 @@ def compatibility_c(spec: NdeSpec, omega, c_t0=None, grid=None):
     grid = np.asarray(grid, float)
     if c_t0 is None:
         c_t0 = spec.c.eval(grid[0])
-    times, at = _stage_times(grid)
+    steps = grid[1:] - grid[:-1]
+    times, off = stage_times(grid, steps)
     if isinstance(omega, Expr):
         omega = CoeffDescriptor(omega)
     w0, w1, w3 = (omega.sample(times, o) for o in (0, 1, 3))
@@ -281,14 +273,14 @@ def compatibility_c(spec: NdeSpec, omega, c_t0=None, grid=None):
     if (np.abs(w0) < 1e-12).any():
         raise ExprError("omega vanishes inside the grid; cannot continue c")
 
-    def slope(t, cv):
-        j = at[t]
+    def slope(s, cv):
+        j = i + off[s]
         return -(w3[j] + 4.0 * cv * w1[j]) / (2.0 * w0[j])
 
     cs = np.empty(len(grid))
     cs[0] = float(c_t0)
     for i in range(len(grid) - 1):
-        cs[i + 1] = rk4_step(slope, grid[i], cs[i], grid[i + 1] - grid[i])
+        cs[i + 1] = rk4_step(slope, cs[i], steps[i])
     return CoeffDescriptor.from_table(grid, cs)
 
 
@@ -427,9 +419,6 @@ def _max_abs(what, ts, values):
 
 # ---------------------------------------------------------------------------
 # reductions
-
-
-RHO_RULE_NAMES = ("b", "c", "d", "k")
 
 
 def _rho_relation(spec: NdeSpec):
@@ -592,7 +581,7 @@ def _demote(gen, result, warning):
     result.warnings.append(f"{gen.label}: {warning}")
 
 
-def _validate_closed(spec, gen, result, assumptions):
+def _validate_closed(spec, gen, result):
     """Symbolic-or-sampled invariance check for a closed or parametric
     generator; demotes on failure."""
     try:
@@ -600,8 +589,7 @@ def _validate_closed(spec, gen, result, assumptions):
         res = invariance_residual(spec, ansatz)
         if gen.kind == "parametric":
             res = substitute(res, _rho_relation(spec))
-        zr = is_zero(res, assumptions=list(assumptions),
-                     fn_table=spec.fn_table(), params={"r": spec.r})
+        zr = is_zero(res, fn_table=spec.fn_table(), params={"r": spec.r})
     except ExprError as err:
         _demote(gen, result, f"validation failed to evaluate: {err}")
         return
@@ -643,11 +631,9 @@ def classify(spec: NdeSpec) -> ClassificationResult:
     Each case runs its own checks first; then every generator still
     admitted that is not numeric has its invariance residual tested."""
     result = _match_case(spec)
-    assumptions = ([Assumption("beta", "zero")] if result.case_id == "C1"
-                   else [])
     for g in result.generators:
         if g.status == "admitted" and g.kind != "numeric":
-            _validate_closed(spec, g, result, assumptions)
+            _validate_closed(spec, g, result)
     return result
 
 

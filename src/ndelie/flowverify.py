@@ -81,14 +81,14 @@ class _LastAnswer:
 
 def _rk4(vel, y, delta, substeps):
     """Classic RK4 in the group parameter for every row of y at once; the
-    velocity vel(s, y) does not depend on the parameter s.  A row that
+    velocity vel(s, y) does not depend on the stage s.  A row that
     turns non-finite (NaN marks a failed evaluation) comes back None, the
     others as tuples."""
     n = max(int(substeps), 1)
     h = delta / n
     with np.errstate(all="ignore"):
         for _ in range(n):
-            y = rk4_step(vel, 0.0, y, h)
+            y = rk4_step(vel, y, h)
         ok = np.isfinite(y).all(axis=1)
     return [tuple(row) if good else None
             for row, good in zip(y.tolist(), ok.tolist())]

@@ -141,13 +141,23 @@ def _write_csv(path, curve, ts):
             fh.write("{:.12g},{:.12g},{:.12g},{:.12g}\n".format(*row))
 
 
-def rk4_step(f, t, y, h):
-    """One classic RK4 step of y' = f(t, y) from t to t + h; y is a float
-    or a numpy array."""
-    k1 = f(t, y)
-    k2 = f(t + h / 2, y + h / 2 * k1)
-    k3 = f(t + h / 2, y + h / 2 * k2)
-    k4 = f(t + h, y + h * k3)
+def stage_times(ts, h):
+    """The times every RK4 step over the grid ts reads, with h its step
+    size (a scalar, or one per step): the nodes, then each step's midpoint
+    and then its end.  Stage s of step i reads column i + offsets[s]."""
+    n = len(ts)
+    times = np.concatenate([ts, ts[:-1] + h / 2, ts[:-1] + h])
+    return times, (0, n, 2 * n - 1)
+
+
+def rk4_step(f, y, h):
+    """One classic RK4 step of y' = f(s, y) of size h, where s names the
+    stage: 0 at the start, 1 at the midpoint (twice) and 2 at the end, as
+    stage_times orders their columns.  y is a float or a numpy array."""
+    k1 = f(0, y)
+    k2 = f(1, y + h / 2 * k1)
+    k3 = f(1, y + h / 2 * k2)
+    k4 = f(2, y + h * k3)
     return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -191,7 +201,7 @@ def integrate(spec: NdeSpec, theta, t_end, steps_per_delay=64) -> Trajectory:
                       x2l=x2l, theta=theta)
     # the coefficients (h, a, b, c, d, k) at every node, then every
     # mid-step and every step-end time
-    times = np.concatenate([ts, ts[:-1] + h / 2, ts[:-1] + h])
+    times, off = stage_times(ts, h)
     coefs = np.array([desc.sample(times) for desc in (
         spec.h, spec.a, spec.b, spec.c, spec.d, spec.k)])
     check_evaluated("a coefficient", times, coefs)
@@ -210,8 +220,7 @@ def integrate(spec: NdeSpec, theta, t_end, steps_per_delay=64) -> Trajectory:
             # interval complete when its step runs, the step index minus n
             nodes = np.arange(i, min(i + n, total + 1))
             steps = nodes[nodes < total]
-            at = np.concatenate([nodes, steps + total + 1,
-                                 steps + 2 * total + 1])
+            at = np.concatenate([nodes, steps + off[1], steps + off[2]])
             td = times[at] - r
             cap = np.concatenate([nodes, steps, steps]) - n
             past = [traj.sample(td, der, _cap=cap) for der in range(3)]
@@ -224,16 +233,14 @@ def integrate(spec: NdeSpec, theta, t_end, steps_per_delay=64) -> Trajectory:
             x2l[i] = x2s[i]
         if i == total:
             break
-        t = ts[i]
-        stages = {t + h / 2: rows[n + q], t + h: rows[2 * n + q]}
 
-        def slope(tq, y):
+        def slope(s, y):
             # the first stage is the node itself, whose x'' is stored
-            a = x2s[i] if tq == t else _accel(stages[tq], y[0], y[1])
+            a = x2s[i] if s == 0 else _accel(rows[s * n + q], y[0], y[1])
             return np.array([y[1], a])
 
-        xs[i + 1], x1s[i + 1] = rk4_step(slope, t,
-                                         np.array([xs[i], x1s[i]]), h)
+        xs[i + 1], x1s[i + 1] = rk4_step(slope, np.array([xs[i], x1s[i]]),
+                                         h)
     return traj
 
 

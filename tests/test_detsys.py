@@ -395,5 +395,18 @@ def test_is_zero_matches_the_pointwise_loop_on_every_scenario(monkeypatch):
         assert got == _pointwise_is_zero(*args, **kwargs)
         sampled += got.mode == "sampled"
     assert len(calls) >= 14 and sampled > 0
-    # the sampled tests drew with instance families as well
-    assert any(kw.get("assumptions") for _, kw in calls)
+
+
+@pytest.mark.parametrize("e, assumptions", [
+    (parse("beta(t)*k'(t)"), [Assumption("beta", "nonzero")]),
+    (parse("beta(t)*k'(t)"), [Assumption("k", "constant")]),
+    (parse("beta(t)*k'(t)"), [Assumption("beta", "zero")]),
+    (fn("beta", delayed=True) - fn("beta"),
+     [Assumption("beta", "delay-equal")]),
+    (fn("beta", delayed=True) - fn("beta"), []),
+], ids=["nonzero", "constant", "zero", "delay-equal", "generic"])
+def test_is_zero_matches_the_pointwise_loop_on_every_family(e, assumptions):
+    # no coefficient is bound, so each one is drawn from its instance family
+    got = is_zero(e, assumptions=assumptions)
+    assert got.mode == "sampled"
+    assert got == _pointwise_is_zero(e, assumptions=assumptions)

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from ndelie import flowverify
-from ndelie.classify import Generator, classify
+from ndelie.classify import Generator, OmegaSolution, classify
 from ndelie.detsys import invariance_residual, reduced_ansatz
 from ndelie.equation import CoeffDescriptor as CD, NdeSpec
 from ndelie.flowverify import (
-    _affine_chains, closure_error, finite_check, flow, identity_error,
-    infinitesimal_check, inverse_error, prolonged_flow, transform_solution,
+    TOL_FIN, TOL_INF, _affine_chains, check_generator, closure_error,
+    finite_check, flow, identity_error, infinitesimal_check, inverse_error,
+    prolonged_flow, transform_solution,
 )
 from ndelie.ndesolve import integrate, solve_homogeneous_slot
 from ndelie.suite import build_scenarios
 from ndelie.symexpr import (
-    App, EvalError, ExprError, T, X, ZERO, compile_numeric, fn, normalize,
-    num, parse,
+    App, EvalError, ExprError, Pow, T, X, ZERO, compile_numeric, fn,
+    normalize, num, parse,
 )
 
 
@@ -610,3 +611,26 @@ def _check_numeric_chains(gen, spec, traj, rho, samples, points, jets):
     want = float(np.max(np.abs(np.broadcast_to(residual(env, table),
                                                samples.shape))))
     assert infinitesimal_check(traj, gen, spec, samples, rho) == want
+
+
+def test_a_varying_numeric_omega_passes_both_checks():
+    # the admitted numeric omegas of the suite are constant, so its reports
+    # cannot tell a wrong Phi' term in upsilon; C2's closed omega 1/b
+    # varies, and on a grid as a numeric generator it must pass too
+    sc = {sc.name: sc for sc in build_scenarios()}["C2"]
+    spec = sc.spec
+    t_end = spec.t0 + sc.delays * spec.r
+    traj = integrate(spec, sc.theta, t_end, 64)
+    rho = solve_homogeneous_slot(spec, sc.rho_seed, t_end, 64)
+    samples = flowverify.interior_samples(traj, spec)
+    w = CD.closed(normalize(Pow(spec.b.expr, -1)))
+    step = 1 / 800
+    grid = spec.t0 + step * np.arange(-math.ceil(2.5 * spec.r / step),
+                                      math.ceil(3.5 * spec.r / step) + 1)
+    sol = OmegaSolution(grid, *(np.array(w.sample(grid, o))
+                                for o in range(4)))
+    gen = Generator("Phi d/dt + (x/2) Phi' d/dx", "numeric",
+                    omega_numeric=sol)
+    report = check_generator(traj, gen, spec, samples, [0.25], rho,
+                             TOL_INF, TOL_FIN)
+    assert report["pass"]
