@@ -6,9 +6,9 @@ The invariance residual is generated with an unknown infinitesimal pair,
 split by jet monomials, specialized to the affine ansatz
 omega = beta(t), upsilon = gamma(t) x + rho(t), and rewritten into the
 omega-form constraint system.  Functional delay equalities such as
-beta(t) = beta(t-r) are carried as first-class constraints and checked
-numerically; hand integrations are performed by candidate-and-verify
-first-integral rules.
+beta(t) = beta(t-r) are carried as first-class constraints and applied by
+substitution; the two velocity rows are integrated by one
+candidate-and-verify first-integral rule.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import numpy as np
 from .equation import CoeffDescriptor, NdeSpec
 from .prolong import EquationResidual, InfinitesimalAnsatz, apply_operator
 from .symexpr import (
-    Coeff, Expr, ExprError, Par, Rat, T, X, X1, X1R, X2, X2R, XR, ZERO,
-    atoms, collect, compile_numeric, diff, equivalent, fn, normalize, num,
-    render, shift, substitute,
+    Coeff, Expr, ExprError, Par, Prod, Sum, T, X, X1, X1R, X2, X2R, XR,
+    ZERO, atoms, collect, compile_numeric, diff, fn, normalize, num, render,
+    shift, substitute,
 )
 
 SPLIT_JETS = (X, XR, X1, X1R, X2, X2R)
@@ -38,7 +38,7 @@ ZERO_TOL = 1e-9
 @dataclass(frozen=True)
 class Assumption:
     subject: str
-    prop: str  # 'nonzero' | 'constant' | 'zero' | 'delay-equal' | free text
+    prop: str  # the property, e.g. 'nonzero' or 'affine in x'
     note: str = ""
 
     def describe(self):
@@ -163,62 +163,35 @@ def determine(spec: NdeSpec):
 
 
 # ---------------------------------------------------------------------------
-# first-integral rules (candidate construction, verified by differentiation)
+# the first integral of a row (candidate construction, verified by
+# differentiation)
 
 
-def verify_first_integral(derivative_form: Expr, candidate: Expr) -> bool:
-    return equivalent(diff(candidate, T), derivative_form)
-
-
-def linear_antiderivative(e: Expr):
-    """Antiderivative of a constant-coefficient combination of derivatives
-    of coefficient functions, e.g. 2 gamma'(t) - beta''(t).  Returns None
-    when the pattern does not apply."""
-    e = normalize(e)
-    terms = e.terms if hasattr(e, "terms") else (e,)
-    candidate = ZERO
-    for t in terms:
-        factors = t.factors if hasattr(t, "factors") else (t,)
-        coeff = Rat(1)
-        base = None
-        for f in factors:
-            if isinstance(f, Rat):
-                coeff = f
-            elif isinstance(f, Coeff) and not f.delayed and f.order >= 1:
-                if base is not None:
-                    return None
-                base = f
-            else:
-                return None
-        if base is None:
-            return None
-        candidate = candidate + coeff * Coeff(base.name, False, base.order - 1)
-    candidate = normalize(candidate)
-    if not verify_first_integral(e, candidate):
+def first_integral(row: Expr):
+    """An antiderivative in t of a row linear in the ansatz unknowns beta
+    and gamma: in each term the one factor that is a derivative of an
+    unknown loses one order, and a term with an underived unknown is
+    dropped.  The candidate is returned only when its t-derivative is the
+    row; a zero row, or a term with no unknown factor, with two or with a
+    power of one, gives None."""
+    row = normalize(row)
+    if row == ZERO:
         return None
-    return candidate
-
-
-def product_antiderivative(e: Expr):
-    """Antiderivative for the product pattern f g' + f' g -> f g."""
-    e = normalize(e)
-    terms = e.terms if hasattr(e, "terms") else ()
-    if len(terms) != 2:
-        return None
-    for t in terms:
-        factors = t.factors if hasattr(t, "factors") else (t,)
-        if len(factors) != 2:
+    candidate = []
+    for term in row.terms if isinstance(row, Sum) else (row,):
+        factors = term.factors if isinstance(term, Prod) else (term,)
+        unknowns = [i for i, f in enumerate(factors)
+                    if {a.name for a in atoms(f) if isinstance(a, Coeff)}
+                    & {"beta", "gamma"}]
+        if len(unknowns) != 1 or not isinstance(factors[unknowns[0]], Coeff):
             return None
-        f1, f2 = factors
-        if not (isinstance(f1, Coeff) and isinstance(f2, Coeff)):
-            return None
-        for hi, lo in ((f1, f2), (f2, f1)):
-            if hi.order >= 1:
-                candidate = normalize(
-                    Coeff(hi.name, hi.delayed, hi.order - 1) * lo)
-                if verify_first_integral(e, candidate):
-                    return candidate
-    return None
+        (i,) = unknowns
+        u = factors[i]
+        if u.order:
+            lowered = Coeff(u.name, u.delayed, u.order - 1)
+            candidate.append(Prod(factors[:i] + (lowered,) + factors[i + 1:]))
+    candidate = normalize(Sum(tuple(candidate)))
+    return candidate if diff(candidate, T) == row else None
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +268,7 @@ def reduce_ansatz(sys: DeterminingSystem) -> DeterminingSystem:
             eq.catalog_id = "E-x"
         elif eq.monomial == X1:
             eq.catalog_id = "E-x1"
-            anti = linear_antiderivative(eq.residual)
+            anti = first_integral(eq.residual)
             if anti is not None:
                 eq.integrated = normalize(anti - Par(c1))
                 eq.constant_introduced = c1
@@ -320,7 +293,7 @@ def reduce_ansatz(sys: DeterminingSystem) -> DeterminingSystem:
             eq.catalog_id = "E-x1r"
             eq.note = ("delay equalities and the integrated velocity "
                        "split applied")
-            anti = product_antiderivative(eq.residual)
+            anti = first_integral(eq.residual)
             if anti is not None:
                 eq.integrated = normalize(anti - Par(c3))
                 eq.constant_introduced = c3
@@ -433,30 +406,13 @@ class ZeroResult:
         return self.ok
 
 
-def _instance_family(name, assumptions, rng, r):
-    """Concrete coefficient instance with analytic derivatives honoring the
-    recorded assumptions for this name, as a descriptor."""
-    props = {a.prop for a in assumptions if a.subject == name}
-    if "zero" in props:
-        return CoeffDescriptor.zero()
-    if "constant" in props:
-        return CoeffDescriptor.const(rng.uniform(0.5, 2.0))
-    if "delay-equal" in props:
-        w = 2.0 * math.pi / r
-        a1, a2 = rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)
-        c0 = rng.uniform(1.0, 2.0) if "nonzero" in props else \
-            rng.uniform(-0.5, 0.5)
-        return CoeffDescriptor.numeric(
-            lambda t: c0 + a1 * np.sin(w * t) + a2 * np.cos(w * t),
-            lambda t: w * (a1 * np.cos(w * t) - a2 * np.sin(w * t)),
-            lambda t: -w * w * (a1 * np.sin(w * t) + a2 * np.cos(w * t)),
-            lambda t: -w ** 3 * (a1 * np.cos(w * t) - a2 * np.sin(w * t)))
+def _instance_family(rng):
+    """A concrete coefficient instance with analytic derivatives, for a
+    function of t the test leaves unbound, as a descriptor."""
     a0 = rng.uniform(-1.5, 1.5)
     a1 = rng.uniform(-1.0, 1.0)
     a2 = rng.uniform(-1.0, 1.0)
     wv = rng.uniform(0.5, 1.5)
-    if "nonzero" in props:
-        a0 = (2.0 + abs(a0)) * (1 if rng.random() < 0.5 else -1)
     return CoeffDescriptor.numeric(
         lambda t: a0 + a1 * t + a2 * np.sin(wv * t),
         lambda t: a1 + a2 * wv * np.cos(wv * t),
@@ -464,13 +420,12 @@ def _instance_family(name, assumptions, rng, r):
         lambda t: -a2 * wv ** 3 * np.cos(wv * t))
 
 
-def is_zero(e: Expr, assumptions=(), fn_table=None, params=None
-            ) -> ZeroResult:
+def is_zero(e: Expr, fn_table=None, params=None) -> ZeroResult:
     """Symbolic-or-sampled zero test.
 
     Returns symbolic truth when the normal form vanishes; otherwise samples
     ZERO_POINTS points with t in [0.1, 4], jet values in [-2, 2], and
-    concrete coefficient instances satisfying the assumptions, and passes
+    concrete instances of the functions fn_table leaves unbound, and passes
     when every |value| is under ZERO_TOL.  Singular sample points are
     skipped and counted; unless at least half of the points evaluate, the
     sampled test fails.
@@ -486,8 +441,7 @@ def is_zero(e: Expr, assumptions=(), fn_table=None, params=None
     table = dict(fn_table or {})
     for atom in atoms(canon):
         if isinstance(atom, Coeff) and atom.name not in table:
-            table[atom.name] = _instance_family(
-                atom.name, assumptions, rng, r)
+            table[atom.name] = _instance_family(rng)
 
     jet_names = [j.tag for j in SPLIT_JETS] + ["x2"]
     par_names = sorted({a.name for a in atoms(canon)

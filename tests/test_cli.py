@@ -1,13 +1,18 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ndelie.cli import main
-from ndelie.equation import NdeSpec
+from ndelie.equation import CoeffDescriptor, NdeSpec
+from ndelie.suite import build_scenarios
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -199,6 +204,42 @@ def test_verify_example1(ex1_spec, capsys):
         assert rep["finite_residual"] < 1e-4
 
 
+def _scenario(name):
+    return next(sc for sc in build_scenarios() if sc.name == name)
+
+
+def _table_b():
+    # b as a numeric table, so the rows carry it as the function b(t)
+    grid = np.linspace(0.0, 3.0, 41)
+    return NdeSpec.make(b=CoeffDescriptor.from_table(
+        grid, 2 + np.cos(4 * grid) / 10), c=1, d=1, k=1, r=1.0)
+
+
+def test_verify_report_keeps_its_bytes(tmp_path, capsys):
+    # verify --json on the first worked example, with its scenario's
+    # initial function and rho seed; a change of any bit shows here
+    sc = _scenario("EX1")
+    sc.spec.save(tmp_path / "ex1.json")
+    capsys.readouterr()
+    assert main(["verify", "--spec", str(tmp_path / "ex1.json"),
+                 "--theta", sc.theta, "--rho-seed", sc.rho_seed,
+                 "--delta", "0.25", "-0.3", "0.5", "--json"]) == 0
+    assert capsys.readouterr().out.encode() == \
+        (DATA / "verify_ex1.json").read_bytes()
+
+
+@pytest.mark.parametrize("spec, name", [
+    (lambda: _scenario("C2").spec, "determine_c2.json"),
+    (_table_b, "determine_table_b.json"),
+], ids=["C2", "table-b"])
+def test_determine_report_keeps_its_bytes(tmp_path, capsys, spec, name):
+    spec().save(tmp_path / "spec.json")
+    capsys.readouterr()
+    assert main(["determine", "--spec", str(tmp_path / "spec.json"),
+                 "--json"]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()
+
+
 def test_paper_suite_single(capsys):
     code = main(["paper-suite", "--only", "EX2", "--json"])
     assert code == 0
@@ -279,13 +320,15 @@ def test_determine_keeps_free_constants_symbolic(free_constant_spec,
 def test_determine_names_its_constants_apart_from_the_spec(
         free_constant_spec, capsys):
     # the spec's c1 stays the coefficient's; the integration constant of
-    # the velocity row takes the first name neither uses
+    # the velocity row takes the first name neither uses, and that of the
+    # delayed-velocity row keeps c3, which the spec leaves free
     assert main(["determine", "--spec", free_constant_spec, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     velocity = [eq for eq in payload["reduced"]["equations"]
                 if eq.get("constant")]
-    assert [eq["constant"] for eq in velocity] == ["c4"]
+    assert [eq["constant"] for eq in velocity] == ["c4", "c3"]
     assert velocity[0]["integrated"] == "-1*c4 - 1*beta'(t) + 2*gamma(t)"
+    assert velocity[1]["integrated"] == "c1*beta(t) - 1*c3 + beta(t)*t"
     (upsilon,) = [eq for eq in payload["canonical"]["equations"]
                   if eq.get("catalog") == "E-upsilon"]
     assert upsilon["note"] == "upsilon = ((omega_t + c4)/2) x + rho"

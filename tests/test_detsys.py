@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from ndelie.detsys import (
-    SPLIT_JETS, ZERO_POINTS, ZERO_SEED, ZERO_TOL, Assumption, ZeroResult,
+    SPLIT_JETS, ZERO_POINTS, ZERO_SEED, ZERO_TOL, ZeroResult,
     _instance_family,
     apply_delay_equalities, canonical_constraints, determine,
-    generic_ansatz, invariance_residual, is_zero, linear_antiderivative,
-    product_antiderivative, reduce_ansatz, reduced_ansatz, split,
-    verify_first_integral,
+    first_integral, generic_ansatz, invariance_residual, is_zero,
+    reduce_ansatz, reduced_ansatz, split,
 )
 from ndelie.equation import CoeffDescriptor as CD, NdeSpec
 from ndelie.prolong import InfinitesimalAnsatz
@@ -132,21 +131,59 @@ def test_apply_delay_equalities():
 
 def test_linear_antiderivative():
     e = normalize(2 * fn("gamma", order=1) - fn("beta", order=2))
-    anti = linear_antiderivative(e)
+    anti = first_integral(e)
     assert equivalent(anti, 2 * fn("gamma") - fn("beta", order=1))
 
 
 def test_product_antiderivative():
     e = normalize(fn("b") * fn("beta", order=1)
                   + fn("b", order=1) * fn("beta"))
-    anti = product_antiderivative(e)
+    anti = first_integral(e)
     assert equivalent(anti, fn("b") * fn("beta"))
 
 
 def test_product_antiderivative_rejects_mismatch():
     e = normalize(fn("b") * fn("beta", order=1)
                   + 2 * fn("b", order=1) * fn("beta"))
-    assert product_antiderivative(e) is None
+    assert first_integral(e) is None
+
+
+@pytest.mark.parametrize("row", [
+    ZERO,
+    fn("beta"),  # an underived unknown alone lowers to nothing
+    fn("beta", order=1) + fn("b"),  # a term without an unknown
+    fn("beta", order=1) * fn("gamma"),  # a term with two
+    fn("beta", order=1) ** 2,
+    fn("beta", order=1) + fn("beta"),
+], ids=["zero", "underived", "no-unknown", "two-unknowns", "square",
+        "no-antiderivative"])
+def test_first_integral_refuses_a_row_outside_its_rule(row):
+    assert first_integral(row) is None
+
+
+@pytest.mark.parametrize("b", ["1", "2", "2 + cos(4*t)/10", "t"])
+def test_delayed_velocity_row_integrates_for_a_closed_b(b):
+    # the row b beta' + b' beta integrates to b beta - c3 whatever the
+    # form of b, and pins omega through b omega - c3
+    spec = NdeSpec.make(b=b, c=1, d=1, k=1, r=1.0)
+    sys1 = reduce_ansatz(determine(spec))
+    row = sys1.find(X1R)
+    assert (row.integrated, row.constant_introduced) == (
+        normalize(parse(b) * fn("beta") - Par("c3")), "c3")
+    sys2 = canonical_constraints(sys1)
+    (pin,) = [eq for eq in sys2.equations if eq.catalog_id == "E-omega-b"]
+    assert pin.residual == normalize(parse(b) * fn("omega") - Par("c3"))
+    assert ("b", "nonzero") in [(a.subject, a.prop)
+                                for a in sys2.assumptions]
+
+
+def test_a_zero_b_leaves_the_delayed_velocity_row_unintegrated():
+    sys1 = reduce_ansatz(determine(NdeSpec.make(c=1, d=1, k=1, r=1.0)))
+    assert sys1.find(X1R).residual == ZERO
+    assert sys1.find(X1R).integrated is None
+    sys2 = canonical_constraints(sys1)
+    assert "E-omega-b" not in [eq.catalog_id for eq in sys2.equations]
+    assert not [a for a in sys2.assumptions if a.subject == "b"]
 
 
 def test_omega_quadratic_first_integral():
@@ -162,7 +199,7 @@ def test_omega_quadratic_first_integral():
     candidate = normalize(
         c2 * w * w2 - Fraction(1, 2) * c2 * w1 ** 2 + 2 * d * w ** 2
         + c3 * w1)
-    assert verify_first_integral(derivative_form, candidate)
+    assert diff(candidate, T) == derivative_form
 
 
 def test_omega_c_first_integral():
@@ -174,7 +211,7 @@ def test_omega_c_first_integral():
         w * w3 + 4 * c * w * w1 + 2 * fn("c", order=1) * w ** 2)
     candidate = normalize(
         w * w2 - Fraction(1, 2) * w1 ** 2 + 2 * c * w ** 2)
-    assert verify_first_integral(derivative_form, candidate)
+    assert diff(candidate, T) == derivative_form
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +228,14 @@ def test_is_zero_sampled_identity():
     assert res and res.mode == "sampled"
 
 
-def test_is_zero_respects_assumptions():
-    e = parse("beta(t)*k'(t)")
-    assert not is_zero(e, assumptions=[Assumption("beta", "nonzero")])
-    assert is_zero(e, assumptions=[Assumption("k", "constant")])
-    assert is_zero(e, assumptions=[Assumption("beta", "zero")])
+def test_is_zero_draws_varying_instances():
+    # an unbound function is drawn neither constant nor zero
+    assert not is_zero(parse("beta(t)*k'(t)"))
 
 
 def test_is_zero_delay_equal_instances():
+    # a drawn instance is not delay-equal
     e = fn("beta", delayed=True) - fn("beta")
-    assert is_zero(e, assumptions=[Assumption("beta", "delay-equal")])
     assert not is_zero(e)
 
 
@@ -338,7 +373,7 @@ def test_is_zero_marks_an_overflow_as_skipped():
     assert 2 * res.skipped > 64 and not res.ok
 
 
-def _pointwise_is_zero(e, assumptions=(), fn_table=None, params=None):
+def _pointwise_is_zero(e, fn_table=None, params=None):
     """is_zero with its points drawn and evaluated one at a time: the
     reference of the single draw and single evaluation."""
     canon = normalize(e)
@@ -350,8 +385,7 @@ def _pointwise_is_zero(e, assumptions=(), fn_table=None, params=None):
     table = dict(fn_table or {})
     for atom in atoms(canon):
         if isinstance(atom, Coeff) and atom.name not in table:
-            table[atom.name] = _instance_family(atom.name, assumptions,
-                                                rng, r)
+            table[atom.name] = _instance_family(rng)
     jet_names = [j.tag for j in SPLIT_JETS] + ["x2"]
     par_names = sorted({a.name for a in atoms(canon)
                         if isinstance(a, Par) and a.name != "r"
@@ -397,16 +431,12 @@ def test_is_zero_matches_the_pointwise_loop_on_every_scenario(monkeypatch):
     assert len(calls) >= 14 and sampled > 0
 
 
-@pytest.mark.parametrize("e, assumptions", [
-    (parse("beta(t)*k'(t)"), [Assumption("beta", "nonzero")]),
-    (parse("beta(t)*k'(t)"), [Assumption("k", "constant")]),
-    (parse("beta(t)*k'(t)"), [Assumption("beta", "zero")]),
-    (fn("beta", delayed=True) - fn("beta"),
-     [Assumption("beta", "delay-equal")]),
-    (fn("beta", delayed=True) - fn("beta"), []),
-], ids=["nonzero", "constant", "zero", "delay-equal", "generic"])
-def test_is_zero_matches_the_pointwise_loop_on_every_family(e, assumptions):
+@pytest.mark.parametrize("e", [
+    fn("beta", delayed=True) - fn("beta"),
+    parse("beta(t)*k'(t)"),
+], ids=["generic", "two-functions"])
+def test_is_zero_matches_the_pointwise_loop_on_every_family(e):
     # no coefficient is bound, so each one is drawn from its instance family
-    got = is_zero(e, assumptions=assumptions)
+    got = is_zero(e)
     assert got.mode == "sampled"
-    assert got == _pointwise_is_zero(e, assumptions=assumptions)
+    assert got == _pointwise_is_zero(e)
