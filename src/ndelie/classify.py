@@ -108,7 +108,7 @@ class OmegaSolution:
         return float(np.max(np.abs(self.conserved - q0)) / scale)
 
 
-def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
+def omega_ode_solve(case, params, init, grid):
     """Classic RK4 for the named third-order omega equation.
 
     init is (w, w', w'') at grid[0].  The b-branch equation divides by
@@ -117,6 +117,10 @@ def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
     The d-energy equation is linear, and each entry of init may instead be
     a row of values, one per solution: all of them advance together as one
     state, and OmegaSolution.column picks one out.
+    grid may also be of shape (n+1, k), one grid per column, each column
+    ending at its first step of size 0 (a shorter grid repeats its last
+    node): the columns advance together, each with its own steps, and a
+    list of one OmegaSolution per column comes back.
     params: the scalar c2, and for d-energy the coefficient d, a function
     of t answering sample(ts, order).
     """
@@ -124,51 +128,63 @@ def omega_ode_solve(case, params, init, grid) -> OmegaSolution:
         raise ExprError(f"unknown omega equation {case!r}")
     c2 = float(params.get("c2", 1.0))
     ts = np.asarray(grid, float)
+    cols = ts.reshape(len(ts), -1)
+    n, k = len(cols) - 1, cols.shape[1]
     y0 = np.array(init, float)
     divides_by_w = case == "b-branch"
-    steps = ts[1:] - ts[:-1]
-    times, off = stage_times(ts, steps)
+    steps = cols[1:] - cols[:-1]
+    times, off = stage_times(cols, steps)
+    d = np.zeros((2,) + times.shape)
     if not divides_by_w:
-        f0, f1 = (params["d"].sample(times, o) for o in (0, 1))
-        check_evaluated("the coefficient d", times, (f0, f1))
+        d = np.array([params["d"].sample(times, o) for o in (0, 1)])
+        # column by column, so a bad time is named in the order its grid
+        # meets it
+        check_evaluated("the coefficient d", times.T, d.transpose(0, 2, 1))
+    d = d.reshape(d.shape[:2] + (1,) * (y0.ndim - 1) + (k,))
+    # 2 d' and 4 d at the nodes and at stage s of step i, the column axis
+    # last, so they broadcast over the solutions
+    coef = np.array((2.0 * d[1], 4.0 * d[0]))
+    stage_coef = np.moveaxis(
+        np.stack([coef[:, o:o + n] for o in off], axis=2), 0, 2)
 
-    def third(j, w, w1, w2):
-        # j is the column of the coefficient values, or an array of them
+    def third(cf, y):
+        # y holds w, w', w'' along its first axis; w''' comes back as one
+        # more row of that axis
         if divides_by_w:
-            return -w2 / (c2 * w)
-        return -(2.0 * f1[j] * w + 4.0 * f0[j] * w1) / c2
-
-    w, w1, w2 = (np.full((len(ts),) + y0.shape[1:], np.nan)
-                 for _ in range(3))
-    w[0], w1[0], w2[0] = y0
-    truncated = False
-    last = 0
+            q = -y[2:] / (c2 * y[:1])
+            q[np.abs(y[:1]) < 1e-12] = np.nan
+            return q
+        terms = cf * y[:2]
+        return -(terms[:1] + terms[1:]) / c2
 
     def f(s, y):
-        if divides_by_w and abs(y[0]) < 1e-12:
-            return np.array([y[1], y[2], np.nan])
-        return np.array([y[1], y[2], third(i + off[s], *y)])
+        return np.concatenate((y[1:], third(stage_coef[i, s], y)))
 
-    for i in range(len(ts) - 1):
-        y = np.array([w[i], w1[i], w2[i]])
-        ynew = rk4_step(f, y, steps[i])
-        if divides_by_w and (np.isnan(ynew).any() or ynew[0] * y[0] <= 0.0):
-            truncated = True
-            break
-        w[i + 1], w1[i + 1], w2[i + 1] = ynew
-        last = i + 1
-    ts, w, w1, w2 = (arr[:last + 1] for arr in (ts, w, w1, w2))
-    # the node columns, shaped to broadcast over the solutions
-    nodes = np.arange(last + 1).reshape((-1,) + (1,) * (y0.ndim - 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w3 = third(nodes, w, w1, w2)
-    if divides_by_w:
-        w3[np.abs(w) < 1e-12] = np.nan
+    ys = np.empty((n + 1,) + y0.shape + (k,))
+    ys[0] = y0[..., None]
+    with np.errstate(all="ignore"):
+        for i in range(n):
+            ys[i + 1] = rk4_step(f, ys[i], steps[i])
+        nodes = np.moveaxis(ys, 1, 0)
+        w, w1, w2 = nodes
+        (w3,) = third(coef[:, :n + 1], nodes)
+        bad = steps == 0
+        if divides_by_w:
+            # a step that gives a NaN or takes omega through zero
+            bad |= np.isnan(ys[1:]).any(axis=1) | (w[1:] * w[:-1] <= 0.0)
     conserved = None
     if not divides_by_w:
         conserved = (c2 * w * w2 - c2 / 2.0 * w1 ** 2
-                     + 2.0 * w ** 2 * f0[nodes])
-    return OmegaSolution(ts, w, w1, w2, w3, conserved, truncated)
+                     + 2.0 * w ** 2 * d[0, :n + 1])
+    # a column ends where its first bad step starts: a truncation, or the
+    # padding of a shorter grid
+    last = np.where(bad.any(axis=0), bad.argmax(axis=0), n)
+    sols = []
+    for j, e in enumerate(last):
+        part = (None if a is None else a[:e + 1, ..., j]
+                for a in (cols, w, w1, w2, w3, conserved))
+        sols.append(OmegaSolution(*part, bool(e < n and steps[e, j] != 0)))
+    return sols if ts.ndim == 2 else sols[0]
 
 
 def solve_omega_two_sided(case, params, init, t0, lo, hi) -> OmegaSolution:
@@ -179,8 +195,12 @@ def solve_omega_two_sided(case, params, init, t0, lo, hi) -> OmegaSolution:
     n_b = max(int(math.ceil((t0 - lo) / step)), 1)
     n_f = max(int(math.ceil((hi - t0) / step)), 1)
     grid = t0 + step * np.arange(-n_b, n_f + 1)
-    fwd = omega_ode_solve(case, params, init, grid[n_b:])
-    bwd = omega_ode_solve(case, params, init, grid[n_b::-1])
+    # the forward and the backward side as two columns of one solve, the
+    # shorter one repeating its last node
+    walk = np.arange(max(n_b, n_f) + 1)
+    fwd, bwd = omega_ode_solve(case, params, init, np.column_stack(
+        (grid[np.minimum(n_b + walk, n_b + n_f)],
+         grid[np.maximum(n_b - walk, 0)])))
     if fwd.truncated or bwd.truncated:
         return OmegaSolution(fwd.ts, fwd.w, fwd.w1, fwd.w2, fwd.w3,
                              fwd.conserved, True)

@@ -114,9 +114,12 @@ def prolong_second(a: InfinitesimalAnsatz) -> Expr:
         - 3 * diff(w, X) * X1 * X2)
 
 
+@functools.lru_cache(maxsize=16)
 def prolong_delayed(a: InfinitesimalAnsatz) -> Prolongation:
     """Delay shift of the pair and of both prolongation coefficients;
-    every atom is replaced by its delayed counterpart."""
+    every atom is replaced by its delayed counterpart.  The prolongation
+    depends on the generator alone, so each recent one is kept: determine,
+    reduce_ansatz and the generator checks ask for the same few."""
     ups_t = prolong_first(a)
     ups_tt = prolong_second(a)
     return Prolongation(

@@ -9,7 +9,7 @@ from ndelie.classify import (
     ClassificationResult, CoeffDescriptor as CD, Generator, NdeSpec,
     _validate_closed, classify, compat_c_from_b,
     compat_c_from_d_pure_delay, compat_d_from_b, compat_d_from_b_pure_delay,
-    compatibility_c, homogenize, omega_ode_solve,
+    OMEGA_POINTS_PER_UNIT, compatibility_c, homogenize, omega_ode_solve,
     remove_first_derivative, solve_omega_two_sided,
 )
 from ndelie.ndesolve import integrate, rk4_step
@@ -114,6 +114,15 @@ def test_truncation_on_zero_crossing():
                           (0.5, -1.0, 0.1), grid)
     assert sol.truncated
     assert sol.ts[-1] < 10.0
+
+
+def test_omega_under_the_threshold_truncates_at_once():
+    # w w''' + w'' = 0 holds w = 1e-13 put, but |w| < 1e-12 makes the third
+    # derivative NaN, so the solution stops at its first node
+    sol = omega_ode_solve("b-branch", {"c2": 1.0}, (1e-13, 0.0, 0.0),
+                          np.linspace(0.0, 1.0, 11))
+    assert sol.truncated
+    assert sol.ts.tolist() == [0.0] and np.isnan(sol.w3[0])
 
 
 def test_two_sided_solution_covers_backward_range():
@@ -477,7 +486,11 @@ def test_near_miss_reports_its_demotion(spec, case, label, warnings):
      ["sin(2t/sqrt(k)) d/dt + ...", "cos(2t/sqrt(k)) d/dt + ..."],
      "requires c = 1/k (max deviation 1.00e+00)",
      "trigonometric pair needs c = 1/k"),
-], ids=["c2-c-off-form", "c9-c-not-one-over-k"])
+    # with b = 1 any constant c fits its family, so only d demotes
+    (NdeSpec.make(b=1, c=1, d="1 + t/5", k=1, r=1.0), "C2",
+     ["(1/b) d/dt + (x/2)(1/b)' d/dx"], "required d(t) form not met",
+     "d(t) does not fit the required family"),
+], ids=["c2-c-off-form", "c9-c-not-one-over-k", "c2-d-off-form"])
 def test_near_miss_demotes_with_a_warning_of_its_own(spec, case, labels,
                                                      reason, warning):
     res = classify(spec)
@@ -739,6 +752,119 @@ def test_sampled_omega_coefficients_equal_pointwise_reads(name):
             for field, arr in zip(("w", "w1", "w2", "w3", "conserved"),
                                   want):
                 assert np.array_equal(getattr(got, field), arr), field
+
+
+# ---------------------------------------------------------------------------
+# both sides of a two-sided solve advance as one state
+
+def _pointwise_b_branch_solve(c2, init, grid):
+    """The b-branch omega equation one step at a time, its third
+    derivative NaN once |w| < 1e-12, stopping before the first step that
+    gives a NaN or takes w through zero: the reference of the solver's
+    truncation.  Returns the times reached, the arrays and the flag."""
+    def f(s, y):
+        w, w1, w2 = y
+        return np.array([w1, w2,
+                         np.nan if abs(w) < 1e-12 else -w2 / (c2 * w)])
+
+    ys = [np.array(init, float)]
+    truncated = False
+    for i in range(len(grid) - 1):
+        y = rk4_step(f, ys[-1], grid[i + 1] - grid[i])
+        if np.isnan(y).any() or y[0] * ys[-1][0] <= 0.0:
+            truncated = True
+            break
+        ys.append(y)
+    w, w1, w2 = np.array(ys).T
+    w3 = np.array([f(0, y)[2] for y in ys])
+    return grid[:len(ys)], (w, w1, w2, w3, None), truncated
+
+
+def _two_sided_reference(side, grid, t0):
+    """side(ts) solved forward and backward from t0 on their own, joined
+    as solve_omega_two_sided documents it: the forward side, flagged, when
+    either side truncates; else the backward side reversed, then the
+    forward one.  Also returns the two sides' flags."""
+    n_b = int(np.flatnonzero(grid == t0)[0])
+    (f_ts, fwd, f_cut), (_, bwd, b_cut) = side(grid[n_b:]), \
+        side(grid[n_b::-1])
+    if f_cut or b_cut:
+        return f_ts, fwd, (f_cut, b_cut)
+    return grid, [None if f is None else np.concatenate((b[::-1][:-1], f))
+                  for b, f in zip(bwd, fwd)], (False, False)
+
+
+def _assert_solution_equals(sol, ts, arrays, truncated):
+    assert sol.truncated == truncated
+    assert np.array_equal(sol.ts, ts)
+    for field, arr in zip(("w", "w1", "w2", "w3", "conserved"), arrays):
+        got = getattr(sol, field)
+        if arr is None:
+            assert got is None, field
+        else:
+            assert np.array_equal(got, arr, equal_nan=True), field
+
+
+@pytest.mark.parametrize("name, count", [("C5", 1), ("C7", 3)])
+def test_two_sided_energy_solve_equals_its_sides_apart(name, count):
+    from ndelie.suite import build_scenarios
+
+    spec = {sc.name: sc for sc in build_scenarios()}[name].spec
+    k_val = float(spec.k.const_value())
+    sols = [g.omega_numeric for g in classify(spec).generators
+            if g.omega_numeric is not None]
+    assert len(sols) == count
+    for sol, init in zip(sols, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                (0.0, 0.0, 1.0))):
+        ts, want, _ = _two_sided_reference(
+            lambda g: (g, _pointwise_energy_solve(k_val, spec.d, init, g),
+                       False), sols[0].ts, spec.t0)
+        _assert_solution_equals(sol, ts, want, False)
+
+
+def test_two_sided_b_branch_solve_equals_its_sides_apart():
+    from ndelie.suite import build_scenarios
+
+    spec = {sc.name: sc for sc in build_scenarios()}["C3"].spec
+    k_val = float(spec.k.const_value())
+    (sol,) = [g.omega_numeric for g in classify(spec).generators
+              if g.omega_numeric is not None]
+    # the initial data is the row at t0, stored as given
+    n_b = int(np.flatnonzero(sol.ts == spec.t0)[0])
+    init = (sol.w[n_b], sol.w1[n_b], sol.w2[n_b])
+    ts, want, cuts = _two_sided_reference(
+        lambda g: _pointwise_b_branch_solve(k_val, init, g), sol.ts,
+        spec.t0)
+    assert cuts == (False, False)
+    _assert_solution_equals(sol, ts, want, False)
+
+
+def _two_sided_grid(t0, lo, hi):
+    step = 1.0 / OMEGA_POINTS_PER_UNIT
+    n_b = max(int(math.ceil((t0 - lo) / step)), 1)
+    n_f = max(int(math.ceil((hi - t0) / step)), 1)
+    return t0 + step * np.arange(-n_b, n_f + 1)
+
+
+@pytest.mark.parametrize("init, cuts, nodes, end", [
+    ((1.0, -1.0, 0.0), (True, False), 200, 1.495),
+    ((1.0, 1.0, 0.0), (False, True), 701, 4.0),
+    ((1.0, -0.5, -3.0), (True, True), 166, 1.325),
+    ((2.0, -0.5, 0.2), (False, False), 1201, 4.0),
+], ids=["forward-truncates", "backward-truncates", "both-truncate",
+        "none-truncates"])
+def test_b_branch_truncation_keeps_the_forward_side(init, cuts, nodes, end):
+    # c2 = 1/2 and t0 = 0.5 on [-2, 4]: whichever side truncates, the
+    # result is the forward side, flagged
+    sol = solve_omega_two_sided("b-branch", {"c2": 0.5}, init, 0.5,
+                                -2.0, 4.0)
+    ts, want, got_cuts = _two_sided_reference(
+        lambda g: _pointwise_b_branch_solve(0.5, init, g),
+        _two_sided_grid(0.5, -2.0, 4.0), 0.5)
+    assert got_cuts == cuts
+    assert len(sol.ts) == nodes
+    assert sol.ts[-1] == pytest.approx(end, abs=1e-12)
+    _assert_solution_equals(sol, ts, want, any(cuts))
 
 
 @pytest.mark.parametrize("spec", [

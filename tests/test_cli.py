@@ -240,6 +240,19 @@ def test_determine_report_keeps_its_bytes(tmp_path, capsys, spec, name):
     assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()
 
 
+@pytest.mark.parametrize("name, code", [("C3", 0), ("C7", 3)])
+def test_classify_report_keeps_its_bytes(tmp_path, capsys, name, code):
+    # scenarios with numeric generators: the report names each omega's
+    # grid ends, and C7's notes carry the first-integral drift of each
+    # direction; C7's three directions are demoted, so it exits 3
+    _scenario(name).spec.save(tmp_path / "spec.json")
+    capsys.readouterr()
+    assert main(["classify", "--spec", str(tmp_path / "spec.json"),
+                 "--json"]) == code
+    assert capsys.readouterr().out.encode() == \
+        (DATA / f"classify_{name.lower()}.json").read_bytes()
+
+
 def test_paper_suite_single(capsys):
     code = main(["paper-suite", "--only", "EX2", "--json"])
     assert code == 0

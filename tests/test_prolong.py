@@ -314,3 +314,26 @@ def test_shared_operator_follows_the_equation():
     eq2 = linear_delta(ZERO, App("sin", T), fn("d"), num(1))
     for eq in (eq1, eq2, eq1, eq2):
         assert apply_operator(a, eq) == _reference_apply_operator(a, eq)
+
+
+# ---------------------------------------------------------------------------
+# each generator is prolonged once per process
+
+
+def test_kept_prolongation_equals_a_fresh_one():
+    # the generic and the reduced ansatz and every closed generator of the
+    # taxonomy; the second call of each is answered from the cache
+    for name, label, a, _ in _scenario_ansatzes():
+        prolong_delayed(a)
+        assert prolong_delayed(a) == prolong_delayed.__wrapped__(a), \
+            (name, label)
+
+
+def test_an_equal_ansatz_is_a_cache_hit():
+    prolong_delayed.cache_clear()
+    first = prolong_delayed(BETA_GAMMA_RHO)
+    again = ansatz(fn("beta"), fn("gamma") * X + fn("rho"))
+    assert again == BETA_GAMMA_RHO and again is not BETA_GAMMA_RHO
+    assert prolong_delayed(again) is first
+    info = prolong_delayed.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
