@@ -24,8 +24,7 @@ from .classify import (
 )
 from .equation import NdeSpec
 from .flowverify import (
-    TOL_FIN, TOL_INF, check_generator, closure_error, identity_error,
-    interior_samples, inverse_error,
+    TOL_FIN, TOL_INF, axiom_errors, check_generator, interior_samples,
 )
 from .ndesolve import integrate, solve_homogeneous_slot
 from .symexpr import parse
@@ -181,10 +180,8 @@ def run_scenario(sc: Scenario, steps=64, delta=0.25) -> ScenarioResult:
         entry.update(check_generator(traj, gen, sc.spec, samples, [delta],
                                      rho, TOL_INF, TOL_FIN))
         if gen.kind != "numeric":
-            ident = identity_error(gen, axiom_points, sc.spec, rho)
-            inv = inverse_error(gen, axiom_points, delta, sc.spec, rho)
-            clo = closure_error(gen, axiom_points, delta, delta / 2,
-                                sc.spec, rho)
+            ident, inv, clo = axiom_errors(gen, axiom_points, delta,
+                                           delta / 2, sc.spec, rho)
             entry["axiom_identity"] = ident
             entry["axiom_inverse"] = inv
             entry["axiom_closure"] = clo

@@ -115,8 +115,18 @@ def test_traced_scenario_runs_the_verification_pipeline():
     assert result.ok
     totals = tracer.totals()
     for name in ("finite_check", "infinitesimal_check", "transform_solution",
-                 "flow", "prolonged_flow", "identity_error", "inverse_error",
-                 "closure_error"):
+                 "prolonged_flow"):
         assert totals.get(f"flowverify.{name}.calls", 0) > 0, name
-    assert totals["flowverify.flow.jet_substeps"] > 0
+    # the group axioms of each admitted closed generator of C4 (d/dt,
+    # (x/2) d/dx, rho d/dx) take three flows of its 4 axiom points: the
+    # identity (one substep), the points by d1 and d1 + d2 (8 rows), and
+    # their images back by -d1 and on by d2 (8 rows)
+    closed = [g for g in result.generators if g["kind"] != "numeric"]
+    assert len(closed) == 3
+    assert totals["flowverify.flow.calls"] == 3 * len(closed)
+    assert totals["flowverify.flow.jet_substeps"] == len(closed) * (
+        4 * 1 + 8 * 24 + 8 * 24)
     assert totals["flowverify.flow.domain_exits"] == 0
+    # the tracer binds the one-axiom views by name
+    for name in ("identity_error", "inverse_error", "closure_error"):
+        assert callable(getattr(nd.flowverify, name)), name

@@ -95,7 +95,7 @@ def test_energy_form_conserves_first_integral(dname, chain):
     grid = np.linspace(0.0, 2.0, 4001)
     sol = omega_ode_solve("d-energy", {"c2": 1.0, "d": chain},
                           (1.0, 0.3, -0.2), grid)
-    assert sol.conservation_drift() < 1e-8
+    assert sol.conservation_drift(1.0) < 1e-8
 
 
 def test_c_energy_trivial_case():
@@ -499,6 +499,31 @@ def test_near_miss_demotes_with_a_warning_of_its_own(spec, case, labels,
     assert [g.label for g in demoted] == labels
     assert [g.warnings for g in demoted] == [[reason]] * len(labels)
     assert res.warnings == [warning]
+
+
+def _numeric_one(t):
+    return np.ones(np.shape(t))
+
+
+@pytest.mark.parametrize("make, case", [
+    (lambda c: NdeSpec.make(b=2, c=c, k=2, r=1.0), "C3"),
+    (lambda c: NdeSpec.make(c=c, d=2, k=1, r=1.0), "C5"),
+], ids=["c3", "c5"])
+def test_a_c_constraint_it_cannot_evaluate_demotes_with_the_error(make,
+                                                                  case):
+    # c = 1 fits the third-order constraint along either omega; a numeric
+    # c that supplies c but not c' leaves the constraint unevaluated, and
+    # the demotion says so instead of calling c incompatible
+    res = classify(make(CD.numeric(_numeric_one)))
+    assert res.case_id == case
+    (gen,) = [g for g in res.generators if g.status != "admitted"]
+    assert gen.warnings == ["c-constraint failed to evaluate: numeric "
+                            "descriptor supplies orders 0..0"]
+    assert res.warnings == [f"{gen.label}: {gen.warnings[0]}"]
+    # with c' supplied the same omega is admitted
+    res = classify(make(CD.numeric(_numeric_one, np.zeros_like)))
+    assert res.case_id == case and res.warnings == []
+    assert all(g.status == "admitted" for g in res.generators)
 
 
 @pytest.mark.parametrize("a, g0, slope", [

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 
 from ndelie.cli import main
 from ndelie.equation import CoeffDescriptor, NdeSpec
-from ndelie.suite import build_scenarios
+from ndelie.suite import build_scenarios, run_scenario
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -259,6 +260,17 @@ def test_paper_suite_single(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["pass"]
     assert payload["scenarios"][0]["name"] == "EX2"
+
+
+def test_a_scenario_fails_on_a_wrong_candidate_count():
+    # C4 demotes no candidate; a scenario expecting one fails with every
+    # generator passing, and says why
+    c4 = dataclasses.replace(_scenario("C4"), expected_candidates=1)
+    res = run_scenario(c4)
+    assert res.case_ok and res.candidates == []
+    assert res.generators and all(g["pass"] for g in res.generators)
+    assert not res.ok
+    assert res.warnings[-1] == "expected 1 demoted candidates, found 0"
 
 
 def test_paper_suite_text_gives_each_verdict(capsys):

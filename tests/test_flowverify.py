@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,9 +9,9 @@ from ndelie.classify import Generator, OmegaSolution, classify
 from ndelie.detsys import invariance_residual, reduced_ansatz
 from ndelie.equation import CoeffDescriptor as CD, NdeSpec
 from ndelie.flowverify import (
-    TOL_FIN, TOL_INF, _affine_chains, check_generator, closure_error,
-    finite_check, flow, identity_error, infinitesimal_check, inverse_error,
-    prolonged_flow, transform_solution,
+    TOL_FIN, TOL_INF, _affine_chains, axiom_errors, check_generator,
+    closure_error, finite_check, flow, identity_error, infinitesimal_check,
+    inverse_error, prolonged_flow, transform_solution,
 )
 from ndelie.ndesolve import integrate, solve_homogeneous_slot
 from ndelie.suite import build_scenarios
@@ -405,6 +406,73 @@ def test_flow_reads_equation_coefficients_as_arrays(b):
 
 
 # ---------------------------------------------------------------------------
+# group axioms in batched flows, each row with its own step
+
+# the suite's delta and one like the benchmark's, drawn from [0.2, 0.3]
+AXIOM_DELTAS = (0.25, 0.237113)
+
+
+@functools.lru_cache(maxsize=1)
+def _suite_axiom_cases():
+    """(scenario name, generator, spec, rho, axiom points) for every
+    admitted non-numeric generator of the 14 scenarios, as run_scenario
+    sees them."""
+    cases = []
+    for sc in build_scenarios():
+        spec = sc.spec
+        t_end = spec.t0 + sc.delays * spec.r
+        traj = integrate(spec, sc.theta, t_end, 64)
+        rho = solve_homogeneous_slot(spec, sc.rho_seed, t_end, 64)
+        samples = flowverify.interior_samples(traj, spec)
+        points = [(float(t), traj.value(float(t), 0)) for t in samples[:4]]
+        cases += [(sc.name, gen, spec, rho, points)
+                  for gen in classify(spec).generators
+                  if gen.status == "admitted" and gen.kind != "numeric"]
+    return cases
+
+
+def _three_call_axioms(gen, points, d1, d2, spec, rho):
+    """The group axioms as three checks of single-delta flows: identity
+    (one substep at 0), inverse (by d1, then by -d1) and closure (by d1
+    then d2, against d1 + d2)."""
+    def moved(pts, delta, substeps=flowverify.SUBSTEPS):
+        out = flow(gen, pts, delta, spec, rho, substeps)
+        assert all(m is not None for m in out)
+        return out
+
+    def gap(a, b):
+        return float(np.max(np.abs(np.subtract(a, b))))
+
+    fwd = moved(points, d1)
+    return (gap(moved(points, 0.0, 1), points),
+            gap(moved(fwd, -d1), points),
+            gap(moved(fwd, d2), moved(points, d1 + d2)))
+
+
+@pytest.mark.parametrize("delta", AXIOM_DELTAS)
+def test_a_flow_with_one_delta_per_row_equals_single_delta_flows(delta):
+    assert len(_suite_axiom_cases()) == 38
+    deltas = (delta, -delta, delta / 2, delta + delta / 2)
+    for name, gen, spec, rho, points in _suite_axiom_cases():
+        rows = [p for _ in deltas for p in points]
+        per_row = [d for d in deltas for _ in points]
+        want = [m for d in deltas for m in flow(gen, points, d, spec, rho)]
+        assert flow(gen, rows, per_row, spec, rho) == want, (name, gen.label)
+
+
+@pytest.mark.parametrize("delta", AXIOM_DELTAS)
+def test_axiom_errors_equal_three_single_delta_checks(delta):
+    for name, gen, spec, rho, points in _suite_axiom_cases():
+        want = _three_call_axioms(gen, points, delta, delta / 2, spec, rho)
+        assert axiom_errors(gen, points, delta, delta / 2, spec, rho) == \
+            want, (name, gen.label)
+    # the one-axiom views read the same numbers
+    assert identity_error(gen, points, spec, rho) == want[0]
+    assert inverse_error(gen, points, delta, spec, rho) == want[1]
+    assert closure_error(gen, points, delta, delta / 2, spec, rho) == want[2]
+
+
+# ---------------------------------------------------------------------------
 # failures are reported, never skipped
 
 GEN_SQRT = Generator("sqrt(t) d/dt", "closed", omega=App("sqrt", T),
@@ -415,18 +483,31 @@ SQRT_POINTS = [(-1.0, 0.5), (1.0, 0.3), (2.0, -0.2)]
 
 def test_identity_error_names_the_point_that_left_the_domain():
     with pytest.raises(ExprError, match=r"\(-1\.0, 0\.5\) by 0\.0"):
-        identity_error(GEN_SQRT, SQRT_POINTS, SPEC1)
+        axiom_errors(GEN_SQRT, SQRT_POINTS, 0.0, 0.0, SPEC1)
 
 
+# the identity flow runs first, so the row that cannot start is named with
+# the identity's delta 0
 def test_inverse_error_keeps_rows_aligned():
     # dropping the failed row paired (1, .) with (-1, .) and gave 2.0
-    with pytest.raises(ExprError, match=r"\(-1\.0, 0\.5\) by 0\.25"):
-        inverse_error(GEN_SQRT, SQRT_POINTS, 0.25, SPEC1)
+    with pytest.raises(ExprError, match=r"\(-1\.0, 0\.5\) by 0\.0"):
+        axiom_errors(GEN_SQRT, SQRT_POINTS, 0.25, 0.0, SPEC1)
 
 
 def test_closure_error_keeps_rows_aligned():
-    with pytest.raises(ExprError, match=r"\(-1\.0, 0\.5\) by 0\.25"):
-        closure_error(GEN_SQRT, SQRT_POINTS, 0.25, 0.125, SPEC1)
+    with pytest.raises(ExprError, match=r"\(-1\.0, 0\.5\) by 0\.0"):
+        axiom_errors(GEN_SQRT, SQRT_POINTS, 0.25, 0.125, SPEC1)
+
+
+def test_a_domain_exit_names_the_delta_of_its_own_row():
+    # d/dt + sqrt(1 - t) d/dx moves t by delta and has no value
+    # past t = 1: from t = 0.7 the flow by 0.25 stays inside and the flow
+    # by 0.25 + 0.125 leaves, in the second half of the first batch
+    gen = Generator("d/dt + sqrt(1 - t) d/dx", "closed", omega=num(1),
+                    upsilon=App("sqrt", normalize(1 - T)))
+    with pytest.raises(ExprError, match=r"^flow from \(0\.7, 0\.3\) by "
+                       r"0\.375 left"):
+        axiom_errors(gen, [(0.0, 0.1), (0.7, 0.3)], 0.25, 0.125, SPEC1)
 
 
 def test_finite_check_fails_when_one_delta_fails():
