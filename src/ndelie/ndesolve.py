@@ -153,7 +153,8 @@ def stage_times(ts, h):
 def rk4_step(f, y, h):
     """One classic RK4 step of y' = f(s, y) of size h, where s names the
     stage: 0 at the start, 1 at the midpoint (twice) and 2 at the end, as
-    stage_times orders their columns.  y is a float or a numpy array."""
+    stage_times orders their columns.  y is a float (integrate steps x'
+    and x as floats) or a numpy array."""
     k1 = f(0, y)
     k2 = f(1, y + h / 2 * k1)
     k3 = f(1, y + h / 2 * k2)
@@ -169,17 +170,19 @@ def _accel(row, x, v):
 
 
 def integrate(spec: NdeSpec, theta, t_end, steps_per_delay=64) -> Trajectory:
-    """Classic RK4 over whole delay intervals.
+    """Classic RK4 over whole delay intervals, stepping x' and then x as
+    floats: x' with the equation's stages, x with their velocities.
 
     t_end must equal t0 + M r for an integer M >= 1 and steps_per_delay
-    must be at least 16 so the dense history stays accurate enough for the
-    neutral term.
+    must be a whole number, at least 16 so the dense history stays accurate
+    enough for the neutral term.
     """
     if isinstance(theta, (str, Expr)):
         theta = CoeffDescriptor.closed(theta)
+    if not (steps_per_delay >= 16 and steps_per_delay % 1 == 0):
+        raise ExprError("steps_per_delay must be a whole number of at least "
+                        f"16; got {steps_per_delay!r}")
     n = int(steps_per_delay)
-    if n < 16:
-        raise ExprError("steps_per_delay must be at least 16")
     r, t0 = spec.r, spec.t0
     m_float = (t_end - t0) / r
     m = round(m_float)
@@ -208,12 +211,13 @@ def integrate(spec: NdeSpec, theta, t_end, steps_per_delay=64) -> Trajectory:
 
     for i in range(total + 1):
         q = i % n
+        x, v = float(xs[i]), float(x1s[i])
         if q == 0:
             if i:
                 # breaking point: keep the left-hand acceleration too
                 jd = i - n
                 x2l[i] = _accel((*coefs[:, i], xs[jd], x1s[jd], x2l[jd]),
-                                xs[i], x1s[i])
+                                x, v)
             # rows for this delay interval's n nodes and the mid- and
             # end-stage times of its n steps (the last interval holds only
             # the final node); each delayed read is capped at the last
@@ -227,20 +231,26 @@ def integrate(spec: NdeSpec, theta, t_end, steps_per_delay=64) -> Trajectory:
             check_evaluated("the delayed history", td, past)
             rows = list(zip(*coefs[:, at].tolist(),
                             *(p.tolist() for p in past)))
-        x2s[i] = _accel(rows[q], xs[i], x1s[i])
+        x2s[i] = a0 = _accel(rows[q], x, v)
         if q:
             # off the breaking points x'' is continuous
-            x2l[i] = x2s[i]
+            x2l[i] = a0
         if i == total:
             break
+        vs = []
 
-        def slope(s, y):
-            # the first stage is the node itself, whose x'' is stored
-            a = x2s[i] if s == 0 else _accel(rows[s * n + q], y[0], y[1])
-            return np.array([y[1], a])
+        def accel(s, w):
+            # stage s reads x stepped from the node by its share of h at the
+            # previous stage's velocity; the node's own x'' is a0
+            a = _accel(rows[s * n + q], x + h / 2 * s * vs[-1], w) \
+                if s else a0
+            vs.append(w)
+            return a
 
-        xs[i + 1], x1s[i + 1] = rk4_step(slope, np.array([xs[i], x1s[i]]),
-                                         h)
+        # x' first, then x with the four stage velocities as slopes: x' = v
+        x1s[i + 1] = rk4_step(accel, v, h)
+        slopes = iter(vs)
+        xs[i + 1] = rk4_step(lambda s, y: next(slopes), x, h)
     return traj
 
 

@@ -281,6 +281,22 @@ def test_paper_suite_text_gives_each_verdict(capsys):
                         "all scenarios pass\n")
 
 
+def test_paper_suite_text_reports_a_failing_scenario(monkeypatch, capsys):
+    # C4 expecting one demoted candidate fails its scenario
+    from ndelie import suite
+
+    def failing():
+        return [dataclasses.replace(sc, expected_candidates=1)
+                if sc.name == "C4" else sc for sc in build_scenarios()]
+
+    monkeypatch.setattr(suite, "build_scenarios", failing)
+    assert main(["paper-suite", "--only", "C4"]) == 3
+    report, verdicts = capsys.readouterr().out.split("\n}\n")
+    assert json.loads(report + "}")["pass"] is False
+    assert verdicts == ("  C4    case=C4               FAIL\n"
+                        "some scenarios FAILED\n")
+
+
 def test_paper_suite_unknown_scenario(capsys):
     assert main(["paper-suite", "--only", "nope"]) == 1
 
@@ -319,6 +335,27 @@ def test_verify_text_reports_a_failed_finite_check(tmp_path, capsys):
     assert json.loads(out[:out.rindex("}") + 1])["pass"] is False
     failed = [line for line in out.splitlines() if "fin=failed" in line]
     assert len(failed) == 1 and failed[0].endswith(" FAIL")
+
+
+def test_verify_curves_name_a_first_delta_without_an_image(tmp_path,
+                                                          capsys):
+    # the curve file of a generator whose flow gives no image at the first
+    # delta is replaced by the reason; the others are written
+    path = tmp_path / "c5.json"
+    NdeSpec.make(c=1, d=2, k=1, r=1.0).save(path)
+    out = tmp_path / "out"
+    code = main(["verify", "--spec", str(path), "--theta", "sin(t)+2",
+                 "--delta", "3", "--json", "--curves", "--out", str(out)])
+    assert code == 3
+    payload = json.loads((out / "verification.json").read_text())
+    csvs = {rep["generator"]: rep["curve_csv"]
+            for rep in payload["reports"]}
+    failed = [rep["generator"] for rep in payload["reports"]
+              if rep["finite_residual"] is None]
+    assert len(failed) == 1
+    assert csvs.pop(failed[0]) == ("failed: flow left the numeric domain "
+                                   "for some points")
+    assert csvs and all(os.path.isfile(p) for p in csvs.values())
 
 
 def test_classify_names_an_unbound_constant(free_constant_spec, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -523,6 +524,37 @@ def test_finite_check_fails_when_one_delta_fails():
         transform_solution(traj, bogus, 5.0, spec)
     assert finite_check(traj, bogus, spec, [1e-9, 5.0]) is None
     assert finite_check(traj, bogus, spec, []) is None
+
+
+def _cut(traj, nodes):
+    """The trajectory up to and including its node of that index."""
+    keep = slice(nodes + 1)
+    return dataclasses.replace(traj, ts=traj.ts[keep], xs=traj.xs[keep],
+                               x1s=traj.x1s[keep], x2s=traj.x2s[keep],
+                               x2l=traj.x2l[keep])
+
+
+def test_an_image_segment_of_fewer_than_three_points_is_skipped():
+    # ending one step past the breaking point 2 pi leaves a last segment
+    # FINE = 2 source steps long, too short for a spline
+    traj = _cut(TRAJ1, 2 * 64 + 1)
+    curve = transform_solution(traj, GEN_SCALE, 0.5, SPEC1)
+    assert len(curve.boundaries) == 5 and len(curve.segments) == 3
+    assert curve.segments[-1][1] == pytest.approx(2 * math.pi, abs=1e-12)
+    assert curve.t_hi == pytest.approx(traj.t_end, abs=1e-12)
+    tail = np.linspace(2 * math.pi + 0.01, traj.t_end, 5)
+    assert np.isnan(curve.sample(tail)).all()
+    assert curve.value(6.0) == pytest.approx(math.exp(0.5) * math.sin(6.0),
+                                             abs=1e-6)
+
+
+def test_a_delta_with_no_admissible_sample_fails_the_finite_check():
+    # one step past t0 every candidate time of the image lies within half
+    # a step of a segment boundary, so the delta has an image but no sample
+    traj = _cut(TRAJ1, 1)
+    curves = []
+    assert finite_check(traj, GEN_SCALE, SPEC1, [0.5], curves=curves) is None
+    assert isinstance(curves[0], flowverify.TransformedCurve)
 
 
 def test_breaking_point_images_are_curve_boundaries():

@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ndelie.classify import compat_c_from_b, compat_d_from_b
 from ndelie.equation import CoeffDescriptor, NdeSpec
 from ndelie.ndesolve import _hermite, integrate, residual, solve_homogeneous_slot
-from ndelie.symexpr import ExprError
+from ndelie.symexpr import ExprError, parse
 
 
 def example1_spec():
@@ -52,6 +53,24 @@ def test_neutral_convergence_order():
     for n in (32, 64, 128):
         traj = integrate(spec, "sin(t)", 3 * math.pi, n)
         errs.append(max(abs(traj.value(t, 0) - math.sin(t)) for t in ts))
+    assert 12 <= errs[0] / errs[1] <= 20
+    assert 12 <= errs[1] / errs[2] <= 20
+
+
+def test_convergence_order_with_varying_coefficients():
+    # a manufactured solution: every coefficient varies with t and h is
+    # chosen so that x = sin t solves the equation from theta = sin t
+    co = dict(a="1/2 + sin(t)/4", b="cos(t)/3", c="1 + cos(2*t)/4",
+              d="sin(t)/3", k="(1 + cos(t))/4")
+    h = ("-sin(t) + ({a})*cos(t) + ({b})*cos(t - 1) + ({c})*sin(t)"
+         " + ({d} - ({k}))*sin(t - 1)").format(**co)
+    spec = NdeSpec.make(h=h, r=1.0, t0=0.0, **co)
+    errs = []
+    for n in (32, 64, 128):
+        traj = integrate(spec, "sin(t)", 4.0, n)
+        errs.append(max(np.max(np.abs(traj.xs - np.sin(traj.ts))),
+                        np.max(np.abs(traj.x1s - np.cos(traj.ts)))))
+    assert errs[0] < 1e-6
     assert 12 <= errs[0] / errs[1] <= 20
     assert 12 <= errs[1] / errs[2] <= 20
 
@@ -114,6 +133,10 @@ def test_integrate_validations():
         integrate(spec, "sin(t)", 1.5, 64)  # not a whole number of delays
     with pytest.raises(ExprError):
         integrate(spec, "sin(t)", 3 * math.pi, 8)  # too few steps
+    with pytest.raises(ExprError, match="16.9"):
+        integrate(spec, "sin(t)", 3 * math.pi, 16.9)  # not a whole number
+    with pytest.raises(ExprError, match="nan"):
+        integrate(spec, "sin(t)", 3 * math.pi, math.nan)
 
 
 def test_initial_function_must_differentiate():
@@ -259,12 +282,24 @@ def _scalar_integrate(spec, theta, t_end, n):
     return xs, x1s, x2s, x2l
 
 
+def _c2_spec():
+    # a delay-periodic b with c and d from its compatibility formulas
+    b = parse("2 + cos(4*t)/7")
+    k = Fraction(3, 4)
+    return NdeSpec.make(b=b, c=compat_c_from_b(b, c6=1),
+                        d=compat_d_from_b(b, k, c5=Fraction(3, 2)), k=k,
+                        r=math.pi / 2)
+
+
 @pytest.mark.parametrize("spec, theta, delays, n", [
     (NdeSpec.make(c=1, d=2, k=1, r=1.0, t0=0.5), "sin(t) + 2", 3, 16),
     (NdeSpec.make(a="1/2", b="cos(t)/3", c="1 + t/5", d=Fraction(1, 3),
                   k=Fraction(1, 4), h="sin(t)", r=0.75, t0=0.2),
      "1 + t/2 + cos(2*t)", 3, 20),
     (NdeSpec.make(k=1, r=math.pi), "sin(t)", 2, 64),
+    (NdeSpec.make(c="t^2", d="t^2", k=1, r=1.0, t0=0.5),
+     "1/2 + sin(3*t/2) - cos(t)/4", 4, 32),
+    (_c2_spec(), "-1/4 + sin(t) + cos(t)/2", 3, 32),
 ])
 def test_integrate_reproduces_the_scalar_loop(spec, theta, delays, n):
     traj = integrate(spec, theta, spec.t0 + delays * spec.r, n)
