@@ -27,7 +27,7 @@ from .equation import CoeffDescriptor, NdeSpec, Spline
 from .ndesolve import _hermite, rk4_step, stage_times
 from .prolong import InfinitesimalAnsatz
 from .symexpr import (
-    App, Expr, ExprError, ONE, Pow, Rat, T, X, ZERO, _elementwise,
+    App, Expr, ExprError, ONE, Pow, Rat, T, X, ZERO,
     check_evaluated, diff, fn, normalize, num, render,
     substitute,
 )
@@ -116,12 +116,12 @@ class OmegaSolution:
 def omega_ode_solve(case, params, init, grid):
     """Classic RK4 for the named third-order omega equation.
 
-    init is (w, w', w'') at grid[0].  The b-branch equation divides by
-    omega: its third derivative is NaN once |omega| falls under 1e-12, and
-    the solution is truncated with a flag before the step that reaches it.
-    The d-energy equation is linear, and each entry of init may instead be
-    a row of values, one per solution: all of them advance together as one
-    state, and OmegaSolution.column picks one out.
+    init is (w, w', w'') at grid[0], and each entry may instead be a row
+    of values, one per solution: all of them advance together as one
+    state, and OmegaSolution.column picks one out.  The b-branch equation
+    divides by omega: its third derivative is NaN once |omega| falls under
+    1e-12, and the solutions are truncated with a flag before the step
+    where any of them reaches it.
     grid may also be of shape (n+1, k), one grid per column, each column
     ending at its first step of size 0 (a shorter grid repeats its last
     node): the columns advance together, each with its own steps, and a
@@ -175,8 +175,10 @@ def omega_ode_solve(case, params, init, grid):
         (w3,) = third(coef[:, :n + 1], nodes)
         bad = steps == 0
         if divides_by_w:
-            # a step that gives a NaN or takes omega through zero
-            bad |= np.isnan(ys[1:]).any(axis=1) | (w[1:] * w[:-1] <= 0.0)
+            # a step that gives a NaN or takes omega through zero, in any
+            # solution of its column
+            bad |= (np.isnan(ys[1:]).any(axis=1) | (w[1:] * w[:-1] <= 0.0)
+                    ).reshape(n, -1, k).any(axis=1)
     conserved = None
     if not divides_by_w:
         conserved = (c2 * w * w2 - c2 / 2.0 * w1 ** 2
@@ -323,10 +325,6 @@ class Generator:
     status: str = "admitted"
     warnings: list = field(default_factory=list)
     note: str = ""
-
-    def demote(self, warning):
-        self.status = "candidate"
-        self.warnings.append(warning)
 
     def to_json(self):
         out = {"label": self.label, "kind": self.kind, "status": self.status}
@@ -501,42 +499,23 @@ def homogenize(spec: NdeSpec, particular, t_hi=None):
 
 
 def _s_chain(spec: NdeSpec, t_lo, t_hi):
-    """s = exp(-int a / 2) as a numeric descriptor of orders 0..3."""
+    """s = exp(-A/2) as a numeric descriptor of orders 0..3, with A the
+    integral of a from t_lo: its trapezoid sums on a fine grid, read
+    through the spline, and a, a', a'' as A's orders 1..3."""
     a = spec.a
-    if a.is_const:
-        alpha = float(a.const_value())
-
-        def s0(t):
-            return _elementwise(math.exp, -alpha * (t - spec.t0) / 2.0)
-
-        return CoeffDescriptor.numeric(
-            s0, lambda t: -alpha / 2.0 * s0(t),
-            lambda t: alpha ** 2 / 4.0 * s0(t),
-            lambda t: -alpha ** 3 / 8.0 * s0(t))
     grid = np.linspace(t_lo, t_hi, 2001)
     avals = a.sample(grid)
     check_evaluated("a", grid, avals)
     integral = np.concatenate(
         ([0.0], np.cumsum((avals[1:] + avals[:-1]) / 2.0
                           * np.diff(grid))))
-    ispline = Spline(grid, integral, "the integral of a")
-
-    def s0(t):
-        return _elementwise(math.exp, -ispline(t) / 2.0)
-
-    def s1(t):
-        return -a.sample(t) / 2.0 * s0(t)
-
-    def s2(t):
-        return (a.sample(t) ** 2 / 4.0 - a.sample(t, 1) / 2.0) * s0(t)
-
-    def s3(t):
-        av, a1, a2 = (a.sample(t, o) for o in range(3))
-        # the cube per element, as the math library rounds it
-        cube = _elementwise(lambda v: v ** 3, av)
-        return (-a2 / 2.0 + 0.75 * av * a1 - cube / 8.0) * s0(t)
-
-    return CoeffDescriptor.numeric(s0, s1, s2, s3)
+    A = CoeffDescriptor.numeric(Spline(grid, integral, "the integral of a"),
+                                *(lambda t, o=o: a.sample(t, o)
+                                  for o in range(3)))
+    chain = [normalize(App("exp", -HALF * fn("A")))]
+    for _ in range(3):
+        chain.append(diff(chain[-1], T))
+    return CoeffDescriptor.bound(chain, {"A": A}, spec.r)
 
 
 def remove_first_derivative(spec: NdeSpec):
@@ -602,7 +581,8 @@ def remove_first_derivative(spec: NdeSpec):
 
 def _demote(gen, result, warning):
     """Demote gen with warning, and report the warning under its label."""
-    gen.demote(warning)
+    gen.status = "candidate"
+    gen.warnings.append(warning)
     result.warnings.append(f"{gen.label}: {warning}")
 
 
@@ -740,8 +720,8 @@ def _b_family(spec, result, base_d, c_div, d_div):
     """The part C2 and C10 share: the (1/b) generator beside x d/dx and
     the rho slot, the delay check on b, and the free constants of c and d
     fitted on a grid as (c - base_c) / (b^2 / c_div) and
-    (d - base_d) / (b^2 / d_div).  Returns the generator and the two
-    (constant, fits) pairs."""
+    (d - base_d) / (b^2 / d_div); the generator is demoted unless both
+    fit.  Returns the two constants."""
     b_sym = spec.b.symbolic("b")
     gen_b = _gen_from_omega("(1/b) d/dt + (x/2)(1/b)' d/dx",
                             Pow(b_sym, -1) if not isinstance(b_sym, Rat)
@@ -758,28 +738,24 @@ def _b_family(spec, result, base_d, c_div, d_div):
             lambda t: (desc.sample(t) - fb.sample(t)) / scale.sample(t),
             grid)[:2]
 
-    return gen_b, (fit(spec.c, compat_c_from_b(b_sym, c6=0), c_div),
-                   fit(spec.d, base_d, d_div))
+    c_const, ok_c = fit(spec.c, compat_c_from_b(b_sym, c6=0), c_div)
+    d_const, ok_d = fit(spec.d, base_d, d_div)
+    if not ok_c or not ok_d:
+        _demote(gen_b, result, "required c(t), d(t) forms not met")
+    return c_const, d_const
 
 
 def _case_c2(spec, result, k_val, trace):
     result.case_id = "C2"
     trace.append("b != 0, d != 0, k constant: three-dimensional group")
     kq = Fraction(k_val).limit_denominator(10 ** 9)
-    gen_b, ((c6, ok_c), (c5, ok_d)) = _b_family(
+    c6, c5 = _b_family(
         spec, result, compat_d_from_b(spec.b.symbolic("b"), kq, c5=0), 4, 2)
     result.compatibility["c"] = (
         "c = (b''/b - (3/2)(b'/b)^2)/2 + (c6/4) b^2, c6 = %.6g" % c6)
     result.compatibility["d"] = (
         "d = (b' + c2 (b''/b - (3/2)(b'/b)^2))/2 + (c5/2) b^2, "
         "c5 = %.6g" % c5)
-    if not ok_c:
-        result.warnings.append("c(t) does not fit the required family")
-        gen_b.demote("required c(t) form not met")
-    if not ok_d:
-        result.warnings.append("d(t) does not fit the required family")
-        if gen_b.status == "admitted":
-            gen_b.demote("required d(t) form not met")
     return result
 
 
@@ -787,31 +763,24 @@ def _case_c3(spec, result, k_val, trace):
     result.case_id = "C3"
     trace.append("b != 0, d = 0, k constant: omega from the third-order "
                  "two-term equation")
-    grid = np.linspace(spec.t0, spec.t0 + 3 * spec.r, 601)
     b0, b1v, b2v = (spec.b.eval(spec.t0, o) for o in range(3))
     w0 = 1.0 / b0
     w1 = -b1v * w0 ** 2
     w2 = (2 * b1v ** 2 - b0 * b2v) / b0 ** 3
-    sol = solve_omega_two_sided("b-branch", {"c2": k_val},
-                                (w0, w1, w2), spec.t0,
-                                spec.t0 - 2.5 * spec.r,
-                                spec.t0 + 3.5 * spec.r)
+    (sol,) = _omegas(spec, "b-branch", {"c2": k_val}, [(w0, w1, w2)])
     gen_w = Generator("Phi d/dt + (x/2) Phi' d/dx", "numeric",
                       omega_numeric=sol,
                       note="Phi solves c2 w w''' + c3 w'' = 0 with "
                            "w = 1/b data")
     gens = [_gen_scale(), gen_w, _gen_rho()]
     result.generators = gens
-    if sol.truncated:
-        _demote(gen_w, result, "omega crossed zero; solution truncated")
-    else:
-        ts = grid[:: len(grid) // 20]
+    if not sol.truncated:
+        ts = np.linspace(spec.t0, spec.t0 + 3 * spec.r, 601)[::30]
         mism = _max_abs("w b", ts, sol.sample(ts) * spec.b.sample(ts) - 1.0)
         if mism > CHECK_TOL:
             _demote(gen_w, result, "b is not compatible with the "
                     f"two-term omega equation (max |w b - 1| = {mism:.2e})")
-        _check_delay_compat(gen_w, sol, spec, result, "omega")
-    _check_c_constraint(spec, gen_w, sol, result)
+    _check_numeric_omega(spec, gen_w, sol, result)
     return result
 
 
@@ -844,21 +813,23 @@ def _case_c4(spec, result, trace):
     return result
 
 
-def _energy_omegas(spec, k_val, inits):
-    """Solutions of the d-energy omega equation from each initial datum
-    (w, w', w'') at t0, advanced together as one state."""
-    sols = solve_omega_two_sided("d-energy",
-                                 {"c2": k_val, "d": spec.d},
-                                 np.transpose(inits), spec.t0,
+def _omegas(spec, case, params, inits):
+    """Solutions of the named omega equation on [t0 - 2.5 r, t0 + 3.5 r]
+    from each initial datum (w, w', w'') at t0, advanced together as one
+    state."""
+    sols = solve_omega_two_sided(case, params, np.transpose(inits), spec.t0,
                                  spec.t0 - 2.5 * spec.r,
                                  spec.t0 + 3.5 * spec.r)
     return [sols.column(i) for i in range(len(inits))]
 
 
 def _check_numeric_omega(spec, gen, sol, result):
-    """Delay compatibility of a numeric omega and the third-order
-    c-constraint along it; demotes on failure."""
-    _check_delay_compat(gen, sol, spec, result, "omega")
+    """A truncated numeric omega, or else its delay compatibility, and
+    the third-order c-constraint along it; demotes on failure."""
+    if sol.truncated:
+        _demote(gen, result, "omega crossed zero; solution truncated")
+    else:
+        _check_delay_compat(gen, sol, spec, result, "omega")
     _check_c_constraint(spec, gen, sol, result)
 
 
@@ -866,7 +837,8 @@ def _case_c5(spec, result, k_val, trace):
     result.case_id = "C5"
     trace.append("b = 0, d != 0, k constant: omega from the energy form "
                  "of the third-order equation")
-    (sol,) = _energy_omegas(spec, k_val, [(1.0, 0.0, 0.0)])
+    (sol,) = _omegas(spec, "d-energy", {"c2": k_val, "d": spec.d},
+                     [(1.0, 0.0, 0.0)])
     gen_w = Generator("Phi d/dt + (x/2) Phi' d/dx", "numeric",
                       omega_numeric=sol,
                       note="Phi solves the integrated third-order "
@@ -885,8 +857,8 @@ def _case_c678(spec, result, k_val, case_id, trace):
                  "directions from independent initial data")
     inits = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     gens = [_gen_half_scale()]
-    for i, (init, sol) in enumerate(zip(inits,
-                                        _energy_omegas(spec, k_val, inits))):
+    sols = _omegas(spec, "d-energy", {"c2": k_val, "d": spec.d}, inits)
+    for i, (init, sol) in enumerate(zip(inits, sols)):
         g = Generator(f"Phi{i + 1} d/dt + (x/2) Phi{i + 1}' d/dx",
                       "numeric", omega_numeric=sol,
                       note="independent initial data "
@@ -924,13 +896,11 @@ def _case_c9(spec, result, k_val, trace):
     result.compatibility["c"] = f"c = 1/k = {1.0 / k_val:.6g}"
     ts = np.linspace(spec.t0, spec.t0 + 2 * spec.r, 20)
     c_mism = _max_abs("c", ts, spec.c.sample(ts) - 1.0 / k_val)
-    if c_mism > 1e-9:
-        for g in gens[2:4]:
-            g.demote(f"requires c = 1/k (max deviation {c_mism:.2e})")
-        result.warnings.append("trigonometric pair needs c = 1/k")
-    for g in gens:
-        if g.kind == "closed" and g.omega not in (None, ZERO) \
-                and g.status == "admitted" and g.omega != num(1):
+    for g in gens[2:4]:
+        if c_mism > 1e-9:
+            _demote(g, result, f"requires c = 1/k (max deviation "
+                    f"{c_mism:.2e})")
+        else:
             omega = CoeffDescriptor.bound([g.omega], spec.fn_table(), spec.r)
             _check_delay_compat(g, omega, spec, result, "omega")
     return result
@@ -939,14 +909,12 @@ def _case_c9(spec, result, k_val, trace):
 def _case_c10(spec, result, trace):
     result.case_id = "C10"
     trace.append("b != 0, d != 0, k = 0: three-dimensional group")
-    gen_b, ((c33, ok_c), (c32, ok_d)) = _b_family(
+    c33, c32 = _b_family(
         spec, result, compat_d_from_b_pure_delay(spec.b.symbolic("b"),
                                                  c32=0), 2, 1)
     result.compatibility["c"] = (
         "c = (b''/b - (3/2)(b'/b)^2)/2 + (c33/2) b^2, c33 = %.6g" % c33)
     result.compatibility["d"] = "d = b'/2 + c32 b^2, c32 = %.6g" % c32
-    if not ok_c or not ok_d:
-        _demote(gen_b, result, "required c(t), d(t) forms not met")
     return result
 
 
@@ -958,9 +926,8 @@ def _case_c11(spec, result, trace):
     result.generators = gens
     result.compatibility["c"] = "c constant"
     result.compatibility["b"] = "b constant"
-    c_info = _const_info(spec.c, spec.t0, spec.r)
-    b_info = _const_info(spec.b, spec.t0, spec.r)
-    if c_info[0] == "varying" or b_info[0] == "varying":
+    # the b and c entries of the trace hold their _const_info kinds
+    if {"b: varying", "c: varying"} & set(trace):
         _demote(gens[0], result, "time translation needs constant b and c")
     return result
 

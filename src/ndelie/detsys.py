@@ -340,11 +340,12 @@ def canonical_constraints(sys: DeterminingSystem) -> DeterminingSystem:
     exr = sys.find(XR)
     if exr is not None:
         e = substitute(substitute(exr.residual, gamma_rule), rename)
-        e = substitute(e, {fn("k"): Par(c2)})
+        k_free = substitute(e, {fn("k"): Par(c2)})
+        # a spec with a value for k leaves nothing to substitute
         equations.append(DetEquation(
-            monomial=XR, residual=normalize(2 * e),
+            monomial=XR, residual=normalize(2 * k_free),
             catalog_id="E-omega-d",
-            note=f"k constant (= {c2}) substituted"))
+            note=f"k constant (= {c2}) substituted" if k_free != e else ""))
         assumptions.append(Assumption(
             "k", "constant", "delayed-acceleration row leaves the branch "
             "beta = 0 or k constant; this is the constant branch"))

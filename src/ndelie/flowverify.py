@@ -195,15 +195,12 @@ def transform_solution(traj: Trajectory, gen: Generator, delta,
     step = traj.hstep / FINE
     count = int(round((traj.t_end - (traj.t0 - traj.r)) / step))
     ts = (traj.t0 - traj.r) + step * np.arange(count + 1)
-    # the acceleration is two-sided at the breaking points: default jets
-    # carry the right-hand value, so segments closing at a cut get their
-    # last datum from a left-hand jet, transported in the same batch
-    breaks = set()
-    for bp in traj.breaking_points():
-        idx = int(round((bp - ts[0]) / step))
-        if 0 < idx < len(ts) - 1 and abs(ts[idx] - bp) < 1e-9:
-            breaks.add(idx)
-    cut_idx = sorted(breaks)
+    # the acceleration is two-sided at the breaking points, every FINE n
+    # samples from t0 - r: default jets carry the right-hand value, so
+    # segments closing at a cut get their last datum from a left-hand jet,
+    # transported in the same batch
+    per_delay = FINE * round(traj.r / traj.hstep)
+    cut_idx = list(range(per_delay, len(ts) - 1, per_delay))
     both = np.concatenate([ts, ts[cut_idx]])
     jets = np.column_stack([
         both, traj.sample(both, 0), traj.sample(both, 1),
@@ -220,7 +217,7 @@ def transform_solution(traj: Trajectory, gen: Generator, delta,
     moved_left = dict(zip(cut_idx, moved_all[len(ts):]))
     if any(m is None for m in moved_left.values()):
         raise ExprError("flow left the numeric domain for some points")
-    cuts = [0] + sorted(breaks) + [len(ts) - 1]
+    cuts = [0] + cut_idx + [len(ts) - 1]
     segments = []
     for lo_i, hi_i in zip(cuts[:-1], cuts[1:]):
         if hi_i - lo_i < 3:

@@ -115,13 +115,9 @@ class Trajectory:
         return np.where(outside, np.nan, out).reshape(ts.shape)
 
     def breaking_points(self):
-        """Times t0 + n r where propagated derivative jumps may sit."""
-        out = []
-        t = self.t0
-        while t <= self.t_end + 1e-12:
-            out.append(t)
-            t += self.r
-        return out
+        """The nodes at t0 + n r, where propagated derivative jumps may
+        sit."""
+        return self.ts[::round(self.r / self.hstep)]
 
     def to_csv(self, path, points=None):
         if points is None:

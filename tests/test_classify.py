@@ -1,3 +1,4 @@
+import importlib
 import math
 from fractions import Fraction
 
@@ -12,11 +13,15 @@ from ndelie.classify import (
     OMEGA_POINTS_PER_UNIT, compatibility_c, homogenize, omega_ode_solve,
     remove_first_derivative, solve_omega_two_sided,
 )
+from ndelie.equation import Spline
 from ndelie.ndesolve import integrate, rk4_step
 from ndelie.symexpr import (
     App, ExprError, Pow, T, X, ZERO, diff, eval_numeric, fn, normalize, num,
     parse,
 )
+
+# the package exports the function classify under the module's name
+classify_module = importlib.import_module("ndelie.classify")
 
 
 def diff_n(e, order):
@@ -367,6 +372,85 @@ def test_s_chain_of_a_varying_a_has_its_closed_form():
     assert rec.pull(2.0, rec.push(2.0, 1.23)) == pytest.approx(1.23)
 
 
+def _closed_form_s_chain(spec, t_lo, t_hi):
+    """Reference s = exp(-int a / 2) with hand-written derivatives: for a
+    constant a = alpha, s = exp(-alpha (t - t0) / 2) in closed form; for
+    any other a, the integral of a as trapezoid sums read through a
+    spline, with s' = -a s/2, s'' = (a^2/4 - a'/2) s and
+    s''' = (-a''/2 + 3 a a'/4 - a^3/8) s."""
+    a = spec.a
+    if a.is_const:
+        alpha = float(a.const_value())
+
+        def s0(t):
+            return np.exp(-alpha * (np.asarray(t) - spec.t0) / 2.0)
+
+        return CD.numeric(s0, lambda t: -alpha / 2.0 * s0(t),
+                          lambda t: alpha ** 2 / 4.0 * s0(t),
+                          lambda t: -alpha ** 3 / 8.0 * s0(t))
+    grid = np.linspace(t_lo, t_hi, 2001)
+    avals = a.sample(grid)
+    integral = np.concatenate(
+        ([0.0], np.cumsum((avals[1:] + avals[:-1]) / 2.0 * np.diff(grid))))
+    ispline = Spline(grid, integral, "the integral of a")
+
+    def s0(t):
+        return np.exp(-ispline(t) / 2.0)
+
+    def s3(t):
+        av, a1, a2 = (a.sample(t, o) for o in range(3))
+        return (-a2 / 2.0 + 0.75 * av * a1 - av ** 3 / 8.0) * s0(t)
+
+    return CD.numeric(
+        s0, lambda t: -a.sample(t) / 2.0 * s0(t),
+        lambda t: (a.sample(t) ** 2 / 4.0 - a.sample(t, 1) / 2.0) * s0(t),
+        s3)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(-3, 4)])
+def test_s_chain_of_a_constant_a_has_its_closed_form(alpha):
+    spec = NdeSpec.make(a=alpha, b=Fraction(1, 4), c=1, d=Fraction(1, 3),
+                        k=Fraction(1, 5), r=1.0)
+    _, rec = remove_first_derivative(spec)
+    s = rec.s_chain
+    ts = np.linspace(spec.t0 - 2 * spec.r, spec.t0 + 5 * spec.r, 200)
+    for order in (1, 2, 3):
+        np.testing.assert_allclose(s.sample(ts, order) / s.sample(ts),
+                                   (-float(alpha) / 2) ** order,
+                                   rtol=1e-12)
+    # s is 1 where the integral of a starts, 2r before t0, and a constant
+    # multiple of the closed form everywhere
+    assert s.sample(spec.t0 - 2 * spec.r) == pytest.approx(1.0, rel=1e-14)
+    ref = _closed_form_s_chain(spec, None, None)
+    np.testing.assert_allclose(s.sample(ts) / ref.sample(ts),
+                               math.exp(-float(alpha) * spec.r), rtol=1e-12)
+
+
+@pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(-3, 4), "1 + t/3",
+                               "sin(t)", "2/(t + 10)"])
+def test_transformed_coefficients_match_the_closed_form_s(a, monkeypatch):
+    # the transformed coefficients are ratios of s and its shift, so the
+    # closed form's scale of s cancels; every order the two expose agrees
+    spec = NdeSpec.make(a=a, b=Fraction(1, 4), c=1, d=Fraction(1, 3),
+                        k=Fraction(1, 5), r=1.0)
+    new, _ = remove_first_derivative(spec)
+    monkeypatch.setattr(classify_module, "_s_chain", _closed_form_s_chain)
+    ref, _ = remove_first_derivative(spec)
+    ts = np.linspace(0.0, 4.0, 41)
+    for name in "bcdk":
+        got, want = getattr(new, name), getattr(ref, name)
+        scale = np.max(np.abs(want.sample(ts)))
+        for order in range(4):
+            try:
+                expected = want.sample(ts, order)
+            except ExprError:
+                with pytest.raises(ExprError):
+                    got.sample(ts, order)
+                continue
+            np.testing.assert_allclose(got.sample(ts, order), expected,
+                                       rtol=1e-12, atol=1e-12 * scale)
+
+
 # ---------------------------------------------------------------------------
 # dispatch
 
@@ -427,6 +511,7 @@ ROOT_D = "(1/sqrt(d)) d/dt - (d'/(4 d^(3/2))) x d/dx"
 C_CONSTRAINT = "c(t) incompatible with the third-order constraint"
 D_POSITIVE = "d must stay positive for 1/sqrt(d)"
 C_FORM = "required c(t) form not met"
+B_FORMS = "required c(t), d(t) forms not met"
 
 
 # near misses of the classes: each report carries a demotion or warning
@@ -452,7 +537,7 @@ C_FORM = "required c(t) form not met"
     (NdeSpec.make(c=1, d="1 - t", r=1.0), "C12", ROOT_D,
      [D_POSITIVE, C_FORM]),
     (NdeSpec.make(b=1, c="1 + t/5", d=1, r=1.0), "C10",
-     "(1/b) d/dt + (x/2)(1/b)' d/dx", ["required c(t), d(t) forms not met"]),
+     "(1/b) d/dt + (x/2)(1/b)' d/dx", [B_FORMS]),
     (NdeSpec.make(b="1 + t/5", c=1, r=1.0), "C11", "d/dt",
      ["time translation needs constant b and c"]),
 ], ids=["c9-varying-c", "c3-omega-crosses-zero", "c3-b-off-omega",
@@ -475,30 +560,27 @@ def test_near_miss_reports_its_demotion(spec, case, label, warnings):
     assert res.warnings == [f"{label}: {w}" for w in gen.warnings]
 
 
-# C2 and C9 demote without _demote: the report's warning is their own and
-# does not name the generator.  Without these checks _validate_closed would
-# demote the same generators as "invariance residual not zero"
-@pytest.mark.parametrize("spec, case, labels, reason, warning", [
+# C2 and C9 demote with a reason of their own, reported under each
+# generator's label.  Without these checks _validate_closed would demote
+# the same generators as "invariance residual not zero"
+@pytest.mark.parametrize("spec, case, labels, reason", [
     (NdeSpec.make(b=1, c="1 + t/5", d=1, k=1, r=1.0), "C2",
-     ["(1/b) d/dt + (x/2)(1/b)' d/dx"], C_FORM,
-     "c(t) does not fit the required family"),
+     ["(1/b) d/dt + (x/2)(1/b)' d/dx"], B_FORMS),
     (NdeSpec.make(c=2, d=1, k=1, r=math.pi), "C9",
      ["sin(2t/sqrt(k)) d/dt + ...", "cos(2t/sqrt(k)) d/dt + ..."],
-     "requires c = 1/k (max deviation 1.00e+00)",
-     "trigonometric pair needs c = 1/k"),
+     "requires c = 1/k (max deviation 1.00e+00)"),
     # with b = 1 any constant c fits its family, so only d demotes
     (NdeSpec.make(b=1, c=1, d="1 + t/5", k=1, r=1.0), "C2",
-     ["(1/b) d/dt + (x/2)(1/b)' d/dx"], "required d(t) form not met",
-     "d(t) does not fit the required family"),
+     ["(1/b) d/dt + (x/2)(1/b)' d/dx"], B_FORMS),
 ], ids=["c2-c-off-form", "c9-c-not-one-over-k", "c2-d-off-form"])
 def test_near_miss_demotes_with_a_warning_of_its_own(spec, case, labels,
-                                                     reason, warning):
+                                                     reason):
     res = classify(spec)
     assert res.case_id == case
     demoted = [g for g in res.generators if g.status != "admitted"]
     assert [g.label for g in demoted] == labels
     assert [g.warnings for g in demoted] == [[reason]] * len(labels)
-    assert res.warnings == [warning]
+    assert res.warnings == [f"{label}: {reason}" for label in labels]
 
 
 def _numeric_one(t):
@@ -890,6 +972,26 @@ def test_b_branch_truncation_keeps_the_forward_side(init, cuts, nodes, end):
     assert len(sol.ts) == nodes
     assert sol.ts[-1] == pytest.approx(end, abs=1e-12)
     _assert_solution_equals(sol, ts, want, any(cuts))
+
+
+def test_b_branch_rows_of_data_advance_together():
+    # each row of initial data gives its own solve's values; a row whose
+    # omega reaches zero cuts every row before that step, flagged
+    grid = np.linspace(0.5, 4.0, 701)
+    rows = [(2.0, -0.5, 0.2), (1.0, 1.0, 0.0), (1.0, -1.0, 0.0)]
+    alone = [omega_ode_solve("b-branch", {"c2": 0.5}, row, grid)
+             for row in rows]
+    assert [s.truncated for s in alone] == [False, False, True]
+    for picked in ([0, 1], [0, 2, 1]):
+        sols = omega_ode_solve("b-branch", {"c2": 0.5},
+                               np.transpose([rows[i] for i in picked]), grid)
+        cut = min(len(alone[i].ts) for i in picked)
+        for j, i in enumerate(picked):
+            got = sols.column(j)
+            assert got.truncated == (cut < len(grid))
+            for field in ("ts", "w", "w1", "w2", "w3"):
+                assert np.array_equal(getattr(got, field),
+                                      getattr(alone[i], field)[:cut]), field
 
 
 @pytest.mark.parametrize("spec", [

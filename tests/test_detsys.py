@@ -112,6 +112,31 @@ def test_canonical_constraints_forms():
         == beta_to_omega(GOLDEN["E-x1-int"])
 
 
+def _omega_d_row(spec):
+    sys2 = canonical_constraints(reduce_ansatz(determine(spec)))
+    (row,) = [eq for eq in sys2.equations if eq.catalog_id == "E-omega-d"]
+    return row.to_json()
+
+
+@pytest.mark.parametrize("spec, residual, note", [
+    # a value for k leaves no k to substitute, and so no note
+    (NdeSpec.make(b=2, c=1, k=2, r=1.0),
+     "2*omega''(t) + 2*omega'''(t)", None),
+    (NdeSpec.make(b=1, c=1, r=1.0), "omega''(t)", None),
+    # a table k enters as the function k(t), which the row replaces by c2
+    (NdeSpec.make(b=1, c=1, d=1, k=CD.from_table(
+        np.linspace(0.0, 3.0, 31), 1 + np.linspace(0.0, 3.0, 31) / 10),
+        r=1.0),
+     "c2*omega'''(t) + 4*omega'(t) + omega''(t)",
+     "k constant (= c2) substituted"),
+], ids=["C3-k-2", "C11-k-0", "table-k"])
+def test_omega_d_row_notes_only_a_substitution_it_made(spec, residual,
+                                                       note):
+    row = _omega_d_row(spec)
+    assert row["residual"] == residual
+    assert row.get("note") == note
+
+
 def test_nonconstant_k_forces_beta_zero():
     # with k(t) = t the branch row is beta(t) alone, so beta must vanish
     spec = NdeSpec.make(b=1, c=1, d=1, k=CD.closed(T), r=1.0)

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -299,6 +300,57 @@ def test_prolonged_flow_domain_exit_is_per_jet():
         alone = prolonged_flow(GEN_T_RHO, [jets[i]], 0.25, SPEC1, RHO1,
                                substeps=24)
         assert batch[i] == alone[0]
+
+
+def _float_breaking_points(traj):
+    # reference: t0, t0 + r, ... by repeated float addition
+    out, t = [], traj.t0
+    while t <= traj.t_end + 1e-12:
+        out.append(t)
+        t += traj.r
+    return out
+
+
+def _float_cuts(traj, ts, step):
+    # reference: each float breaking point rounded back to a sample index
+    cuts = set()
+    for bp in _float_breaking_points(traj):
+        idx = int(round((bp - ts[0]) / step))
+        if 0 < idx < len(ts) - 1 and abs(ts[idx] - bp) < 1e-9:
+            cuts.add(idx)
+    return sorted(cuts)
+
+
+@pytest.mark.parametrize("r", [1.0, math.pi, math.pi / 2],
+                         ids=["1", "pi", "pi-2"])
+def test_breaking_points_are_the_nodes_float_steps_reach(r):
+    # the breaking points as node indices give the times, the curve cuts
+    # and the interior samples that walking t0 + n r in floats gave
+    for n in (16, 24, 64):
+        for delays in (1, 2, 3, 5):
+            spec = NdeSpec.make(c=1, d=Fraction(1, 2), k=Fraction(1, 2),
+                                r=r, t0=0.5)
+            traj = integrate(spec, "cos(t)", 0.5 + delays * r, n)
+            want = _float_breaking_points(traj)
+            assert len(traj.breaking_points()) == len(want) == delays + 1
+            np.testing.assert_allclose(traj.breaking_points(), want,
+                                       rtol=0, atol=1e-12)
+            # the identity flow keeps every sample time, so the curve's
+            # boundaries are the sample times at its cuts
+            step = traj.hstep / flowverify.FINE
+            ts = (traj.t0 - traj.r) + step * np.arange(
+                int(round((traj.t_end - (traj.t0 - traj.r)) / step)) + 1)
+            curve = transform_solution(traj, GEN_T, 0.0, spec)
+            cuts = [0] + _float_cuts(traj, ts, step) + [len(ts) - 1]
+            assert curve.boundaries.tolist() == ts[cuts].tolist()
+            keep = (traj.ts >= traj.t0 + traj.hstep) \
+                & (traj.ts <= traj.t_end - traj.hstep)
+            for bp in want:
+                keep &= (np.abs(traj.ts - bp) >= 1.5 * traj.hstep) \
+                    & (np.abs(traj.ts - r - bp) >= 1.5 * traj.hstep)
+            out = traj.ts[keep].tolist()
+            assert flowverify.interior_samples(traj, spec) == out[::max(
+                len(out) // flowverify.INTERIOR_SAMPLES, 1)]
 
 
 def test_left_hand_jets_ride_in_the_main_batch(monkeypatch):
