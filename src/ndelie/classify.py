@@ -712,7 +712,17 @@ def _match_case(spec: NdeSpec) -> ClassificationResult:
     if not b_zero and not d_zero:
         return _case_c10(spec, result, trace)
     if not b_zero and d_zero:
-        return _case_c11(spec, result, trace)
+        result.case_id = "C11"
+        trace.append("b != 0, d = 0, k = 0: constant omega only")
+        result.generators = [
+            Generator("d/dt", "closed", omega=num(1), upsilon=ZERO),
+            _gen_scale(), _gen_rho()]
+        result.compatibility["c"] = "c constant"
+        result.compatibility["b"] = "b constant"
+        if "varying" in (b_info[0], c_info[0]):
+            _demote(result.generators[0], result,
+                    "time translation needs constant b and c")
+        return result
     return _case_c12(spec, result, trace)
 
 
@@ -915,20 +925,6 @@ def _case_c10(spec, result, trace):
     result.compatibility["c"] = (
         "c = (b''/b - (3/2)(b'/b)^2)/2 + (c33/2) b^2, c33 = %.6g" % c33)
     result.compatibility["d"] = "d = b'/2 + c32 b^2, c32 = %.6g" % c32
-    return result
-
-
-def _case_c11(spec, result, trace):
-    result.case_id = "C11"
-    trace.append("b != 0, d = 0, k = 0: constant omega only")
-    gens = [Generator("d/dt", "closed", omega=num(1), upsilon=ZERO),
-            _gen_scale(), _gen_rho()]
-    result.generators = gens
-    result.compatibility["c"] = "c constant"
-    result.compatibility["b"] = "b constant"
-    # the b and c entries of the trace hold their _const_info kinds
-    if {"b: varying", "c: varying"} & set(trace):
-        _demote(gens[0], result, "time translation needs constant b and c")
     return result
 
 

@@ -199,7 +199,7 @@ def transform_solution(traj: Trajectory, gen: Generator, delta,
     # samples from t0 - r: default jets carry the right-hand value, so
     # segments closing at a cut get their last datum from a left-hand jet,
     # transported in the same batch
-    per_delay = FINE * round(traj.r / traj.hstep)
+    per_delay = FINE * traj.steps_per_delay
     cut_idx = list(range(per_delay, len(ts) - 1, per_delay))
     both = np.concatenate([ts, ts[cut_idx]])
     jets = np.column_stack([

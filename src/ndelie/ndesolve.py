@@ -63,6 +63,10 @@ class Trajectory:
         return float(self.ts[-1])
 
     @property
+    def steps_per_delay(self):
+        return round(self.r / self.hstep)
+
+    @property
     def span(self):
         return (self.t0 - self.r, self.t_end)
 
@@ -117,7 +121,7 @@ class Trajectory:
     def breaking_points(self):
         """The nodes at t0 + n r, where propagated derivative jumps may
         sit."""
-        return self.ts[::round(self.r / self.hstep)]
+        return self.ts[::self.steps_per_delay]
 
     def to_csv(self, path, points=None):
         if points is None:

@@ -540,10 +540,12 @@ B_FORMS = "required c(t), d(t) forms not met"
      "(1/b) d/dt + (x/2)(1/b)' d/dx", [B_FORMS]),
     (NdeSpec.make(b="1 + t/5", c=1, r=1.0), "C11", "d/dt",
      ["time translation needs constant b and c"]),
+    (NdeSpec.make(b=1, c="1 + t/5", r=1.0), "C11", "d/dt",
+     ["time translation needs constant b and c"]),
 ], ids=["c9-varying-c", "c3-omega-crosses-zero", "c3-b-off-omega",
         "c5-varying-c", "c12-d-changes-sign", "c12-c-off-form",
         "c12-negative-d", "c12-d-vanishes", "c10-varying-c",
-        "c11-varying-b"])
+        "c11-varying-b", "c11-varying-c"])
 def test_near_miss_reports_its_demotion(spec, case, label, warnings):
     res = classify(spec)
     assert res.case_id == case

@@ -1,24 +1,16 @@
 """Independent oracles: results of the exact kernel checked in sympy, on
-the scenarios and on random expressions and specs drawn by hypothesis."""
+the scenarios."""
 
 import functools
-import json
 
-import numpy as np
 import pytest
 
 from ndelie.detsys import determine, reduce_ansatz
 from ndelie.equation import CoeffDescriptor as CD, NdeSpec
 from ndelie.suite import build_scenarios
-from ndelie.symexpr import (
-    App, Coeff, ExprError, Jet, Par, Pow, Prod, Rat, Sum, T, X, X1, X2,
-    diff, fn, normalize, shift, substitute,
-)
+from ndelie.symexpr import App, Coeff, Jet, Par, Pow, Prod, Rat, Sum, fn
 
 sympy = pytest.importorskip("sympy")
-pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, reject, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
 
 t, r = sympy.symbols("t r")
 _FUNCS = {"sin": sympy.sin, "cos": sympy.cos, "exp": sympy.exp,
@@ -80,151 +72,3 @@ def test_each_first_integral_differentiates_to_its_row(name):
     for eq in integrated:
         gap = sympy.diff(to_sympy(eq.integrated), t) - to_sympy(eq.residual)
         assert sympy.simplify(gap) == 0, eq.catalog_id
-
-
-# ---------------------------------------------------------------------------
-# the kernel's operations on random expressions
-
-_RATS = st.fractions(min_value=-3, max_value=3, max_denominator=4).map(Rat)
-# no delayed symbol, so shift applies, and every coefficient function is
-# of order at most 1, so one diff stays inside the kernel's orders
-_PLAIN = st.one_of(_RATS, st.sampled_from(
-    [T, X, X1, X2, Par("p"), fn("f"), fn("f", order=1), fn("g")]))
-_DELAYED = st.sampled_from([fn("f", delayed=True),
-                            fn("f", delayed=True, order=1), Jet("xr")])
-
-
-def _trees(leaves):
-    def grow(kids):
-        terms = st.lists(kids, min_size=2, max_size=3).map(tuple)
-        return st.one_of(
-            terms.map(Sum), terms.map(Prod),
-            st.tuples(kids, st.sampled_from([-1, 2, 3])).map(
-                lambda p: Pow(*p)),
-            st.tuples(st.sampled_from(["sin", "cos", "exp"]), kids).map(
-                lambda p: App(*p)))
-
-    return st.recursive(leaves, grow, max_leaves=6)
-
-
-PLAIN = _trees(_PLAIN)
-ANY = _trees(st.one_of(_PLAIN, _DELAYED))
-
-
-def _leaves(e):
-    if isinstance(e, (Sum, Prod)):
-        return [a for k in (e.terms if isinstance(e, Sum) else e.factors)
-                for a in _leaves(k)]
-    if isinstance(e, (Pow, App)):
-        return _leaves(e.base if isinstance(e, Pow) else e.arg)
-    return [e]
-
-
-# a replacement for f(t) with no jet but t: the kernel shifts a delayed
-# f's jets along with t, where the oracle shifts t alone
-REPLACEMENTS = PLAIN.filter(lambda g: not any(
-    isinstance(a, Jet) and a != T for a in _leaves(g)))
-ORACLE = settings(max_examples=60, deadline=None, derandomize=True,
-                  suppress_health_check=[HealthCheck.too_slow])
-xr, x1r, x2r = sympy.symbols("xr x1r x2r")
-
-
-def _kernel(op, *args):
-    # a drawn expression the kernel rejects (a zero to a negative power)
-    # is no example
-    try:
-        return op(*args)
-    except ExprError:
-        reject()
-
-
-def same(kernel, oracle):
-    """The kernel's result equals the oracle's expression in sympy."""
-    gap = sympy.expand(to_sympy(kernel) - oracle)
-    assert gap == 0 or sympy.simplify(gap) == 0
-
-
-@ORACLE
-@given(ANY)
-def test_normalize_keeps_the_value(e):
-    same(_kernel(normalize, e), to_sympy(e))
-
-
-@ORACLE
-@given(ANY)
-def test_diff_by_t_is_the_total_derivative(e):
-    # jet coordinates are independent of t; coefficient functions of t
-    # and of t - r are not
-    same(_kernel(diff, e, T), sympy.diff(to_sympy(e), t))
-
-
-@ORACLE
-@given(PLAIN)
-def test_shift_delays_t_and_the_jets(e):
-    want = to_sympy(e).subs(
-        {t: t - r, sympy.Symbol("x"): xr, sympy.Symbol("x1"): x1r,
-         sympy.Symbol("x2"): x2r}, simultaneous=True)
-    same(_kernel(shift, e), want)
-
-
-@ORACLE
-@given(ANY, REPLACEMENTS, PLAIN)
-def test_substitute_replaces_a_function_and_a_parameter(e, g, p):
-    # f(t) := g acts on f's derivatives and on f(t - r); the parameter p
-    # is replaced as it stands, and not inside g or in p's own value
-    q_ = sympy.Symbol("q_")
-    par = sympy.Symbol("p")
-    want = to_sympy(e, {"f": to_sympy(g).subs(par, q_)}).subs(
-        par, to_sympy(p)).subs(q_, par)
-    same(_kernel(substitute, e, {fn("f"): g, Par("p"): p}), want)
-
-
-# ---------------------------------------------------------------------------
-# random specs through their JSON text
-
-_CLOSED = _trees(st.one_of(_RATS, st.just(T)))
-_TABLES = st.integers(2, 8).flatmap(lambda n: st.tuples(
-    st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n),
-    st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
-
-
-def _table(pair):
-    steps, values = pair
-    return CD.from_table(np.cumsum(steps) - 1.0, values)
-
-
-DESCRIPTORS = st.one_of(
-    st.just(CD.zero()),
-    st.fractions(min_value=-5, max_value=5, max_denominator=9).map(CD.const),
-    _CLOSED.map(lambda e: _kernel(CD.closed, e)),
-    _TABLES.map(_table))
-
-
-@ORACLE
-@given(st.fixed_dictionaries({name: DESCRIPTORS for name in "abcdkh"}),
-       st.floats(0.05, 10.0), st.floats(-5.0, 5.0))
-def test_a_spec_survives_its_json_text(coeffs, delay, t0):
-    spec = NdeSpec.make(r=delay, t0=t0, **coeffs)
-    back = NdeSpec.from_json(json.loads(json.dumps(spec.to_json())))
-    assert back.to_json() == spec.to_json()
-    assert (back.r, back.t0) == (spec.r, spec.t0)
-    ts = np.linspace(-1.0, 1.0, 7)
-    for name, desc in spec.descriptors().items():
-        other = getattr(back, name)
-        assert other.kind == desc.kind and other.expr == desc.expr
-        if desc.kind == "numeric":
-            for order in range(4):
-                assert other.sample(ts, order).tobytes() == \
-                    desc.sample(ts, order).tobytes()
-
-
-def test_the_random_specs_reach_every_descriptor_kind():
-    kinds = set()
-
-    @settings(max_examples=60, deadline=None)
-    @given(DESCRIPTORS)
-    def collect(desc):
-        kinds.add(desc.kind)
-
-    collect()
-    assert kinds == {"zero", "const", "closed", "numeric"}

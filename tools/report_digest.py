@@ -1,8 +1,8 @@
 """One digest line per classify-batch input, to check that a change keeps
 the classifier's output.
 
-Builds the inputs of the benchmark's classify-batch workload for the given
-seeds and runs each as that workload does (``bench/workloads.py`` and
+Builds the inputs of the benchmark's classify-batch workload for seeds
+1-3 and runs each as that workload does (``bench/workloads.py`` and
 ``bench/worker.py``, used as they are), on the ``src/`` next to this
 script, and prints
 
@@ -20,7 +20,6 @@ diff the outputs:
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
@@ -29,6 +28,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import worker  # noqa: E402
 import workloads  # noqa: E402
+
+SEEDS = (1, 2, 3)
 
 
 def _json_hash(obj) -> str:
@@ -48,13 +49,9 @@ def _omega_hash(result) -> str:
     return h.hexdigest()[:16]
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(
-        description="One digest line per classify-batch input.")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    args = ap.parse_args(argv)
+def main():
     nd = worker.load_package()
-    for seed in args.seeds:
+    for seed in SEEDS:
         items, _, _ = workloads.classify_inputs(seed, nd, "full")
         for i, item in enumerate(items):
             system, result = workloads.run_classify(nd, item.payload)
