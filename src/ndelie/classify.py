@@ -117,21 +117,25 @@ def omega_ode_solve(case, params, init, grid):
     """Classic RK4 for the named third-order omega equation.
 
     init is (w, w', w'') at grid[0], and each entry may instead be a row
-    of values, one per solution: all of them advance together as one
-    state, and OmegaSolution.column picks one out.  The b-branch equation
-    divides by omega: its third derivative is NaN once |omega| falls under
-    1e-12, and the solutions are truncated with a flag before the step
-    where any of them reaches it.
+    of values, one per solution; OmegaSolution.column picks one out.
     grid may also be of shape (n+1, k), one grid per column, each column
     ending at its first step of size 0 (a shorter grid repeats its last
-    node): the columns advance together, each with its own steps, and a
-    list of one OmegaSolution per column comes back.
-    params: the scalar c2, and for d-energy the coefficient d, a function
-    of t answering sample(ts, order).
+    node), and a list of one OmegaSolution per column comes back.  Each
+    datum steps along each column as its own chain of floats: w'' with
+    the equation's stages, then w' and w with the stage values of w'' and
+    w' as slopes.  The b-branch equation divides by omega: its third
+    derivative is NaN once |omega| falls under 1e-12, and the solutions
+    of a column are truncated with a flag before the step where any of
+    them gives a NaN or takes omega through zero.
+    params: the scalar c2, finite and nonzero, and for d-energy the
+    coefficient d, a function of t answering sample(ts, order).
     """
     if case not in OMEGA_ODES:
         raise ExprError(f"unknown omega equation {case!r}")
     c2 = float(params.get("c2", 1.0))
+    if c2 == 0.0 or not math.isfinite(c2):
+        raise ExprError("the omega equation needs a finite, nonzero c2; "
+                        f"got {c2!r}")
     ts = np.asarray(grid, float)
     cols = ts.reshape(len(ts), -1)
     n, k = len(cols) - 1, cols.shape[1]
@@ -145,52 +149,87 @@ def omega_ode_solve(case, params, init, grid):
         # column by column, so a bad time is named in the order its grid
         # meets it
         check_evaluated("the coefficient d", times.T, d.transpose(0, 2, 1))
-    d = d.reshape(d.shape[:2] + (1,) * (y0.ndim - 1) + (k,))
-    # 2 d' and 4 d at the nodes and at stage s of step i, the column axis
-    # last, so they broadcast over the solutions
-    coef = np.array((2.0 * d[1], 4.0 * d[0]))
-    stage_coef = np.moveaxis(
-        np.stack([coef[:, o:o + n] for o in off], axis=2), 0, 2)
 
-    def third(cf, y):
-        # y holds w, w', w'' along its first axis; w''' comes back as one
-        # more row of that axis
-        if divides_by_w:
-            q = -y[2:] / (c2 * y[:1])
-            q[np.abs(y[:1]) < 1e-12] = np.nan
-            return q
-        terms = cf * y[:2]
-        return -(terms[:1] + terms[1:]) / c2
+    def third(p, q, w, w1, w2):
+        # w''' from w, w' and w'', with p = 2 d' and q = 4 d at their time
+        if not divides_by_w:
+            return -(p * w + q * w1) / c2
+        if abs(w) < 1e-12:
+            return math.nan
+        den = c2 * w
+        # a divisor that underflows to zero divides as IEEE floats do
+        return -w2 / den if den else float(np.float64(-w2) / den)
 
-    def f(s, y):
-        return np.concatenate((y[1:], third(stage_coef[i, s], y)))
+    def chain(hs, ps, qs, w, w1, w2):
+        # the node values of one solution along one column, and the index
+        # of its first bad step: a truncation, or the padding of a shorter
+        # grid (n when there is none).  A step allocates no object that the
+        # garbage collector tracks, so stepping starts no collection.
+        ws, w1s, w2s, w3s = [w], [w1], [w2], []
+        v1s, v2s = [], []  # the stage values of w' and w'' in this step
 
-    ys = np.empty((n + 1,) + y0.shape + (k,))
-    ys[0] = y0[..., None]
+        def accel(s, y):
+            # stage s reads w and w' stepped from the node by its share of
+            # h at the previous stage's w' and w''; the node's own w''' is
+            # a0
+            v1 = w1 + h / 2 * s * v2s[-1] if s else w1
+            v0 = w + h / 2 * s * v1s[-1] if s else w
+            v1s.append(v1)
+            v2s.append(y)
+            at = i + off[s]
+            return third(ps[at], qs[at], v0, v1, y) if s else a0
+
+        def w1_slope(s, y):
+            return v2s.pop(0)
+
+        def w_slope(s, y):
+            return v1s.pop(0)
+
+        for i, h in enumerate(hs):
+            if h == 0:
+                break
+            a0 = third(ps[i], qs[i], w, w1, w2)
+            w3s.append(a0)
+            # w'' first, then w' and w with the stage values, in order, as
+            # their slopes
+            nxt2 = rk4_step(accel, w2, h)
+            nxt1 = rk4_step(w1_slope, w1, h)
+            nxt = rk4_step(w_slope, w, h)
+            if divides_by_w and (math.isnan(nxt) or math.isnan(nxt1)
+                                 or math.isnan(nxt2) or nxt * w <= 0.0):
+                return (ws, w1s, w2s, w3s), i
+            w, w1, w2 = nxt, nxt1, nxt2
+            ws.append(w)
+            w1s.append(w1)
+            w2s.append(w2)
+        else:
+            i = n
+        w3s.append(third(ps[i], qs[i], w, w1, w2))
+        return (ws, w1s, w2s, w3s), i
+
+    data = y0.reshape(3, -1).T.tolist()
+    # the steps, 2 d' and 4 d at every stage time, column by column, as
+    # flat lists: a list per time would hand the collector thousands of
+    # objects per solve
+    hs = steps.T.tolist()
+    ps, qs = (2.0 * d[1]).T.tolist(), (4.0 * d[0]).T.tolist()
     with np.errstate(all="ignore"):
-        for i in range(n):
-            ys[i + 1] = rk4_step(f, ys[i], steps[i])
-        nodes = np.moveaxis(ys, 1, 0)
-        w, w1, w2 = nodes
-        (w3,) = third(coef[:, :n + 1], nodes)
-        bad = steps == 0
-        if divides_by_w:
-            # a step that gives a NaN or takes omega through zero, in any
-            # solution of its column
-            bad |= (np.isnan(ys[1:]).any(axis=1) | (w[1:] * w[:-1] <= 0.0)
-                    ).reshape(n, -1, k).any(axis=1)
-    conserved = None
-    if not divides_by_w:
-        conserved = (c2 * w * w2 - c2 / 2.0 * w1 ** 2
-                     + 2.0 * w ** 2 * d[0, :n + 1])
-    # a column ends where its first bad step starts: a truncation, or the
-    # padding of a shorter grid
-    last = np.where(bad.any(axis=0), bad.argmax(axis=0), n)
+        runs = [[chain(hs[j], ps[j], qs[j], *row) for row in data]
+                for j in range(k)]
     sols = []
-    for j, e in enumerate(last):
-        part = (None if a is None else a[:e + 1, ..., j]
-                for a in (cols, w, w1, w2, w3, conserved))
-        sols.append(OmegaSolution(*part, bool(e < n and steps[e, j] != 0)))
+    for j, run in enumerate(runs):
+        # a column ends where its first bad step starts
+        e = min(last for _, last in run)
+        w, w1, w2, w3 = (np.array([vals[f][:e + 1] for vals, _ in run])
+                         .T.reshape((e + 1,) + y0.shape[1:])
+                         for f in range(4))
+        conserved = None
+        if not divides_by_w:
+            d0 = d[0, :e + 1, j].reshape((e + 1,) + (1,) * (y0.ndim - 1))
+            conserved = (c2 * w * w2 - c2 / 2.0 * w1 ** 2
+                         + 2.0 * w ** 2 * d0)
+        sols.append(OmegaSolution(cols[:e + 1, j], w, w1, w2, w3, conserved,
+                                  bool(e < n and steps[e, j] != 0)))
     return sols if ts.ndim == 2 else sols[0]
 
 
@@ -825,8 +864,8 @@ def _case_c4(spec, result, trace):
 
 def _omegas(spec, case, params, inits):
     """Solutions of the named omega equation on [t0 - 2.5 r, t0 + 3.5 r]
-    from each initial datum (w, w', w'') at t0, advanced together as one
-    state."""
+    from each initial datum (w, w', w'') at t0, from one two-sided solve
+    in which each datum steps each side as its own chain of floats."""
     sols = solve_omega_two_sided(case, params, np.transpose(inits), spec.t0,
                                  spec.t0 - 2.5 * spec.r,
                                  spec.t0 + 3.5 * spec.r)

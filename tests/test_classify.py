@@ -1,5 +1,8 @@
+import hashlib
 import importlib
+import json
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +131,31 @@ def test_omega_under_the_threshold_truncates_at_once():
                           np.linspace(0.0, 1.0, 11))
     assert sol.truncated
     assert sol.ts.tolist() == [0.0] and np.isnan(sol.w3[0])
+
+
+@pytest.mark.parametrize("case", ["b-branch", "d-energy"])
+@pytest.mark.parametrize("c2", [0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_omega_equation_rejects_a_c2_it_cannot_divide_by(case, c2):
+    # the equation divides by c2: a zero one would give NaN arrays with no
+    # flag
+    d = CD.numeric(lambda t: 1.0, lambda t: 0.0)
+    with pytest.raises(ExprError, match="c2"):
+        omega_ode_solve(case, {"c2": c2, "d": d}, (1.0, 0.0, 0.0),
+                        np.linspace(0.0, 1.0, 11))
+
+
+@pytest.mark.parametrize("init, w3", [
+    ((0.5, 0.0, 1.0), -math.inf), ((0.5, 0.0, -1.0), math.inf),
+    ((-0.5, 0.0, 1.0), math.inf), ((0.5, 0.0, 0.0), math.nan),
+])
+def test_an_underflowing_divisor_divides_as_ieee_floats(init, w3):
+    # c2 w underflows to a signed zero: w''' is an infinity or NaN, as in
+    # IEEE division, and the solution truncates at its first node
+    sol = omega_ode_solve("b-branch", {"c2": 5e-324}, init,
+                          np.linspace(0.0, 1.0, 11))
+    assert sol.truncated
+    assert sol.ts.tolist() == [0.0]
+    assert np.array_equal(sol.w3, [w3], equal_nan=True)
 
 
 def test_two_sided_solution_covers_backward_range():
@@ -994,6 +1022,43 @@ def test_b_branch_rows_of_data_advance_together():
             for field in ("ts", "w", "w1", "w2", "w3"):
                 assert np.array_equal(getattr(got, field),
                                       getattr(alone[i], field)[:cut]), field
+
+
+OMEGA_DIGESTS = pathlib.Path(__file__).parent / "data" / "omega_digests.json"
+
+
+def _sha256(a):
+    return None if a is None else hashlib.sha256(
+        np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def omega_digests():
+    """The sha256 of every array of each numeric omega that classify gives
+    the C3 and C5-C8 scenarios, and its flag, by scenario and generator.
+    tests/data/omega_digests.json holds them as the solver that stepped
+    numpy arrays gave them, written by json.dumps(..., indent=1,
+    sort_keys=True)."""
+    from ndelie.suite import build_scenarios
+
+    scenarios = {sc.name: sc for sc in build_scenarios()}
+    out = {}
+    for name in ("C3", "C5", "C6", "C7", "C8"):
+        for g in classify(scenarios[name].spec).generators:
+            sol = g.omega_numeric
+            if sol is None:
+                continue
+            entry = {field: _sha256(getattr(sol, field))
+                     for field in ("ts", "w", "w1", "w2", "w3", "conserved")}
+            entry["truncated"] = sol.truncated
+            out.setdefault(name, {})[g.label] = entry
+    return out
+
+
+def test_numeric_omegas_keep_their_bytes():
+    # the bit-for-bit references above step through the solver's own
+    # rk4_step, so a change to its arithmetic moves both sides; these
+    # digests do not move with it
+    assert omega_digests() == json.loads(OMEGA_DIGESTS.read_text())
 
 
 @pytest.mark.parametrize("spec", [

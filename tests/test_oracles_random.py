@@ -1,5 +1,6 @@
 """Independent oracles on random input drawn by hypothesis: the exact
-kernel's operations checked in sympy, and specs through their JSON text."""
+kernel's operations, the prolongation coefficients and the compatibility
+formulas checked in sympy, and specs through their JSON text."""
 
 import json
 from fractions import Fraction
@@ -7,7 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ndelie.classify import (
+    compat_c_from_b, compat_c_from_d_pure_delay, compat_d_from_b,
+    compat_d_from_b_pure_delay,
+)
 from ndelie.equation import CoeffDescriptor as CD, NdeSpec
+from ndelie.prolong import InfinitesimalAnsatz, prolong_first, prolong_second
 from ndelie.symexpr import (
     App, ExprError, Jet, Par, Pow, Prod, Rat, Sum, T, X, X1, X2, diff, fn,
     normalize, shift, substitute,
@@ -160,3 +166,93 @@ def test_a_spec_survives_its_json_text(coeffs, delay, t0):
             for order in range(4):
                 assert other.sample(ts, order).tobytes() == \
                     desc.sample(ts, order).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the prolongation coefficients as total derivatives (Olver, GTM 107, §2.3)
+
+# omega and upsilon live on (t, x), with coefficient functions of order at
+# most 1 so the second prolongation's two diffs stay inside the kernel
+PAIR_PARTS = _trees(st.one_of(_RATS, st.sampled_from(
+    [T, X, fn("f"), fn("f", order=1), fn("g")])))
+x, x1, x2 = sympy.symbols("x x1 x2")
+
+
+def total(e):
+    """D_t of a sympy expression in t, x and x'."""
+    return sympy.diff(e, t) + x1 * sympy.diff(e, x) + x2 * sympy.diff(e, x1)
+
+
+@ORACLE
+@given(PAIR_PARTS, PAIR_PARTS)
+def test_first_prolongation_is_d_t_upsilon_minus_x1_d_t_omega(w, u):
+    want = total(to_sympy(u)) - x1 * total(to_sympy(w))
+    same(_kernel(prolong_first, InfinitesimalAnsatz(w, u)), want)
+
+
+@ORACLE
+@given(PAIR_PARTS, PAIR_PARTS)
+def test_second_prolongation_is_d_t_of_the_first_minus_x2_d_t_omega(w, u):
+    first = total(to_sympy(u)) - x1 * total(to_sympy(w))
+    want = total(first) - x2 * total(to_sympy(w))
+    same(_kernel(prolong_second, InfinitesimalAnsatz(w, u)), want)
+
+
+# ---------------------------------------------------------------------------
+# the compatibility formulas substituted into their constraints, for any
+# function b or d of t and random free constants
+
+CONSTANTS = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+# the function is generic, so only the constants vary between draws
+FORMULAS = settings(ORACLE, max_examples=15)
+b_t, d_t = sympy.Function("b")(t), sympy.Function("d")(t)
+
+
+def vanishes(e):
+    return sympy.cancel(e) == 0 or sympy.simplify(e) == 0
+
+
+def c_constraint(w, c):
+    """w''' + 4 c w' + 2 c' w, the third-order c-constraint."""
+    return w.diff(t, 3) + 4 * c * w.diff(t) + 2 * c.diff(t) * w
+
+
+def rational(q):
+    return sympy.Rational(q.numerator, q.denominator)
+
+
+@FORMULAS
+@given(CONSTANTS)
+def test_c_from_b_solves_the_c_constraint_along_one_over_b(c6):
+    c = to_sympy(compat_c_from_b(fn("b"), c6))
+    assert vanishes(c_constraint(1 / b_t, c))
+
+
+@FORMULAS
+@given(CONSTANTS, CONSTANTS)
+def test_d_from_b_solves_the_delayed_position_constraint(c2, c5):
+    # c2 w''' + 2 d' w + 4 d w' + b w'' with w = 1/b
+    d, w = to_sympy(compat_d_from_b(fn("b"), c2, c5)), 1 / b_t
+    assert vanishes(rational(c2) * w.diff(t, 3) + 2 * d.diff(t) * w
+                    + 4 * d * w.diff(t) + b_t * w.diff(t, 2))
+
+
+@FORMULAS
+@given(CONSTANTS)
+def test_d_from_b_pure_delay_solves_its_constraint(c32):
+    # 2 d' w + 4 d w' + b w'' with w = 1/b: the same row with k = 0
+    d, w = to_sympy(compat_d_from_b_pure_delay(fn("b"), c32)), 1 / b_t
+    assert vanishes(2 * d.diff(t) * w + 4 * d * w.diff(t)
+                    + b_t * w.diff(t, 2))
+
+
+@FORMULAS
+@given(CONSTANTS)
+def test_c_from_d_pure_delay_solves_the_c_constraint_along_its_omega(c31):
+    # along omega = 1/sqrt(d) the first integral w w'' - w'^2/2 + 2 c w^2
+    # is the constant c31
+    c = to_sympy(compat_c_from_d_pure_delay(fn("d"), c31))
+    w = 1 / sympy.sqrt(d_t)
+    assert vanishes(c_constraint(w, c))
+    energy = w * w.diff(t, 2) - w.diff(t) ** 2 / 2 + 2 * c * w ** 2
+    assert vanishes(energy - rational(c31))
