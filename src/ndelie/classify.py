@@ -17,7 +17,7 @@ status with a warning instead of rejecting the classification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -63,23 +63,15 @@ class OmegaSolution:
     conserved: np.ndarray | None = None
     truncated: bool = False
 
-    @property
-    def hstep(self):
-        return float(self.ts[1] - self.ts[0])
-
-    def value(self, t, der=0):
-        v = float(self.sample(t, der))
-        if math.isnan(v):
-            raise ExprError(f"omega query at {t} outside the grid")
-        return v
-
     def sample(self, ts, der=0):
         """Cubic Hermite dense output over an array of times; a query
         outside the grid gives NaN."""
         if der not in (0, 1, 2, 3):
             raise ExprError(f"derivative order {der} not stored")
+        if len(self.ts) < 2:
+            raise ExprError("an omega of one node has no dense output")
         ts = np.asarray(ts, float)
-        grid, h = self.ts, self.hstep
+        grid, h = self.ts, float(self.ts[1] - self.ts[0])
         # the interval index truncates toward zero; fmax/fmin also send NaN
         # times to a valid index, and they come out NaN
         i = np.trunc((ts - grid[0]) / h)
@@ -90,14 +82,6 @@ class OmegaSolution:
         out = _hermite(y[i], y[i + 1], m[i], m[i + 1], s, h, int(der == 3))
         outside = (ts < grid[0] - 1e-9) | (ts > grid[-1] + 1e-9)
         return np.where(outside, np.nan, out)
-
-    def column(self, j):
-        """Solution j of a solve that advanced several together."""
-        arrays = (self.w, self.w1, self.w2, self.w3, self.conserved)
-        w, w1, w2, w3, cons = (None if a is None
-                               else np.ascontiguousarray(a[:, j])
-                               for a in arrays)
-        return OmegaSolution(self.ts, w, w1, w2, w3, cons, self.truncated)
 
     def conservation_drift(self, c2):
         """Max drift of the monitored first integral
@@ -113,22 +97,20 @@ class OmegaSolution:
         return float(np.max(np.abs(q - q[0])) / max(np.max(terms), 1e-30))
 
 
-def omega_ode_solve(case, params, init, grid):
-    """Classic RK4 for the named third-order omega equation.
+def omega_ode_solve(case, params, inits, grid):
+    """Classic RK4 for the named third-order omega equation along the 1-D
+    grid, which may increase or decrease, from each initial datum
+    (w, w', w'') at grid[0]; one OmegaSolution per datum comes back.
 
-    init is (w, w', w'') at grid[0], and each entry may instead be a row
-    of values, one per solution; OmegaSolution.column picks one out.
-    grid may also be of shape (n+1, k), one grid per column, each column
-    ending at its first step of size 0 (a shorter grid repeats its last
-    node), and a list of one OmegaSolution per column comes back.  Each
-    datum steps along each column as its own chain of floats: w'' with
-    the equation's stages, then w' and w with the stage values of w'' and
-    w' as slopes.  The b-branch equation divides by omega: its third
-    derivative is NaN once |omega| falls under 1e-12, and the solutions
-    of a column are truncated with a flag before the step where any of
-    them gives a NaN or takes omega through zero.
+    Each datum steps as its own chain of floats: w'' with the equation's
+    stages, then w' and w with the stage values of w'' and w' as slopes.
+    A solution stops, flagged truncated, before the first step that gives
+    a w, w' or w'' that is not finite, or in the b-branch takes omega
+    through zero.  The b-branch equation divides by omega: its third
+    derivative is NaN once |omega| falls under 1e-12.
     params: the scalar c2, finite and nonzero, and for d-energy the
-    coefficient d, a function of t answering sample(ts, order).
+    coefficient d, a function of t answering sample(ts, order), read once
+    per call over the grid's stage times.
     """
     if case not in OMEGA_ODES:
         raise ExprError(f"unknown omega equation {case!r}")
@@ -137,18 +119,14 @@ def omega_ode_solve(case, params, init, grid):
         raise ExprError("the omega equation needs a finite, nonzero c2; "
                         f"got {c2!r}")
     ts = np.asarray(grid, float)
-    cols = ts.reshape(len(ts), -1)
-    n, k = len(cols) - 1, cols.shape[1]
-    y0 = np.array(init, float)
+    n = len(ts) - 1
     divides_by_w = case == "b-branch"
-    steps = cols[1:] - cols[:-1]
-    times, off = stage_times(cols, steps)
-    d = np.zeros((2,) + times.shape)
+    steps = ts[1:] - ts[:-1]
+    times, off = stage_times(ts, steps)
+    d = np.zeros((2, len(times)))
     if not divides_by_w:
         d = np.array([params["d"].sample(times, o) for o in (0, 1)])
-        # column by column, so a bad time is named in the order its grid
-        # meets it
-        check_evaluated("the coefficient d", times.T, d.transpose(0, 2, 1))
+        check_evaluated("the coefficient d", times, d)
 
     def third(p, q, w, w1, w2):
         # w''' from w, w' and w'', with p = 2 d' and q = 4 d at their time
@@ -160,11 +138,10 @@ def omega_ode_solve(case, params, init, grid):
         # a divisor that underflows to zero divides as IEEE floats do
         return -w2 / den if den else float(np.float64(-w2) / den)
 
-    def chain(hs, ps, qs, w, w1, w2):
-        # the node values of one solution along one column, and the index
-        # of its first bad step: a truncation, or the padding of a shorter
-        # grid (n when there is none).  A step allocates no object that the
-        # garbage collector tracks, so stepping starts no collection.
+    def chain(w, w1, w2):
+        # the node values of one solution, and whether it truncated.  A
+        # step allocates no object that the garbage collector tracks, so
+        # stepping starts no collection.
         ws, w1s, w2s, w3s = [w], [w1], [w2], []
         v1s, v2s = [], []  # the stage values of w' and w'' in this step
 
@@ -186,8 +163,6 @@ def omega_ode_solve(case, params, init, grid):
             return v1s.pop(0)
 
         for i, h in enumerate(hs):
-            if h == 0:
-                break
             a0 = third(ps[i], qs[i], w, w1, w2)
             w3s.append(a0)
             # w'' first, then w' and w with the stage values, in order, as
@@ -195,71 +170,64 @@ def omega_ode_solve(case, params, init, grid):
             nxt2 = rk4_step(accel, w2, h)
             nxt1 = rk4_step(w1_slope, w1, h)
             nxt = rk4_step(w_slope, w, h)
-            if divides_by_w and (math.isnan(nxt) or math.isnan(nxt1)
-                                 or math.isnan(nxt2) or nxt * w <= 0.0):
-                return (ws, w1s, w2s, w3s), i
+            # each value on its own: a sum of finite values can overflow
+            finite = (math.isfinite(nxt) and math.isfinite(nxt1)
+                      and math.isfinite(nxt2))
+            if not finite or divides_by_w and nxt * w <= 0.0:
+                return (ws, w1s, w2s, w3s), True
             w, w1, w2 = nxt, nxt1, nxt2
             ws.append(w)
             w1s.append(w1)
             w2s.append(w2)
-        else:
-            i = n
-        w3s.append(third(ps[i], qs[i], w, w1, w2))
-        return (ws, w1s, w2s, w3s), i
+        w3s.append(third(ps[n], qs[n], w, w1, w2))
+        return (ws, w1s, w2s, w3s), False
 
-    data = y0.reshape(3, -1).T.tolist()
-    # the steps, 2 d' and 4 d at every stage time, column by column, as
-    # flat lists: a list per time would hand the collector thousands of
-    # objects per solve
-    hs = steps.T.tolist()
-    ps, qs = (2.0 * d[1]).T.tolist(), (4.0 * d[0]).T.tolist()
-    with np.errstate(all="ignore"):
-        runs = [[chain(hs[j], ps[j], qs[j], *row) for row in data]
-                for j in range(k)]
+    # the steps, 2 d' and 4 d at every stage time as flat lists: a list
+    # per time would hand the collector thousands of objects per solve
+    hs = steps.tolist()
+    ps, qs = (2.0 * d[1]).tolist(), (4.0 * d[0]).tolist()
     sols = []
-    for j, run in enumerate(runs):
-        # a column ends where its first bad step starts
-        e = min(last for _, last in run)
-        w, w1, w2, w3 = (np.array([vals[f][:e + 1] for vals, _ in run])
-                         .T.reshape((e + 1,) + y0.shape[1:])
-                         for f in range(4))
-        conserved = None
-        if not divides_by_w:
-            d0 = d[0, :e + 1, j].reshape((e + 1,) + (1,) * (y0.ndim - 1))
-            conserved = (c2 * w * w2 - c2 / 2.0 * w1 ** 2
-                         + 2.0 * w ** 2 * d0)
-        sols.append(OmegaSolution(cols[:e + 1, j], w, w1, w2, w3, conserved,
-                                  bool(e < n and steps[e, j] != 0)))
-    return sols if ts.ndim == 2 else sols[0]
+    with np.errstate(all="ignore"):
+        for row in inits:
+            vals, truncated = chain(*(float(v) for v in row))
+            w, w1, w2, w3 = (np.array(v) for v in vals)
+            conserved = None
+            if not divides_by_w:
+                conserved = (c2 * w * w2 - c2 / 2.0 * w1 ** 2
+                             + 2.0 * w ** 2 * d[0, :len(w)])
+            sols.append(OmegaSolution(ts[:len(w)], w, w1, w2, w3, conserved,
+                                      truncated))
+    return sols
 
 
-def solve_omega_two_sided(case, params, init, t0, lo, hi) -> OmegaSolution:
-    """Integrate the omega equation forward and backward from t0 on one
-    uniform grid covering [lo, hi], OMEGA_POINTS_PER_UNIT nodes per unit
-    of t; initial data is given at t0, as in omega_ode_solve."""
+def solve_omega_two_sided(case, params, inits, t0, lo, hi):
+    """Solutions of the omega equation from each initial datum
+    (w, w', w'') at t0, on one uniform grid covering [lo, hi] with
+    OMEGA_POINTS_PER_UNIT nodes per unit of t: one omega_ode_solve call
+    forward and one backward, joined datum by datum.  A datum that
+    truncates on either side comes back as its forward side, flagged."""
     step = 1.0 / OMEGA_POINTS_PER_UNIT
     n_b = max(int(math.ceil((t0 - lo) / step)), 1)
     n_f = max(int(math.ceil((hi - t0) / step)), 1)
     grid = t0 + step * np.arange(-n_b, n_f + 1)
-    # the forward and the backward side as two columns of one solve, the
-    # shorter one repeating its last node
-    walk = np.arange(max(n_b, n_f) + 1)
-    fwd, bwd = omega_ode_solve(case, params, init, np.column_stack(
-        (grid[np.minimum(n_b + walk, n_b + n_f)],
-         grid[np.maximum(n_b - walk, 0)])))
-    if fwd.truncated or bwd.truncated:
-        return OmegaSolution(fwd.ts, fwd.w, fwd.w1, fwd.w2, fwd.w3,
-                             fwd.conserved, True)
 
     def merge(a, b):
         return np.concatenate((a[::-1][:-1], b))
 
-    cons = None
-    if fwd.conserved is not None:
-        cons = merge(bwd.conserved, fwd.conserved)
-    return OmegaSolution(grid, merge(bwd.w, fwd.w), merge(bwd.w1, fwd.w1),
-                         merge(bwd.w2, fwd.w2), merge(bwd.w3, fwd.w3),
-                         cons, False)
+    sols = []
+    for fwd, bwd in zip(omega_ode_solve(case, params, inits, grid[n_b:]),
+                        omega_ode_solve(case, params, inits, grid[n_b::-1])):
+        if fwd.truncated or bwd.truncated:
+            sols.append(replace(fwd, truncated=True))
+            continue
+        cons = None
+        if fwd.conserved is not None:
+            cons = merge(bwd.conserved, fwd.conserved)
+        sols.append(OmegaSolution(grid, merge(bwd.w, fwd.w),
+                                  merge(bwd.w1, fwd.w1),
+                                  merge(bwd.w2, fwd.w2),
+                                  merge(bwd.w3, fwd.w3), cons, False))
+    return sols
 
 
 # ---------------------------------------------------------------------------
@@ -864,19 +832,19 @@ def _case_c4(spec, result, trace):
 
 def _omegas(spec, case, params, inits):
     """Solutions of the named omega equation on [t0 - 2.5 r, t0 + 3.5 r]
-    from each initial datum (w, w', w'') at t0, from one two-sided solve
-    in which each datum steps each side as its own chain of floats."""
-    sols = solve_omega_two_sided(case, params, np.transpose(inits), spec.t0,
+    from each initial datum (w, w', w'') at t0."""
+    return solve_omega_two_sided(case, params, inits, spec.t0,
                                  spec.t0 - 2.5 * spec.r,
                                  spec.t0 + 3.5 * spec.r)
-    return [sols.column(i) for i in range(len(inits))]
 
 
 def _check_numeric_omega(spec, gen, sol, result):
     """A truncated numeric omega, or else its delay compatibility, and
     the third-order c-constraint along it; demotes on failure."""
     if sol.truncated:
-        _demote(gen, result, "omega crossed zero; solution truncated")
+        # only the b-branch, which has no first integral, divides by omega
+        why = "crossed zero" if sol.conserved is None else "overflowed"
+        _demote(gen, result, f"omega {why}; solution truncated")
     else:
         _check_delay_compat(gen, sol, spec, result, "omega")
     _check_c_constraint(spec, gen, sol, result)

@@ -83,9 +83,9 @@ def test_traced_classification():
     finally:
         tracer.uninstall()
     totals = tracer.totals()
-    # the three C7 directions share one solve, which steps the forward and
-    # the backward side together; C2 has no numeric omega
-    assert calls == {"C7": 1, "C2": 0}
+    # the three C7 directions share one solve per side, forward and
+    # backward; C2 has no numeric omega
+    assert calls == {"C7": 2, "C2": 0}
     # the omega solves and the checks read coefficients as arrays, not
     # point by point through CoeffDescriptor.eval
     assert all(n <= 20 for n in coeff_evals.values()), coeff_evals

@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import pathlib
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -86,10 +87,10 @@ def test_line_solves_two_term_equation():
     # w = c14 t + c15 has w'' = 0 and solves w w''' + w'' = 0 exactly
     c14, c15 = 0.7, 1.3
     grid = np.linspace(0.0, 3.0, 301)
-    sol = omega_ode_solve("b-branch", {"c2": 1.0},
-                          (c15, c14, 0.0), grid)
-    worst = max(abs(sol.value(t) - (c14 * t + c15))
-                for t in np.linspace(0.0, 3.0, 50))
+    (sol,) = omega_ode_solve("b-branch", {"c2": 1.0},
+                             [(c15, c14, 0.0)], grid)
+    ts = np.linspace(0.0, 3.0, 50)
+    worst = np.max(np.abs(sol.sample(ts) - (c14 * ts + c15)))
     assert worst < 1e-10
 
 
@@ -101,8 +102,8 @@ def test_line_solves_two_term_equation():
 ])
 def test_energy_form_conserves_first_integral(dname, chain):
     grid = np.linspace(0.0, 2.0, 4001)
-    sol = omega_ode_solve("d-energy", {"c2": 1.0, "d": chain},
-                          (1.0, 0.3, -0.2), grid)
+    (sol,) = omega_ode_solve("d-energy", {"c2": 1.0, "d": chain},
+                             [(1.0, 0.3, -0.2)], grid)
     assert sol.conservation_drift(1.0) < 1e-8
 
 
@@ -111,15 +112,16 @@ def test_c_energy_trivial_case():
     # w''' + 4 c w' + 2 c' w = 0 is the d-energy equation with d = c and
     # c2 = 1; with c = 0 the constant stays put
     chain = CD.numeric(lambda t: 0.0, lambda t: 0.0)
-    sol = omega_ode_solve("d-energy", {"d": chain}, (1.0, 0.0, 0.0), grid)
+    (sol,) = omega_ode_solve("d-energy", {"d": chain}, [(1.0, 0.0, 0.0)],
+                             grid)
     assert max(abs(sol.w - 1.0)) < 1e-14
 
 
 def test_truncation_on_zero_crossing():
     # w w''' + w'' = 0 with data driving w through zero
     grid = np.linspace(0.0, 10.0, 2001)
-    sol = omega_ode_solve("b-branch", {"c2": 1.0},
-                          (0.5, -1.0, 0.1), grid)
+    (sol,) = omega_ode_solve("b-branch", {"c2": 1.0},
+                             [(0.5, -1.0, 0.1)], grid)
     assert sol.truncated
     assert sol.ts[-1] < 10.0
 
@@ -127,8 +129,8 @@ def test_truncation_on_zero_crossing():
 def test_omega_under_the_threshold_truncates_at_once():
     # w w''' + w'' = 0 holds w = 1e-13 put, but |w| < 1e-12 makes the third
     # derivative NaN, so the solution stops at its first node
-    sol = omega_ode_solve("b-branch", {"c2": 1.0}, (1e-13, 0.0, 0.0),
-                          np.linspace(0.0, 1.0, 11))
+    (sol,) = omega_ode_solve("b-branch", {"c2": 1.0}, [(1e-13, 0.0, 0.0)],
+                             np.linspace(0.0, 1.0, 11))
     assert sol.truncated
     assert sol.ts.tolist() == [0.0] and np.isnan(sol.w3[0])
 
@@ -140,7 +142,7 @@ def test_omega_equation_rejects_a_c2_it_cannot_divide_by(case, c2):
     # flag
     d = CD.numeric(lambda t: 1.0, lambda t: 0.0)
     with pytest.raises(ExprError, match="c2"):
-        omega_ode_solve(case, {"c2": c2, "d": d}, (1.0, 0.0, 0.0),
+        omega_ode_solve(case, {"c2": c2, "d": d}, [(1.0, 0.0, 0.0)],
                         np.linspace(0.0, 1.0, 11))
 
 
@@ -151,20 +153,19 @@ def test_omega_equation_rejects_a_c2_it_cannot_divide_by(case, c2):
 def test_an_underflowing_divisor_divides_as_ieee_floats(init, w3):
     # c2 w underflows to a signed zero: w''' is an infinity or NaN, as in
     # IEEE division, and the solution truncates at its first node
-    sol = omega_ode_solve("b-branch", {"c2": 5e-324}, init,
-                          np.linspace(0.0, 1.0, 11))
+    (sol,) = omega_ode_solve("b-branch", {"c2": 5e-324}, [init],
+                             np.linspace(0.0, 1.0, 11))
     assert sol.truncated
     assert sol.ts.tolist() == [0.0]
     assert np.array_equal(sol.w3, [w3], equal_nan=True)
 
 
 def test_two_sided_solution_covers_backward_range():
-    sol = solve_omega_two_sided("d-energy",
-                                {"d": CD.numeric(lambda t: 0.0,
-                                                 lambda t: 0.0)},
-                                (1.0, 0.0, 0.0), 0.0, -2.0, 3.0)
-    assert sol.value(-1.5) == pytest.approx(1.0, abs=1e-12)
-    assert sol.value(2.5) == pytest.approx(1.0, abs=1e-12)
+    (sol,) = solve_omega_two_sided("d-energy",
+                                   {"d": CD.numeric(lambda t: 0.0,
+                                                    lambda t: 0.0)},
+                                   [(1.0, 0.0, 0.0)], 0.0, -2.0, 3.0)
+    assert sol.sample([-1.5, 2.5]) == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 def test_energy_form_converges_at_fourth_order():
@@ -172,7 +173,8 @@ def test_energy_form_converges_at_fourth_order():
     # stage reading the coefficients of the wrong time drops the order
     d = CD.closed(parse("2 + sin(t)"))
     sols = [omega_ode_solve("d-energy", {"c2": 1.5, "d": d},
-                            (1.0, 0.0, 0.0), np.linspace(0.0, 3.0, n + 1))
+                            [(1.0, 0.0, 0.0)],
+                            np.linspace(0.0, 3.0, n + 1))[0]
             for n in (100, 200, 400, 800)]
     gaps = [np.max(np.abs(a.w - b.w[::2])) for a, b in zip(sols, sols[1:])]
     for coarse, fine in zip(gaps, gaps[1:]):
@@ -202,8 +204,8 @@ def test_compatibility_c_numeric_matches_independent_quadrature():
     # a finer independent integration of the same linear equation
     spec = NdeSpec.make(d="exp(t)", k=1, r=1.0)
     chain = CD.numeric(np.exp, np.exp)
-    sol = solve_omega_two_sided("d-energy", {"c2": 1.0, "d": chain},
-                                (1.0, 0.0, 0.0), 0.0, -0.5, 3.5)
+    (sol,) = solve_omega_two_sided("d-energy", {"c2": 1.0, "d": chain},
+                                   [(1.0, 0.0, 0.0)], 0.0, -0.5, 3.5)
     grid = np.linspace(0.0, 3.0, 601)
     desc = compatibility_c(spec, sol, c_t0=0.5, grid=grid)
 
@@ -211,8 +213,8 @@ def test_compatibility_c_numeric_matches_independent_quadrature():
     from scipy.integrate import solve_ivp
 
     def rhs(t, y):
-        return [-(sol.value(t, 3) + 4 * y[0] * sol.value(t, 1))
-                / (2 * sol.value(t, 0))]
+        w0, w1, w3 = (float(sol.sample(t, o)) for o in (0, 1, 3))
+        return [-(w3 + 4 * y[0] * w1) / (2 * w0)]
 
     ref = solve_ivp(rhs, (0.0, 3.0), [0.5], rtol=1e-11, atol=1e-12,
                     dense_output=True)
@@ -540,6 +542,8 @@ C_CONSTRAINT = "c(t) incompatible with the third-order constraint"
 D_POSITIVE = "d must stay positive for 1/sqrt(d)"
 C_FORM = "required c(t) form not met"
 B_FORMS = "required c(t), d(t) forms not met"
+ONE_NODE = ("c-constraint failed to evaluate: an omega of one node has no "
+            "dense output")
 
 
 # near misses of the classes: each report carries a demotion or warning
@@ -551,11 +555,18 @@ B_FORMS = "required c(t), d(t) forms not met"
      ["c(t) varies: no time translation admitted"]),
     (NdeSpec.make(b="1/(1 - t)", c=1, k=2, r=1.0), "C3", PHI,
      ["omega crossed zero; solution truncated", C_CONSTRAINT]),
+    # w = 1/b is under 1e-12, where the b-branch has no third derivative:
+    # the omega stops at its first node
+    (NdeSpec.make(b=10 ** 13, c=1, k=2, r=1.0), "C3", PHI,
+     ["omega crossed zero; solution truncated", ONE_NODE]),
     (NdeSpec.make(b="2 + sin(t)/5", c=1, k=2, r=1.0), "C3", PHI,
      ["b is not compatible with the two-term omega equation (max "
       "|w b - 1| = ", "delay compatibility violated: ", C_CONSTRAINT]),
     (NdeSpec.make(c="1 + t/5", d=2, k=1, r=1.0), "C5", PHI,
      [C_CONSTRAINT]),
+    # at c2 = 1e-300 the energy form overflows within the first step
+    (NdeSpec.make(c=1, d="2 + sin(t)", k=Fraction(1, 10 ** 300), r=1.0),
+     "C5", PHI, ["omega overflowed; solution truncated", ONE_NODE]),
     (NdeSpec.make(c=1, d="cos(t)", r=1.0), "C12", ROOT_D,
      [D_POSITIVE, C_FORM]),
     (NdeSpec.make(c="t", d="5/4 + sin(4*t)/4", r=math.pi / 2), "C12",
@@ -570,8 +581,9 @@ B_FORMS = "required c(t), d(t) forms not met"
      ["time translation needs constant b and c"]),
     (NdeSpec.make(b=1, c="1 + t/5", r=1.0), "C11", "d/dt",
      ["time translation needs constant b and c"]),
-], ids=["c9-varying-c", "c3-omega-crosses-zero", "c3-b-off-omega",
-        "c5-varying-c", "c12-d-changes-sign", "c12-c-off-form",
+], ids=["c9-varying-c", "c3-omega-crosses-zero", "c3-omega-at-once",
+        "c3-b-off-omega", "c5-varying-c", "c5-omega-overflows",
+        "c12-d-changes-sign", "c12-c-off-form",
         "c12-negative-d", "c12-d-vanishes", "c10-varying-c",
         "c11-varying-b", "c11-varying-c"])
 def test_near_miss_reports_its_demotion(spec, case, label, warnings):
@@ -697,6 +709,14 @@ def test_case_c5_constant_d():
     res = classify(NdeSpec.make(c=1, d=2, k=1, r=1.0))
     assert res.case_id == "C5"
     assert len(res.admitted) == 3
+
+
+def test_case_c8_with_d_equal_to_t():
+    # d = t is the power family's m = 1, which no Pow node spells
+    res = classify(NdeSpec.make(c="t", d="t", k=1, r=1.0, t0=0.5))
+    assert res.case_id == "C8"
+    assert [g.status for g in res.generators if g.kind == "numeric"] \
+        == ["candidate"] * 3
 
 
 def test_cases_c6_c7_c8_demote_aperiodic_omega():
@@ -835,8 +855,8 @@ def test_batched_omega_directions_equal_single_solves(name):
     assert len(got) == 3
     for sol, init in zip(got, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
                                (0.0, 0.0, 1.0))):
-        want = solve_omega_two_sided(
-            "d-energy", {"c2": k_val, "d": spec.d}, init, spec.t0,
+        (want,) = solve_omega_two_sided(
+            "d-energy", {"c2": k_val, "d": spec.d}, [init], spec.t0,
             spec.t0 - 2.5 * spec.r, spec.t0 + 3.5 * spec.r)
         assert sol.truncated == want.truncated
         for field in ("ts", "w", "w1", "w2", "w3", "conserved"):
@@ -881,9 +901,9 @@ def test_sampled_omega_coefficients_equal_pointwise_reads(name):
     n_b = int(np.flatnonzero(grid == spec.t0)[0])
     for ts in (grid[n_b:], grid[n_b::-1]):
         for init in inits:
-            got = omega_ode_solve("d-energy",
-                                  {"c2": k_val, "d": spec.d},
-                                  init, ts)
+            (got,) = omega_ode_solve("d-energy",
+                                     {"c2": k_val, "d": spec.d},
+                                     [init], ts)
             want = _pointwise_energy_solve(k_val, spec.d, init, ts)
             assert np.array_equal(got.ts, ts)
             for field, arr in zip(("w", "w1", "w2", "w3", "conserved"),
@@ -993,8 +1013,8 @@ def _two_sided_grid(t0, lo, hi):
 def test_b_branch_truncation_keeps_the_forward_side(init, cuts, nodes, end):
     # c2 = 1/2 and t0 = 0.5 on [-2, 4]: whichever side truncates, the
     # result is the forward side, flagged
-    sol = solve_omega_two_sided("b-branch", {"c2": 0.5}, init, 0.5,
-                                -2.0, 4.0)
+    (sol,) = solve_omega_two_sided("b-branch", {"c2": 0.5}, [init], 0.5,
+                                   -2.0, 4.0)
     ts, want, got_cuts = _two_sided_reference(
         lambda g: _pointwise_b_branch_solve(0.5, init, g),
         _two_sided_grid(0.5, -2.0, 4.0), 0.5)
@@ -1004,24 +1024,61 @@ def test_b_branch_truncation_keeps_the_forward_side(init, cuts, nodes, end):
     _assert_solution_equals(sol, ts, want, any(cuts))
 
 
-def test_b_branch_rows_of_data_advance_together():
-    # each row of initial data gives its own solve's values; a row whose
-    # omega reaches zero cuts every row before that step, flagged
+@pytest.mark.parametrize("case, params, rows, cuts", [
+    ("b-branch", {"c2": 0.5},
+     [(2.0, -0.5, 0.2), (1.0, 1.0, 0.0), (1.0, -1.0, 0.0)],
+     [False, False, True]),
+    # d = 1 leaves w = 1 put, and any w' overflows at c2 = 1e-300
+    ("d-energy", {"c2": 1e-300, "d": CD.numeric(lambda t: 1.0,
+                                                 lambda t: 0.0)},
+     [(1.0, 0.0, 0.0), (1.0, 0.5, 0.0), (2.0, 0.0, 0.0)],
+     [False, True, False]),
+], ids=["b-branch", "d-energy"])
+def test_each_datum_gives_its_solve_alone(case, params, rows, cuts):
+    # a datum that truncates stops alone: the others keep the whole grid
     grid = np.linspace(0.5, 4.0, 701)
-    rows = [(2.0, -0.5, 0.2), (1.0, 1.0, 0.0), (1.0, -1.0, 0.0)]
-    alone = [omega_ode_solve("b-branch", {"c2": 0.5}, row, grid)
-             for row in rows]
-    assert [s.truncated for s in alone] == [False, False, True]
-    for picked in ([0, 1], [0, 2, 1]):
-        sols = omega_ode_solve("b-branch", {"c2": 0.5},
-                               np.transpose([rows[i] for i in picked]), grid)
-        cut = min(len(alone[i].ts) for i in picked)
-        for j, i in enumerate(picked):
-            got = sols.column(j)
-            assert got.truncated == (cut < len(grid))
-            for field in ("ts", "w", "w1", "w2", "w3"):
-                assert np.array_equal(getattr(got, field),
-                                      getattr(alone[i], field)[:cut]), field
+    alone = [omega_ode_solve(case, params, [row], grid)[0] for row in rows]
+    assert [s.truncated for s in alone] == cuts
+    for sol, cut in zip(alone, cuts):
+        assert (len(sol.ts) < len(grid)) == cut
+    for picked in ([0, 1], [2, 0, 1], [1, 2]):
+        sols = omega_ode_solve(case, params, [rows[i] for i in picked], grid)
+        assert len(sols) == len(picked)
+        for got, i in zip(sols, picked):
+            _assert_solution_equals(
+                got, alone[i].ts,
+                [getattr(alone[i], field)
+                 for field in ("w", "w1", "w2", "w3", "conserved")],
+                cuts[i])
+
+
+def test_energy_solve_that_overflows_comes_back_flagged():
+    # c2 = 1e-300 drives w'' past the largest float within the first step:
+    # the solve stops at its first node, flagged, its drift finite, and no
+    # numpy warning escapes
+    d = CD.numeric(lambda t: 1.0, lambda t: 0.0)
+    params = {"c2": 1e-300, "d": d}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (one,) = omega_ode_solve("d-energy", params, [(1.0, 0.5, 0.0)],
+                                 np.linspace(0.0, 1.0, 11))
+        (two,) = solve_omega_two_sided("d-energy", params, [(1.0, 0.5, 0.0)],
+                                       0.0, -1.0, 1.0)
+        drifts = [sol.conservation_drift(1e-300) for sol in (one, two)]
+    for sol in (one, two):
+        assert sol.truncated
+        assert sol.ts.tolist() == [0.0] and sol.w.tolist() == [1.0]
+    assert all(math.isfinite(v) for v in drifts)
+
+
+@pytest.mark.parametrize("case", ["b-branch", "d-energy"])
+def test_finite_values_whose_sum_overflows_do_not_truncate(case):
+    # w = 1.7e308 and w' = 2e307 are finite, though w + w' is not: the
+    # stop rule tests each value on its own
+    d = CD.numeric(lambda t: 0.0, lambda t: 0.0)
+    (sol,) = omega_ode_solve(case, {"d": d}, [(1.7e308, 2e307, 0.0)],
+                             np.linspace(0.0, 0.1, 11))
+    assert not sol.truncated and len(sol.ts) == 11
 
 
 OMEGA_DIGESTS = pathlib.Path(__file__).parent / "data" / "omega_digests.json"

@@ -1,5 +1,5 @@
-"""One digest line per classify-batch input, to check that a change keeps
-the classifier's output.
+"""One digest line per classify-batch input, and per spec of a fixed list
+of its own, to check that a change keeps the classifier's output.
 
 Builds the inputs of the benchmark's classify-batch workload for seeds
 1-3 and runs each as that workload does (``bench/workloads.py`` and
@@ -10,8 +10,11 @@ script, and prints
 
 where the last three are short hashes of the classification report, the
 determining system's report (both as sorted-key JSON), and the bytes of
-every array and flag of the numeric omegas.  Run it in two checkouts and
-diff the outputs:
+every array and flag of the numeric omegas.  The benchmark draws nothing
+for C6-C8, so a second list, EXTRA_SPECS, adds numeric-omega specs it
+does not reach, each printed the same way with the seed ``extra`` and
+the spec's name as its kind.  Run it in two checkouts and diff the
+outputs:
 
     python3 tools/report_digest.py > before.txt    # in the parent
     python3 tools/report_digest.py > after.txt     # in the change
@@ -22,7 +25,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -30,6 +35,31 @@ import worker  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (1, 2, 3)
+
+
+def extra_specs(nd):
+    """(name, spec) of the numeric-omega classes, beside the benchmark's
+    inputs: C8 with d = t and d = t^3, C6-C8 with other k, r and t0, C5
+    with a d read from a table, and C3 with other k, one of them with an
+    omega that crosses zero."""
+    make = nd.equation.NdeSpec.make
+    grid = [-4.0 + 0.05 * i for i in range(241)]
+    table = nd.equation.CoeffDescriptor.from_table(
+        grid, [2.0 + math.sin(t) / 4 for t in grid])
+    return [
+        ("C8-t", make(c="t", d="t", k=1, r=1.0, t0=0.5)),
+        ("C8-t3", make(c="t^3", d="t^3", k=1, r=1.0, t0=0.5)),
+        ("C6-k2", make(c="exp(t)/2", d="exp(t)", k=2, r=0.5, t0=0.25)),
+        ("C7-k3/2", make(c="sin(t)", d="sin(t)", k=Fraction(3, 2), r=0.75,
+                         t0=-0.5)),
+        ("C8-k1/2", make(c="2*t^2", d="t^2", k=Fraction(1, 2), r=1.5,
+                         t0=1.0)),
+        ("C5-table", make(c=1, d=table, k=Fraction(3, 4), r=1.0)),
+        ("C3-k5/2", make(b=Fraction(3, 2), c=1, k=Fraction(5, 2), r=1.0)),
+        ("C3-k1/3", make(b="2 + t/4", c=1, k=Fraction(1, 3), r=0.5,
+                         t0=0.5)),
+        ("C3-cross", make(b="1/(1 - t)", c=1, k=2, r=1.0)),
+    ]
 
 
 def _json_hash(obj) -> str:
@@ -51,13 +81,16 @@ def _omega_hash(result) -> str:
 
 def main():
     nd = worker.load_package()
-    for seed in SEEDS:
-        items, _, _ = workloads.classify_inputs(seed, nd, "full")
-        for i, item in enumerate(items):
-            system, result = workloads.run_classify(nd, item.payload)
-            print(seed, i, item.expected["kind"], result.case_id,
-                  _json_hash(result.to_json()),
-                  _json_hash(system.to_report()), _omega_hash(result))
+    runs = [(seed, i, item.expected["kind"], item.payload)
+            for seed in SEEDS
+            for i, item in enumerate(
+                workloads.classify_inputs(seed, nd, "full")[0])]
+    runs += [("extra", i, name, {"spec": spec})
+             for i, (name, spec) in enumerate(extra_specs(nd))]
+    for seed, i, kind, payload in runs:
+        system, result = workloads.run_classify(nd, payload)
+        print(seed, i, kind, result.case_id, _json_hash(result.to_json()),
+              _json_hash(system.to_report()), _omega_hash(result))
 
 
 if __name__ == "__main__":
