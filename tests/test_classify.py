@@ -600,6 +600,11 @@ def test_near_miss_reports_its_demotion(spec, case, label, warnings):
     for got, want in zip(gen.warnings, warnings):
         assert got.startswith(want)
     assert res.warnings == [f"{label}: {w}" for w in gen.warnings]
+    if case == "C5":
+        # an omega of one node has no first integral to drift, and says so
+        one_node = len(gen.omega_numeric.ts) == 1
+        drift = res.compatibility["first-integral drift"]
+        assert (drift == "none (omega of one node)") == one_node
 
 
 # C2 and C9 demote with a reason of their own, reported under each
@@ -717,6 +722,21 @@ def test_case_c8_with_d_equal_to_t():
     assert res.case_id == "C8"
     assert [g.status for g in res.generators if g.kind == "numeric"] \
         == ["candidate"] * 3
+
+
+def test_numeric_coefficient_that_is_constant_zero_counts_as_zero():
+    # a numeric b that reads 0 everywhere classifies as the closed b = 0
+    # does, not as the constant 0.0, which would send it to C2
+    def z(t):
+        return 0.0 * np.asarray(t)
+
+    got = classify(NdeSpec.make(b=CD.numeric(z, z, z, z), c=1, d=1, k=1,
+                                r=1.0))
+    want = classify(NdeSpec.make(c=1, d=1, k=1, r=1.0))
+    assert got.case_id == want.case_id == "C9"
+    assert got.predicate_trace == want.predicate_trace
+    assert [g.status for g in got.generators] \
+        == [g.status for g in want.generators]
 
 
 def test_cases_c6_c7_c8_demote_aperiodic_omega():
@@ -845,9 +865,7 @@ def test_case_partition(bk, ck, dk, kk, expr_text):
 
 @pytest.mark.parametrize("name", ["C6", "C7", "C8"])
 def test_batched_omega_directions_equal_single_solves(name):
-    from ndelie.suite import build_scenarios
-
-    spec = {sc.name: sc for sc in build_scenarios()}[name].spec
+    spec = _scenario_spec(name)
     res = classify(spec)
     got = [g.omega_numeric for g in res.generators
            if g.omega_numeric is not None]
@@ -887,11 +905,30 @@ def _pointwise_energy_solve(c2, d, init, grid):
     return w, w1, w2, w3, c2 * w * w2 - c2 / 2.0 * w1 ** 2 + 2.0 * w ** 2 * d0
 
 
-@pytest.mark.parametrize("name", ["C5", "C6", "C7", "C8"])
-def test_sampled_omega_coefficients_equal_pointwise_reads(name):
+# numeric-omega specs with other k, r, t0 or d than the scenarios', from
+# the digest's fixed list (tools/report_digest.py, extra_specs)
+OMEGA_SPECS = {
+    "C6-k2": dict(c="exp(t)/2", d="exp(t)", k=2, r=0.5, t0=0.25),
+    "C8-t3": dict(c="t^3", d="t^3", k=1, r=1.0, t0=0.5),
+    "C7-k3/2": dict(c="sin(t)", d="sin(t)", k=Fraction(3, 2), r=0.75,
+                    t0=-0.5),
+    "C3-k1/3": dict(b="2 + t/4", c=1, k=Fraction(1, 3), r=0.5, t0=0.5),
+}
+
+
+def _scenario_spec(name):
+    """The named built-in scenario's spec, or one of OMEGA_SPECS."""
     from ndelie.suite import build_scenarios
 
-    spec = {sc.name: sc for sc in build_scenarios()}[name].spec
+    if name in OMEGA_SPECS:
+        return NdeSpec.make(**OMEGA_SPECS[name])
+    return {sc.name: sc for sc in build_scenarios()}[name].spec
+
+
+@pytest.mark.parametrize("name", ["C5", "C6", "C7", "C8", "C6-k2", "C8-t3",
+                                  "C7-k3/2"])
+def test_sampled_omega_coefficients_equal_pointwise_reads(name):
+    spec = _scenario_spec(name)
     k_val = float(spec.k.const_value())
     res = classify(spec)
     sols = [g.omega_numeric for g in res.generators
@@ -964,9 +1001,7 @@ def _assert_solution_equals(sol, ts, arrays, truncated):
 
 @pytest.mark.parametrize("name, count", [("C5", 1), ("C7", 3)])
 def test_two_sided_energy_solve_equals_its_sides_apart(name, count):
-    from ndelie.suite import build_scenarios
-
-    spec = {sc.name: sc for sc in build_scenarios()}[name].spec
+    spec = _scenario_spec(name)
     k_val = float(spec.k.const_value())
     sols = [g.omega_numeric for g in classify(spec).generators
             if g.omega_numeric is not None]
@@ -979,10 +1014,9 @@ def test_two_sided_energy_solve_equals_its_sides_apart(name, count):
         _assert_solution_equals(sol, ts, want, False)
 
 
-def test_two_sided_b_branch_solve_equals_its_sides_apart():
-    from ndelie.suite import build_scenarios
-
-    spec = {sc.name: sc for sc in build_scenarios()}["C3"].spec
+@pytest.mark.parametrize("name", ["C3", "C3-k1/3"])
+def test_two_sided_b_branch_solve_equals_its_sides_apart(name):
+    spec = _scenario_spec(name)
     k_val = float(spec.k.const_value())
     (sol,) = [g.omega_numeric for g in classify(spec).generators
               if g.omega_numeric is not None]

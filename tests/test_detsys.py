@@ -389,6 +389,17 @@ def test_is_zero_needs_half_of_the_points():
     assert most.ok and 0 < most.skipped < 32
 
 
+def test_is_zero_skips_every_point_where_a_coefficient_cannot_answer():
+    # k supplies only its values, so the compiled residual raises on k':
+    # every point counts as skipped, and the test fails instead of passing
+    # on no evaluated point
+    e = parse("beta(t)*k'(t)")
+    table = {"k": CD.numeric(lambda t: t)}
+    res = is_zero(e, table)
+    assert res == ZeroResult(False, "sampled", math.inf, ZERO_POINTS)
+    assert res == _pointwise_is_zero(e, table)
+
+
 def test_is_zero_marks_an_overflow_as_skipped():
     # exp(t^12) overflows for t above about 1.8, at most of the points in
     # [0.1, 4]; those count as skipped, and too many are skipped to pass

@@ -40,8 +40,9 @@ SEEDS = (1, 2, 3)
 def extra_specs(nd):
     """(name, spec) of the numeric-omega classes, beside the benchmark's
     inputs: C8 with d = t and d = t^3, C6-C8 with other k, r and t0, C5
-    with a d read from a table, and C3 with other k, one of them with an
-    omega that crosses zero."""
+    with a d read from a table and with an omega that overflows at its
+    first node, and C3 with other k, one of them with an omega that
+    crosses zero."""
     make = nd.equation.NdeSpec.make
     grid = [-4.0 + 0.05 * i for i in range(241)]
     table = nd.equation.CoeffDescriptor.from_table(
@@ -55,6 +56,8 @@ def extra_specs(nd):
         ("C8-k1/2", make(c="2*t^2", d="t^2", k=Fraction(1, 2), r=1.5,
                          t0=1.0)),
         ("C5-table", make(c=1, d=table, k=Fraction(3, 4), r=1.0)),
+        ("C5-one-node", make(c=1, d="2 + sin(t)", k=Fraction(1, 10 ** 300),
+                             r=1.0)),
         ("C3-k5/2", make(b=Fraction(3, 2), c=1, k=Fraction(5, 2), r=1.0)),
         ("C3-k1/3", make(b="2 + t/4", c=1, k=Fraction(1, 3), r=0.5,
                          t0=0.5)),
