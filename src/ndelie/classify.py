@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .detsys import invariance_residual, is_zero
+from .detsys import ZERO_POINTS, invariance_residual, is_zero
 from .equation import CoeffDescriptor, NdeSpec, Spline
 from .ndesolve import _hermite, rk4_step, stage_times
 from .prolong import InfinitesimalAnsatz
@@ -596,7 +596,11 @@ def _validate_closed(spec, gen, result):
     except ExprError as err:
         _demote(gen, result, f"validation failed to evaluate: {err}")
         return
-    if not zr.ok:
+    if 2 * zr.skipped > ZERO_POINTS:
+        # too few points evaluated: the residual was not measured
+        _demote(gen, result, "validation failed to evaluate: "
+                f"{zr.skipped} of {ZERO_POINTS} sample points had no value")
+    elif not zr.ok:
         _demote(gen, result, f"invariance residual not zero (max "
                 f"{zr.max_abs:.2e}, {zr.mode})")
     else:

@@ -12,7 +12,6 @@ equation, and check_generator runs both for the scenario suite and the CLI.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,17 +126,10 @@ class TransformedCurve:
     t_lo: float
     t_hi: float
 
-    def value(self, t, der=0):
-        v = float(self.sample(t, der))
-        if math.isnan(v):
-            raise ExprError(f"transformed curve query at {t} is out of "
-                            "range or between segments")
-        return v
-
     def sample(self, ts, der=0):
-        """value over an array of times, each read from the first segment
-        that holds it; a time outside the curve or between segments gives
-        NaN."""
+        """x, x' or x'' over an array of times, each read from the first
+        segment that holds it; a time outside the curve or between
+        segments gives NaN."""
         ts = np.asarray(ts, float)
         flat = ts.reshape(-1)
         out = np.full(flat.shape, np.nan)

@@ -153,8 +153,9 @@ def stage_times(ts, h):
 def rk4_step(f, y, h):
     """One classic RK4 step of y' = f(s, y) of size h, where s names the
     stage: 0 at the start, 1 at the midpoint (twice) and 2 at the end, as
-    stage_times orders their columns.  y is a float (integrate steps x'
-    and x as floats) or a numpy array."""
+    stage_times orders their columns.  y is a scalar (compatibility_c) or
+    a numpy array (the flows); integrate and the omega chain write the
+    step out on floats in its operations and order."""
     k1 = f(0, y)
     k2 = f(1, y + h / 2 * k1)
     k3 = f(1, y + h / 2 * k2)
@@ -170,8 +171,9 @@ def _accel(row, x, v):
 
 
 def integrate(spec: NdeSpec, theta, t_end, steps_per_delay=64) -> Trajectory:
-    """Classic RK4 over whole delay intervals, stepping x' and then x as
-    floats: x' with the equation's stages, x with their velocities.
+    """Classic RK4 over whole delay intervals, one chain of floats per
+    interval in rk4_step's operations and order: x' with the equation's
+    stages, x with their velocities.
 
     t_end must equal t0 + M r for an integer M >= 1 and steps_per_delay
     must be a whole number, at least 16 so the dense history stays accurate
@@ -209,48 +211,47 @@ def integrate(spec: NdeSpec, theta, t_end, steps_per_delay=64) -> Trajectory:
         spec.h, spec.a, spec.b, spec.c, spec.d, spec.k)])
     check_evaluated("a coefficient", times, coefs)
 
-    for i in range(total + 1):
-        q = i % n
-        x, v = float(xs[i]), float(x1s[i])
-        if q == 0:
-            if i:
-                # breaking point: keep the left-hand acceleration too
-                jd = i - n
-                x2l[i] = _accel((*coefs[:, i], xs[jd], x1s[jd], x2l[jd]),
-                                x, v)
-            # rows for this delay interval's n nodes and the mid- and
-            # end-stage times of its n steps (the last interval holds only
-            # the final node); each delayed read is capped at the last
-            # interval complete when its step runs, the step index minus n
-            nodes = np.arange(i, min(i + n, total + 1))
-            steps = nodes[nodes < total]
-            at = np.concatenate([nodes, steps + off[1], steps + off[2]])
-            td = times[at] - r
-            cap = np.concatenate([nodes, steps, steps]) - n
-            past = [traj.sample(td, der, _cap=cap) for der in range(3)]
-            check_evaluated("the delayed history", td, past)
-            rows = list(zip(*coefs[:, at].tolist(),
-                            *(p.tolist() for p in past)))
-        x2s[i] = a0 = _accel(rows[q], x, v)
-        if q:
-            # off the breaking points x'' is continuous
-            x2l[i] = a0
+    x, v = float(xs[0]), float(x1s[0])
+    h2, h6 = h / 2, h / 6
+    for i in range(0, total + 1, n):
+        if i:
+            # breaking point: keep the left-hand acceleration too
+            jd = i - n
+            x2l[i] = _accel((*coefs[:, i], xs[jd], x1s[jd], x2l[jd]), x, v)
+        # rows for this delay interval's n nodes and the mid- and end-stage
+        # times of its n steps (the last interval holds only the final
+        # node); each delayed read is capped at the last interval complete
+        # when its step runs, the step index minus n
+        nodes = np.arange(i, min(i + n, total + 1))
+        steps = nodes[nodes < total]
+        at = np.concatenate([nodes, steps + off[1], steps + off[2]])
+        td = times[at] - r
+        cap = np.concatenate([nodes, steps, steps]) - n
+        past = [traj.sample(td, der, _cap=cap) for der in range(3)]
+        check_evaluated("the delayed history", td, past)
+        rows = list(zip(*coefs[:, at].tolist(), *(p.tolist() for p in past)))
         if i == total:
+            x2s[i] = _accel(rows[0], x, v)
             break
-        vs = []
-
-        def accel(s, w):
-            # stage s reads x stepped from the node by its share of h at the
-            # previous stage's velocity; the node's own x'' is a0
-            a = _accel(rows[s * n + q], x + h / 2 * s * vs[-1], w) \
-                if s else a0
-            vs.append(w)
-            return a
-
-        # x' first, then x with the four stage velocities as slopes: x' = v
-        x1s[i + 1] = rk4_step(accel, v, h)
-        slopes = iter(vs)
-        xs[i + 1] = rk4_step(lambda s, y: next(slopes), x, h)
+        # one RK4 step per node, whose own x'' is the first stage; stage s
+        # reads x at (h/2) s times the last stage velocity
+        out = []  # x'' at each node, then x and x' at the step's end
+        for q in range(n):
+            a0 = _accel(rows[q], x, v)
+            w2 = v + h2 * a0
+            a2 = _accel(rows[n + q], x + h2 * v, w2)
+            w3 = v + h2 * a2
+            a3 = _accel(rows[n + q], x + h2 * w2, w3)
+            w4 = v + h * a3
+            a4 = _accel(rows[2 * n + q], x + h2 * 2 * w3, w4)
+            x, v = (x + h6 * (v + 2 * w2 + 2 * w3 + w4),
+                    v + h6 * (a0 + 2 * a2 + 2 * a3 + a4))
+            out += a0, x, v
+        # the interval's history, complete before the next one reads it;
+        # off the breaking points x'' is continuous
+        x2s[i:i + n], xs[i + 1:i + n + 1], x1s[i + 1:i + n + 1] = (
+            out[0::3], out[1::3], out[2::3])
+        x2l[i + 1:i + n] = out[3::3]
     return traj
 
 

@@ -536,6 +536,34 @@ def test_validate_closed_demotes_a_generator_it_cannot_evaluate():
     assert result.warnings == ["b(t-r) d/dt: " + gen.warnings[0]]
 
 
+def _zero(t):
+    return 0.0 * np.asarray(t)
+
+
+def _zero_before(cut):
+    return lambda t: np.where(np.asarray(t) < cut, 0.0, np.nan)
+
+
+@pytest.mark.parametrize("b1, warnings", [
+    (None, ["validation failed to evaluate: 64 of 64 sample points had no "
+            "value"]),
+    (_zero_before(2.0), ["validation failed to evaluate: 38 of 64 sample "
+                         "points had no value"]),
+    (_zero_before(3.0), []),
+], ids=["no-b-prime", "b-prime-to-2", "b-prime-to-3"])
+def test_validate_closed_says_when_too_few_points_evaluated(b1, warnings):
+    # d/dt reads b', so where a numeric b has no b' the sampled test skips
+    # the point; with fewer than half of the points left the residual was
+    # not measured, and the demotion says so instead of reporting a
+    # residual; with more than half left d/dt is admitted as for b = 0
+    b = CD.numeric(_zero) if b1 is None else CD.numeric(_zero, b1)
+    res = classify(NdeSpec.make(b=b, c=1, d=1, k=1, r=1.0))
+    assert res.case_id == "C9"
+    (gen,) = [g for g in res.generators if g.label == "d/dt"]
+    assert gen.warnings == warnings
+    assert gen.status == ("candidate" if warnings else "admitted")
+
+
 PHI = "Phi d/dt + (x/2) Phi' d/dx"
 ROOT_D = "(1/sqrt(d)) d/dt - (d'/(4 d^(3/2))) x d/dx"
 C_CONSTRAINT = "c(t) incompatible with the third-order constraint"

@@ -1,5 +1,12 @@
+import hashlib
+import importlib
+import importlib.util
+import json
 import math
+import pathlib
+import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -351,3 +358,71 @@ def test_integrate_raises_where_history_or_coefficients_fail():
     with pytest.raises(ExprError):
         integrate(NdeSpec.make(c="sqrt(t - 1)", k=1, r=1.0), "sin(t)", 2.0,
                   32)
+
+
+TRAJECTORY_DIGESTS = (pathlib.Path(__file__).parent / "data"
+                      / "trajectory_digests.json")
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a, float).tobytes()).hexdigest()
+
+
+def _trajectory_entry(traj, spec, samples):
+    entry = {field: _sha256(getattr(traj, field))
+             for field in ("ts", "xs", "x1s", "x2s", "x2l")}
+    entry["residual"] = _sha256(spec.residual(traj, samples))
+    return entry
+
+
+def _long_integrate_block():
+    """The first block of the long-integrate benchmark's seed-1 inputs, as
+    bench/workloads.py builds them: every kind once, 16 delays at 128
+    steps per delay."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    loader = importlib.util.spec_from_file_location(
+        "bench_workloads", path / "workloads.py")
+    workloads = importlib.util.module_from_spec(loader)
+    # its dataclasses look their module up by name
+    sys.modules[loader.name] = workloads
+    loader.loader.exec_module(workloads)
+    nd = SimpleNamespace(**{m: importlib.import_module(f"ndelie.{m}")
+                            for m in ("symexpr", "equation", "classify")})
+    items, _, per_block = workloads.long_inputs(1, nd, "full")
+    return items[:per_block]
+
+
+def trajectory_digests():
+    """The sha256 of every array of each scenario's integration and rho
+    slot at 64 steps per delay, and of the first long-integrate block's
+    integrations, with the equation residual over each one's samples.
+    tests/data/trajectory_digests.json holds them as the integrator that
+    stepped through rk4_step gave them, written by json.dumps(...,
+    indent=1, sort_keys=True)."""
+    from ndelie.suite import build_scenarios
+
+    out = {"scenarios": {}, "long-integrate seed 1": {}}
+    for sc in build_scenarios():
+        t_end = sc.spec.t0 + sc.delays * sc.spec.r
+        entry = {}
+        for name, traj in (
+                ("integrate", integrate(sc.spec, sc.theta, t_end, 64)),
+                ("rho", solve_homogeneous_slot(sc.spec, sc.rho_seed, t_end,
+                                               64))):
+            # every node past t0 and every midpoint between nodes
+            samples = np.concatenate([traj.ts[1:],
+                                      (traj.ts[:-1] + traj.ts[1:]) / 2])
+            entry[name] = _trajectory_entry(traj, sc.spec, samples)
+        out["scenarios"][sc.name] = entry
+    for i, item in enumerate(_long_integrate_block()):
+        p = item.payload
+        traj = integrate(p["spec"], p["theta"], p["t_end"], p["steps"])
+        out["long-integrate seed 1"][f"{i} {item.expected['kind']}"] = \
+            _trajectory_entry(traj, p["spec"], np.concatenate(p["chunks"]))
+    return out
+
+
+def test_trajectories_keep_their_bytes():
+    # the scalar reference above reads the package's own _hermite, so a
+    # change to the dense output moves both sides; these digests do not
+    assert trajectory_digests() == json.loads(TRAJECTORY_DIGESTS.read_text())

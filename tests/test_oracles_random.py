@@ -1,6 +1,7 @@
 """Independent oracles on random input drawn by hypothesis: the exact
 kernel's operations, the prolongation coefficients and the compatibility
-formulas checked in sympy, and specs through their JSON text."""
+formulas checked in sympy, specs through their JSON text, and the group
+law of the flow of random affine generators."""
 
 import json
 from fractions import Fraction
@@ -9,14 +10,15 @@ import numpy as np
 import pytest
 
 from ndelie.classify import (
-    compat_c_from_b, compat_c_from_d_pure_delay, compat_d_from_b,
+    Generator, compat_c_from_b, compat_c_from_d_pure_delay, compat_d_from_b,
     compat_d_from_b_pure_delay,
 )
 from ndelie.equation import CoeffDescriptor as CD, NdeSpec
+from ndelie.flowverify import axiom_errors
 from ndelie.prolong import InfinitesimalAnsatz, prolong_first, prolong_second
 from ndelie.symexpr import (
-    App, ExprError, Jet, Par, Pow, Prod, Rat, Sum, T, X, X1, X2, diff, fn,
-    normalize, shift, substitute,
+    App, ExprError, Jet, ONE, Par, Pow, Prod, Rat, Sum, T, X, X1, X2, diff,
+    fn, normalize, shift, substitute,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -26,6 +28,7 @@ from hypothesis import (  # noqa: E402
 )
 from hypothesis import strategies as st  # noqa: E402
 from test_oracles import r, t, to_sympy  # noqa: E402
+from ndelie.suite import TOL_AXIOM  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # the kernel's operations on random expressions
@@ -256,3 +259,36 @@ def test_c_from_d_pure_delay_solves_the_c_constraint_along_its_omega(c31):
     assert vanishes(c_constraint(w, c))
     energy = w * w.diff(t, 2) - w.diff(t) ** 2 / 2 + 2 * c * w ** 2
     assert vanishes(energy - rational(c31))
+
+
+# ---------------------------------------------------------------------------
+# the group law of the flow of an affine generator omega = beta(t),
+# upsilon = gamma(t) x + rho(t): exp(0 v) is the identity, exp(-d v) undoes
+# exp(d v), and exp(d2 v) exp(d1 v) = exp((d1 + d2) v) (Olver, GTM 107,
+# §1.3), up to the RK4 error of the flow
+
+# closed forms in t with bounded derivatives, so the flow's RK4 error stays
+# far below TOL_AXIOM over the deltas drawn
+_SMOOTH = [ONE, T, App("sin", T), App("cos", T), App("exp", -T),
+           App("sin", Rat(2) * T)]
+_SMOOTH_FORMS = st.lists(
+    st.tuples(st.fractions(min_value=-1, max_value=1, max_denominator=4),
+              st.sampled_from(_SMOOTH)),
+    min_size=1, max_size=3).map(
+    lambda terms: normalize(Sum(tuple(Rat(c) * f for c, f in terms))))
+_POINTS = st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(-2.0, 2.0)),
+                   min_size=1, max_size=4)
+# the scenarios' deltas: d1 up to 0.25 and d2 up to half of that
+_D1, _D2 = st.floats(0.05, 0.25), st.floats(0.025, 0.125)
+
+
+@ORACLE
+@given(_SMOOTH_FORMS, _SMOOTH_FORMS, _SMOOTH_FORMS, _POINTS, _D1, _D2)
+def test_the_flow_of_an_affine_generator_keeps_the_group_law(
+        beta, gamma, rho, points, d1, d2):
+    gen = Generator("drawn", "closed", omega=beta,
+                    upsilon=normalize(gamma * X + rho))
+    ident, inv, clo = axiom_errors(gen, points, d1, d2,
+                                   NdeSpec.make(c=1, r=1.0))
+    assert ident <= 1e-12
+    assert inv < TOL_AXIOM and clo < TOL_AXIOM
