@@ -5,10 +5,11 @@
 The invariance residual is generated with an unknown infinitesimal pair,
 split by jet monomials, specialized to the affine ansatz
 omega = beta(t), upsilon = gamma(t) x + rho(t), and rewritten into the
-omega-form constraint system.  Functional delay equalities such as
-beta(t) = beta(t-r) are carried as first-class constraints and applied by
-substitution; the two velocity rows are integrated by one
-candidate-and-verify first-integral rule.
+omega-form constraint system.  The reduction tags each row it knows with a
+catalog id, rewrites the delayed rows by the delay equalities of the
+unknowns in DELAY_PERIODIC, and integrates the two velocity rows by one
+candidate-and-verify first-integral rule.  A system keeps its delay
+equalities and its assumptions as the lines its report prints.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .prolong import EquationResidual, InfinitesimalAnsatz, apply_operator
 from .symexpr import (
     Coeff, Expr, ExprError, Par, Prod, Sum, T, X, X1, X1R, X2, X2R, XR,
     ZERO, atoms, collect, compile_numeric, diff, fn, normalize, num, render,
-    shift, substitute,
+    substitute,
 )
 
 SPLIT_JETS = (X, XR, X1, X1R, X2, X2R)
@@ -33,26 +34,9 @@ SPLIT_JETS = (X, XR, X1, X1R, X2, X2R)
 ZERO_SEED = 0
 ZERO_POINTS = 64
 ZERO_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Assumption:
-    subject: str
-    prop: str  # the property, e.g. 'nonzero' or 'affine in x'
-    note: str = ""
-
-    def describe(self):
-        s = f"{self.subject}: {self.prop}"
-        return f"{s} ({self.note})" if self.note else s
-
-
-@dataclass(frozen=True)
-class FunctionalConstraint:
-    """An equality between an expression of t and its delay shift."""
-
-    label: str
-    lhs: Expr
-    rhs: Expr
+# the unknowns of the affine pair that the reduction takes as r-periodic:
+# beta from the delay point, gamma through the velocity split
+DELAY_PERIODIC = ("beta", "gamma")
 
 
 @dataclass
@@ -82,7 +66,8 @@ class DetEquation:
 class DeterminingSystem:
     equations: list
     spec: NdeSpec
-    ansatz: InfinitesimalAnsatz
+    # the report's lines: each delay equality, and each assumption with
+    # the reason for it
     functional_constraints: list = field(default_factory=list)
     assumptions: list = field(default_factory=list)
 
@@ -99,9 +84,8 @@ class DeterminingSystem:
     def to_report(self):
         return {
             "equations": [eq.to_json() for eq in self.nontrivial()],
-            "functional_constraints": [fc.label
-                                       for fc in self.functional_constraints],
-            "assumptions": [a.describe() for a in self.assumptions],
+            "functional_constraints": list(self.functional_constraints),
+            "assumptions": list(self.assumptions),
         }
 
 
@@ -141,25 +125,21 @@ def invariance_residual(spec: NdeSpec, a: InfinitesimalAnsatz) -> Expr:
     return apply_operator(a, reduced_equation(spec))
 
 
-def split(residual: Expr, spec: NdeSpec,
-          ansatz: InfinitesimalAnsatz) -> DeterminingSystem:
-    """One equation per jet monomial with nonzero coefficient of the
-    residual of spec under ansatz, plus the delay-point constraint
+def split(residual: Expr, spec: NdeSpec) -> DeterminingSystem:
+    """One equation per jet monomial with nonzero coefficient of an
+    invariance residual of spec, plus the delay-point constraint
     omega(t-r, x(t-r)) = omega(t, x)."""
     parts = collect(residual, set(SPLIT_JETS))
     equations = [DetEquation(monomial=m, residual=coeff)
                  for m, coeff in sorted(parts.items(),
                                         key=lambda kv: render(kv[0]))]
     return DeterminingSystem(
-        equations=equations, spec=spec, ansatz=ansatz,
-        functional_constraints=[FunctionalConstraint(
-            label="omega(t,x) = omega(t-r, x(t-r))",
-            lhs=ansatz.omega, rhs=shift(ansatz.omega))])
+        equations=equations, spec=spec,
+        functional_constraints=["omega(t,x) = omega(t-r, x(t-r))"])
 
 
 def determine(spec: NdeSpec):
-    a = generic_ansatz()
-    return split(invariance_residual(spec, a), spec, a)
+    return split(invariance_residual(spec, generic_ansatz()), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -208,95 +188,66 @@ def apply_delay_equalities(e: Expr, names) -> Expr:
     return substitute(e, bindings)
 
 
+# the catalog id of each row of the reduced split
+REDUCED_ROWS = {num(1): "E-1", X: "E-x", X1: "E-x1", XR: "E-xr",
+                X1R: "E-x1r", X2R: "E-x2r"}
+
+
 def reduce_ansatz(sys: DeterminingSystem) -> DeterminingSystem:
     """Specialize the generic system to omega = beta(t),
     upsilon = gamma(t) x + rho(t).
 
-    The three eliminations are read off the generic split: the cubic
-    delayed-velocity row kills the x^2 part of omega, the mixed
-    velocity/acceleration rows kill the x-linear part (using k != 0 when a
-    neutral term is present, otherwise the x' x'' coefficient of the
-    second-prolongation expansion), and the squared-velocity row kills the
-    x^2 part of upsilon.
+    The three eliminations are stated as assumptions, and only the first
+    is checked against the generic split: its cubic delayed-velocity row
+    must carry the x^2 part of omega.  The x-linear part of omega goes by
+    the x'(t-r) x''(t-r) row when k != 0, and otherwise by the x' x''
+    coefficient of the second-prolongation expansion; the x^2 part of
+    upsilon goes by the squared-velocity row.  Each row of the split of
+    the reduced residual gets its catalog id; the three delayed rows are
+    rewritten by the delay equalities, the delayed-velocity row also by
+    the integrated velocity split, and the two velocity rows are
+    integrated once, with the constants c1 and c3.
     """
     spec = sys.spec
-    assumptions = list(sys.assumptions)
 
     cubic = sys.find(X1R ** 3)
     if cubic is not None and cubic.residual != ZERO:
         if fn("alpha2", delayed=True) not in atoms(cubic.residual):
             raise ExprError("unexpected cubic delayed-velocity row")
-    assumptions.append(Assumption(
-        "omega", "affine in x",
-        "cubic velocity rows force the second x-derivative of omega to "
-        "vanish"))
-
-    if not spec.k.is_zero:
-        assumptions.append(Assumption(
-            "k", "nonzero",
-            "neutral term present; the x'(t-r) x''(t-r) row factors "
-            "through k and kills the x-linear part of omega"))
-    else:
-        assumptions.append(Assumption(
-            "omega", "independent of x",
-            "with no neutral term the x' x'' coefficient of the "
-            "second-prolongation expansion forces it before the "
-            "acceleration is eliminated"))
-
-    assumptions.append(Assumption(
-        "upsilon", "affine in x",
-        "the squared-velocity row forces the second x-derivative of "
-        "upsilon to vanish"))
-
-    red = reduced_ansatz()
-    residual = invariance_residual(spec, red)
-    out = split(residual, spec, red)
-
-    # delay equalities: beta from the delay point, gamma through the
-    # velocity split below
-    out.functional_constraints = [
-        FunctionalConstraint("beta(t) = beta(t-r)",
-                             fn("beta"), fn("beta", delayed=True)),
-        FunctionalConstraint("gamma(t) = gamma(t-r)",
-                             fn("gamma"), fn("gamma", delayed=True)),
-    ]
-    out.assumptions = assumptions
+    out = split(invariance_residual(spec, reduced_ansatz()), spec)
+    out.functional_constraints = [f"{f}(t) = {f}(t-r)"
+                                  for f in DELAY_PERIODIC]
+    out.assumptions = sys.assumptions + [
+        "omega: affine in x (cubic velocity rows force the second "
+        "x-derivative of omega to vanish)",
+        "k: nonzero (neutral term present; the x'(t-r) x''(t-r) row "
+        "factors through k and kills the x-linear part of omega)"
+        if not spec.k.is_zero else
+        "omega: independent of x (with no neutral term the x' x'' "
+        "coefficient of the second-prolongation expansion forces it "
+        "before the acceleration is eliminated)",
+        "upsilon: affine in x (the squared-velocity row forces the second "
+        "x-derivative of upsilon to vanish)"]
 
     c1, _, c3 = _own_constants(spec)
+    constants = {X1: c1, X1R: c3}
     for eq in out.equations:
-        if eq.monomial == X:
-            eq.catalog_id = "E-x"
-        elif eq.monomial == X1:
-            eq.catalog_id = "E-x1"
-            anti = first_integral(eq.residual)
-            if anti is not None:
-                eq.integrated = normalize(anti - Par(c1))
-                eq.constant_introduced = c1
-        elif eq.monomial == num(1):
-            eq.catalog_id = "E-1"
-        elif eq.monomial == X2R:
-            eq.residual = apply_delay_equalities(
-                eq.residual, ("beta", "gamma"))
-            eq.catalog_id = "E-x2r"
-            eq.note = "delay equalities for beta and gamma applied"
-        elif eq.monomial == XR:
-            eq.residual = apply_delay_equalities(
-                eq.residual, ("beta", "gamma"))
-            eq.catalog_id = "E-xr"
-            eq.note = "delay equalities for beta and gamma applied"
-        elif eq.monomial == X1R:
+        eq.catalog_id = REDUCED_ROWS.get(eq.monomial)
+        if eq.monomial in (XR, X1R, X2R):
+            eq.residual = apply_delay_equalities(eq.residual, DELAY_PERIODIC)
+            eq.note = ("delay equalities for " + " and ".join(DELAY_PERIODIC)
+                       + " applied")
+        if eq.monomial == X1R:
             # the velocity-split relation gamma = (beta' + c1)/2 removes
             # the delayed copy of the velocity row that rides along here
-            eq.residual = substitute(
-                apply_delay_equalities(eq.residual, ("beta", "gamma")),
-                _gamma_rule(c1))
-            eq.catalog_id = "E-x1r"
+            eq.residual = substitute(eq.residual, _gamma_rule(c1))
             eq.note = ("delay equalities and the integrated velocity "
                        "split applied")
+        if eq.monomial in constants:
             anti = first_integral(eq.residual)
             if anti is not None:
-                eq.integrated = normalize(anti - Par(c3))
-                eq.constant_introduced = c3
+                eq.constant_introduced = constants[eq.monomial]
+                eq.integrated = normalize(anti - Par(eq.constant_introduced))
     return out
 
 
@@ -323,7 +274,6 @@ def canonical_constraints(sys: DeterminingSystem) -> DeterminingSystem:
     the omega-form of the delayed-position row assumes k constant (= c2)."""
     c1, c2, c3 = _own_constants(sys.spec)
     rename, gamma_rule = {fn("beta"): fn("omega")}, _gamma_rule(c1)
-    w = fn("omega")
     w1 = fn("omega", order=1)
 
     equations = []
@@ -346,9 +296,9 @@ def canonical_constraints(sys: DeterminingSystem) -> DeterminingSystem:
             monomial=XR, residual=normalize(2 * k_free),
             catalog_id="E-omega-d",
             note=f"k constant (= {c2}) substituted" if k_free != e else ""))
-        assumptions.append(Assumption(
-            "k", "constant", "delayed-acceleration row leaves the branch "
-            "beta = 0 or k constant; this is the constant branch"))
+        assumptions.append(
+            "k: constant (delayed-acceleration row leaves the branch "
+            "beta = 0 or k constant; this is the constant branch)")
 
     ex2r = sys.find(X2R)
     if ex2r is not None:
@@ -366,9 +316,8 @@ def canonical_constraints(sys: DeterminingSystem) -> DeterminingSystem:
             note="integrated delayed-velocity row; with b nonvanishing "
                  f"it pins omega = {c3} / b")
         equations.append(eq)
-        assumptions.append(Assumption(
-            "b", "nonzero", "required to solve the integrated "
-            "delayed-velocity row for omega"))
+        assumptions.append("b: nonzero (required to solve the integrated "
+                           "delayed-velocity row for omega)")
 
     equations.append(DetEquation(
         monomial=num(1),
@@ -383,13 +332,9 @@ def canonical_constraints(sys: DeterminingSystem) -> DeterminingSystem:
         catalog_id="E-upsilon",
         note=f"upsilon = ((omega_t + {c1})/2) x + rho"))
 
-    return DeterminingSystem(equations=equations,
-                             functional_constraints=[
-                                 FunctionalConstraint(
-                                     "omega(t) = omega(t-r)", w,
-                                     fn("omega", delayed=True))],
-                             assumptions=assumptions,
-                             spec=sys.spec, ansatz=sys.ansatz)
+    return DeterminingSystem(equations=equations, spec=sys.spec,
+                             functional_constraints=["omega(t) = omega(t-r)"],
+                             assumptions=assumptions)
 
 
 # ---------------------------------------------------------------------------

@@ -169,8 +169,7 @@ def run_scenario(sc: Scenario, steps=64, delta=0.25) -> ScenarioResult:
     samples = interior_samples(traj, sc.spec)
 
     all_ok = out.case_ok
-    axiom_points = [(float(t), traj.value(float(t), 0))
-                    for t in samples[:4]]
+    axiom_points = list(zip(samples[:4], traj.sample(samples[:4]).tolist()))
     for gen in res.generators:
         entry = {"label": gen.label, "kind": gen.kind, "status": gen.status}
         if gen.status != "admitted":

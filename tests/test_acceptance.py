@@ -178,7 +178,7 @@ def test_criterion_5_splitting_oracle():
     ansatz = generic_ansatz()
     residual = invariance_residual(spec, ansatz)
     rows = [(compile_numeric(eq.monomial), compile_numeric(eq.residual))
-            for eq in split(residual, spec, ansatz).equations]
+            for eq in split(residual, spec).equations]
     res_fn = compile_numeric(residual)
 
     rng = np.random.RandomState(42)

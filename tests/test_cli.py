@@ -232,7 +232,10 @@ def test_verify_report_keeps_its_bytes(tmp_path, capsys):
 @pytest.mark.parametrize("spec, name", [
     (lambda: _scenario("C2").spec, "determine_c2.json"),
     (_table_b, "determine_table_b.json"),
-], ids=["C2", "table-b"])
+    (lambda: _scenario("C11").spec, "determine_c11.json"),
+    (lambda: _scenario("C12").spec, "determine_c12.json"),
+    (lambda: _scenario("C5").spec, "determine_c5.json"),
+], ids=["C2", "table-b", "C11", "C12", "C5"])
 def test_determine_report_keeps_its_bytes(tmp_path, capsys, spec, name):
     spec().save(tmp_path / "spec.json")
     capsys.readouterr()

@@ -504,9 +504,13 @@ def _tables(scale, lib):
     }
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(_exprs(fns=("sin", "cos", "exp", "ln", "sqrt")),
        st.integers(0, 10 ** 6), st.booleans())
+# k is read through np.exp on one side and math.exp on the other, and
+# cos(k)^-1 near its pole amplifies that last-bit gap to 1.05e-13 at t =
+# 1.46; 4 ulps of t move the value by 2.1e-13
+@example(App("sin", Pow(App("cos", fn("k")), -1)), 9122, False)
 def test_compile_array_matches_scalar(e, seed_int, canonical):
     if canonical:
         e = _try_normalize(e)
@@ -528,7 +532,13 @@ def test_compile_array_matches_scalar(e, seed_int, canonical):
             continue
         if not abs(want) < 1e12:
             continue
-        assert abs(got[i] - want) <= 1e-13 * max(1.0, abs(want))
+        gap, bound = abs(got[i] - want), 1e-13 * max(1.0, abs(want))
+        if gap > bound:
+            # the two libraries round differently, by a few ulps of the
+            # inputs at most
+            bound += _input_sensitivity(e, point,
+                                        _numeric(_tables(scale, math)), want)
+        assert gap <= bound
 
 
 @settings(max_examples=80, deadline=None)

@@ -13,7 +13,9 @@ determining system's report (both as sorted-key JSON), and the bytes of
 every array and flag of the numeric omegas.  The benchmark draws nothing
 for C6-C8, so a second list, EXTRA_SPECS, adds numeric-omega specs it
 does not reach, each printed the same way with the seed ``extra`` and
-the spec's name as its kind.  Run it in two checkouts and diff the
+the spec's name as its kind.  Last come the specs of the built-in
+scenarios (``ndelie paper-suite``), with the seed ``scenario`` and the
+scenario's name as its kind.  Run it in two checkouts and diff the
 outputs:
 
     python3 tools/report_digest.py > before.txt    # in the parent
@@ -90,6 +92,8 @@ def main():
                 workloads.classify_inputs(seed, nd, "full")[0])]
     runs += [("extra", i, name, {"spec": spec})
              for i, (name, spec) in enumerate(extra_specs(nd))]
+    runs += [("scenario", i, sc.name, {"spec": sc.spec})
+             for i, sc in enumerate(nd.suite.build_scenarios())]
     for seed, i, kind, payload in runs:
         system, result = workloads.run_classify(nd, payload)
         print(seed, i, kind, result.case_id, _json_hash(result.to_json()),
