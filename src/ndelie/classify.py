@@ -478,9 +478,9 @@ class TransformRecord:
 def homogenize(spec: NdeSpec, particular, t_hi=None):
     """Shift by a particular solution so the right side becomes zero.
 
-    particular is a Trajectory (or any object with sample(ts, der) and
-    value(t, der)); its residual against the nonhomogeneous equation is
-    verified first.
+    particular is a Trajectory (or any object that answers jets(ts), its
+    x, x' and x'' over an array of times, and value(t, der)); its residual
+    against the nonhomogeneous equation is verified first.
     """
     if spec.h.is_zero:
         return spec, TransformRecord("identity", note="already homogeneous")

@@ -375,14 +375,12 @@ class NdeSpec:
 
     def residual(self, curve, ts):
         """x'' + a x' + b x'(t-r) + c x + d x(t-r) + k x''(t-r) - h of a
-        curve at each time of a 1-D array, reading the curve once per order
-        at ts and ts - r together (its sample(ts, der) works element by
-        element).  Raises ExprError where a term cannot be evaluated."""
+        curve at each time of a 1-D array, reading the curve once, at ts
+        and ts - r together (its jets(ts) works element by element).
+        Raises ExprError where a term cannot be evaluated."""
         ts = np.asarray(ts, float)
         both = np.concatenate([ts, ts - self.r])
-        x2, x2r = curve.sample(both, 2).reshape(2, -1)
-        x1, x1r = curve.sample(both, 1).reshape(2, -1)
-        x0, xr = curve.sample(both, 0).reshape(2, -1)
+        (x0, xr), (x1, x1r), (x2, x2r) = curve.jets(both).reshape(3, 2, -1)
         out = (x2 + self.a.sample(ts) * x1 + self.b.sample(ts) * x1r
                + self.c.sample(ts) * x0 + self.d.sample(ts) * xr
                + self.k.sample(ts) * x2r - self.h.sample(ts))

@@ -22,8 +22,8 @@ from .equation import CoeffDescriptor, NdeSpec, Spline
 from .ndesolve import Trajectory, _write_csv, rk4_step
 from .prolong import EquationResidual, apply_operator
 from .symexpr import (
-    ExprError, T, X, ZERO, check_evaluated, compile_numeric, diff, fn,
-    normalize, substitute,
+    EvalError, ExprError, T, X, ZERO, check_evaluated, compile_numeric, diff,
+    fn, normalize, substitute,
 )
 
 FINE = 2                 # source samples of a transformed curve per step
@@ -127,18 +127,26 @@ class TransformedCurve:
     t_hi: float
 
     def sample(self, ts, der=0):
-        """x, x' or x'' over an array of times, each read from the first
-        segment that holds it; a time outside the curve or between
-        segments gives NaN."""
+        """x, x' or x'' over an array of times, read as jets reads them; an
+        order outside 0..2 raises EvalError."""
+        if der not in (0, 1, 2):
+            raise EvalError(f"derivative order {der} not stored")
+        return self.jets(ts)[der]
+
+    def jets(self, ts):
+        """x, x' and x'' over an array of times, shape (3,) + ts.shape,
+        each time read from the first segment that holds it with one spline
+        call per segment; a time outside the curve or between segments
+        gives NaN."""
         ts = np.asarray(ts, float)
         flat = ts.reshape(-1)
-        out = np.full(flat.shape, np.nan)
+        out = np.full((3, len(flat)), np.nan)
         todo = (flat >= self.t_lo - 1e-9) & (flat <= self.t_hi + 1e-9)
         for lo, hi, spline in self.segments:
             hit = todo & (flat >= lo - 1e-9) & (flat <= hi + 1e-9)
-            out[hit] = spline(flat[hit])[:, der]
+            out[:, hit] = spline(flat[hit]).T
             todo &= ~hit
-        return out.reshape(ts.shape)
+        return out.reshape((3,) + ts.shape)
 
     def to_csv(self, path, points=200):
         _write_csv(path, self, np.linspace(self.t_lo, self.t_hi, points))
@@ -194,10 +202,8 @@ def transform_solution(traj: Trajectory, gen: Generator, delta,
     per_delay = FINE * traj.steps_per_delay
     cut_idx = list(range(per_delay, len(ts) - 1, per_delay))
     both = np.concatenate([ts, ts[cut_idx]])
-    jets = np.column_stack([
-        both, traj.sample(both, 0), traj.sample(both, 1),
-        np.concatenate([traj.sample(ts, 2),
-                        traj.sample(ts[cut_idx], 2, side="-")])])
+    jets = np.column_stack([both, *traj.jets(both)])
+    jets[len(ts):, 3] = traj.sample(ts[cut_idx], 2, side="-")
     moved_all = prolonged_flow(gen, jets, delta, spec, rho)
     moved = moved_all[:len(ts)]
     if any(m is None for m in moved):
@@ -269,16 +275,17 @@ def infinitesimal_check(traj: Trajectory, gen: Generator, spec: NdeSpec,
     table = {**spec.fn_table(), "beta": beta, "gamma": gamma,
              "rho": rho_part}
     ts = np.asarray(samples, float)
-    td = ts - spec.r
-    env = {"t": ts, "r": spec.r,
-           "x": traj.sample(ts, 0), "xr": traj.sample(td, 0),
-           "x1": traj.sample(ts, 1), "x1r": traj.sample(td, 1),
-           "x2r": traj.sample(td, 2)}
+    if ts.size == 0:
+        raise ExprError("no sample times for the invariance residual")
+    (x, xr), (x1, x1r), (_, x2r) = traj.jets(
+        np.concatenate([ts, ts - spec.r])).reshape(3, 2, -1)
+    env = {"t": ts, "r": spec.r, "x": x, "xr": xr, "x1": x1, "x1r": x1r,
+           "x2r": x2r}
     residual = _affine_residual(reduced_equation(spec))
     res = np.broadcast_to(residual(env, table), ts.shape)
     check_evaluated("the invariance residual", ts,
                     [res] + [env[k] for k in ("x", "xr", "x1", "x1r", "x2r")])
-    return float(np.max(np.abs(res), initial=0.0))
+    return float(np.max(np.abs(res)))
 
 
 def finite_check(traj: Trajectory, gen: Generator, spec: NdeSpec,

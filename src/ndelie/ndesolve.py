@@ -80,17 +80,28 @@ class Trajectory:
             raise ExprError(f"no value at {t} on the span [{lo}, {hi}]")
         return v
 
-    def sample(self, ts, der=0, side="+", _cap=None):
+    def sample(self, ts, der=0, side="+"):
         """value over an array of times; a query outside the span gives NaN
         instead of raising, and an order above 2 raises EvalError.
+        side='-' caps the acceleration at a node to the interval that ends
+        there."""
+        if der not in (0, 1, 2):
+            raise EvalError(f"derivative order {der} not stored")
+        return self._read(ts, (der,), side == "-" and der == 2, None)[0]
+
+    def jets(self, ts, _cap=None):
+        """x, x' and x'' over an array of times, as sample reads each order
+        but with each time located once: shape (3,) + ts.shape.
 
         _cap is the highest dense interval each query may read; a negative
         cap reads the initial function.  The integrator caps every step at
         the intervals already complete, so a delayed read sees its smooth
-        piece with that piece's one-sided closures.  side='-' caps the
-        acceleration at a node to the interval that ends there."""
-        if der not in (0, 1, 2):
-            raise EvalError(f"derivative order {der} not stored")
+        piece with that piece's one-sided closures."""
+        return self._read(ts, (0, 1, 2), False, _cap)
+
+    def _read(self, ts, orders, left, cap):
+        """The given orders over an array of times, one row each; left caps
+        each time at a node to the interval that ends there."""
         ts = np.asarray(ts, float)
         flat = ts.reshape(-1)
         t0, h = self.t0, self.hstep
@@ -99,24 +110,32 @@ class Trajectory:
         # also send NaN times to a valid index, and they come out NaN
         i = np.floor((flat - t0) / h + 1e-9)
         i = np.fmin(np.fmax(i, 0), len(self.ts) - 2).astype(np.intp)
-        if side == "-" and der == 2:
-            _cap = np.where(flat <= self.ts[i], i - 1, i)
-        early = (flat < t0) | ((flat == t0) & (der < 2))
-        if _cap is not None:
-            early |= np.less(_cap, 0)
-            i = np.maximum(np.minimum(i, _cap), 0)
+        if left:
+            cap = np.where(flat <= self.ts[i], i - 1, i)
+        # the times the initial function answers: those before t0 or capped
+        # below the first interval, and t0 itself for x and x' (x'' is
+        # right-hand there)
+        early2 = flat < t0
+        if cap is not None:
+            early2 |= np.less(cap, 0)
+            i = np.maximum(np.minimum(i, cap), 0)
+        early = early2 | (flat == t0)
         s = (flat - self.ts[i]) / h
-        if der == 0:
-            out = _hermite(self.xs[i], self.xs[i + 1], self.x1s[i],
-                           self.x1s[i + 1], s, h, 0)
-        else:
-            # each interval closes on the left-hand acceleration of its end
-            out = _hermite(self.x1s[i], self.x1s[i + 1], self.x2s[i],
-                           self.x2l[i + 1], s, h, der - 1)
-        if early.any():
-            out[early] = self.theta.sample(flat[early], der)
+        j = i + 1
+        v0, v1 = self.x1s[i], self.x1s[j]
+        out = np.empty((len(orders), len(flat)))
+        for row, der in enumerate(orders):
+            if der == 0:
+                out[row] = _hermite(self.xs[i], self.xs[j], v0, v1, s, h, 0)
+            else:  # an interval closes on the left-hand x'' of its end
+                out[row] = _hermite(v0, v1, self.x2s[i], self.x2l[j], s, h,
+                                    der - 1)
+            mask = early2 if der == 2 else early
+            if mask.any():
+                out[row, mask] = self.theta.sample(flat[mask], der)
         outside = (flat < t0 - self.r - 1e-9) | (flat > self.t_end + 1e-9)
-        return np.where(outside, np.nan, out).reshape(ts.shape)
+        out[:, outside] = np.nan
+        return out.reshape(out.shape[:1] + ts.shape)
 
     def breaking_points(self):
         """The nodes at t0 + n r, where propagated derivative jumps may
@@ -131,13 +150,13 @@ class Trajectory:
 
 def _write_csv(path, curve, ts):
     """t, x, x' and x'' of a curve at the given times, one row each; the
-    curve answers sample(ts, der) over arrays."""
+    curve answers jets(ts) over arrays."""
     ts = np.asarray(ts, float)
-    cols = [curve.sample(ts, der) for der in range(3)]
+    cols = curve.jets(ts)
     check_evaluated("the curve", ts, cols)
     with open(path, "w") as fh:
         fh.write("t,x,xprime,xsecond\n")
-        for row in zip(ts.tolist(), *(c.tolist() for c in cols)):
+        for row in zip(ts.tolist(), *cols.tolist()):
             fh.write("{:.12g},{:.12g},{:.12g},{:.12g}\n".format(*row))
 
 
@@ -165,15 +184,19 @@ def rk4_step(f, y, h):
 
 def _accel(row, x, v):
     """x'' = h - a x' - b x'(t-r) - c x - d x(t-r) - k x''(t-r), with row
-    holding (h, a, b, c, d, k, x(t-r), x'(t-r), x''(t-r))."""
-    hc, ac, bc, cc, dc, kc, xr, x1r, x2r = row
-    return hc - ac * v - bc * x1r - cc * x - dc * xr - kc * x2r
+    holding (h, a, b x'(t-r), c, d x(t-r), k x''(t-r)): the delayed terms
+    come as their products."""
+    hc, ac, bx1r, cc, dxr, kx2r = row
+    return hc - ac * v - bx1r - cc * x - dxr - kx2r
 
 
 def integrate(spec: NdeSpec, theta, t_end, steps_per_delay=64) -> Trajectory:
     """Classic RK4 over whole delay intervals, one chain of floats per
     interval in rk4_step's operations and order: x' with the equation's
-    stages, x with their velocities.
+    stages, x with their velocities.  Each interval reads its delayed
+    history with one capped jets call, and every stage time gets the row
+    (h, a, b x'(t-r), c, d x(t-r), k x''(t-r)) that _accel takes, the
+    delayed products formed as arrays.
 
     t_end must equal t0 + M r for an integer M >= 1 and steps_per_delay
     must be a whole number, at least 16 so the dense history stays accurate
@@ -217,7 +240,9 @@ def integrate(spec: NdeSpec, theta, t_end, steps_per_delay=64) -> Trajectory:
         if i:
             # breaking point: keep the left-hand acceleration too
             jd = i - n
-            x2l[i] = _accel((*coefs[:, i], xs[jd], x1s[jd], x2l[jd]), x, v)
+            hc, ac, bc, cc, dc, kc = coefs[:, i]
+            x2l[i] = _accel((hc, ac, bc * x1s[jd], cc, dc * xs[jd],
+                             kc * x2l[jd]), x, v)
         # rows for this delay interval's n nodes and the mid- and end-stage
         # times of its n steps (the last interval holds only the final
         # node); each delayed read is capped at the last interval complete
@@ -227,9 +252,12 @@ def integrate(spec: NdeSpec, theta, t_end, steps_per_delay=64) -> Trajectory:
         at = np.concatenate([nodes, steps + off[1], steps + off[2]])
         td = times[at] - r
         cap = np.concatenate([nodes, steps, steps]) - n
-        past = [traj.sample(td, der, _cap=cap) for der in range(3)]
+        past = traj.jets(td, cap)
         check_evaluated("the delayed history", td, past)
-        rows = list(zip(*coefs[:, at].tolist(), *(p.tolist() for p in past)))
+        # b, d and k times x'(t-r), x(t-r) and x''(t-r) in _accel's row
+        rows = coefs[:, at]
+        rows[[2, 4, 5]] *= past[[1, 0, 2]]
+        rows = rows.T.tolist()
         if i == total:
             x2s[i] = _accel(rows[0], x, v)
             break
@@ -259,11 +287,13 @@ def residual(traj: Trajectory, spec: NdeSpec, samples) -> float:
     """Max absolute equation residual over the samples, read from dense
     output."""
     ts = np.asarray(samples, float)
+    if ts.size == 0:
+        raise ExprError("no sample times for the residual")
     inside = (traj.t0 < ts) & (ts <= traj.t_end)
     if not inside.all():
         raise ExprError(f"sample {ts[~inside][0]} outside "
                         f"({traj.t0}, {traj.t_end}]")
-    return float(np.max(np.abs(spec.residual(traj, ts)), initial=0.0))
+    return float(np.max(np.abs(spec.residual(traj, ts))))
 
 
 def solve_homogeneous_slot(spec: NdeSpec, seed, t_end,

@@ -254,8 +254,9 @@ class _ClosedSolution:
     def value(self, t, der=0):
         return self.fs[der](t)
 
-    def sample(self, ts, der=0):
-        return np.array([self.fs[der](t) for t in ts])
+    def jets(self, ts):
+        """x, x' and x'' at each time, one row per order."""
+        return np.array([[f(t) for t in ts] for f in self.fs])
 
 
 def test_homogenize_identity():

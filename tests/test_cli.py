@@ -229,6 +229,26 @@ def test_verify_report_keeps_its_bytes(tmp_path, capsys):
         (DATA / "verify_ex1.json").read_bytes()
 
 
+def test_verify_c2_report_and_curves_keep_their_bytes(tmp_path, capsys):
+    # verify --json on the full equation, and the CSVs of its --curves:
+    # C2's 1/b generator moves t, so its image is read across the
+    # segments of a transformed curve, through the CSV writer
+    sc = _scenario("C2")
+    sc.spec.save(tmp_path / "c2.json")
+    argv = ["verify", "--spec", str(tmp_path / "c2.json"), "--theta",
+            sc.theta, "--rho-seed", sc.rho_seed,
+            "--delta", "0.25", "-0.3", "0.5", "--json"]
+    pin = json.loads((DATA / "verify_c2.json").read_text())
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == json.dumps(
+        pin["report"], indent=2, sort_keys=True) + "\n"
+    out = tmp_path / "out"
+    assert main(argv + ["--curves", "--out", str(out)]) == 0
+    assert {p.name: p.read_text()
+            for p in out.glob("curve_*.csv")} == pin["curves"]
+
+
 @pytest.mark.parametrize("spec, name", [
     (lambda: _scenario("C2").spec, "determine_c2.json"),
     (_table_b, "determine_table_b.json"),

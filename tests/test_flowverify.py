@@ -217,6 +217,17 @@ def test_infinitesimal_check_raises_before_the_span():
         infinitesimal_check(TRAJ1, GEN_SCALE, SPEC1, [1.0, -0.5])
 
 
+def test_no_sample_times_fail_the_invariance_checks():
+    # a maximum over no times would pass any bound
+    spec = NdeSpec.make(c=1, d=1, k=1, r=1.0)
+    traj = integrate(spec, "sin(t) + 2", 3.0, 32)
+    with pytest.raises(ExprError, match="no sample times"):
+        infinitesimal_check(traj, GEN_T, spec, [])
+    with pytest.raises(ExprError, match="no sample times"):
+        check_generator(traj, GEN_T, spec, [], [0.25], None, TOL_INF,
+                        TOL_FIN)
+
+
 def test_infinitesimal_check_follows_a_changed_coefficient():
     spec = NdeSpec.make(c="2 + sin(t)", k=1, r=math.pi)
     samples = np.linspace(0.4, 2.8 * math.pi, 20)
@@ -228,20 +239,61 @@ def test_infinitesimal_check_follows_a_changed_coefficient():
     assert again != first
 
 
+def _first_segment_reads(curve, ts, der):
+    """Each time read alone from the first segment that holds it: NaN
+    outside the curve and between segments."""
+    want = []
+    for t in ts:
+        hit = [seg for seg in curve.segments
+               if seg[0] - 1e-9 <= t <= seg[1] + 1e-9
+               and curve.t_lo - 1e-9 <= t <= curve.t_hi + 1e-9]
+        want.append(float(hit[0][2](t)[der]) if hit else math.nan)
+    return np.array(want)
+
+
 def test_transformed_curve_sample_reads_the_first_holding_segment():
     curve = transform_solution(TRAJ1, GEN_T, 0.4, SPEC1)
     ts = np.concatenate([np.linspace(curve.t_lo, curve.t_hi, 97),
                          curve.boundaries,
                          [curve.t_lo - 1.0, curve.t_hi + 1.0]])
     for der in range(3):
-        want = []
-        for t in ts:
-            hit = [seg for seg in curve.segments
-                   if seg[0] - 1e-9 <= t <= seg[1] + 1e-9
-                   and curve.t_lo - 1e-9 <= t <= curve.t_hi + 1e-9]
-            want.append(float(hit[0][2](t)[der]) if hit else math.nan)
-        np.testing.assert_array_equal(curve.sample(ts, der), want)
+        np.testing.assert_array_equal(curve.sample(ts, der),
+                                      _first_segment_reads(curve, ts, der))
     assert math.isnan(curve.sample(curve.t_hi + 1.0))
+
+
+def test_transformed_curve_jets_match_sample_bit_for_bit():
+    # C2's 1/b moves t, so the image's segments meet at moved breaking
+    # points, where two segments hold a time; dropping the middle segment
+    # leaves times between segments
+    sc = next(sc for sc in build_scenarios() if sc.name == "C2")
+    spec = sc.spec
+    traj = integrate(spec, sc.theta, spec.t0 + 3 * spec.r, 64)
+    gen = next(g for g in classify(spec).admitted if "1/b" in g.label)
+    full = transform_solution(traj, gen, 0.5, spec)
+    lo, hi, _ = full.segments[1]
+    gapped = dataclasses.replace(
+        full, segments=[full.segments[0], *full.segments[2:]])
+    for curve in (full, gapped):
+        ts = np.concatenate([np.linspace(curve.t_lo, curve.t_hi, 97),
+                             curve.boundaries, np.linspace(lo, hi, 9),
+                             [curve.t_lo - 1.0, curve.t_hi + 1.0]])
+        jets = curve.jets(ts)
+        assert jets.shape == (3, len(ts))
+        for der in range(3):
+            want = _first_segment_reads(curve, ts, der)
+            assert jets[der].tobytes() == want.tobytes(), der
+            assert curve.sample(ts, der).tobytes() == want.tobytes(), der
+    inside = (ts > lo + 1e-6) & (ts < hi - 1e-6)
+    assert inside.sum() >= 9 and np.isnan(gapped.jets(ts)[:, inside]).all()
+    assert not np.isnan(full.jets(ts)[:, inside]).any()
+
+
+def test_transformed_curve_sample_raises_on_an_order_it_does_not_hold():
+    curve = transform_solution(TRAJ1, GEN_T, 0.4, SPEC1)
+    for der in (-1, 3):
+        with pytest.raises(EvalError, match="not stored"):
+            curve.sample([1.0, 2.0], der)
 
 
 def test_finite_check_passes_for_symmetries():

@@ -333,6 +333,58 @@ def test_sample_matches_value_bit_for_bit():
             assert [traj.value(float(t), der, side) for t in grid] == want
 
 
+def _jets_grid(traj):
+    """The grid of test_sample_matches_value_bit_for_bit, and times outside
+    the span and NaN."""
+    nodes = traj.ts
+    return np.concatenate([
+        [traj.t0 - traj.r, traj.t0 - traj.r / 3, traj.t0],
+        nodes, (nodes[:-1] + nodes[1:]) / 2, traj.breaking_points(),
+        [traj.t_end, traj.t0 - traj.r - 0.1, traj.t_end + 0.1, math.nan]])
+
+
+def test_jets_match_sample_bit_for_bit():
+    traj = _neutral_run()
+    grid = _jets_grid(traj)
+    jets = traj.jets(grid)
+    assert jets.shape == (3, len(grid))
+    for der in (0, 1, 2):
+        assert jets[der].tobytes() == traj.sample(grid, der).tobytes(), der
+        want = [_scalar_value(traj, float(t), der) for t in grid[:-3]]
+        assert jets[der, :-3].tobytes() == np.array(want).tobytes(), der
+        assert np.isnan(jets[der, -3:]).all()
+    assert traj.jets(grid.reshape(-1, 1)).shape == (3, len(grid), 1)
+
+
+def test_capped_jets_read_the_capped_interval_or_the_initial_function():
+    # a negative cap reads the initial function; a cap below the query's
+    # interval extends the capped interval's Hermite pieces; a cap at or
+    # above it changes nothing
+    traj = _neutral_run()
+    n = traj.steps_per_delay
+    ts = np.array([traj.t0 + 0.3, traj.t0 + 1.05, traj.t0 + 1.05,
+                   traj.t0 + 2.4, traj.t0 + 2.4, traj.t0 + 1.0,
+                   traj.t0, traj.t0 + 1.5])
+    cap = np.array([-1, -1, n - 1, 2 * n, n + 3, n - 1, -1, 10 * n])
+    jets = traj.jets(ts, cap)
+    for der in (0, 1, 2):
+        want = []
+        for t, c in zip(ts.tolist(), cap.tolist()):
+            i = math.floor((t - traj.t0) / traj.hstep + 1e-9)
+            if c < 0:
+                want.append(float(traj.theta.sample(np.array([t]), der)[0]))
+            elif c < i:
+                want.append(_interval_value(traj.ts, traj.hstep, traj.xs,
+                                            traj.x1s, traj.x2s, traj.x2l,
+                                            c, t, der))
+            else:
+                want.append(_scalar_value(traj, t, der))
+        assert jets[der].tobytes() == np.array(want).tobytes(), der
+        uncapped = cap >= np.floor((ts - traj.t0) / traj.hstep + 1e-9)
+        assert (jets[der, uncapped].tobytes()
+                == traj.sample(ts[uncapped], der).tobytes())
+
+
 def test_sample_marks_queries_outside_the_span():
     traj = _neutral_run()
     got = traj.sample([traj.t0 - traj.r - 0.1, 1.0, traj.t_end + 0.1], 1)
@@ -349,6 +401,14 @@ def test_residual_raises_past_the_span():
         spec.residual(traj, [1.0, 2 * math.pi + 0.5])
     with pytest.raises(ExprError):
         residual(traj, spec, [1.0, 2 * math.pi + 0.5])
+
+
+def test_residual_raises_on_no_samples():
+    # a maximum over no times would pass any bound
+    spec = example1_spec()
+    traj = integrate(spec, "sin(t)", 2 * math.pi, 32)
+    with pytest.raises(ExprError, match="no sample times"):
+        residual(traj, spec, [])
 
 
 def test_integrate_raises_where_history_or_coefficients_fail():
