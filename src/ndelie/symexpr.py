@@ -259,9 +259,10 @@ def _map_operands(e, f):
 def _natkey(name):
     m = re.fullmatch(r"([A-Za-z_]*)(\d*)", name)
     if m is None:
-        return (name, -1)
+        return (name, -1, name)
     alpha, digits = m.groups()
-    return (alpha, int(digits) if digits else -1)
+    # the name last, so that c1 and c01 still differ
+    return (alpha, int(digits) if digits else -1, name)
 
 
 def _skey(e):
@@ -298,13 +299,45 @@ def _skey_of(e):
 # ---------------------------------------------------------------------------
 # normal form
 
-# A polynomial is a dict {monomial: Fraction} where a monomial is a tuple of
-# (atom, exponent) pairs sorted by _skey, atoms being Par/Coeff/Jet/App nodes
-# or whole canonical Sums serving as opaque bases of negative powers.
+# A polynomial is a dict {monomial: coefficient}.  A monomial is a tuple of
+# (atom id, exponent) pairs sorted by id, and a coefficient is an int where
+# it is integral and a Fraction otherwise.  Atoms are Par/Coeff/Jet/App
+# nodes, or whole canonical Sums serving as opaque bases of negative powers.
+# An atom gets the next id the first time the kernel meets it, and an equal
+# atom met later gets the same id, cached on each node as _id; _ATOMS and
+# _SKEYS map an id back to its atom and to that atom's _skey.  Node order
+# is _skey order, restored once per monomial when nodes are built
+# (_in_skey_order), so the ids never reach a canonical form.  An id is
+# never reused, and a pickled node drops its _id with its other caches, so
+# an id names one atom for the life of the process and never leaves it.
+# The table keeps every atom it numbers, so it grows with the distinct
+# atoms a process meets, not with the expressions built from them.
 # _poly may return a dict that a canonical node keeps (see _rebuild), so no
 # polynomial it returns is ever mutated; only a dict built here is.
 
-_F0 = Fraction(0)
+_IDS = {}
+_ATOMS = []
+_SKEYS = []
+
+
+def _atom_id(a):
+    """The id of an atom, given the first time the kernel meets it."""
+    d = a.__dict__
+    i = d.get("_id")
+    if i is None:
+        i = _IDS.get(a)
+        if i is None:
+            i = _IDS[a] = len(_ATOMS)
+            _ATOMS.append(a)
+            _SKEYS.append(_skey(a))
+        d["_id"] = i
+    return i
+
+
+def _in_skey_order(mono):
+    """The (_skey, exponent, id) of each factor of a monomial, in node
+    order."""
+    return sorted([(_SKEYS[i], n, i) for i, n in mono])
 
 
 def _mono_mul(m1, m2):
@@ -312,38 +345,52 @@ def _mono_mul(m1, m2):
         return m2
     if not m2:
         return m1
-    acc = dict(m1)
-    for a, n in m2:
-        acc[a] = acc.get(a, 0) + n
-    return tuple(sorted(((a, n) for a, n in acc.items() if n != 0),
-                        key=lambda p: (_skey(p[0]), p[1])))
-
-
-def _poly_iadd(out, p):
-    """Add p into out, which the caller owns."""
-    for m, c in p.items():
-        s = out.get(m, _F0) + c
-        if s == 0:
-            out.pop(m, None)
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        f1, f2 = m1[i], m2[j]
+        if f1[0] < f2[0]:
+            out.append(f1)
+            i += 1
+        elif f2[0] < f1[0]:
+            out.append(f2)
+            j += 1
         else:
-            out[m] = s
+            n = f1[1] + f2[1]
+            if n:
+                out.append((f1[0], n))
+            i += 1
+            j += 1
+    return tuple(out) + m1[i:] + m2[j:]
+
+
+def _rational(c):
+    """A Fraction coefficient as an int where it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _poly_add_term(out, m, c):
+    """Add the term c*m into out, which the caller owns."""
+    s = out.get(m)
+    if s is not None:
+        c += s
+        if not c:
+            del out[m]
+            return
+    out[m] = c if type(c) is int else _rational(c)
 
 
 def _poly_mul(p1, p2):
     out = {}
     for m1, c1 in p1.items():
         for m2, c2 in p2.items():
-            m = _mono_mul(m1, m2)
-            s = out.get(m, _F0) + c1 * c2
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
+            _poly_add_term(out, _mono_mul(m1, m2), c1 * c2)
     return out
 
 
 def _poly_pow(p, n):
-    result = {(): Fraction(1)}
+    result = {(): 1}
     while n > 0:
         if n & 1:
             result = _poly_mul(result, p)
@@ -354,7 +401,7 @@ def _poly_pow(p, n):
 
 
 def _atom_poly(a):
-    return {((a, 1),): Fraction(1)}
+    return {((_atom_id(a), 1),): 1}
 
 
 def _fold_app(name, arg):
@@ -389,7 +436,7 @@ def _poly(e):
     if p is not None:
         return p
     if isinstance(e, Rat):
-        return {} if e.q == 0 else {(): e.q}
+        return {} if e.q == 0 else {(): _rational(e.q)}
     if isinstance(e, (Par, Jet, Coeff)):
         return _atom_poly(e)
     if isinstance(e, App):
@@ -403,17 +450,18 @@ def _poly(e):
     if isinstance(e, Sum):
         out = {}
         for t in e.terms:
-            _poly_iadd(out, _poly(t))
+            for m, c in _poly(t).items():
+                _poly_add_term(out, m, c)
         return out
     if isinstance(e, Prod):
         out = None
         for f in e.factors:
             q = _poly(f)
             out = q if out is None else _poly_mul(out, q)
-        return {(): Fraction(1)} if out is None else out
+        return {(): 1} if out is None else out
     if isinstance(e, Pow):
         if e.n == 0:
-            return {(): Fraction(1)}
+            return {(): 1}
         p = _poly(e.base)
         if e.n > 0:
             return _poly_pow(p, e.n)
@@ -421,30 +469,36 @@ def _poly(e):
             raise ExprError("negative power of zero")
         if len(p) == 1:
             ((mono, coeff),) = p.items()
+            # an int to a negative power would be a float
+            coeff = _rational(Fraction(coeff) ** e.n)
             scaled = tuple((a, k * e.n) for a, k in mono)
-            if not any(isinstance(a, Sum) and k > 0 for a, k in scaled):
-                # scaling exponents by a constant keeps the atom order
-                return {scaled: coeff ** e.n}
+            if not any(k > 0 and isinstance(_ATOMS[a], Sum)
+                       for a, k in scaled):
+                # scaling exponents by a constant keeps the id order
+                return {scaled: coeff}
             # a sum atom raised to a positive power again is expanded
-            out = {(): coeff ** e.n}
+            out = {(): coeff}
             for a, k in scaled:
-                out = _poly_mul(out, _poly_pow(_poly(a), k)
-                                if isinstance(a, Sum) and k > 0
-                                else {((a, k),): Fraction(1)})
+                out = _poly_mul(out, _poly_pow(_poly(_ATOMS[a]), k)
+                                if k > 0 and isinstance(_ATOMS[a], Sum)
+                                else {((a, k),): 1})
             return out
-        return {((_rebuild(p), e.n),): Fraction(1)}
+        return {((_atom_id(_rebuild(p)), e.n),): 1}
     raise ExprError(f"unexpected node {e!r}")
 
 
-def _term_expr(mono, coeff):
-    factors = [a if n == 1 else Pow(a, n) for a, n in mono]
-    if not factors:
+def _term_expr(factors, coeff):
+    """The node of coeff times factors, given as _in_skey_order gives
+    them."""
+    nodes = [_ATOMS[i] if n == 1 else Pow(_ATOMS[i], n)
+             for _, n, i in factors]
+    if not nodes:
         return Rat(coeff)
     if coeff != 1:
-        factors = [Rat(coeff)] + factors
-    if len(factors) == 1:
-        return factors[0]
-    return Prod(tuple(factors))
+        nodes = [Rat(coeff)] + nodes
+    if len(nodes) == 1:
+        return nodes[0]
+    return Prod(tuple(nodes))
 
 
 def _rebuild(p):
@@ -453,13 +507,13 @@ def _rebuild(p):
     node gives, and _poly returns it instead of expanding the node again."""
     if not p:
         return ZERO
-    monos = sorted(p, key=lambda m: tuple((_skey(a), n) for a, n in m))
-    if len(monos) == 1:
-        node = _term_expr(monos[0], p[monos[0]])
+    terms = sorted([(_in_skey_order(m), m) for m in p])
+    if len(terms) == 1:
+        node = _term_expr(terms[0][0], p[terms[0][1]])
     else:
-        node = Sum(tuple(_term_expr(m, p[m]) for m in monos))
+        node = Sum(tuple(_term_expr(f, p[m]) for f, m in terms))
     if isinstance(node, (Sum, Prod, Pow)):
-        node.__dict__["_poly"] = {m: p[m] for m in monos}
+        node.__dict__["_poly"] = {m: p[m] for _, m in terms}
     return node
 
 
@@ -662,28 +716,25 @@ def collect(e, jets) -> dict:
     for mono, coeff in _poly(_as_expr(e)).items():
         var_part = []
         rest = []
-        for a, n in mono:
+        for i, n in mono:
+            a = _ATOMS[i]
             if isinstance(a, Jet) and a.tag in tags:
                 if n < 0:
                     raise ExprError(
                         f"non-polynomial dependence on {a.tag}: power {n}"
                     )
-                var_part.append((a, n))
+                var_part.append((i, n))
             else:
                 if _mentions_jet(a, tags):
                     raise ExprError(
                         "non-polynomial dependence: collected variable "
                         f"occurs inside {render(a)}"
                     )
-                rest.append((a, n))
-        key = tuple(var_part)
-        groups.setdefault(key, {})
-        rest_t = tuple(rest)
-        groups[key][rest_t] = groups[key].get(rest_t, Fraction(0)) + coeff
+                rest.append((i, n))
+        groups.setdefault(tuple(var_part), {})[tuple(rest)] = coeff
     out = {}
     for key, p in groups.items():
-        p = {m: c for m, c in p.items() if c != 0}
-        out[_term_expr(key, Fraction(1)) if key else ONE] = _rebuild(p)
+        out[_term_expr(_in_skey_order(key), 1) if key else ONE] = _rebuild(p)
     out.setdefault(ONE, ZERO)
     return out
 

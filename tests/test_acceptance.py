@@ -30,8 +30,8 @@ from ndelie.ndesolve import integrate, solve_homogeneous_slot
 from ndelie.prolong import InfinitesimalAnsatz
 from ndelie.suite import run_suite
 from ndelie.symexpr import (
-    App, T, X, ZERO, compile_numeric, fn, normalize, num, render,
-    substitute,
+    App, T, X, ZERO, _fsum_array, compile_numeric, fn, normalize, num,
+    render, substitute,
 )
 
 from golden_forms import GOLDEN
@@ -191,20 +191,32 @@ def test_criterion_5_splitting_oracle():
 
     names = ("b", "c", "d", "k", "beta", "gamma", "rho", "alpha",
              "alpha2", "gamma2")
-    jets = ("x", "xr", "x1", "x1r", "x2", "x2r")
+    # each point draws t, r and the six jets in this order, as uniform
+    # draws them: low + (high - low) * a draw from [0, 1)
+    slots = ("t", "r", "x", "xr", "x1", "x1r", "x2", "x2r")
+    low = np.array([0.1, 0.5] + [-2.0] * 6)
+    high = np.array([4.0, 2.0] + [2.0] * 6)
     worst = 0.0
-    for _ in range(100):
+    for i in range(100):
         table = {nm: trig(rng.uniform(-1.5, 1.5), rng.uniform(-1, 1),
                           rng.uniform(0.4, 1.6)) for nm in names}
-        for _ in range(100):
-            env = {"t": rng.uniform(0.1, 4.0), "r": rng.uniform(0.5, 2.0)}
-            for j in jets:
-                env[j] = rng.uniform(-2.0, 2.0)
-            direct = res_fn(env, table)
-            recon = math.fsum(m(env, table) * c(env, table)
-                              for m, c in rows)
-            worst = max(worst,
-                        abs(direct - recon) / max(1.0, abs(direct)))
+        if i == 0:
+            scalar = np.random.RandomState()
+            scalar.set_state(rng.get_state())
+            scalar_points = [[scalar.uniform(lo, hi)
+                              for lo, hi in zip(low, high)]
+                             for _ in range(100)]
+        # the table's 100 points, one row each, evaluated in one call
+        points = low + (high - low) * rng.random_sample((100, 8))
+        if i == 0:
+            assert points.tolist() == scalar_points
+        env = dict(zip(slots, points.T))
+        direct = res_fn(env, table)
+        # each point's row sum rounded as math.fsum rounds it
+        recon = _fsum_array([m(env, table) * c(env, table)
+                             for m, c in rows])
+        worst = max(worst, float(np.max(
+            np.abs(direct - recon) / np.maximum(1.0, np.abs(direct)))))
     report(5, worst < 1e-10, f"worst relative mismatch {worst:.2e}")
 
 

@@ -1,7 +1,11 @@
 import dataclasses
 import functools
+import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,9 +15,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from ndelie.equation import CoeffDescriptor
 from ndelie.symexpr import (
     App, Coeff, EvalError, Expr, ExprError, Jet, Par, ParseError, Pow, Prod,
-    Rat, Sum, T, X, X1, X1R, X2, X2R, XR, ZERO, _poly, atoms, collect,
-    compile_numeric, diff, diff_explicit, equivalent, eval_numeric, fn,
-    normalize, num, parse, render, shift, substitute,
+    Rat, Sum, T, X, X1, X1R, X2, X2R, XR, ZERO, _ATOMS as _ATOM_OF, _operands,
+    _poly, atoms, collect, compile_numeric, diff, diff_explicit, equivalent,
+    eval_numeric, fn, normalize, num, parse, render, shift, substitute,
 )
 
 
@@ -87,6 +91,14 @@ def test_normalize_expands_square():
 
 def test_normalize_merges_like_terms():
     assert normalize(parse("2*x1 + 3*x1")) == normalize(parse("5*x1"))
+
+
+def test_normalize_orders_names_that_differ_in_leading_zeros():
+    # c01 and c1 share their natural key; the name breaks the tie, not
+    # which of them the kernel met first
+    assert normalize(parse("c1*c01 - c01*c1")) == ZERO
+    assert render(normalize(parse("c1*c01 + x*c01 + c1*x"))) == \
+        "c01*c1 + c01*x + c1*x"
 
 
 def test_normalize_annihilates_zero_factor():
@@ -776,10 +788,138 @@ def test_node_hash_is_the_dataclass_hash(e):
         nodes.extend(f for t in fields if isinstance(t, tuple) for f in t)
 
 
+def _child(script, *args):
+    """The JSON that script prints, run in a fresh interpreter on the
+    package under test."""
+    import ndelie
+
+    src = os.path.dirname(os.path.dirname(ndelie.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script, *args],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+def _private_keys(e):
+    """The _-prefixed keys of every node of e."""
+    keys, nodes = [], [e]
+    while nodes:
+        node = nodes.pop()
+        keys += [k for k in node.__dict__ if k.startswith("_")]
+        nodes.extend(_operands(node))
+    return keys
+
+
+def _atom_ids(n):
+    return {render(_ATOM_OF[i]): i for m in _poly(n) for i, _ in m}
+
+
+_PICKLE_CHILD = """
+import json, pickle, sys
+from ndelie.symexpr import _ATOMS, Par, Sum, _poly, normalize, parse, render
+# a thousand other atoms first, so the same atoms get other ids here
+normalize(Sum(tuple(Par(f"c{i}") for i in range(1000, 2000))))
+n = normalize(parse(sys.argv[1]))
+hash(n)
+ids = {render(_ATOMS[i]): i for m in _poly(n) for i, _ in m}
+print(json.dumps({"pickle": pickle.dumps(n).hex(), "ids": ids}))
+"""
+
+
 def test_pickled_node_drops_its_caches():
-    n = normalize(parse("(b(t) + t)^(-1) * x + sin(t)^2"))
+    text = "(b(t) + t)^(-1) * x + sin(t)^2"
+    n = normalize(parse(text))
     hash(n)
     copy = pickle.loads(pickle.dumps(n))
-    assert not [k for k in copy.__dict__ if k.startswith("_")]
+    assert not _private_keys(copy)
     assert copy == n and hash(copy) == hash(n)
     assert normalize(copy) == n
+    # pickled where the same atoms have other ids
+    child = _child(_PICKLE_CHILD, text)
+    assert child["ids"].keys() == _atom_ids(n).keys()
+    assert child["ids"] != _atom_ids(n)
+    copy = pickle.loads(bytes.fromhex(child["pickle"]))
+    assert not _private_keys(copy)
+    assert copy == n and hash(copy) == hash(n)
+    assert normalize(copy) == n
+
+
+# ---------------------------------------------------------------------------
+# a normal form does not depend on the order the kernel meets its atoms
+
+
+_ORDER_CHILD = """
+import json, sys
+from ndelie.detsys import generic_ansatz, invariance_residual
+from ndelie.suite import build_scenarios
+from ndelie.symexpr import _ATOMS, _poly, normalize, parse, render
+
+TEXTS = ("x + t - c01*c1", "c2*x1 - c1*b(t)*x^2 + 3/2",
+         "sin(t)*k(t-r) + x2r*cos(x) - 1/3*x1r",
+         "(b'(t) + t)^(-1)*x1r + exp(c1*t)^2 - (x + b(t))^(-2)",
+         "t*x*c1 + k(t)*c2 - x1^3 + sqrt(t + c3)")
+
+
+def parsed(text):
+    return lambda: [parse(text)]
+
+
+def scenario(name):
+    # the determine input of the scenario: its coefficients and the
+    # invariance residual of the generic ansatz
+    def exprs():
+        spec = next(sc.spec for sc in build_scenarios() if sc.name == name)
+        return [getattr(spec, f).expr for f in "abcdkh"] + [
+            invariance_residual(spec, generic_ansatz())]
+    return exprs
+
+
+jobs = ([(t, parsed(t)) for t in TEXTS[:2]]
+        + [(name, scenario(name)) for name in ("C5", "C11", "C12")]
+        + [(t, parsed(t)) for t in TEXTS[2:]])
+if sys.argv[1] == "backward":
+    jobs.reverse()
+out = {}
+for label, exprs in jobs:
+    forms = []
+    for e in exprs():
+        n = normalize(e)
+        monos = [sorted([render(_ATOMS[i]), k] for i, k in m)
+                 for m in _poly(n)]
+        forms.append([render(n), monos])
+    out[label] = forms
+ids = {render(a): i for i, a in enumerate(_ATOMS)}
+print(json.dumps({"forms": out, "ids": ids}))
+"""
+
+
+def test_normal_form_does_not_depend_on_the_order_atoms_are_met():
+    forward = _child(_ORDER_CHILD, "forward")
+    backward = _child(_ORDER_CHILD, "backward")
+    assert len(forward["forms"]) == 8
+    # the same renders, and the same monomials in the same order
+    assert forward["forms"] == backward["forms"]
+    # the two interpreters met the atoms in other orders
+    ids = [forward["ids"], backward["ids"]]
+    assert ids[0].keys() == ids[1].keys()
+    before = [{(a, b) for a in i for b in i if i[a] < i[b]} for i in ids]
+    assert before[0] != before[1]
+
+
+# ---------------------------------------------------------------------------
+# coefficients are exact
+
+
+@settings(max_examples=80, deadline=None)
+@given(_exprs())
+@example(Pow(Prod((Rat(Fraction(2)), X)), -3))
+@example(Pow(Prod((Rat(Fraction(-3)), T, X)), -2))
+@example(Pow(Prod((Rat(Fraction(-1)), X)), -3))
+def test_no_float_enters_a_polynomial(e):
+    n = _try_normalize(e)
+    assume(n is not None)
+    # an int where integral, a Fraction otherwise
+    for c in _poly(n).values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
