@@ -414,21 +414,16 @@ def _const_info(desc: CoeffDescriptor, t0, r):
     return ("varying",)
 
 
-def _d_form(desc: CoeffDescriptor):
-    """Special right-shift families: 'one', 'exp', 'sin', ('power', m),
-    or None."""
+# the b = 0 class of each special d; d = t^m with m >= 1 is C8
+SPECIAL_D = {ONE: "C9", App("exp", T): "C6", App("sin", T): "C7"}
+
+
+def _special_d_case(desc: CoeffDescriptor):
+    """The case id of a special right-shift family, or None."""
     e = desc.expr
-    if e == ONE:
-        return "one"
-    if e == App("exp", T):
-        return "exp"
-    if e == App("sin", T):
-        return "sin"
-    if e == T:
-        return ("power", 1)
-    if isinstance(e, Pow) and e.base == T and e.n >= 1:
-        return ("power", e.n)
-    return None
+    if e == T or isinstance(e, Pow) and e.base == T and e.n >= 1:
+        return "C8"
+    return SPECIAL_D.get(e)
 
 
 def _max_abs(what, ts, values):
@@ -699,15 +694,11 @@ def _match_case(spec: NdeSpec) -> ClassificationResult:
                 return _case_c4(spec, result, trace)
             return _case_c3(spec, result, k_val, trace)
         # b = 0, d != 0
-        form = _d_form(spec.d)
-        if form == "one":
+        case = _special_d_case(spec.d)
+        if case == "C9":
             return _case_c9(spec, result, k_val, trace)
-        if form == "exp":
-            return _case_c678(spec, result, k_val, "C6", trace)
-        if form == "sin":
-            return _case_c678(spec, result, k_val, "C7", trace)
-        if isinstance(form, tuple):
-            return _case_c678(spec, result, k_val, "C8", trace)
+        if case:
+            return _case_c678(spec, result, k_val, case, trace)
         return _case_c5(spec, result, k_val, trace)
 
     # k = 0: delay differential equation

@@ -148,7 +148,7 @@ def cmd_integrate(args):
 def cmd_verify(args):
     spec = _load_spec(args)
     result = classify(spec)
-    t_end = args.T if args.T else spec.t0 + 3 * spec.r
+    t_end = args.T if args.T is not None else spec.t0 + 3 * spec.r
     traj = integrate(spec, args.theta, t_end, args.steps)
     rho = solve_homogeneous_slot(spec, args.rho_seed, t_end, args.steps)
     samples = interior_samples(traj, spec)

@@ -240,7 +240,7 @@ def reduce_ansatz(sys: DeterminingSystem) -> DeterminingSystem:
         if eq.monomial == X1R:
             # the velocity-split relation gamma = (beta' + c1)/2 removes
             # the delayed copy of the velocity row that rides along here
-            eq.residual = substitute(eq.residual, _gamma_rule(c1))
+            eq.residual = substitute(eq.residual, _gamma_rule(c1, "beta"))
             eq.note = ("delay equalities and the integrated velocity "
                        "split applied")
         if eq.monomial in constants:
@@ -262,74 +262,57 @@ def _own_constants(spec: NdeSpec):
     return [c if c not in used else next(free) for c in ("c1", "c2", "c3")]
 
 
-def _gamma_rule(c1):
-    return {fn("gamma"): normalize(num(1) / 2 * (fn("beta", order=1)
+def _gamma_rule(c1, unknown):
+    """The integrated velocity split gamma = (unknown' + c1)/2, as a
+    binding, with the time part of omega named unknown."""
+    return {fn("gamma"): normalize(num(1) / 2 * (fn(unknown, order=1)
                                                  + Par(c1)))}
 
 
 def canonical_constraints(sys: DeterminingSystem) -> DeterminingSystem:
-    """Rewrite the reduced system in terms of omega alone, using the
-    integrated velocity split gamma = (beta' + c1)/2 and renaming beta to
-    omega.  The delayed-acceleration branch equation beta k' = 0 is kept;
-    the omega-form of the delayed-position row assumes k constant (= c2)."""
+    """Rewrite the reduced system in terms of omega alone: each row kept
+    goes through one substitution of the integrated velocity split
+    gamma = (omega' + c1)/2 and of beta renamed to omega.  The
+    delayed-acceleration branch equation beta k' = 0 is kept; the
+    omega-form of the delayed-position row assumes k constant (= c2)."""
     c1, c2, c3 = _own_constants(sys.spec)
-    rename, gamma_rule = {fn("beta"): fn("omega")}, _gamma_rule(c1)
-    w1 = fn("omega", order=1)
+    binding = {**_gamma_rule(c1, "omega"), fn("beta"): fn("omega")}
+    rows = {eq.monomial: eq for eq in sys.equations}
+    equations, assumptions = [], list(sys.assumptions)
 
-    equations = []
-    assumptions = list(sys.assumptions)
-
-    ex = sys.find(X)
-    if ex is not None:
-        e = substitute(substitute(ex.residual, gamma_rule), rename)
+    if X in rows:
         equations.append(DetEquation(
-            monomial=X, residual=normalize(2 * e),
-            catalog_id="E-omega-c",
-            note="third-order constraint tying c(t) to omega"))
-
-    exr = sys.find(XR)
-    if exr is not None:
-        e = substitute(substitute(exr.residual, gamma_rule), rename)
-        k_free = substitute(e, {fn("k"): Par(c2)})
+            X, normalize(2 * substitute(rows[X].residual, binding)),
+            "E-omega-c", note="third-order constraint tying c(t) to omega"))
+    if XR in rows:
+        row = rows[XR].residual
         # a spec with a value for k leaves nothing to substitute
+        holds_k = "k" in {a.name for a in atoms(row) if isinstance(a, Coeff)}
         equations.append(DetEquation(
-            monomial=XR, residual=normalize(2 * k_free),
-            catalog_id="E-omega-d",
-            note=f"k constant (= {c2}) substituted" if k_free != e else ""))
+            XR, normalize(2 * substitute(row, {**binding, fn("k"): Par(c2)})),
+            "E-omega-d",
+            note=f"k constant (= {c2}) substituted" if holds_k else ""))
         assumptions.append(
             "k: constant (delayed-acceleration row leaves the branch "
             "beta = 0 or k constant; this is the constant branch)")
-
-    ex2r = sys.find(X2R)
-    if ex2r is not None:
+    if X2R in rows:
         equations.append(DetEquation(
-            monomial=X2R, residual=substitute(ex2r.residual, rename),
-            catalog_id="E-x2r",
+            X2R, substitute(rows[X2R].residual, binding), "E-x2r",
             note="branch equation: omega k' = 0"))
-
-    ex1r = sys.find(X1R)
-    if ex1r is not None and ex1r.integrated is not None:
-        eq = DetEquation(
-            monomial=X1R,
-            residual=substitute(ex1r.integrated, rename),
-            catalog_id="E-omega-b",
+    if X1R in rows and rows[X1R].integrated is not None:
+        equations.append(DetEquation(
+            X1R, substitute(rows[X1R].integrated, binding), "E-omega-b",
             note="integrated delayed-velocity row; with b nonvanishing "
-                 f"it pins omega = {c3} / b")
-        equations.append(eq)
+                 f"it pins omega = {c3} / b"))
         assumptions.append("b: nonzero (required to solve the integrated "
                            "delayed-velocity row for omega)")
-
+    one = rows.get(num(1))
     equations.append(DetEquation(
-        monomial=num(1),
-        residual=substitute(sys.find(num(1)).residual, rename)
-        if sys.find(num(1)) else ZERO,
-        catalog_id="E-1",
+        num(1), substitute(one.residual, binding) if one else ZERO, "E-1",
         note="rho solves the homogeneous equation"))
-
+    gamma = fn("gamma")
     equations.append(DetEquation(
-        monomial=X1,
-        residual=normalize(fn("gamma") - num(1) / 2 * (w1 + Par(c1))),
-        catalog_id="E-upsilon",
+        X1, normalize(gamma - binding[gamma]), "E-upsilon",
         note=f"upsilon = ((omega_t + {c1})/2) x + rho"))
 
     return DeterminingSystem(equations=equations, spec=sys.spec,

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .classify import (
-    CoeffDescriptor as CD, classify, compat_c_from_b, compat_c_from_d_pure_delay,
-    compat_d_from_b, compat_d_from_b_pure_delay,
+    classify, compat_c_from_b, compat_c_from_d_pure_delay, compat_d_from_b,
+    compat_d_from_b_pure_delay,
 )
-from .equation import NdeSpec
+from .equation import CoeffDescriptor as CD, NdeSpec
 from .flowverify import (
     TOL_FIN, TOL_INF, axiom_errors, check_generator, interior_samples,
 )

@@ -579,7 +579,7 @@ ONE_NODE = ("c-constraint failed to evaluate: an omega of one node has no "
 # that the clean equations of the scenarios and the batch never reach.
 # The demoted generator's warnings are given as prefixes, in order; every
 # other generator stays admitted.
-@pytest.mark.parametrize("spec, case, label, warnings", [
+NEAR_MISSES = [
     (NdeSpec.make(k=1, c="1 + t/5", r=1.0), "C9", None,
      ["c(t) varies: no time translation admitted"]),
     (NdeSpec.make(b="1/(1 - t)", c=1, k=2, r=1.0), "C3", PHI,
@@ -610,11 +610,16 @@ ONE_NODE = ("c-constraint failed to evaluate: an omega of one node has no "
      ["time translation needs constant b and c"]),
     (NdeSpec.make(b=1, c="1 + t/5", r=1.0), "C11", "d/dt",
      ["time translation needs constant b and c"]),
-], ids=["c9-varying-c", "c3-omega-crosses-zero", "c3-omega-at-once",
-        "c3-b-off-omega", "c5-varying-c", "c5-omega-overflows",
-        "c12-d-changes-sign", "c12-c-off-form",
-        "c12-negative-d", "c12-d-vanishes", "c10-varying-c",
-        "c11-varying-b", "c11-varying-c"])
+]
+NEAR_MISS_IDS = ["c9-varying-c", "c3-omega-crosses-zero", "c3-omega-at-once",
+                 "c3-b-off-omega", "c5-varying-c", "c5-omega-overflows",
+                 "c12-d-changes-sign", "c12-c-off-form",
+                 "c12-negative-d", "c12-d-vanishes", "c10-varying-c",
+                 "c11-varying-b", "c11-varying-c"]
+
+
+@pytest.mark.parametrize("spec, case, label, warnings", NEAR_MISSES,
+                         ids=NEAR_MISS_IDS)
 def test_near_miss_reports_its_demotion(spec, case, label, warnings):
     res = classify(spec)
     assert res.case_id == case

@@ -460,6 +460,30 @@ def test_verify_curves_reuse_the_finite_check_image(ex1_spec, tmp_path,
         assert (out / f"curve_{idx}.csv").read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize("given, t_end", [(["--T", "0"], 0.0),
+                                          (["--T", "1"], 1.0),
+                                          ([], 1.0)])
+def test_verify_integrates_to_the_given_end_time(tmp_path, monkeypatch,
+                                                 capsys, given, t_end):
+    # an end time of 0 is a time, not a missing option: with t0 = -2 and
+    # r = 1 it is two delays, where the default t0 + 3 r is three
+    from ndelie import cli
+
+    path = tmp_path / "spec.json"
+    NdeSpec.make(k=1, r=1.0, t0=-2.0).save(path)
+    real, ends = cli.integrate, []
+
+    def recording(spec, theta, end, steps):
+        ends.append(end)
+        return real(spec, theta, end, steps)
+
+    monkeypatch.setattr(cli, "integrate", recording)
+    main(["verify", "--spec", str(path), "--theta", "sin(t)", "--json"]
+         + given)
+    capsys.readouterr()
+    assert ends == [t_end]
+
+
 def test_integrate_reports_a_residual_that_cannot_be_evaluated(
         tmp_path, capsys):
     # b has a pole at t = 1/10, which no integration step lands on but the

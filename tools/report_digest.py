@@ -6,17 +6,18 @@ Builds the inputs of the benchmark's classify-batch workload for seeds
 ``bench/worker.py``, used as they are), on the ``src/`` next to this
 script, and prints
 
-    <seed> <index> <kind> <case> <report> <system> <omegas>
+    <seed> <index> <kind> <case> <report> <system> <omegas> <reduced>
 
-where the last three are short hashes of the classification report, the
-determining system's report (both as sorted-key JSON), and the bytes of
-every array and flag of the numeric omegas.  The benchmark draws nothing
-for C6-C8, so a second list, EXTRA_SPECS, adds numeric-omega specs it
-does not reach, each printed the same way with the seed ``extra`` and
-the spec's name as its kind.  Last come the specs of the built-in
-scenarios (``ndelie paper-suite``), with the seed ``scenario`` and the
-scenario's name as its kind.  Run it in two checkouts and diff the
-outputs:
+where the last four are short hashes of the classification report, the
+canonical determining system's report (both as sorted-key JSON), the bytes
+of every array and flag of the numeric omegas, and the report of the
+reduced system the canonical one is written from (``reduce_ansatz``, as
+sorted-key JSON).  The benchmark draws nothing for C6-C8, so a second
+list, EXTRA_SPECS, adds numeric-omega specs it does not reach, each
+printed the same way with the seed ``extra`` and the spec's name as its
+kind.  Last come the specs of the built-in scenarios (``ndelie
+paper-suite``), with the seed ``scenario`` and the scenario's name as its
+kind.  Run it in two checkouts and diff the outputs:
 
     python3 tools/report_digest.py > before.txt    # in the parent
     python3 tools/report_digest.py > after.txt     # in the change
@@ -96,8 +97,11 @@ def main():
              for i, sc in enumerate(nd.suite.build_scenarios())]
     for seed, i, kind, payload in runs:
         system, result = workloads.run_classify(nd, payload)
+        reduced = nd.detsys.reduce_ansatz(
+            nd.detsys.determine(payload["spec"]))
         print(seed, i, kind, result.case_id, _json_hash(result.to_json()),
-              _json_hash(system.to_report()), _omega_hash(result))
+              _json_hash(system.to_report()), _omega_hash(result),
+              _json_hash(reduced.to_report()))
 
 
 if __name__ == "__main__":
