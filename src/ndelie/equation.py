@@ -353,11 +353,9 @@ class NdeSpec:
                 return CoeffDescriptor.zero()
             if isinstance(v, CoeffDescriptor):
                 return v
-            if isinstance(v, str):
-                return CoeffDescriptor.closed(v)
             if isinstance(v, (int, Fraction)):
                 return CoeffDescriptor.const(v)
-            if isinstance(v, Expr):
+            if isinstance(v, (str, Expr)):
                 return CoeffDescriptor.closed(v)
             raise ExprError(f"cannot build a descriptor from {v!r}")
 
@@ -403,15 +401,18 @@ class NdeSpec:
 
     @classmethod
     def from_json(cls, obj):
+        if not isinstance(obj, dict):
+            raise ExprError(f"a spec is a JSON object, not {obj!r}")
+        unknown = [key for key in obj if key not in (*COEFF_NAMES, "r", "t0")]
+        if unknown:
+            raise ExprError(f"unknown spec key {unknown[0]!r}")
         kwargs = {}
-        for name in COEFF_NAMES:
-            if name in obj:
-                try:
-                    kwargs[name] = CoeffDescriptor.from_json(obj[name])
-                except ExprError as err:
-                    raise ExprError(f"coefficient {name}: {err}") from None
-            else:
-                kwargs[name] = CoeffDescriptor.zero()
+        for name in COEFF_NAMES:  # an absent coefficient is zero
+            try:
+                kwargs[name] = CoeffDescriptor.from_json(
+                    obj.get(name, {"kind": "zero"}))
+            except ExprError as err:
+                raise ExprError(f"coefficient {name}: {err}") from None
         if "r" not in obj:
             raise ExprError("the spec has no delay 'r'")
         return cls(r=float(obj["r"]), t0=float(obj.get("t0", 0.0)), **kwargs)

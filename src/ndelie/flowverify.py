@@ -37,11 +37,13 @@ PHI = "Phi#"
 
 def _pair(gen: Generator):
     """omega and upsilon as expressions; a numeric omega is the
-    coefficient PHI, with upsilon = (1/2) PHI' x."""
+    coefficient PHI, with upsilon = (1/2) PHI' x.  A missing field raises
+    ExprError: it is not a zero one."""
     if gen.kind == "numeric":
         return fn(PHI), normalize(fn(PHI, order=1) * X / 2)
-    return (ZERO if gen.omega is None else gen.omega,
-            ZERO if gen.upsilon is None else gen.upsilon)
+    if gen.omega is None or gen.upsilon is None:
+        raise ExprError(f"generator {gen.label!r} lacks omega or upsilon")
+    return gen.omega, gen.upsilon
 
 
 def _fn_table(gen: Generator, spec: NdeSpec, rho):
@@ -195,39 +197,32 @@ def transform_solution(traj: Trajectory, gen: Generator, delta,
     step = traj.hstep / FINE
     count = int(round((traj.t_end - (traj.t0 - traj.r)) / step))
     ts = (traj.t0 - traj.r) + step * np.arange(count + 1)
-    # the acceleration is two-sided at the breaking points, every FINE n
-    # samples from t0 - r: default jets carry the right-hand value, so
-    # segments closing at a cut get their last datum from a left-hand jet,
-    # transported in the same batch
-    per_delay = FINE * traj.steps_per_delay
-    cut_idx = list(range(per_delay, len(ts) - 1, per_delay))
-    both = np.concatenate([ts, ts[cut_idx]])
+    # x'' jumps at the breaking points, every FINE n samples from t0 - r,
+    # and jets reads its right-hand side: a segment closing at a cut ends
+    # on a jet whose x'' is read capped at the interval ending at the cut's
+    # node, transported in the same batch
+    n = traj.steps_per_delay
+    cuts = np.arange(FINE * n, len(ts) - 1, FINE * n)
+    both = np.concatenate([ts, ts[cuts]])
     jets = np.column_stack([both, *traj.jets(both)])
-    jets[len(ts):, 3] = traj.sample(ts[cut_idx], 2, side="-")
-    moved_all = prolonged_flow(gen, jets, delta, spec, rho)
-    moved = moved_all[:len(ts)]
+    jets[len(ts):, 3] = traj.jets(ts[cuts], cuts // FINE - n - 1)[2]
+    moved = prolonged_flow(gen, jets, delta, spec, rho)
     if any(m is None for m in moved):
         raise ExprError("flow left the numeric domain for some points")
-    tbar = np.array([m[0] for m in moved])
+    tbar = np.array([m[0] for m in moved[:len(ts)]])
     if not np.all(np.diff(tbar) > 0):
         raise ExprError("transformed time is not strictly increasing; the "
                         "image is no longer a graph")
-    moved_left = dict(zip(cut_idx, moved_all[len(ts):]))
-    if any(m is None for m in moved_left.values()):
-        raise ExprError("flow left the numeric domain for some points")
-    cuts = [0] + cut_idx + [len(ts) - 1]
+    edges = [0, *cuts.tolist(), len(ts) - 1]
+    closing = moved[len(ts):] + [moved[len(ts) - 1]]
     segments = []
-    for lo_i, hi_i in zip(cuts[:-1], cuts[1:]):
+    for lo_i, hi_i, end in zip(edges[:-1], edges[1:], closing):
         if hi_i - lo_i < 3:
             continue
-        seg_moved = list(moved[lo_i:hi_i + 1])
-        if hi_i in moved_left:
-            seg_moved[-1] = moved_left[hi_i]
-        seg = np.array(seg_moved)
+        seg = np.array(moved[lo_i:hi_i] + [end])
         segments.append((float(seg[0, 0]), float(seg[-1, 0]),
                          Spline(seg[:, 0], seg[:, 1:], "the image curve")))
-    boundaries = np.array([tbar[i] for i in cuts])
-    return TransformedCurve(boundaries, segments, float(tbar[0]),
+    return TransformedCurve(tbar[edges], segments, float(tbar[0]),
                             float(tbar[-1]))
 
 

@@ -70,38 +70,35 @@ class Trajectory:
     def span(self):
         return (self.t0 - self.r, self.t_end)
 
-    def value(self, t, der=0, side="+"):
-        """x, x' or x'' at t; exact node values at grid points.  At a
-        breaking point the acceleration is right-hand unless side is
-        '-'."""
-        v = float(self.sample(t, der, side))
+    def value(self, t, der=0):
+        """x, x' or x'' at t; exact node values at grid points, and the
+        right-hand acceleration at a breaking point."""
+        v = float(self.sample(t, der))
         if math.isnan(v):
             lo, hi = self.span
             raise ExprError(f"no value at {t} on the span [{lo}, {hi}]")
         return v
 
-    def sample(self, ts, der=0, side="+"):
+    def sample(self, ts, der=0):
         """value over an array of times; a query outside the span gives NaN
-        instead of raising, and an order above 2 raises EvalError.
-        side='-' caps the acceleration at a node to the interval that ends
-        there."""
+        instead of raising, and an order above 2 raises EvalError."""
         if der not in (0, 1, 2):
             raise EvalError(f"derivative order {der} not stored")
-        return self._read(ts, (der,), side == "-" and der == 2, None)[0]
+        return self._read(ts, (der,), None)[0]
 
-    def jets(self, ts, _cap=None):
+    def jets(self, ts, cap=None):
         """x, x' and x'' over an array of times, as sample reads each order
         but with each time located once: shape (3,) + ts.shape.
 
-        _cap is the highest dense interval each query may read; a negative
-        cap reads the initial function.  The integrator caps every step at
-        the intervals already complete, so a delayed read sees its smooth
-        piece with that piece's one-sided closures."""
-        return self._read(ts, (0, 1, 2), False, _cap)
+        cap is the highest dense interval each query may read; a negative
+        cap reads the initial function.  A cap of n - 1 at node n reads its
+        left-hand x''; the integrator caps each step at the intervals
+        already complete, so a delayed read sees its own smooth piece."""
+        return self._read(ts, (0, 1, 2), cap)
 
-    def _read(self, ts, orders, left, cap):
-        """The given orders over an array of times, one row each; left caps
-        each time at a node to the interval that ends there."""
+    def _read(self, ts, orders, cap):
+        """The given orders over an array of times, one row each; a time
+        reads no dense interval above its cap."""
         ts = np.asarray(ts, float)
         flat = ts.reshape(-1)
         t0, h = self.t0, self.hstep
@@ -110,8 +107,6 @@ class Trajectory:
         # also send NaN times to a valid index, and they come out NaN
         i = np.floor((flat - t0) / h + 1e-9)
         i = np.fmin(np.fmax(i, 0), len(self.ts) - 2).astype(np.intp)
-        if left:
-            cap = np.where(flat <= self.ts[i], i - 1, i)
         # the times the initial function answers: those before t0 or capped
         # below the first interval, and t0 itself for x and x' (x'' is
         # right-hand there)
@@ -143,9 +138,7 @@ class Trajectory:
         return self.ts[::self.steps_per_delay]
 
     def to_csv(self, path, points=None):
-        if points is None:
-            points = self.ts
-        _write_csv(path, self, points)
+        _write_csv(path, self, self.ts if points is None else points)
 
 
 def _write_csv(path, curve, ts):

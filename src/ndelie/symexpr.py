@@ -518,9 +518,10 @@ def _rebuild(p):
 
 
 def normalize(e) -> Expr:
-    """Canonical normal form: idempotent, semantics-preserving; two
-    expressions of the supported class are semantically equal iff their
-    normal forms are structurally identical.  A node that is already a
+    """Normal form: idempotent and semantics-preserving, so identical
+    normal forms are equal functions, but equal functions can differ: a
+    numerator factor shared with an opaque negative-power base, as r - t
+    with (t - r)^(-2), is never cancelled.  A node that is already a
     normal form is returned as it is."""
     e = _as_expr(e)
     if "_poly" in e.__dict__:

@@ -106,6 +106,13 @@ def test_a_bad_numeric_table_is_refused_by_name(tmp_path, capsys, samples,
     ({"c": {"kind": "const", "value": "1"}}, "the spec has no delay 'r'"),
     ({"c": "1", "r": 1.0},
      "coefficient c: a descriptor is a JSON object, not '1'"),
+    # a misspelt key is refused, not read as a zero coefficient or t0 = 0
+    ({"c": {"kind": "const", "value": "1"},
+      "D": {"kind": "const", "value": "2"}, "r": 1.0},
+     "unknown spec key 'D'"),
+    ({"c": {"kind": "const", "value": "1"}, "r": 1.0, "tO": 0.5},
+     "unknown spec key 'tO'"),
+    ([{"r": 1.0}], "a spec is a JSON object, not [{'r': 1.0}]"),
 ])
 def test_a_missing_spec_key_is_named(tmp_path, capsys, spec, why):
     path = tmp_path / "missing.json"

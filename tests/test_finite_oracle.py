@@ -8,26 +8,34 @@ route of its own: it integrates a solution, moves its jets by the
 transport formulas `flowverify.prolonged_flow` writes out, resplines the
 image and reads the equation residual."""
 
+import importlib.util
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from ndelie.classify import (
-    classify, compat_c_from_b, compat_c_from_d_pure_delay, compat_d_from_b,
+    compat_c_from_b, compat_c_from_d_pure_delay, compat_d_from_b,
     compat_d_from_b_pure_delay,
 )
 from ndelie.equation import CoeffDescriptor as CD, NdeSpec
-from ndelie.flowverify import (
-    TOL_FIN, TOL_INF, check_generator, interior_samples,
-)
-from ndelie.ndesolve import integrate, solve_homogeneous_slot
 from ndelie.suite import HALF_PI
 from ndelie.symexpr import ExprError, parse
 
 from test_classify import NEAR_MISS_IDS, NEAR_MISSES
 
-THETA, RHO_SEED, DELAYS, STEPS, DELTA = "1 + sin(t)/2", "cos(t)", 3, 64, 0.25
+
+def _sweep():
+    """tools/oracle_sweep.py, whose per-spec check this test runs."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "oracle_sweep.py"
+    spec = importlib.util.spec_from_file_location("oracle_sweep", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+SWEEP = _sweep()
 
 
 def _seed_1_specs():
@@ -81,30 +89,10 @@ FLOWING_DEMOTIONS = {"C6": 3, "C7": 3, "C8": 3, "c3-b-off-omega": 1,
 
 @pytest.mark.parametrize("name", list(SPECS))
 def test_admitted_generators_map_solutions_to_solutions(name):
-    spec = SPECS[name]
-    res = classify(spec)
-    t_end = spec.t0 + DELAYS * spec.r
-    traj = integrate(spec, THETA, t_end, STEPS)
-    rho = solve_homogeneous_slot(spec, RHO_SEED, t_end, STEPS)
-    samples = interior_samples(traj, spec)
-    failed = []
-    for gen in res.generators:
-        admitted = gen.status == "admitted"
-        if not admitted and gen.omega is None and gen.omega_numeric is None:
-            continue
-        try:
-            rep = check_generator(traj, gen, spec, samples, [DELTA], rho,
-                                  TOL_INF, TOL_FIN)
-        except ExprError:
-            # the flow leaves its domain on the span
-            assert not admitted, gen.label
-            continue
-        if admitted:
-            assert rep["pass"], (gen.label, rep)
-        else:
-            # judged by the finite residual alone, which no part of the
-            # determining system's kernel computes
-            fin = rep["finite_residual"]
-            assert fin is None or fin >= TOL_FIN, (gen.label, rep)
-            failed.append(gen.label)
-    assert len(failed) == FLOWING_DEMOTIONS.get(name, 0)
+    rows = SWEEP.oracle_rows(SPECS[name])
+    assert not [(gen.label, rep) for gen, rep in rows
+                if SWEEP.contradicts(gen, rep)]
+    # the demoted generators with a field and a flow on the span
+    flowing = [gen.label for gen, rep in rows if gen.status != "admitted"
+               and not isinstance(rep, ExprError)]
+    assert len(flowing) == FLOWING_DEMOTIONS.get(name, 0)

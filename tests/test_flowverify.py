@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -403,9 +404,12 @@ def test_breaking_points_are_the_nodes_float_steps_reach(r):
                 len(out) // flowverify.INTERIOR_SAMPLES, 1)]
 
 
-def test_left_hand_jets_ride_in_the_main_batch(monkeypatch):
-    spec = NdeSpec.make(c=1, d=2, k=1, r=1.0)
-    traj = integrate(spec, "sin(t) + 2", 3.0, 16)
+# at r = 1.5 and t0 = 0.1 some of transform_solution's cut times land an
+# ulp past their nodes, where a read that compares times turns right-hand
+@pytest.mark.parametrize("r, t0, steps", [(1.0, 0.0, 16), (1.5, 0.1, 64)])
+def test_left_hand_jets_ride_in_the_main_batch(monkeypatch, r, t0, steps):
+    spec = NdeSpec.make(c=1, d=2, k=1, r=r, t0=t0)
+    traj = integrate(spec, "sin(t) + 2", t0 + 3 * r, steps)
     gen = Generator("d/dt + x d/dx", "closed", omega=num(1), upsilon=X)
     calls = []
 
@@ -419,9 +423,11 @@ def test_left_hand_jets_ride_in_the_main_batch(monkeypatch):
     assert len(calls) == 1
     step = traj.hstep / 2
     checked = 0
-    for bp in traj.breaking_points()[1:-1]:
+    for m, bp in enumerate(traj.breaking_points()[:-1]):
+        # the interval that ends at node m n holds the left-hand x''; below
+        # t0 that is the initial function's
         left = (bp, traj.value(bp, 0), traj.value(bp, 1),
-                traj.value(bp, 2, side="-"))
+                traj.jets([bp], [m * steps - 1])[2, 0])
         moved = prolonged_flow(gen, [left], 0.25, spec, substeps=24)[0]
         # the segment that closes at the image of the cut ends on the
         # separately transported left-hand jet
@@ -431,7 +437,7 @@ def test_left_hand_jets_ride_in_the_main_batch(monkeypatch):
             assert float(seg[2](seg[1])[i - 1]) == pytest.approx(
                 moved[i], rel=1e-12, abs=1e-12)
         checked += 1
-    assert checked == 2
+    assert checked == 3
 
 
 def test_rho_chain_refuses_third_derivative():
@@ -626,6 +632,22 @@ def test_finite_check_fails_when_one_delta_fails():
         transform_solution(traj, bogus, 5.0, spec)
     assert finite_check(traj, bogus, spec, [1e-9, 5.0]) is None
     assert finite_check(traj, bogus, spec, []) is None
+
+
+def test_a_generator_with_no_field_is_refused():
+    # a negative constant d has no real 1/sqrt(d): C12 demotes its first
+    # generator with neither omega nor upsilon, which read as the zero
+    # field passed both checks with residuals 0.0 and 2.0e-10
+    spec = NdeSpec.make(c=1, d=-1, r=1.0)
+    gen = classify(spec).generators[0]
+    assert gen.omega is None and gen.upsilon is None
+    traj = integrate(spec, "1 + sin(t)/2", 3.0, 64)
+    samples = flowverify.interior_samples(traj, spec)
+    with pytest.raises(ExprError, match=re.escape(repr(gen.label))):
+        check_generator(traj, gen, spec, samples, [0.25], None, TOL_INF,
+                        TOL_FIN)
+    with pytest.raises(ExprError, match=re.escape(repr(gen.label))):
+        flow(gen, POINTS, 0.25, spec)
 
 
 def _cut(traj, nodes):

@@ -224,16 +224,14 @@ def _interval_value(ts, h, xs, x1s, x2s, x2l, i, t, der):
     return _hermite(x1s[i], x1s[i + 1], x2s[i], x2l[i + 1], s, h, der - 1)
 
 
-def _scalar_value(traj, t, der, side="+"):
+def _scalar_value(traj, t, der):
     """Point lookup written out as a scalar loop: the reference for the
     array query."""
     t0 = traj.t0
-    if t < t0 or (t == t0 and (der < 2 or side == "-")):
+    if t < t0 or (t == t0 and der < 2):
         return traj.theta.eval(t, der)
     i = min(max(math.floor((t - t0) / traj.hstep + 1e-9), 0),
             len(traj.ts) - 2)
-    if side == "-" and der == 2 and i > 0 and t <= traj.ts[i]:
-        i -= 1
     return _interval_value(traj.ts, traj.hstep, traj.xs, traj.x1s,
                            traj.x2s, traj.x2l, i, t, der)
 
@@ -326,11 +324,10 @@ def test_sample_matches_value_bit_for_bit():
         nodes, (nodes[:-1] + nodes[1:]) / 2, traj.breaking_points(),
         [traj.t_end]])
     for der in (0, 1, 2):
-        for side in ("+", "-"):
-            got = traj.sample(grid, der, side)
-            want = [_scalar_value(traj, float(t), der, side) for t in grid]
-            assert got.tolist() == want, (der, side)
-            assert [traj.value(float(t), der, side) for t in grid] == want
+        got = traj.sample(grid, der)
+        want = [_scalar_value(traj, float(t), der) for t in grid]
+        assert got.tolist() == want, der
+        assert [traj.value(float(t), der) for t in grid] == want
 
 
 def _jets_grid(traj):

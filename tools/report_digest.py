@@ -85,20 +85,25 @@ def _omega_hash(result) -> str:
     return h.hexdigest()[:16]
 
 
-def main():
-    nd = worker.load_package()
-    runs = [(seed, i, item.expected["kind"], item.payload)
+def inputs(nd):
+    """(seed, index, kind, spec) of every input, in the order printed: the
+    classify-batch inputs of SEEDS, extra_specs, then the scenarios."""
+    runs = [(seed, i, item.expected["kind"], item.payload["spec"])
             for seed in SEEDS
             for i, item in enumerate(
                 workloads.classify_inputs(seed, nd, "full")[0])]
-    runs += [("extra", i, name, {"spec": spec})
+    runs += [("extra", i, name, spec)
              for i, (name, spec) in enumerate(extra_specs(nd))]
-    runs += [("scenario", i, sc.name, {"spec": sc.spec})
+    runs += [("scenario", i, sc.name, sc.spec)
              for i, sc in enumerate(nd.suite.build_scenarios())]
-    for seed, i, kind, payload in runs:
-        system, result = workloads.run_classify(nd, payload)
-        reduced = nd.detsys.reduce_ansatz(
-            nd.detsys.determine(payload["spec"]))
+    return runs
+
+
+def main():
+    nd = worker.load_package()
+    for seed, i, kind, spec in inputs(nd):
+        system, result = workloads.run_classify(nd, {"spec": spec})
+        reduced = nd.detsys.reduce_ansatz(nd.detsys.determine(spec))
         print(seed, i, kind, result.case_id, _json_hash(result.to_json()),
               _json_hash(system.to_report()), _omega_hash(result),
               _json_hash(reduced.to_report()))
