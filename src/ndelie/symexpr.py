@@ -540,7 +540,8 @@ def equivalent(e1, e2) -> bool:
 def _diff_raw(e, tag, slot):
     """slot: 'all' for d/dt including delayed coefficients (chain rule with
     d(t-r)/dt = 1), 't' / 'tr' for the explicit partials used by the
-    prolonged operator."""
+    prolonged operator.  An operand whose derivative is ZERO builds no
+    term, and a node none of whose operands has one is ZERO."""
     if isinstance(e, (Rat, Par)):
         return ZERO
     if isinstance(e, Jet):
@@ -560,18 +561,25 @@ def _diff_raw(e, tag, slot):
             )
         return Coeff(e.name, e.delayed, e.order + 1)
     if isinstance(e, Sum):
-        return Sum(tuple(_diff_raw(t, tag, slot) for t in e.terms))
+        terms = [d for d in (_diff_raw(t, tag, slot) for t in e.terms)
+                 if d is not ZERO]
+        return Sum(tuple(terms)) if terms else ZERO
     if isinstance(e, Prod):
         terms = []
         for i, f in enumerate(e.factors):
             df = _diff_raw(f, tag, slot)
-            terms.append(Prod(e.factors[:i] + (df,) + e.factors[i + 1:]))
-        return Sum(tuple(terms))
+            if df is not ZERO:
+                terms.append(Prod(e.factors[:i] + (df,) + e.factors[i + 1:]))
+        return Sum(tuple(terms)) if terms else ZERO
     if isinstance(e, Pow):
         db = _diff_raw(e.base, tag, slot)
+        if db is ZERO:
+            return ZERO
         return Prod((Rat(Fraction(e.n)), Pow(e.base, e.n - 1), db))
     if isinstance(e, App):
         da = _diff_raw(e.arg, tag, slot)
+        if da is ZERO:
+            return ZERO
         if e.fn == "sin":
             outer = App("cos", e.arg)
         elif e.fn == "cos":
@@ -622,14 +630,48 @@ def _contains_delayed(e):
 _SHIFT_JET = {"x": XR, "x1": X1R, "x2": X2R}
 
 
+def _rewrite(e, repl):
+    """The normal form of e with repl(a) for each atom a of normalize(e).
+    Each (atom, exponent) factor is expanded at most once per call, a
+    monomial no rule changes is copied, and only changed factors are
+    multiplied in: with exact coefficients and monomials merged by id,
+    this is the polynomial normalize(repl(e)) gives for a normal-form e."""
+    done = {}
+    out = {}
+    for m, c in _poly(_as_expr(e)).items():
+        kept, changed = [], []
+        for f in m:
+            if f not in done:
+                a = _ATOMS[f[0]]
+                b = repl(a)
+                done[f] = None if b == a else _poly(
+                    b if f[1] == 1 else Pow(b, f[1]))
+            p = done[f]
+            if p is None:
+                kept.append(f)
+            else:
+                changed.append(p)
+        if not changed:
+            _poly_add_term(out, m, c)
+            continue
+        term = {tuple(kept): c}
+        for p in changed:
+            term = _poly_mul(term, p)
+        for m2, c2 in term.items():
+            _poly_add_term(out, m2, c2)
+    return _rebuild(out)
+
+
 def shift(e) -> Expr:
-    """Delay shift: t -> t-r, x -> x(t-r), x' -> x'(t-r), x'' -> x''(t-r),
-    f(t) -> f(t-r).  Double delays are out of model."""
+    """Delay shift of the normal form of e: t -> t-r, x -> x(t-r),
+    x' -> x'(t-r), x'' -> x''(t-r), f(t) -> f(t-r).  Double delays are out
+    of model.  The rules act on the atoms of normalize(e), so an e that is
+    not a normal form gives shift(normalize(e))."""
     e = _as_expr(e)
     if _contains_delayed(e):
         raise ExprError("expression already contains delayed symbols; "
                         "double shift is out of model")
-    return normalize(_shift_raw(e))
+    return _rewrite(e, _shift_raw)
 
 
 def _shift_raw(e):
@@ -643,13 +685,16 @@ def _shift_raw(e):
 
 
 def substitute(e, bindings) -> Expr:
-    """Simultaneous substitution followed by normalize.
+    """Simultaneous substitution into the normal form of e.
 
     Keys may be jet coordinates, parameters, or coefficient functions.  A
     key f(t) with no primes acts functionally: f'(t), f(t-r), f''(t-r), ...
     are rewritten to the correspondingly differentiated and shifted
     replacement (which must be delay-free).  Keys with primes or a delayed
-    argument match that exact atom only.
+    argument match that exact atom only.  The bindings act on the atoms of
+    normalize(e), so an e that is not a normal form gives
+    substitute(normalize(e), bindings): (2*c1)^(-1) with c1 -> c2 + t is
+    1/2*(c2 + t)^(-1), not (2*c2 + 2*t)^(-1).
     """
     jet_map = {}
     par_map = {}
@@ -692,7 +737,7 @@ def substitute(e, bindings) -> Expr:
             return node
         return _map_operands(node, repl)
 
-    return normalize(repl(_as_expr(e)))
+    return _rewrite(e, repl)
 
 
 # ---------------------------------------------------------------------------

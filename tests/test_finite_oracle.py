@@ -96,3 +96,15 @@ def test_admitted_generators_map_solutions_to_solutions(name):
     flowing = [gen.label for gen, rep in rows if gen.status != "admitted"
                and not isinstance(rep, ExprError)]
     assert len(flowing) == FLOWING_DEMOTIONS.get(name, 0)
+
+
+@pytest.mark.parametrize("fins, resolved", [
+    # C8-k1/2's (x/2) d/dx at 64, 128 and 256 steps per delay
+    ([3.57e-4, 3.74e-5, 2.05e-6], True),
+    ([3.57e-4, 5.0e-5, 2.05e-6], False),   # the first doubling cuts 7.1x
+    ([8.0e-3, 9.0e-4, 1.1e-4], False),     # ends above TOL_FIN
+    ([3.57e-4, None, 2.05e-6], False),     # no report at 128 steps
+])
+def test_a_failing_admission_is_a_resolution_limit_only_if_it_converges(
+        fins, resolved):
+    assert SWEEP.resolution(fins) is resolved

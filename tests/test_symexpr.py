@@ -340,7 +340,7 @@ _ATOMS = st.sampled_from([
 ])
 
 
-def _exprs(max_depth=6, fns=("sin", "cos", "exp")):
+def _exprs(max_depth=6, fns=("sin", "cos", "exp"), leaves=12):
     return st.recursive(
         _ATOMS,
         lambda children: st.one_of(
@@ -352,7 +352,7 @@ def _exprs(max_depth=6, fns=("sin", "cos", "exp")):
             st.tuples(st.sampled_from(fns), children).map(
                 lambda p: App(p[0], p[1])),
         ),
-        max_leaves=12,
+        max_leaves=leaves,
     )
 
 
@@ -934,3 +934,92 @@ def test_no_float_enters_a_polynomial(e):
     # an int where integral, a Fraction otherwise
     for c in _poly(n).values():
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+# ---------------------------------------------------------------------------
+# substitute and shift rewrite a normal form one factor at a time
+
+
+_KEYS = [T, X, X1, Par("c1"), Par("c2"), fn("b"), fn("b", order=1), fn("k")]
+
+
+def _bindings():
+    return st.dictionaries(st.sampled_from(_KEYS), _exprs(leaves=4),
+                           min_size=1, max_size=3)
+
+
+def _shifted_leaf(a):
+    if a == T:
+        return T - Par("r")
+    if isinstance(a, Jet):
+        return {X: XR, X1: X1R, X2: X2R}[a]
+    return fn(a.name, True, a.order) if isinstance(a, Coeff) else a
+
+
+def _outcome(op, e):
+    try:
+        return op(e)
+    except ExprError:
+        return ExprError
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_exprs(), _bindings())
+def test_rewriting_equals_the_tree_walk_it_replaces(e, bindings):
+    n = _try_normalize(e)
+    assume(n is not None)
+
+    def tree_walk(e, leaf):
+        """e rebuilt node by node with leaf applied to each Par, Jet and
+        Coeff node: the tree substitute and shift normalized whole."""
+        if isinstance(e, (Par, Jet, Coeff)):
+            return leaf(e)
+        if isinstance(e, Pow):
+            return Pow(tree_walk(e.base, leaf), e.n)
+        if isinstance(e, App):
+            return App(e.fn, tree_walk(e.arg, leaf))
+        if isinstance(e, (Sum, Prod)):
+            return type(e)(tuple(tree_walk(k, leaf) for k in _operands(e)))
+        return e
+
+    def bound_leaf(a):
+        if a in bindings:
+            return bindings[a]
+        if isinstance(a, Coeff) and fn(a.name) in bindings:
+            v = bindings[fn(a.name)]
+            for _ in range(a.order):
+                v = diff(v, T)
+            return v
+        return a
+
+    for op, leaf in ((lambda x: substitute(x, bindings), bound_leaf),
+                     (shift, _shifted_leaf)):
+        want = _outcome(lambda x: normalize(tree_walk(x, leaf)), n)
+        got = _outcome(op, n)
+        if want is ExprError or got is ExprError:
+            assert got is want
+            continue
+        assert got == want and render(got) == render(want)
+        assert list(_poly(got)) == list(_poly(want))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_exprs(), _bindings())
+@example(Pow(Prod((Rat(Fraction(2)), Par("c1"))), -1),
+         {Par("c1"): Sum((Par("c2"), T))})
+@example(Pow(Prod((Rat(Fraction(2)), T)), -1), {X: X1})
+def test_rewriting_acts_on_the_normal_form(e, bindings):
+    n = _try_normalize(e)
+    assume(n is not None)
+    for op in (lambda x: substitute(x, bindings), shift):
+        assert _outcome(op, e) == _outcome(op, n)
+
+
+def test_a_zero_derivative_builds_nothing():
+    # atoms no other test meets, so each new one would get a new id
+    e = normalize(App("sin", num(Fraction(7, 13)) * T)
+                  * App("exp", T / 11))
+    known = len(_ATOM_OF)
+    assert diff(e, X) == ZERO
+    assert diff_explicit(e, "tr") == ZERO
+    assert len(_ATOM_OF) == known
