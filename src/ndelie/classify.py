@@ -454,28 +454,13 @@ class TransformRecord:
     s_chain: CoeffDescriptor | None = None
     particular: object = None
 
-    def push(self, t, x):
-        """Original x to transformed variable."""
-        if self.kind == "homogenize":
-            return x - self.particular.value(t, 0)
-        if self.kind == "prime-removal":
-            return x / self.s_chain.eval(t)
-        return x
-
-    def pull(self, t, u):
-        if self.kind == "homogenize":
-            return u + self.particular.value(t, 0)
-        if self.kind == "prime-removal":
-            return u * self.s_chain.eval(t)
-        return u
-
 
 def homogenize(spec: NdeSpec, particular, t_hi=None):
     """Shift by a particular solution so the right side becomes zero.
 
     particular is a Trajectory (or any object that answers jets(ts), its
-    x, x' and x'' over an array of times, and value(t, der)); its residual
-    against the nonhomogeneous equation is verified first.
+    x, x' and x'' over an array of times); its residual against the
+    nonhomogeneous equation is verified first.
     """
     if spec.h.is_zero:
         return spec, TransformRecord("identity", note="already homogeneous")

@@ -16,11 +16,8 @@ from fractions import Fraction
 
 from .symexpr import (
     Expr, ExprError, Jet, Rat, Sum, T, X, X1, X1R, X2, X2R, XR, ZERO, atoms,
-    collect, diff, diff_explicit, normalize, shift, substitute,
+    collect, diff, diff_explicit, is_delayed, normalize, shift, substitute,
 )
-
-_FORBIDDEN_IN_ANSATZ = {"xr", "x1", "x1r", "x2", "x2r"}
-
 
 @dataclass(frozen=True)
 class InfinitesimalAnsatz:
@@ -33,13 +30,12 @@ class InfinitesimalAnsatz:
     def __post_init__(self):
         for name, e in (("omega", self.omega), ("upsilon", self.upsilon)):
             for a in atoms(e):
-                if isinstance(a, Jet) and a.tag in _FORBIDDEN_IN_ANSATZ:
-                    raise ExprError(
-                        f"{name} may depend on t and x only, found {a.tag}")
-                if getattr(a, "delayed", False) or \
-                        getattr(a, "name", None) == "r":
+                if is_delayed(a):
                     raise ExprError(
                         f"{name} must not contain delayed symbols")
+                if isinstance(a, Jet) and a.tag in ("x1", "x2"):
+                    raise ExprError(
+                        f"{name} may depend on t and x only, found {a.tag}")
 
     def __add__(self, other):
         return InfinitesimalAnsatz(

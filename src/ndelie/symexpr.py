@@ -242,15 +242,6 @@ def _operands(e):
             else (e.arg,) if isinstance(e, App) else ())
 
 
-def _map_operands(e, f):
-    """e with f applied to each of its operands; a leaf as it is."""
-    if isinstance(e, (Sum, Prod)):
-        return type(e)(tuple(map(f, _operands(e))))
-    if isinstance(e, Pow):
-        return Pow(f(e.base), e.n)
-    return App(e.fn, f(e.arg)) if isinstance(e, App) else e
-
-
 # ---------------------------------------------------------------------------
 # canonical ordering
 
@@ -537,113 +528,119 @@ def equivalent(e1, e2) -> bool:
 # differentiation
 
 
-def _diff_raw(e, tag, slot):
-    """slot: 'all' for d/dt including delayed coefficients (chain rule with
-    d(t-r)/dt = 1), 't' / 'tr' for the explicit partials used by the
-    prolonged operator.  An operand whose derivative is ZERO builds no
-    term, and a node none of whose operands has one is ZERO."""
-    if isinstance(e, (Rat, Par)):
-        return ZERO
-    if isinstance(e, Jet):
-        if tag == "t" and slot == "tr":
-            return ZERO
-        return ONE if e.tag == tag else ZERO
-    if isinstance(e, Coeff):
-        if tag != "t":
-            return ZERO
-        if slot == "t" and e.delayed:
-            return ZERO
-        if slot == "tr" and not e.delayed:
-            return ZERO
-        if e.order >= _MAX_COEFF_ORDER:
+# for the atom a = f(u), f'(u) as a node
+_OUTER = {"sin": lambda a: App("cos", a.arg),
+          "cos": lambda a: -App("sin", a.arg),
+          "exp": lambda a: a,
+          "ln": lambda a: Pow(a.arg, -1),
+          "sqrt": lambda a: Prod((Rat(Fraction(1, 2)), Pow(a, -1)))}
+
+
+def _diff_atom(a, tag, slot, memo):
+    """The polynomial of the derivative of an atom.  slot: 'all' for d/dt
+    including delayed coefficients (chain rule with d(t-r)/dt = 1), 't' /
+    'tr' for the explicit partials used by the prolonged operator.  A
+    function's outer factor is built only when its argument's derivative
+    is not zero."""
+    if isinstance(a, Jet):
+        return {} if a.tag != tag or slot == "tr" else {(): 1}
+    if isinstance(a, Coeff):
+        if tag != "t" or slot == ("t" if a.delayed else "tr"):
+            return {}
+        if a.order >= _MAX_COEFF_ORDER:
             raise ExprError(
-                f"differentiating {e.name} beyond order {_MAX_COEFF_ORDER}"
+                f"differentiating {a.name} beyond order {_MAX_COEFF_ORDER}"
             )
-        return Coeff(e.name, e.delayed, e.order + 1)
-    if isinstance(e, Sum):
-        terms = [d for d in (_diff_raw(t, tag, slot) for t in e.terms)
-                 if d is not ZERO]
-        return Sum(tuple(terms)) if terms else ZERO
-    if isinstance(e, Prod):
-        terms = []
-        for i, f in enumerate(e.factors):
-            df = _diff_raw(f, tag, slot)
-            if df is not ZERO:
-                terms.append(Prod(e.factors[:i] + (df,) + e.factors[i + 1:]))
-        return Sum(tuple(terms)) if terms else ZERO
-    if isinstance(e, Pow):
-        db = _diff_raw(e.base, tag, slot)
-        if db is ZERO:
-            return ZERO
-        return Prod((Rat(Fraction(e.n)), Pow(e.base, e.n - 1), db))
-    if isinstance(e, App):
-        da = _diff_raw(e.arg, tag, slot)
-        if da is ZERO:
-            return ZERO
-        if e.fn == "sin":
-            outer = App("cos", e.arg)
-        elif e.fn == "cos":
-            outer = Prod((Rat(Fraction(-1)), App("sin", e.arg)))
-        elif e.fn == "exp":
-            outer = App("exp", e.arg)
-        elif e.fn == "ln":
-            outer = Pow(e.arg, -1)
-        else:  # sqrt
-            outer = Prod((Rat(Fraction(1, 2)), Pow(App("sqrt", e.arg), -1)))
-        return Prod((outer, da))
-    raise ExprError(f"unexpected node {e!r}")
+        return _atom_poly(Coeff(a.name, a.delayed, a.order + 1))
+    if isinstance(a, App):
+        da = _diff_poly(_poly(a.arg), tag, slot, memo)
+        if not da:
+            return {}
+        return _poly_mul(_poly(_OUTER[a.fn](a)), da)
+    if isinstance(a, Sum):  # an opaque base
+        return _diff_poly(_poly(a), tag, slot, memo)
+    return {}
+
+
+def _diff_poly(p, tag, slot, memo):
+    """The derivative of a polynomial, by the product rule over the (atom
+    id, exponent) factors of each monomial.  memo maps an atom id to its
+    derivative, so each is computed once per call, and an atom whose
+    derivative is zero builds no term."""
+    out = {}
+    for m, c in p.items():
+        for k, (i, n) in enumerate(m):
+            d = memo.get(i)
+            if d is None:
+                d = memo[i] = _diff_atom(_ATOMS[i], tag, slot, memo)
+            if not d:
+                continue
+            rest = (m[:k] + m[k + 1:] if n == 1
+                    else m[:k] + ((i, n - 1),) + m[k + 1:])
+            for m2, c2 in d.items():
+                _poly_add_term(out, _mono_mul(rest, m2), c * n * c2)
+    return out
 
 
 def diff(e, v) -> Expr:
-    """Partial derivative with respect to a jet coordinate, normalized.
-    Jet coordinates are mutually independent; differentiating by t raises
-    the order of coefficient functions of both t and t-r."""
+    """Partial derivative of the normal form of e with respect to a jet
+    coordinate, as a normal form; an e that is not a normal form gives
+    diff(normalize(e), v).  Jet coordinates are mutually independent;
+    differentiating by t raises the order of coefficient functions of both
+    t and t-r."""
     if not isinstance(v, Jet):
         raise ExprError("differentiation variable must be a jet coordinate")
-    return normalize(_diff_raw(_as_expr(e), v.tag, "all"))
+    return _rebuild(_diff_poly(_poly(_as_expr(e)), v.tag, "all", {}))
 
 
 def diff_explicit(e, slot) -> Expr:
-    """Partial derivative with respect to the explicit t (slot 't') or the
-    explicit delayed time (slot 'tr').  Bare t inside elementary-function
-    arguments is attributed to the t slot; delayed time dependence must
-    enter through coefficient functions of t-r."""
+    """Partial derivative of the normal form of e with respect to the
+    explicit t (slot 't') or the explicit delayed time (slot 'tr').  Bare t
+    inside elementary-function arguments is attributed to the t slot;
+    delayed time dependence must enter through coefficient functions of
+    t-r."""
     if slot not in ("t", "tr"):
         raise ExprError("slot must be 't' or 'tr'")
-    return normalize(_diff_raw(_as_expr(e), "t", slot))
+    return _rebuild(_diff_poly(_poly(_as_expr(e)), "t", slot, {}))
 
 
 # ---------------------------------------------------------------------------
 # delay shift and substitution
 
 
-def _contains_delayed(e):
-    if isinstance(e, Jet):
-        return e.tag in ("xr", "x1r", "x2r")
-    if isinstance(e, Coeff):
-        return e.delayed
-    if isinstance(e, Par):
-        return e.name == "r"
-    return any(_contains_delayed(k) for k in _operands(e))
+def is_delayed(a) -> bool:
+    """Whether a leaf is a delayed symbol: x(t-r), x'(t-r), x''(t-r), a
+    coefficient function of t-r, or the delay r itself."""
+    if isinstance(a, Jet):
+        return a.tag in ("xr", "x1r", "x2r")
+    if isinstance(a, Coeff):
+        return a.delayed
+    return isinstance(a, Par) and a.name == "r"
 
 
-_SHIFT_JET = {"x": XR, "x1": X1R, "x2": X2R}
-
-
-def _rewrite(e, repl):
-    """The normal form of e with repl(a) for each atom a of normalize(e).
-    Each (atom, exponent) factor is expanded at most once per call, a
-    monomial no rule changes is copied, and only changed factors are
-    multiplied in: with exact coefficients and monomials merged by id,
-    this is the polynomial normalize(repl(e)) gives for a normal-form e."""
-    done = {}
+def _rewrite(e, repl, done):
+    """The normal form e with repl(a) put in for each leaf a (Par, Jet or
+    Coeff) it holds.  A function's argument and an opaque base are
+    rewritten the same way, so repl is handed leaves only.  Each (atom,
+    exponent) factor is rewritten and expanded at most once per call (done
+    maps it to its polynomial, or to None when it is unchanged), a monomial
+    no rule changes is copied, and only changed factors are multiplied in:
+    with exact coefficients and monomials merged by id, this is the
+    polynomial normalize gives for e rebuilt with repl at its leaves.  When
+    no factor changes, e itself is returned."""
     out = {}
-    for m, c in _poly(_as_expr(e)).items():
+    changed_any = False
+    for m, c in _poly(e).items():
         kept, changed = [], []
         for f in m:
             if f not in done:
                 a = _ATOMS[f[0]]
-                b = repl(a)
+                if isinstance(a, App):
+                    b = App(a.fn, _rewrite(a.arg, repl, done))
+                elif isinstance(a, Sum):
+                    b = _rewrite(a, repl, done)
+                else:
+                    b = repl(a)
                 done[f] = None if b == a else _poly(
                     b if f[1] == 1 else Pow(b, f[1]))
             p = done[f]
@@ -654,34 +651,34 @@ def _rewrite(e, repl):
         if not changed:
             _poly_add_term(out, m, c)
             continue
+        changed_any = True
         term = {tuple(kept): c}
         for p in changed:
             term = _poly_mul(term, p)
         for m2, c2 in term.items():
             _poly_add_term(out, m2, c2)
-    return _rebuild(out)
+    return _rebuild(out) if changed_any else e
+
+
+_SHIFTED = {T: T - R, X: XR, X1: X1R, X2: X2R}
+
+
+def _shift_leaf(a):
+    if is_delayed(a):
+        raise ExprError("expression already contains delayed symbols; "
+                        "double shift is out of model")
+    if isinstance(a, Coeff):
+        return Coeff(a.name, True, a.order)
+    return _SHIFTED.get(a, a)
 
 
 def shift(e) -> Expr:
     """Delay shift of the normal form of e: t -> t-r, x -> x(t-r),
-    x' -> x'(t-r), x'' -> x''(t-r), f(t) -> f(t-r).  Double delays are out
-    of model.  The rules act on the atoms of normalize(e), so an e that is
-    not a normal form gives shift(normalize(e))."""
-    e = _as_expr(e)
-    if _contains_delayed(e):
-        raise ExprError("expression already contains delayed symbols; "
-                        "double shift is out of model")
-    return _rewrite(e, _shift_raw)
-
-
-def _shift_raw(e):
-    if isinstance(e, Jet):
-        if e.tag == "t":
-            return Sum((T, Prod((Rat(Fraction(-1)), R))))
-        return _SHIFT_JET[e.tag]
-    if isinstance(e, Coeff):
-        return Coeff(e.name, True, e.order)
-    return _map_operands(e, _shift_raw)
+    x' -> x'(t-r), x'' -> x''(t-r), f(t) -> f(t-r).  A delayed symbol
+    (is_delayed) raises: double delays are out of model.  The rules act on
+    the atoms of normalize(e), so an e that is not a normal form gives
+    shift(normalize(e))."""
+    return _rewrite(normalize(e), _shift_leaf, {})
 
 
 def substitute(e, bindings) -> Expr:
@@ -690,54 +687,37 @@ def substitute(e, bindings) -> Expr:
     Keys may be jet coordinates, parameters, or coefficient functions.  A
     key f(t) with no primes acts functionally: f'(t), f(t-r), f''(t-r), ...
     are rewritten to the correspondingly differentiated and shifted
-    replacement (which must be delay-free).  Keys with primes or a delayed
-    argument match that exact atom only.  The bindings act on the atoms of
-    normalize(e), so an e that is not a normal form gives
+    replacement (which must hold no delayed symbol).  Keys with primes or a
+    delayed argument match that exact atom only.  The bindings act on the
+    atoms of normalize(e), so an e that is not a normal form gives
     substitute(normalize(e), bindings): (2*c1)^(-1) with c1 -> c2 + t is
     1/2*(c2 + t)^(-1), not (2*c2 + 2*t)^(-1).
     """
-    jet_map = {}
-    par_map = {}
+    exact = {}
     fn_rules = {}
-    atom_map = {}
     for k, v in bindings.items():
         v = _as_expr(v)
-        if isinstance(k, Jet):
-            jet_map[k.tag] = v
-        elif isinstance(k, Par):
-            par_map[k.name] = v
-        elif isinstance(k, Coeff):
-            if not k.delayed and k.order == 0:
-                if _contains_delayed(v):
-                    raise ExprError(
-                        f"functional replacement for {k.name} must be "
-                        "delay-free"
-                    )
-                fn_rules[k.name] = v
-            else:
-                atom_map[k] = v
+        if isinstance(k, Coeff) and not k.delayed and k.order == 0:
+            if any(map(is_delayed, atoms(v))):
+                raise ExprError(
+                    f"functional replacement for {k.name} must be delay-free")
+            fn_rules[k.name] = v
+        elif isinstance(k, (Jet, Par, Coeff)):
+            exact[k] = v
         else:
             raise ExprError(f"unsupported substitution key {k!r}")
 
-    def repl(node):
-        if isinstance(node, Jet):
-            return jet_map.get(node.tag, node)
-        if isinstance(node, Par):
-            return par_map.get(node.name, node)
-        if isinstance(node, Coeff):
-            if node in atom_map:
-                return atom_map[node]
-            if node.name in fn_rules:
-                out = fn_rules[node.name]
-                for _ in range(node.order):
-                    out = _diff_raw(out, "t", "all")
-                if node.delayed:
-                    out = _shift_raw(normalize(out))
-                return out
-            return node
-        return _map_operands(node, repl)
+    def repl(leaf):
+        if leaf in exact:
+            return exact[leaf]
+        if isinstance(leaf, Coeff) and leaf.name in fn_rules:
+            out = fn_rules[leaf.name]
+            for _ in range(leaf.order):
+                out = diff(out, T)
+            return shift(out) if leaf.delayed else out
+        return leaf
 
-    return _rewrite(e, repl)
+    return _rewrite(normalize(e), repl, {})
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,13 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ndelie.equation import CoeffDescriptor
+from ndelie.prolong import InfinitesimalAnsatz
 from ndelie.symexpr import (
-    App, Coeff, EvalError, Expr, ExprError, Jet, Par, ParseError, Pow, Prod,
-    Rat, Sum, T, X, X1, X1R, X2, X2R, XR, ZERO, _ATOMS as _ATOM_OF, _operands,
-    _poly, atoms, collect, compile_numeric, diff, diff_explicit, equivalent,
-    eval_numeric, fn, normalize, num, parse, render, shift, substitute,
+    App, Coeff, EvalError, Expr, ExprError, Jet, ONE, Par, ParseError, Pow,
+    Prod, Rat, Sum, T, X, X1, X1R, X2, X2R, XR, ZERO, _ATOMS as _ATOM_OF,
+    _operands, _poly, atoms, collect, compile_numeric, diff, diff_explicit,
+    equivalent, eval_numeric, fn, is_delayed, normalize, num, parse, render,
+    shift, substitute,
 )
 
 
@@ -1023,3 +1025,106 @@ def test_a_zero_derivative_builds_nothing():
     assert diff(e, X) == ZERO
     assert diff_explicit(e, "tr") == ZERO
     assert len(_ATOM_OF) == known
+
+
+# diff walks the normal form's polynomial too
+
+
+_F3 = fn("f", order=3)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_exprs(fns=("sin", "cos", "exp", "ln", "sqrt")))
+@example(Sum((_F3, Prod((Rat(Fraction(-1)), _F3)))))
+@example(Prod((fn("b", order=3), X)))
+@example(Sum((Prod((fn("b"), X1R)), Prod((fn("d", delayed=True), XR)),
+              App("sqrt", Pow(Sum((T, fn("d", delayed=True))), -1)))))
+def test_diff_equals_the_product_rule_tree_it_replaces(e):
+    n = _try_normalize(e)
+    assume(n is not None)
+
+    def diff_raw(e, tag, slot):
+        """The product-rule tree diff and diff_explicit normalized whole:
+        slot 'all' for d/dt, 't' and 'tr' for the explicit partials."""
+        if isinstance(e, (Rat, Par)):
+            return ZERO
+        if isinstance(e, Jet):
+            if tag == "t" and slot == "tr":
+                return ZERO
+            return ONE if e.tag == tag else ZERO
+        if isinstance(e, Coeff):
+            if tag != "t" or (slot == "t" and e.delayed) or \
+                    (slot == "tr" and not e.delayed):
+                return ZERO
+            if e.order >= 3:
+                raise ExprError(f"differentiating {e.name} beyond order 3")
+            return Coeff(e.name, e.delayed, e.order + 1)
+        if isinstance(e, Sum):
+            terms = [d for d in (diff_raw(k, tag, slot) for k in e.terms)
+                     if d is not ZERO]
+            return Sum(tuple(terms)) if terms else ZERO
+        if isinstance(e, Prod):
+            terms = []
+            for i, f in enumerate(e.factors):
+                df = diff_raw(f, tag, slot)
+                if df is not ZERO:
+                    terms.append(
+                        Prod(e.factors[:i] + (df,) + e.factors[i + 1:]))
+            return Sum(tuple(terms)) if terms else ZERO
+        if isinstance(e, Pow):
+            db = diff_raw(e.base, tag, slot)
+            if db is ZERO:
+                return ZERO
+            return Prod((Rat(Fraction(e.n)), Pow(e.base, e.n - 1), db))
+        da = diff_raw(e.arg, tag, slot)
+        if da is ZERO:
+            return ZERO
+        outer = {"sin": App("cos", e.arg), "cos": -App("sin", e.arg),
+                 "exp": App("exp", e.arg), "ln": Pow(e.arg, -1),
+                 "sqrt": num(Fraction(1, 2)) * Pow(App("sqrt", e.arg), -1)}
+        return Prod((outer[e.fn], da))
+
+    ops = [(functools.partial(diff, v=v), v.tag, "all")
+           for v in (T, X, XR, X1, X1R, X2, X2R)]
+    ops += [(functools.partial(diff_explicit, slot=s), "t", s)
+            for s in ("t", "tr")]
+    for op, tag, slot in ops:
+        want = _outcome(lambda x: normalize(diff_raw(x, tag, slot)), n)
+        got = _outcome(op, n)
+        if want is ExprError or got is ExprError:
+            assert got is want
+        else:
+            assert got == want and render(got) == render(want)
+            assert list(_poly(got)) == list(_poly(want))
+        # an input that is not a normal form gives its normal form's
+        # derivative: f'''(t) - f'''(t) is 0, so its derivative is 0
+        assert _outcome(op, e) == got
+
+
+# one rule for what is delayed: shift, a functional binding and an ansatz
+# all refuse the same leaves
+
+
+@pytest.mark.parametrize("leaf", [XR, X1R, X2R, fn("f", delayed=True),
+                                  Par("r")], ids=render)
+def test_every_reader_refuses_a_delayed_leaf(leaf):
+    assert is_delayed(leaf)
+    e = normalize(T * leaf + X)
+    with pytest.raises(ExprError, match="delayed"):
+        shift(e)
+    with pytest.raises(ExprError, match="delay-free"):
+        substitute(fn("g", order=1) * X, {fn("g"): e})
+    with pytest.raises(ExprError, match="delayed"):
+        InfinitesimalAnsatz(e, X)
+    with pytest.raises(ExprError, match="delayed"):
+        InfinitesimalAnsatz(T, e)
+
+
+def test_a_coefficient_named_r_is_not_delayed():
+    # r(t) is a coefficient function of t, not the delay r
+    r_of_t = fn("r")
+    assert not is_delayed(r_of_t)
+    assert shift(r_of_t) == fn("r", delayed=True)
+    assert substitute(fn("g"), {fn("g"): r_of_t}) == r_of_t
+    a = InfinitesimalAnsatz(r_of_t, r_of_t * X)
+    assert a.omega == r_of_t
