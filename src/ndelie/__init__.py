@@ -2,8 +2,7 @@
 differential equations."""
 
 from .classify import (
-    ClassificationResult, Generator, OmegaSolution, classify, homogenize,
-    omega_ode_solve, remove_first_derivative,
+    ClassificationResult, Generator, OmegaSolution, classify, omega_ode_solve,
 )
 from .equation import CoeffDescriptor, NdeSpec
 from .detsys import (

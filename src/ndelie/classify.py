@@ -22,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .detsys import ZERO_POINTS, invariance_residual, is_zero
-from .equation import CoeffDescriptor, NdeSpec, Spline
+from .detsys import ZERO_POINTS, check_reduced, invariance_residual, is_zero
+from .equation import CoeffDescriptor, NdeSpec
 from .ndesolve import _hermite, rk4_step, stage_times
 from .prolong import InfinitesimalAnsatz
 from .symexpr import (
@@ -35,7 +35,7 @@ from .symexpr import (
 HALF = num(Fraction(1, 2))
 # bound of the classifier's numeric checks: delay compatibility, the fits
 # of a free constant, the third-order c-constraint along a numeric omega,
-# w b = 1 on the two-term omega equation, and a particular solution
+# and w b = 1 on the two-term omega equation
 CHECK_TOL = 1e-6
 OMEGA_POINTS_PER_UNIT = 200  # grid density of a numeric omega
 
@@ -434,7 +434,7 @@ def _max_abs(what, ts, values):
 
 
 # ---------------------------------------------------------------------------
-# reductions
+# validation helpers
 
 
 def _rho_relation(spec: NdeSpec):
@@ -445,116 +445,6 @@ def _rho_relation(spec: NdeSpec):
           + spec.c.symbolic("c") * fn("rho")
           + spec.d.symbolic("d") * fn("rho", True)
           + spec.k.symbolic("k") * fn("rho", True, 2)))}
-
-
-@dataclass
-class TransformRecord:
-    kind: str
-    note: str = ""
-    s_chain: CoeffDescriptor | None = None
-    particular: object = None
-
-
-def homogenize(spec: NdeSpec, particular, t_hi=None):
-    """Shift by a particular solution so the right side becomes zero.
-
-    particular is a Trajectory (or any object that answers jets(ts), its
-    x, x' and x'' over an array of times); its residual against the
-    nonhomogeneous equation is verified first.
-    """
-    if spec.h.is_zero:
-        return spec, TransformRecord("identity", note="already homogeneous")
-    t_hi = spec.t0 + 2 * spec.r if t_hi is None else t_hi
-    samples = np.linspace(spec.t0 + 0.05 * spec.r, t_hi, 40)
-    res = float(np.max(np.abs(spec.residual(particular, samples))))
-    if res > CHECK_TOL:
-        raise ExprError(f"particular solution residual {res:.2e} exceeds "
-                        f"{CHECK_TOL:.0e}")
-    new = NdeSpec(a=spec.a, b=spec.b, c=spec.c, d=spec.d, k=spec.k,
-                  h=CoeffDescriptor.zero(), r=spec.r, t0=spec.t0)
-    return new, TransformRecord("homogenize", particular=particular,
-                                note="x shifted by a particular solution")
-
-
-def _s_chain(spec: NdeSpec, t_lo, t_hi):
-    """s = exp(-A/2) as a numeric descriptor of orders 0..3, with A the
-    integral of a from t_lo: its trapezoid sums on a fine grid, read
-    through the spline, and a, a', a'' as A's orders 1..3."""
-    a = spec.a
-    grid = np.linspace(t_lo, t_hi, 2001)
-    avals = a.sample(grid)
-    check_evaluated("a", grid, avals)
-    integral = np.concatenate(
-        ([0.0], np.cumsum((avals[1:] + avals[:-1]) / 2.0
-                          * np.diff(grid))))
-    A = CoeffDescriptor.numeric(Spline(grid, integral, "the integral of a"),
-                                *(lambda t, o=o: a.sample(t, o)
-                                  for o in range(3)))
-    chain = [normalize(App("exp", -HALF * fn("A")))]
-    for _ in range(3):
-        chain.append(diff(chain[-1], T))
-    return CoeffDescriptor.bound(chain, {"A": A}, spec.r)
-
-
-def remove_first_derivative(spec: NdeSpec):
-    """Substitute x = u s with s = exp(-int a / 2) so the x' term drops.
-
-    Transformed coefficients (derived by direct substitution; note the
-    neutral coefficient picks up the delayed factor s(t-r)/s(t)):
-        b2 = (b s(t-r) + 2 k s'(t-r)) / s
-        c2 = (s'' + a s' + c s) / s
-        d2 = (b s'(t-r) + d s(t-r) + k s''(t-r)) / s
-        k2 = k s(t-r) / s
-    """
-    if spec.a.is_zero:
-        return spec, TransformRecord("identity", note="no x' term present")
-    t_hi = spec.t0 + 4 * spec.r
-    chain = _s_chain(spec, spec.t0 - 2 * spec.r, t_hi + spec.r)
-    # a NaN fails the comparison too
-    if not (np.abs(chain.sample(np.linspace(spec.t0 - spec.r, t_hi, 50)))
-            >= 1e-12).all():
-        raise ExprError("scaling function vanishes or has no value in the "
-                        "interval")
-
-    table = {**spec.descriptors(), "s": chain}
-    # a closed coefficient enters as its expression, so a zero one drops
-    # the derivatives of s it multiplies and leaves more orders to the rest
-    a, b, c, d, k = (getattr(spec, name).symbolic(name) for name in "abcdk")
-    s, s_r = fn("s"), fn("s", delayed=True)
-    s1_r, s2_r = fn("s", True, 1), fn("s", True, 2)
-    exprs = {
-        "b": (b * s_r + 2 * k * s1_r) * s ** -1,
-        "c": (fn("s", order=2) + a * fn("s", order=1) + c * s) * s ** -1,
-        "d": (b * s1_r + d * s_r + k * s2_r) * s ** -1,
-        "k": k * s_r * s ** -1,
-    }
-    new_desc = {}
-    for name, expr in exprs.items():
-        # the kernel caps named-function derivatives at order three, so
-        # each transformed coefficient exposes as many orders as the s
-        # factors inside it allow; deeper queries raise at evaluation
-        chain_exprs = [normalize(expr)]
-        for _ in range(3):
-            try:
-                chain_exprs.append(diff(chain_exprs[-1], T))
-            except ExprError:
-                break
-        desc = CoeffDescriptor.bound(chain_exprs, table, spec.r)
-        probe = np.linspace(spec.t0, t_hi, 25)
-        vals = desc.sample(probe)
-        check_evaluated(f"the transformed {name}", probe, vals)
-        new_desc[name] = (CoeffDescriptor.zero()
-                          if np.max(np.abs(vals)) < 1e-13 else desc)
-    new = NdeSpec(a=CoeffDescriptor.zero(), b=new_desc["b"], c=new_desc["c"],
-                  d=new_desc["d"], k=new_desc["k"],
-                  h=CoeffDescriptor.zero() if spec.h.is_zero else spec.h,
-                  r=spec.r, t0=spec.t0)
-    return new, TransformRecord("prime-removal", s_chain=chain,
-                                note="x = u s, s = exp(-int a/2)")
-
-
-# ---------------------------------------------------------------------------
-# validation helpers
 
 
 def _demote(gen, result, warning):
@@ -627,9 +517,7 @@ def classify(spec: NdeSpec) -> ClassificationResult:
 def _match_case(spec: NdeSpec) -> ClassificationResult:
     """The class of the reduced equation and its generators, before the
     invariance test."""
-    if not spec.h.is_zero or not spec.a.is_zero:
-        raise ExprError("classification expects the reduced form "
-                        "(h = 0, a = 0); apply the reductions first")
+    check_reduced(spec, "classification")
     t0, r = spec.t0, spec.r
     k_info = _const_info(spec.k, t0, r)
     b_info = _const_info(spec.b, t0, r)

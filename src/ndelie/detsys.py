@@ -111,12 +111,18 @@ def reduced_ansatz() -> InfinitesimalAnsatz:
 # residual generation and splitting
 
 
+def check_reduced(spec: NdeSpec, what):
+    """Raise, naming the substitutions that reach it, unless spec is in the
+    reduced form h = 0, a = 0."""
+    if not spec.h.is_zero or not spec.a.is_zero:
+        raise ExprError(f"{what} expects the reduced form (h = 0, a = 0); "
+                        "put x = u exp(-int a/2), then shift u by a "
+                        "particular solution")
+
+
 def reduced_equation(spec: NdeSpec) -> EquationResidual:
     """The reduced equation as the residual the extended operator acts on."""
-    if not spec.h.is_zero or not spec.a.is_zero:
-        raise ExprError(
-            "invariance residual expects the reduced form h = 0, a = 0; "
-            "apply homogenize / remove_first_derivative first")
+    check_reduced(spec, "invariance residual")
     return EquationResidual(spec.residual_expr())
 
 

@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import json
 import math
 import pathlib
@@ -14,18 +13,14 @@ from ndelie.classify import (
     ClassificationResult, CoeffDescriptor as CD, Generator, NdeSpec,
     _validate_closed, classify, compat_c_from_b,
     compat_c_from_d_pure_delay, compat_d_from_b, compat_d_from_b_pure_delay,
-    OMEGA_POINTS_PER_UNIT, compatibility_c, homogenize, omega_ode_solve,
-    remove_first_derivative, solve_omega_two_sided,
+    OMEGA_POINTS_PER_UNIT, compatibility_c, omega_ode_solve,
+    solve_omega_two_sided,
 )
-from ndelie.equation import Spline
-from ndelie.ndesolve import integrate, rk4_step
+from ndelie.ndesolve import rk4_step
 from ndelie.symexpr import (
     App, ExprError, Pow, T, X, ZERO, diff, eval_numeric, fn, normalize, num,
     parse,
 )
-
-# the package exports the function classify under the module's name
-classify_module = importlib.import_module("ndelie.classify")
 
 
 def diff_n(e, order):
@@ -242,238 +237,6 @@ def test_compatibility_c_numeric_converges_at_fourth_order():
 
 
 # ---------------------------------------------------------------------------
-# reductions
-
-
-class _ClosedSolution:
-    """Callable closed-form solution handle for homogenize tests."""
-
-    def __init__(self, f, d1, d2):
-        self.fs = (f, d1, d2)
-
-    def value(self, t, der=0):
-        return self.fs[der](t)
-
-    def jets(self, ts):
-        """x, x' and x'' at each time, one row per order."""
-        return np.array([[f(t) for t in ts] for f in self.fs])
-
-
-def test_homogenize_identity():
-    spec = NdeSpec.make(c=1, d=1, r=1.0)
-    new, rec = homogenize(spec, None)
-    assert new is spec and rec.kind == "identity"
-
-
-def test_homogenize_constant_forcing():
-    # x'' + x = 1 with particular solution x = 1
-    spec = NdeSpec.make(c=1, h=1, r=1.0)
-    one = _ClosedSolution(lambda t: 1.0, lambda t: 0.0, lambda t: 0.0)
-    new, rec = homogenize(spec, one)
-    assert new.h.is_zero
-
-
-def test_homogenize_rejects_non_solution():
-    spec = NdeSpec.make(c=1, h=1, r=1.0)
-    bad = _ClosedSolution(lambda t: 2.0, lambda t: 0.0, lambda t: 0.0)
-    with pytest.raises(ExprError):
-        homogenize(spec, bad)
-
-
-def test_homogenize_numeric_particular():
-    # delayed forcing case: integrate the forced equation, homogenize with
-    # that trajectory, and check the difference of two solutions solves the
-    # homogeneous equation
-    spec = NdeSpec.make(c=-1, d=1, h=Fraction(1, 2), r=1.0)
-    part = integrate(spec, "1/2 + t/4", 4.0, 48)
-    new, rec = homogenize(spec, part)
-    assert new.h.is_zero
-    other = integrate(spec, "1/2 + t/4 + sin(t)", 4.0, 48)
-    # x_other - x_part should satisfy the homogeneous equation
-    diffs = []
-    for t in np.linspace(1.2, 3.8, 30):
-        td = t - spec.r
-        u = other.value(t, 0) - part.value(t, 0)
-        ur = other.value(td, 0) - part.value(td, 0)
-        u2 = other.value(t, 2) - part.value(t, 2)
-        diffs.append(abs(u2 - u + ur))
-    assert max(diffs) < 1e-6
-
-
-def test_remove_first_derivative_identity():
-    spec = NdeSpec.make(c=1, d=1, r=1.0)
-    new, rec = remove_first_derivative(spec)
-    assert new is spec and rec.kind == "identity"
-
-
-def test_remove_first_derivative_constant_damping():
-    # classical reduction: a = alpha constant, b = d = k = 0 turns
-    # c into c - alpha^2/4
-    alpha = Fraction(1, 2)
-    spec = NdeSpec.make(a=alpha, c=2, r=1.0)
-    new, rec = remove_first_derivative(spec)
-    assert new.a.is_zero
-    for t in np.linspace(0.0, 3.0, 10):
-        assert new.c.eval(t) == pytest.approx(2.0 - float(alpha) ** 2 / 4,
-                                              abs=1e-9)
-        assert new.b.eval(t) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_remove_first_derivative_numeric_roundtrip():
-    # transformed u = x/s satisfies the transformed equation
-    spec = NdeSpec.make(a=Fraction(1, 2), b=Fraction(1, 4), c=1,
-                        d=Fraction(1, 3), k=Fraction(1, 5), r=1.0)
-    new, rec = remove_first_derivative(spec)
-    traj = integrate(spec, "sin(t) + 2", 4.0, 64)
-    s = rec.s_chain
-    worst = 0.0
-    for t in np.linspace(1.2, 3.9, 40):
-        def u(tv, der=0):
-            x0, x1v, x2v = (traj.value(tv, o) for o in range(3))
-            s0, s1v, s2v = (s.sample(tv, o) for o in range(3))
-            if der == 0:
-                return x0 / s0
-            if der == 1:
-                return (x1v - x0 / s0 * s1v) / s0
-            return (x2v - 2 * ((x1v - x0 / s0 * s1v) / s0) * s1v
-                    - x0 / s0 * s2v) / s0
-
-        td = t - spec.r
-        res = (u(t, 2) + new.b.eval(t) * u(td, 1) + new.c.eval(t) * u(t)
-               + new.d.eval(t) * u(td) + new.k.eval(t) * u(td, 2))
-        worst = max(worst, abs(res))
-    assert worst < 1e-6
-
-
-def test_full_reduction_chain_roundtrip():
-    """Forced, damped equation pushed through both reductions: the pushed
-    solution satisfies the reduced equation."""
-    spec = NdeSpec.make(a=Fraction(1, 2), c=1, d=Fraction(1, 4),
-                        h=Fraction(1, 3), r=1.0)
-    part = integrate(spec, "1/3 + t/10", 5.0, 48)
-    spec_h, rec_h = homogenize(spec, part, t_hi=4.0)
-    assert spec_h.h.is_zero
-    spec_red, rec_s = remove_first_derivative(spec_h)
-    assert spec_red.a.is_zero
-
-    other = integrate(spec, "1/3 + t/10 + sin(t)", 5.0, 48)
-    s = rec_s.s_chain
-    worst = 0.0
-    for t in np.linspace(1.3, 4.7, 30):
-        def u(tv, der=0):
-            # push: subtract the particular solution, then divide by s
-            vals = [other.value(tv, o) - part.value(tv, o)
-                    for o in range(3)]
-            s0, s1v, s2v = (s.sample(tv, o) for o in range(3))
-            if der == 0:
-                return vals[0] / s0
-            u0 = vals[0] / s0
-            u1 = (vals[1] - u0 * s1v) / s0
-            if der == 1:
-                return u1
-            return (vals[2] - 2 * u1 * s1v - u0 * s2v) / s0
-
-        td = t - spec.r
-        res = (u(t, 2) + spec_red.b.eval(t) * u(td, 1)
-               + spec_red.c.eval(t) * u(t) + spec_red.d.eval(t) * u(td)
-               + spec_red.k.eval(t) * u(td, 2))
-        worst = max(worst, abs(res))
-    assert worst < 1e-6
-
-
-def test_s_chain_of_a_varying_a_has_its_closed_form():
-    # a = 2/(t + 10) integrates to 2 ln(t + 10), so s = exp(-int a/2) is a
-    # constant over t + 10, and s'/s = -a/2
-    spec = NdeSpec.make(a="2/(t + 10)", c=1, d=Fraction(1, 2), k=1, r=1.0)
-    _, rec = remove_first_derivative(spec)
-    s = rec.s_chain
-    ts = np.linspace(spec.t0 - 2 * spec.r, spec.t0 + 5 * spec.r, 200)
-    scaled = s.sample(ts) * (ts + 10.0)
-    assert np.max(np.abs(scaled / scaled[0] - 1.0)) < 1e-7
-    np.testing.assert_allclose(s.sample(ts, 1) / s.sample(ts),
-                               -spec.a.sample(ts) / 2, rtol=1e-12)
-
-
-def _closed_form_s_chain(spec, t_lo, t_hi):
-    """Reference s = exp(-int a / 2) with hand-written derivatives: for a
-    constant a = alpha, s = exp(-alpha (t - t0) / 2) in closed form; for
-    any other a, the integral of a as trapezoid sums read through a
-    spline, with s' = -a s/2, s'' = (a^2/4 - a'/2) s and
-    s''' = (-a''/2 + 3 a a'/4 - a^3/8) s."""
-    a = spec.a
-    if a.is_const:
-        alpha = float(a.const_value())
-
-        def s0(t):
-            return np.exp(-alpha * (np.asarray(t) - spec.t0) / 2.0)
-
-        return CD.numeric(s0, lambda t: -alpha / 2.0 * s0(t),
-                          lambda t: alpha ** 2 / 4.0 * s0(t),
-                          lambda t: -alpha ** 3 / 8.0 * s0(t))
-    grid = np.linspace(t_lo, t_hi, 2001)
-    avals = a.sample(grid)
-    integral = np.concatenate(
-        ([0.0], np.cumsum((avals[1:] + avals[:-1]) / 2.0 * np.diff(grid))))
-    ispline = Spline(grid, integral, "the integral of a")
-
-    def s0(t):
-        return np.exp(-ispline(t) / 2.0)
-
-    def s3(t):
-        av, a1, a2 = (a.sample(t, o) for o in range(3))
-        return (-a2 / 2.0 + 0.75 * av * a1 - av ** 3 / 8.0) * s0(t)
-
-    return CD.numeric(
-        s0, lambda t: -a.sample(t) / 2.0 * s0(t),
-        lambda t: (a.sample(t) ** 2 / 4.0 - a.sample(t, 1) / 2.0) * s0(t),
-        s3)
-
-
-@pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(-3, 4)])
-def test_s_chain_of_a_constant_a_has_its_closed_form(alpha):
-    spec = NdeSpec.make(a=alpha, b=Fraction(1, 4), c=1, d=Fraction(1, 3),
-                        k=Fraction(1, 5), r=1.0)
-    _, rec = remove_first_derivative(spec)
-    s = rec.s_chain
-    ts = np.linspace(spec.t0 - 2 * spec.r, spec.t0 + 5 * spec.r, 200)
-    for order in (1, 2, 3):
-        np.testing.assert_allclose(s.sample(ts, order) / s.sample(ts),
-                                   (-float(alpha) / 2) ** order,
-                                   rtol=1e-12)
-    # s is 1 where the integral of a starts, 2r before t0, and a constant
-    # multiple of the closed form everywhere
-    assert s.sample(spec.t0 - 2 * spec.r) == pytest.approx(1.0, rel=1e-14)
-    ref = _closed_form_s_chain(spec, None, None)
-    np.testing.assert_allclose(s.sample(ts) / ref.sample(ts),
-                               math.exp(-float(alpha) * spec.r), rtol=1e-12)
-
-
-@pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(-3, 4), "1 + t/3",
-                               "sin(t)", "2/(t + 10)"])
-def test_transformed_coefficients_match_the_closed_form_s(a, monkeypatch):
-    # the transformed coefficients are ratios of s and its shift, so the
-    # closed form's scale of s cancels; every order the two expose agrees
-    spec = NdeSpec.make(a=a, b=Fraction(1, 4), c=1, d=Fraction(1, 3),
-                        k=Fraction(1, 5), r=1.0)
-    new, _ = remove_first_derivative(spec)
-    monkeypatch.setattr(classify_module, "_s_chain", _closed_form_s_chain)
-    ref, _ = remove_first_derivative(spec)
-    ts = np.linspace(0.0, 4.0, 41)
-    for name in "bcdk":
-        got, want = getattr(new, name), getattr(ref, name)
-        scale = np.max(np.abs(want.sample(ts)))
-        for order in range(4):
-            try:
-                expected = want.sample(ts, order)
-            except ExprError:
-                with pytest.raises(ExprError):
-                    got.sample(ts, order)
-                continue
-            np.testing.assert_allclose(got.sample(ts, order), expected,
-                                       rtol=1e-12, atol=1e-12 * scale)
-
-
-# ---------------------------------------------------------------------------
 # dispatch
 
 
@@ -680,26 +443,6 @@ def test_a_c_constraint_it_cannot_evaluate_demotes_with_the_error(make,
     assert all(g.status == "admitted" for g in res.generators)
 
 
-@pytest.mark.parametrize("a, g0, slope", [
-    ("1/2", 0.25, 0.0),
-    ("1 + t/3", 5 / 12, 1 / 6),
-])
-def test_prime_removal_keeps_the_orders_c12_reads(a, g0, slope):
-    # with b = k = 0 the new d is d s(t-r)/s, which carries no s'', so it
-    # keeps orders 0..3: s(t-r)/s(t) = exp((A(t) - A(t-r))/2) with A the
-    # integral of a, here exp(g0 + slope t)
-    new, _ = remove_first_derivative(NdeSpec.make(a=a, c=2, d=1, r=1.0))
-    ts = np.linspace(0.0, 4.0, 9)
-    for order in range(4):
-        want = slope ** order * np.exp(g0 + slope * ts)
-        assert np.allclose(new.d.sample(ts, order), want, rtol=1e-9,
-                           atol=1e-12)
-    res = classify(new)
-    assert res.case_id == "C12"
-    assert [g.label for g in res.admitted][-2:] == ["(x/2) d/dx",
-                                                    "rho(t) d/dx"]
-
-
 def test_classify_requires_reduced_form():
     with pytest.raises(ExprError):
         classify(NdeSpec.make(a=1, k=1, r=1.0))
@@ -831,6 +574,21 @@ def test_case_c12_constant_d_is_example_2():
     gen_t = res.generators[0]
     # with constant d the tied scaling part vanishes: pure time translation
     assert gen_t.omega == num(1)
+
+
+@pytest.mark.parametrize("g0, slope", [(0.25, 0.0), (5 / 12, 1 / 6)],
+                         ids=["constant", "varying"])
+def test_case_c12_numeric_d(g0, slope):
+    # d = exp(g0 + slope t) as a numeric descriptor of orders 0..3; the
+    # sampled invariance test of 1/sqrt(d) reads d to order 3, and a d that
+    # is not r-periodic demotes that generator alone
+    d = CD.numeric(*(lambda t, o=o: slope ** o * np.exp(g0 + slope * t)
+                     for o in range(4)))
+    res = classify(NdeSpec.make(c=2, d=d, r=1.0))
+    assert res.case_id == "C12"
+    assert [g.label for g in res.admitted][-2:] == ["(x/2) d/dx",
+                                                    "rho(t) d/dx"]
+    assert (res.generators[0].status == "admitted") == (slope == 0)
 
 
 def test_case_c12_periodic_d():

@@ -54,6 +54,17 @@ def test_classify_exit_codes(ex1_spec, ode_spec, capsys):
     assert main(["classify", "--spec", ode_spec]) == 2
 
 
+@pytest.mark.parametrize("command", ["classify", "determine"])
+@pytest.mark.parametrize("coeff", ["a", "h"])
+def test_an_unreduced_spec_names_the_substitutions(tmp_path, capsys,
+                                                   command, coeff):
+    path = tmp_path / "full.json"
+    NdeSpec.make(c=1, d="1/4", r=1.0, **{coeff: "1/2"}).save(path)
+    assert main([command, "--spec", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "x = u exp(-int a/2), then shift u by a particular solution" in err
+
+
 def test_classify_nonconstant_k(c1_spec, capsys):
     assert main(["classify", "--spec", c1_spec, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -540,7 +551,7 @@ import math
 
 import numpy as np
 
-from ndelie.classify import classify, remove_first_derivative
+from ndelie.classify import classify
 from ndelie.cli import main
 from ndelie.equation import CoeffDescriptor, NdeSpec
 from ndelie.suite import build_scenarios, run_scenario
@@ -554,16 +565,14 @@ grid = np.linspace(0.0, 3.0, 41)
 table = NdeSpec.make(b=1, c=CoeffDescriptor.from_table(
     grid, 2 + np.cos(4 * grid) / 10), r=1.0)
 assert classify(table).case_id
-new, _ = remove_first_derivative(NdeSpec.make(a="sin(t)", b=1, c=1, r=1.0))
-assert math.isfinite(new.c.eval(0.5))
 assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
 """
 
 
 def test_the_package_runs_without_scipy(tmp_path):
     # numpy is the only runtime dependency: a suite scenario, the verify
-    # command with its curves, a table classification and the x' removal
-    # all run with every scipy import refused
+    # command with its curves and a table classification all run with
+    # every scipy import refused
     import ndelie
 
     src = os.path.dirname(os.path.dirname(ndelie.__file__))

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ndelie.equation import CoeffDescriptor as CD, NdeSpec, Spline
-from ndelie.symexpr import Coeff, ExprError, Rat, ZERO, parse
+from ndelie.symexpr import (
+    App, Coeff, ExprError, Rat, T, ZERO, diff, fn, normalize, num, parse,
+)
 
 
 def _round_trip(spec):
@@ -213,16 +215,20 @@ def test_table_descriptor_samples_its_spline_bit_for_bit(gaps, seed):
         _same_bits([desc.sample(float(t), order) for t in q], got)
 
 
-def test_prime_removed_descriptors_sample_what_they_eval():
-    from ndelie.classify import remove_first_derivative
-
-    spec = NdeSpec.make(a="2/(t + 10)", b="1/4", c="cos(t)", d="1/3",
-                        k="1 + t/5", r=0.75, t0=0.25)
-    new, rec = remove_first_derivative(spec)
-    ts = np.linspace(spec.t0 - spec.r, spec.t0 + 4 * spec.r, 61)
-    descs = [rec.s_chain] + [getattr(new, c) for c in "bcdk"]
-    assert all(d.kind == "numeric" for d in descs)
-    for desc in descs:
-        for order in range(len(desc.fns)):
-            _same_bits(desc.sample(ts, order),
-                       [desc.eval(t, order) for t in ts])
+def test_bound_descriptors_sample_what_they_eval():
+    # the diff chain of exp(-A/2) s(t-r)/s(t), with A a numeric table and s
+    # a closed coefficient read at the delay point
+    grid = np.linspace(-1.0, 5.0, 121)
+    table = {"A": CD.from_table(grid, np.sin(grid) + grid ** 2 / 10),
+             "s": CD.closed(parse("2 + cos(t)"))}
+    chain = [normalize(App("exp", num(Fraction(-1, 2)) * fn("A"))
+                       * fn("s", delayed=True) * fn("s") ** -1)]
+    for _ in range(3):
+        chain.append(diff(chain[-1], T))
+    desc = CD.bound(chain, table, 0.75)
+    ts = np.linspace(-0.25, 4.0, 61)
+    assert desc.kind == "numeric" and len(desc.fns) == 4
+    for order in range(4):
+        got = desc.sample(ts, order)
+        assert np.isfinite(got).all()
+        _same_bits(got, [desc.eval(t, order) for t in ts])
