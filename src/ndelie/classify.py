@@ -12,11 +12,19 @@ generator is validated against the equation: symbolic-or-sampled zero of
 the invariance residual for closed forms, delay-compatibility of omega on
 a grid for numeric ones.  Failed checks demote a generator to candidate
 status with a warning instead of rejecting the classification.
+
+A compatibility fit, c-constraint or invariance test that cannot be
+evaluated, as where a numeric coefficient lacks an order it reads,
+demotes its generator through _check.  Other failures stop the run:
+_const_info, C3's 1/b initial data and the omega solve's reads of d and
+d' come before there is a generator, and a NaN in a delay, positivity,
+w b or c check means a coefficient has no value on the span.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -27,7 +35,7 @@ from .equation import CoeffDescriptor, NdeSpec
 from .ndesolve import _hermite, rk4_step, stage_times
 from .prolong import InfinitesimalAnsatz
 from .symexpr import (
-    App, Expr, ExprError, ONE, Pow, Rat, T, X, ZERO,
+    App, EvalError, Expr, ExprError, ONE, Pow, Rat, T, X, ZERO,
     check_evaluated, diff, fn, normalize, num, render,
     substitute,
 )
@@ -65,11 +73,12 @@ class OmegaSolution:
 
     def sample(self, ts, der=0):
         """Cubic Hermite dense output over an array of times; a query
-        outside the grid gives NaN."""
+        outside the grid gives NaN; EvalError for an order above 3 or an
+        omega of one node."""
         if der not in (0, 1, 2, 3):
-            raise ExprError(f"derivative order {der} not stored")
+            raise EvalError(f"derivative order {der} not stored")
         if len(self.ts) < 2:
-            raise ExprError("an omega of one node has no dense output")
+            raise EvalError("an omega of one node has no dense output")
         ts = np.asarray(ts, float)
         grid, h = self.ts, float(self.ts[1] - self.ts[0])
         # the interval index truncates toward zero; fmax/fmin also send NaN
@@ -386,6 +395,10 @@ def _gen_rho():
                      note="rho is any solution of the homogeneous equation")
 
 
+def _gen_time():
+    return Generator("d/dt", "closed", omega=num(1), upsilon=ZERO)
+
+
 def _gen_from_omega(label, w):
     w = normalize(w)
     return Generator(label, "closed", omega=w,
@@ -454,27 +467,34 @@ def _demote(gen, result, warning):
     result.warnings.append(f"{gen.label}: {warning}")
 
 
+@contextmanager
+def _check(gen, result, name):
+    """A check on gen, whose ExprError demotes gen with the check's name
+    and the error instead of stopping the run."""
+    try:
+        yield
+    except ExprError as err:
+        _demote(gen, result, f"{name} failed to evaluate: {err}")
+
+
 def _validate_closed(spec, gen, result):
     """Symbolic-or-sampled invariance check for a closed or parametric
     generator; demotes on failure."""
-    try:
+    with _check(gen, result, "validation"):
         ansatz = InfinitesimalAnsatz(gen.omega, gen.upsilon)
         res = invariance_residual(spec, ansatz)
         if gen.kind == "parametric":
             res = substitute(res, _rho_relation(spec))
         zr = is_zero(res, fn_table=spec.fn_table(), params={"r": spec.r})
-    except ExprError as err:
-        _demote(gen, result, f"validation failed to evaluate: {err}")
-        return
-    if 2 * zr.skipped > ZERO_POINTS:
-        # too few points evaluated: the residual was not measured
-        _demote(gen, result, "validation failed to evaluate: "
-                f"{zr.skipped} of {ZERO_POINTS} sample points had no value")
-    elif not zr.ok:
-        _demote(gen, result, f"invariance residual not zero (max "
-                f"{zr.max_abs:.2e}, {zr.mode})")
-    else:
-        gen.note = (gen.note + f" [invariance zero: {zr.mode}]").strip()
+        if 2 * zr.skipped > ZERO_POINTS:
+            # too few points evaluated: the residual was not measured
+            raise EvalError(f"{zr.skipped} of {ZERO_POINTS} sample points "
+                            "had no value")
+        if not zr.ok:
+            _demote(gen, result, f"invariance residual not zero (max "
+                    f"{zr.max_abs:.2e}, {zr.mode})")
+        else:
+            gen.note = (gen.note + f" [invariance zero: {zr.mode}]").strip()
 
 
 def _check_delay_compat(gen, f, spec, result, what):
@@ -488,13 +508,20 @@ def _check_delay_compat(gen, f, spec, result, what):
                 f"|{what}(t) - {what}(t-r)| = {mism:.2e}")
 
 
-def _fit_constant(fun, grid):
-    """Median and spread of fun over the grid, fun taking the array."""
-    vals = fun(grid)
-    check_evaluated("the fitted quotient", grid, vals)
-    c = float(np.median(vals))
-    spread = float(np.max(np.abs(vals - c)))
-    return c, spread <= CHECK_TOL * max(1.0, abs(c)), spread
+def _fit_form(spec, desc, base, scale):
+    """The constant q of the compatibility form desc = base + q scale, for
+    expressions base and scale: the median of (desc - base) / scale on 60
+    points of [t0 + 0.05, t0 + 3r] where scale is not zero, and whether
+    every point lies within CHECK_TOL of it (relative above 1)."""
+    ts = np.linspace(spec.t0 + 0.05, spec.t0 + 3 * spec.r, 60)
+    fb, fs = (CoeffDescriptor.bound([e], spec.fn_table(), spec.r)
+              for e in (base, normalize(scale)))
+    s = fs.sample(ts)
+    ts, s = ts[s != 0], s[s != 0]
+    vals = (desc.sample(ts) - fb.sample(ts)) / s
+    check_evaluated("the fitted quotient", ts, vals)
+    q = float(np.median(vals))
+    return q, float(np.max(np.abs(vals - q))) <= CHECK_TOL * max(1.0, abs(q))
 
 
 # ---------------------------------------------------------------------------
@@ -551,13 +578,12 @@ def _match_case(spec: NdeSpec) -> ClassificationResult:
             result.case_id = "C9"
             result.degenerate = True
             trace.append("neutral term only: degenerate constant-d class")
-            gens = [_gen_scale(), _gen_rho()]
+            result.generators = [_gen_scale(), _gen_rho()]
             if c_info[0] in ("zero", "const"):
-                gens.insert(0, _gen_from_omega("d/dt", num(1)))
+                result.generators.insert(0, _gen_time())
             else:
                 result.warnings.append(
                     "c(t) varies: no time translation admitted")
-            result.generators = gens
             return result
         if not b_zero and not d_zero:
             return _case_c2(spec, result, k_val, trace)
@@ -580,9 +606,7 @@ def _match_case(spec: NdeSpec) -> ClassificationResult:
     if not b_zero and d_zero:
         result.case_id = "C11"
         trace.append("b != 0, d = 0, k = 0: constant omega only")
-        result.generators = [
-            Generator("d/dt", "closed", omega=num(1), upsilon=ZERO),
-            _gen_scale(), _gen_rho()]
+        result.generators = [_gen_time(), _gen_scale(), _gen_rho()]
         result.compatibility["c"] = "c constant"
         result.compatibility["b"] = "b constant"
         if "varying" in (b_info[0], c_info[0]):
@@ -594,30 +618,23 @@ def _match_case(spec: NdeSpec) -> ClassificationResult:
 
 def _b_family(spec, result, base_d, c_div, d_div):
     """The part C2 and C10 share: the (1/b) generator beside x d/dx and
-    the rho slot, the delay check on b, and the free constants of c and d
-    fitted on a grid as (c - base_c) / (b^2 / c_div) and
-    (d - base_d) / (b^2 / d_div); the generator is demoted unless both
-    fit.  Returns the two constants."""
+    the rho slot, the delay check on b, and the constants of the forms
+    c = base_c + q b^2 / c_div and d = base_d + q b^2 / d_div, demoting
+    the generator unless both fit; NaN where the fit cannot evaluate."""
     b_sym = spec.b.symbolic("b")
     gen_b = _gen_from_omega("(1/b) d/dt + (x/2)(1/b)' d/dx",
                             Pow(b_sym, -1) if not isinstance(b_sym, Rat)
                             else num(Fraction(1) / b_sym.q))
     result.generators = [_gen_scale(), gen_b, _gen_rho()]
     _check_delay_compat(gen_b, spec.b, spec, result, "b")
-    grid = np.linspace(spec.t0 + 0.05, spec.t0 + 3 * spec.r, 60)
-    table = spec.fn_table()
-
-    def fit(desc, base, div):
-        fb, scale = (CoeffDescriptor.bound([e], table, spec.r)
-                     for e in (base, normalize(b_sym ** 2 / div)))
-        return _fit_constant(
-            lambda t: (desc.sample(t) - fb.sample(t)) / scale.sample(t),
-            grid)[:2]
-
-    c_const, ok_c = fit(spec.c, compat_c_from_b(b_sym, c6=0), c_div)
-    d_const, ok_d = fit(spec.d, base_d, d_div)
-    if not ok_c or not ok_d:
-        _demote(gen_b, result, "required c(t), d(t) forms not met")
+    c_const = d_const = math.nan
+    with _check(gen_b, result, "compatibility fit"):
+        (c_const, ok_c), (d_const, ok_d) = (
+            _fit_form(spec, spec.c, compat_c_from_b(b_sym, c6=0),
+                      b_sym ** 2 / c_div),
+            _fit_form(spec, spec.d, base_d, b_sym ** 2 / d_div))
+        if not ok_c or not ok_d:
+            _demote(gen_b, result, "required c(t), d(t) forms not met")
     return c_const, d_const
 
 
@@ -648,8 +665,7 @@ def _case_c3(spec, result, k_val, trace):
                       omega_numeric=sol,
                       note="Phi solves c2 w w''' + c3 w'' = 0 with "
                            "w = 1/b data")
-    gens = [_gen_scale(), gen_w, _gen_rho()]
-    result.generators = gens
+    result.generators = [_gen_scale(), gen_w, _gen_rho()]
     if not sol.truncated:
         ts = np.linspace(spec.t0, spec.t0 + 3 * spec.r, 601)[::30]
         mism = _max_abs("w b", ts, sol.sample(ts) * spec.b.sample(ts) - 1.0)
@@ -662,28 +678,21 @@ def _case_c3(spec, result, k_val, trace):
 
 def _check_c_constraint(spec, gen, sol, result):
     """Residual check of the third-order c-constraint along the numeric
-    omega sol of gen; demotes on failure, and with the evaluation error
-    where the constraint cannot be evaluated."""
+    omega sol of gen; demotes on failure."""
     ts = sol.ts[:: max(len(sol.ts) // 40, 1)]
-    try:
+    with _check(gen, result, "c-constraint"):
         res = (sol.sample(ts, 3) + 4 * spec.c.sample(ts) * sol.sample(ts, 1)
                + 2 * spec.c.sample(ts, 1) * sol.sample(ts, 0))
-        mism = _max_abs("the c-constraint", ts, res)
-    except ExprError as err:
-        _demote(gen, result, f"c-constraint failed to evaluate: {err}")
-        return
-    if mism > CHECK_TOL:
-        _demote(gen, result,
-                "c(t) incompatible with the third-order constraint")
+        if _max_abs("the c-constraint", ts, res) > CHECK_TOL:
+            _demote(gen, result,
+                    "c(t) incompatible with the third-order constraint")
 
 
 def _case_c4(spec, result, trace):
     result.case_id = "C4"
     trace.append("b constant != 0, d = 0, k = 1, c constant: time "
                  "translation appears")
-    gens = [Generator("d/dt", "closed", omega=num(1), upsilon=ZERO),
-            _gen_half_scale(), _gen_rho()]
-    result.generators = gens
+    result.generators = [_gen_time(), _gen_half_scale(), _gen_rho()]
     result.compatibility["c"] = "c constant (= c6/4 for the unit-scale "\
         "normalization)"
     return result
@@ -727,8 +736,7 @@ def _case_c5(spec, result, k_val, trace):
                       omega_numeric=sol,
                       note="Phi solves the integrated third-order "
                            "equation; first integral monitored")
-    gens = [_gen_scale(), gen_w, _gen_rho()]
-    result.generators = gens
+    result.generators = [_gen_scale(), gen_w, _gen_rho()]
     result.compatibility["first-integral drift"] = _drift_text(sol, k_val)
     _check_numeric_omega(spec, gen_w, sol, result)
     return result
@@ -739,7 +747,7 @@ def _case_c678(spec, result, k_val, case_id, trace):
     trace.append("b = 0, special d family, k constant: three omega "
                  "directions from independent initial data")
     inits = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    gens = [_gen_half_scale()]
+    result.generators = [_gen_half_scale()]
     sols = _omegas(spec, "d-energy", {"c2": k_val, "d": spec.d}, inits)
     for i, (init, sol) in enumerate(zip(inits, sols)):
         g = Generator(f"Phi{i + 1} d/dt + (x/2) Phi{i + 1}' d/dx",
@@ -748,9 +756,8 @@ def _case_c678(spec, result, k_val, case_id, trace):
                            f"{init}; first-integral drift "
                            f"{_drift_text(sol, k_val)}")
         _check_numeric_omega(spec, g, sol, result)
-        gens.append(g)
-    gens.append(_gen_rho())
-    result.generators = gens
+        result.generators.append(g)
+    result.generators.append(_gen_rho())
     # the three directions share the third-order constraint exactly when
     # c = d / c2; record how close the equation is to that family
     grid_c = np.linspace(spec.t0 + 0.05, spec.t0 + 2 * spec.r, 40)
@@ -768,18 +775,17 @@ def _case_c9(spec, result, k_val, trace):
     kq = Fraction(k_val).limit_denominator(10 ** 9)
     sqrt_k = App("sqrt", Rat(kq))
     phase = normalize(2 * T * Pow(sqrt_k, -1))
-    gens = [
-        Generator("d/dt", "closed", omega=num(1), upsilon=ZERO),
+    result.generators = [
+        _gen_time(),
         _gen_half_scale(),
         _gen_from_omega("sin(2t/sqrt(k)) d/dt + ...", App("sin", phase)),
         _gen_from_omega("cos(2t/sqrt(k)) d/dt + ...", App("cos", phase)),
         _gen_rho(),
     ]
-    result.generators = gens
     result.compatibility["c"] = f"c = 1/k = {1.0 / k_val:.6g}"
     ts = np.linspace(spec.t0, spec.t0 + 2 * spec.r, 20)
     c_mism = _max_abs("c", ts, spec.c.sample(ts) - 1.0 / k_val)
-    for g in gens[2:4]:
+    for g in result.generators[2:4]:
         if c_mism > 1e-9:
             _demote(g, result, f"requires c = 1/k (max deviation "
                     f"{c_mism:.2e})")
@@ -813,8 +819,7 @@ def _case_c12(spec, result, trace):
              else _gen_from_omega(label, Pow(App("sqrt", d_sym), -1)))
     gen_w.note = ("merges the time-like direction with its tied x-scaling; "
                   "the pair is admitted only jointly")
-    gens = [gen_w, _gen_half_scale(), _gen_rho()]
-    result.generators = gens
+    result.generators = [gen_w, _gen_half_scale(), _gen_rho()]
     ts = np.linspace(spec.t0, spec.t0 + 3 * spec.r, 40)
     dv = spec.d.sample(ts)
     # the first time d fails to be positive, or cannot be evaluated
@@ -824,17 +829,13 @@ def _case_c12(spec, result, trace):
         _demote(gen_w, result, "d must stay positive for 1/sqrt(d)")
     if gen_w.status == "admitted":
         _check_delay_compat(gen_w, spec.d, spec, result, "d")
-    # compatibility: c = (c31 d + d''/(2d) - (5/8)(d'/d)^2)/2
-    grid = np.linspace(spec.t0 + 0.05, spec.t0 + 3 * spec.r, 60)
-    base = compat_c_from_d_pure_delay(d_sym, c31=0)
-    bc, half_d = (CoeffDescriptor.bound([e], spec.fn_table(), spec.r)
-                  for e in (base, normalize(HALF * d_sym)))
-    # the form is singular where d vanishes; the fit reads the other points
-    grid = grid[half_d.sample(grid) != 0]
-    c31, ok_c, _ = _fit_constant(
-        lambda t: (spec.c.sample(t) - bc.sample(t)) / half_d.sample(t), grid)
+    c31 = math.nan
+    with _check(gen_w, result, "compatibility fit"):
+        c31, ok_c = _fit_form(spec, spec.c,
+                              compat_c_from_d_pure_delay(d_sym, c31=0),
+                              HALF * d_sym)
+        if not ok_c:
+            _demote(gen_w, result, "required c(t) form not met")
     result.compatibility["c"] = (
         "c = (c31 d + d''/(2d) - (5/8)(d'/d)^2)/2, c31 = %.6g" % c31)
-    if not ok_c:
-        _demote(gen_w, result, "required c(t) form not met")
     return result

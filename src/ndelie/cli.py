@@ -28,7 +28,7 @@ from .classify import classify
 from .detsys import canonical_constraints, determine, reduce_ansatz
 from .equation import NdeSpec
 from .flowverify import TOL_FIN, TOL_INF, check_generator, interior_samples
-from .ndesolve import integrate, residual, solve_homogeneous_slot
+from .ndesolve import integrate, residual
 from .suite import build_scenarios, run_suite
 from .symexpr import ExprError, ParseError, render
 
@@ -133,14 +133,15 @@ def cmd_determine(args):
 def cmd_integrate(args):
     spec = _load_spec(args)
     traj = integrate(spec, args.theta, args.T, args.steps)
-    samples = np.linspace(spec.t0 + 0.1 * spec.r, traj.t_end, 97)
+    # short of t_end, which has no interval to its right
+    samples = np.linspace(spec.t0 + 0.1 * spec.r, traj.t_end, 97)[:-1]
     res = residual(traj, spec, samples)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "trajectory.csv")
     traj.to_csv(path)
     print(f"wrote {path}")
-    print(f"max residual on [{samples[0]:.3g}, {samples[-1]:.3g}]: "
+    print(f"max residual on [{samples[0]:.3g}, {traj.t_end:.3g}): "
           f"{res:.3e}")
     return 0
 
@@ -150,7 +151,7 @@ def cmd_verify(args):
     result = classify(spec)
     t_end = args.T if args.T is not None else spec.t0 + 3 * spec.r
     traj = integrate(spec, args.theta, t_end, args.steps)
-    rho = solve_homogeneous_slot(spec, args.rho_seed, t_end, args.steps)
+    rho = integrate(spec, args.rho_seed, t_end, args.steps)
     samples = interior_samples(traj, spec)
     reports = []
     for idx, gen in enumerate(result.admitted):

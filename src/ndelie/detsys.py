@@ -363,7 +363,9 @@ def is_zero(e: Expr, fn_table=None, params=None) -> ZeroResult:
     concrete instances of the functions fn_table leaves unbound, and passes
     when every |value| is under ZERO_TOL.  Singular sample points are
     skipped and counted; unless at least half of the points evaluate, the
-    sampled test fails.
+    sampled test fails.  A binding that cannot answer, such as a numeric
+    coefficient asked for an order it does not supply, raises its
+    EvalError.
     """
     canon = normalize(e)
     if canon == ZERO:
@@ -388,12 +390,7 @@ def is_zero(e: Expr, fn_table=None, params=None) -> ZeroResult:
     lo, hi = np.array([(0.1, 4.0)] + [(-2.0, 2.0)] * (len(names) - 1)).T
     draws = rng.uniform(lo, hi, size=(ZERO_POINTS, len(names)))
     env = {"r": r, **dict(zip(names, draws.T)), **params}
-    try:
-        values = np.broadcast_to(compile_numeric(canon)(env, table),
-                                 ZERO_POINTS)
-    except ExprError:
-        # a binding that cannot answer fails every point
-        values = np.full(ZERO_POINTS, np.nan)
+    values = np.broadcast_to(compile_numeric(canon)(env, table), ZERO_POINTS)
     skipped = int(np.isnan(values).sum())
     worst = float(np.nanmax(np.abs(values), initial=0.0))
     if 2 * skipped > ZERO_POINTS:

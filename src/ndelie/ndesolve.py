@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -72,7 +73,8 @@ class Trajectory:
 
     def value(self, t, der=0):
         """x, x' or x'' at t; exact node values at grid points, and the
-        right-hand acceleration at a breaking point."""
+        right-hand acceleration at a breaking point before t_end.  t_end
+        has no interval to its right, so x'' there is the left-hand one."""
         v = float(self.sample(t, der))
         if math.isnan(v):
             lo, hi = self.span
@@ -278,7 +280,9 @@ def integrate(spec: NdeSpec, theta, t_end, steps_per_delay=64) -> Trajectory:
 
 def residual(traj: Trajectory, spec: NdeSpec, samples) -> float:
     """Max absolute equation residual over the samples, read from dense
-    output."""
+    output.  x''(t_end) has only its left side, so every delayed read is
+    capped at the interval ending at t_end - r: x''(t_end - r) is read from
+    the left too, and no other read is moved."""
     ts = np.asarray(samples, float)
     if ts.size == 0:
         raise ExprError("no sample times for the residual")
@@ -286,13 +290,7 @@ def residual(traj: Trajectory, spec: NdeSpec, samples) -> float:
     if not inside.all():
         raise ExprError(f"sample {ts[~inside][0]} outside "
                         f"({traj.t0}, {traj.t_end}]")
-    return float(np.max(np.abs(spec.residual(traj, ts))))
-
-
-def solve_homogeneous_slot(spec: NdeSpec, seed, t_end,
-                           steps_per_delay=64) -> Trajectory:
-    """Concrete solution of the homogeneous equation for a rho-slot
-    generator binding."""
-    if not spec.h.is_zero:
-        raise ExprError("rho slots require the homogeneous equation (h = 0)")
-    return integrate(spec, seed, t_end, steps_per_delay)
+    last = len(traj.ts) - 2  # the last dense interval
+    cap = np.repeat([last, last - traj.steps_per_delay], ts.size)
+    left = SimpleNamespace(jets=lambda both: traj.jets(both, cap))
+    return float(np.max(np.abs(spec.residual(left, ts))))

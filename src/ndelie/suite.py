@@ -26,7 +26,7 @@ from .equation import CoeffDescriptor as CD, NdeSpec
 from .flowverify import (
     TOL_FIN, TOL_INF, axiom_errors, check_generator, interior_samples,
 )
-from .ndesolve import integrate, solve_homogeneous_slot
+from .ndesolve import integrate
 from .symexpr import parse
 
 HALF_PI = math.pi / 2
@@ -165,7 +165,7 @@ def run_scenario(sc: Scenario, steps=64, delta=0.25) -> ScenarioResult:
 
     t_end = sc.spec.t0 + sc.delays * sc.spec.r
     traj = integrate(sc.spec, sc.theta, t_end, steps)
-    rho = solve_homogeneous_slot(sc.spec, sc.rho_seed, t_end, steps)
+    rho = integrate(sc.spec, sc.rho_seed, t_end, steps)
     samples = interior_samples(traj, sc.spec)
 
     all_ok = out.case_ok

@@ -26,7 +26,7 @@ from ndelie.detsys import (
 )
 from ndelie.equation import CoeffDescriptor as CD, NdeSpec
 from ndelie.flowverify import flow, infinitesimal_check
-from ndelie.ndesolve import integrate, solve_homogeneous_slot
+from ndelie.ndesolve import integrate
 from ndelie.prolong import InfinitesimalAnsatz
 from ndelie.suite import run_suite
 from ndelie.symexpr import (
@@ -49,7 +49,7 @@ def report(criterion, ok, detail=""):
 def example1():
     spec = NdeSpec.make(k=1, r=math.pi)
     traj = integrate(spec, "sin(t)", 3 * math.pi, 64)
-    rho = solve_homogeneous_slot(spec, "sin(t)", 3 * math.pi, 64)
+    rho = integrate(spec, "sin(t)", 3 * math.pi, 64)
     return spec, traj, rho
 
 

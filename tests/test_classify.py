@@ -300,17 +300,19 @@ def _zero_before(cut):
 
 
 @pytest.mark.parametrize("b1, warnings", [
-    (None, ["validation failed to evaluate: 64 of 64 sample points had no "
-            "value"]),
+    (None, ["validation failed to evaluate: numeric descriptor supplies "
+            "orders 0..0"]),
     (_zero_before(2.0), ["validation failed to evaluate: 38 of 64 sample "
                          "points had no value"]),
     (_zero_before(3.0), []),
 ], ids=["no-b-prime", "b-prime-to-2", "b-prime-to-3"])
 def test_validate_closed_says_when_too_few_points_evaluated(b1, warnings):
-    # d/dt reads b', so where a numeric b has no b' the sampled test skips
-    # the point; with fewer than half of the points left the residual was
-    # not measured, and the demotion says so instead of reporting a
-    # residual; with more than half left d/dt is admitted as for b = 0
+    # d/dt reads b'.  A numeric b with no b' cannot answer, and the
+    # demotion names the orders it supplies.  Where b' has no value the
+    # sampled test skips the point; with fewer than half of the points
+    # left the residual was not measured, and the demotion says so instead
+    # of reporting a residual; with more than half left d/dt is admitted
+    # as for b = 0
     b = CD.numeric(_zero) if b1 is None else CD.numeric(_zero, b1)
     res = classify(NdeSpec.make(b=b, c=1, d=1, k=1, r=1.0))
     assert res.case_id == "C9"
@@ -439,6 +441,42 @@ def test_a_c_constraint_it_cannot_evaluate_demotes_with_the_error(make,
     assert res.warnings == [f"{gen.label}: {gen.warnings[0]}"]
     # with c' supplied the same omega is admitted
     res = classify(make(CD.numeric(_numeric_one, np.zeros_like)))
+    assert res.case_id == case and res.warnings == []
+    assert all(g.status == "admitted" for g in res.generators)
+
+
+B_GEN = "(1/b) d/dt + (x/2)(1/b)' d/dx"
+FIT = "compatibility fit"
+
+
+@pytest.mark.parametrize("make, case, label, check, orders", [
+    (lambda f: NdeSpec.make(b=f, c=1, d=1, k=1, r=1.0), "C2", B_GEN, FIT, 2),
+    (lambda f: NdeSpec.make(b=f, c=1, d=1, r=1.0), "C10", B_GEN, FIT, 2),
+    (lambda f: NdeSpec.make(c=2, d=f, r=1.0), "C12", ROOT_D, FIT, 2),
+    (lambda f: NdeSpec.make(c=2, d=f, r=1.0), "C12", ROOT_D, "validation",
+     3),
+], ids=["c2-no-b-second", "c10-no-b-second", "c12-no-d-second",
+        "c12-no-d-third"])
+def test_a_coefficient_a_check_cannot_read_demotes_with_the_error(
+        make, case, label, check, orders):
+    # a constant 1 given numerically with only its first orders: the
+    # compatibility fits of C2 and C10 read b'', C12's reads d'', and the
+    # invariance test of 1/sqrt(d) reads d'''.  The one generator that
+    # check is on is demoted with the descriptor's own message, and the
+    # classification goes on
+    fns = [_numeric_one] + [np.zeros_like] * 3
+    res = classify(make(CD.numeric(*fns[:orders])))
+    assert res.case_id == case
+    (gen,) = [g for g in res.generators if g.status != "admitted"]
+    assert gen.label == label
+    assert gen.warnings == [f"{check} failed to evaluate: numeric "
+                            f"descriptor supplies orders 0..{orders - 1}"]
+    assert res.warnings == [f"{label}: {gen.warnings[0]}"]
+    # a fit that cannot be evaluated fits no constant
+    assert res.compatibility["c"].endswith(
+        "= nan" if check == FIT else "= 4")
+    # with every order supplied the same generator is admitted
+    res = classify(make(CD.numeric(*fns)))
     assert res.case_id == case and res.warnings == []
     assert all(g.status == "admitted" for g in res.generators)
 

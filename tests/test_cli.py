@@ -54,13 +54,14 @@ def test_classify_exit_codes(ex1_spec, ode_spec, capsys):
     assert main(["classify", "--spec", ode_spec]) == 2
 
 
-@pytest.mark.parametrize("command", ["classify", "determine"])
+@pytest.mark.parametrize("command", ["classify", "determine", "verify"])
 @pytest.mark.parametrize("coeff", ["a", "h"])
 def test_an_unreduced_spec_names_the_substitutions(tmp_path, capsys,
                                                    command, coeff):
     path = tmp_path / "full.json"
     NdeSpec.make(c=1, d="1/4", r=1.0, **{coeff: "1/2"}).save(path)
-    assert main([command, "--spec", str(path)]) == 1
+    theta = ["--theta", "sin(t)"] if command == "verify" else []
+    assert main([command, "--spec", str(path), *theta]) == 1
     err = capsys.readouterr().err
     assert "x = u exp(-int a/2), then shift u by a particular solution" in err
 
@@ -203,6 +204,21 @@ def test_integrate_writes_csv(ex1_spec, tmp_path, capsys):
     assert lines[0] == "t,x,xprime,xsecond"
     text = capsys.readouterr().out
     assert "residual" in text
+
+
+def test_integrate_reads_no_derivative_jump_as_its_residual(tmp_path,
+                                                           capsys):
+    # the neutral coefficient k = t carries the jump of x'' at t0 to every
+    # breaking point.  t_end has no interval to its right, so x''(t_end)
+    # is left-hand; a residual that paired it with the right-hand
+    # x''(t_end - r) would print the jump, 1.7e+01
+    path = tmp_path / "c1.json"
+    NdeSpec.make(b=1, c=1, d=1, k="t", r=1.0, t0=0.5).save(path)
+    assert main(["integrate", "--spec", str(path), "--theta", "sin(t) + 2",
+                 "--T", "2.5", "--out", str(tmp_path)]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("max residual on [0.6, 2.5): ")
+    assert float(line.rsplit(" ", 1)[1]) < 1e-5
 
 
 def test_integrate_rejects_partial_delay(ex1_spec, capsys):
@@ -445,7 +461,7 @@ def test_verify_curves_reuse_the_finite_check_image(ex1_spec, tmp_path,
     # as a curve transformed anew
     from ndelie import flowverify
     from ndelie.classify import classify
-    from ndelie.ndesolve import integrate, solve_homogeneous_slot
+    from ndelie.ndesolve import integrate
 
     real = flowverify.transform_solution
     calls = []
@@ -470,7 +486,7 @@ def test_verify_curves_reuse_the_finite_check_image(ex1_spec, tmp_path,
     assert payload == plain
     spec = NdeSpec.load(ex1_spec)
     traj = integrate(spec, "sin(t)", 3 * math.pi, 64)
-    rho = solve_homogeneous_slot(spec, "sin(t)", 3 * math.pi, 64)
+    rho = integrate(spec, "sin(t)", 3 * math.pi, 64)
     for idx, gen in enumerate(classify(spec).admitted):
         assert paths[idx] == str(out / f"curve_{idx}.csv")
         ref = tmp_path / f"ref_{idx}.csv"
@@ -484,7 +500,8 @@ def test_verify_curves_reuse_the_finite_check_image(ex1_spec, tmp_path,
 def test_verify_integrates_to_the_given_end_time(tmp_path, monkeypatch,
                                                  capsys, given, t_end):
     # an end time of 0 is a time, not a missing option: with t0 = -2 and
-    # r = 1 it is two delays, where the default t0 + 3 r is three
+    # r = 1 it is two delays, where the default t0 + 3 r is three.  The
+    # solution and the rho slot are both integrated to it
     from ndelie import cli
 
     path = tmp_path / "spec.json"
@@ -499,7 +516,7 @@ def test_verify_integrates_to_the_given_end_time(tmp_path, monkeypatch,
     main(["verify", "--spec", str(path), "--theta", "sin(t)", "--json"]
          + given)
     capsys.readouterr()
-    assert ends == [t_end]
+    assert ends == [t_end, t_end]
 
 
 def test_integrate_reports_a_residual_that_cannot_be_evaluated(
@@ -518,14 +535,13 @@ def test_integrate_reports_a_residual_that_cannot_be_evaluated(
 def test_library_example_matches_verify(ex1_spec, capsys):
     # the README's library example checks at the resolution verify uses
     from ndelie import classify, finite_check, integrate
-    from ndelie.ndesolve import solve_homogeneous_slot
 
     assert main(["verify", "--spec", ex1_spec, "--theta", "sin(t)",
                  "--json"]) == 0
     reports = json.loads(capsys.readouterr().out)["reports"]
     spec = NdeSpec.make(k=1, r=math.pi)
     traj = integrate(spec, "sin(t)", 3 * math.pi, 64)
-    rho = solve_homogeneous_slot(spec, "sin(t)", 3 * math.pi, 64)
+    rho = integrate(spec, "sin(t)", 3 * math.pi, 64)
     admitted = classify(spec).admitted
     assert [rep["generator"] for rep in reports] == \
         [gen.label for gen in admitted]

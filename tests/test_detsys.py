@@ -16,7 +16,7 @@ from ndelie.equation import CoeffDescriptor as CD, NdeSpec
 from ndelie.prolong import InfinitesimalAnsatz
 from ndelie.suite import build_scenarios
 from ndelie.symexpr import (
-    App, Coeff, ExprError, Par, T, X, X1, X1R, X2R, XR, ZERO, atoms,
+    App, Coeff, EvalError, Par, T, X, X1, X1R, X2R, XR, ZERO, atoms,
     compile_numeric, diff, equivalent, eval_numeric, fn, normalize, num,
     parse, shift,
 )
@@ -387,15 +387,16 @@ def test_is_zero_needs_half_of_the_points():
     assert most.ok and 0 < most.skipped < 32
 
 
-def test_is_zero_skips_every_point_where_a_coefficient_cannot_answer():
-    # k supplies only its values, so the compiled residual raises on k':
-    # every point counts as skipped, and the test fails instead of passing
-    # on no evaluated point
+def test_is_zero_raises_the_error_of_a_coefficient_that_cannot_answer():
+    # k supplies only its values, so the compiled residual raises on k',
+    # and the error that names the orders k supplies reaches the caller
+    # instead of counting as a point without a value
     e = parse("beta(t)*k'(t)")
     table = {"k": CD.numeric(lambda t: t)}
-    res = is_zero(e, table)
-    assert res == ZeroResult(False, "sampled", math.inf, ZERO_POINTS)
-    assert res == _pointwise_is_zero(e, table)
+    for test in (is_zero, _pointwise_is_zero):
+        with pytest.raises(EvalError,
+                           match=r"numeric descriptor supplies orders 0\.\.0"):
+            test(e, table)
 
 
 def test_is_zero_marks_an_overflow_as_skipped():
@@ -431,10 +432,7 @@ def _pointwise_is_zero(e, fn_table=None, params=None):
         for name in jet_names + par_names:
             env[name] = rng.uniform(-2.0, 2.0)
         env.update(params)
-        try:
-            v = float(f(env, table))
-        except ExprError:
-            v = math.nan
+        v = float(f(env, table))
         if math.isnan(v):
             skipped += 1
             continue

@@ -16,7 +16,7 @@ from ndelie.flowverify import (
     closure_error, finite_check, flow, identity_error, infinitesimal_check,
     inverse_error, prolonged_flow, transform_solution,
 )
-from ndelie.ndesolve import integrate, solve_homogeneous_slot
+from ndelie.ndesolve import integrate
 from ndelie.suite import build_scenarios
 from ndelie.symexpr import (
     App, EvalError, ExprError, Pow, T, X, ZERO, compile_numeric, fn,
@@ -27,7 +27,7 @@ from ndelie.symexpr import (
 def example1():
     spec = NdeSpec.make(k=1, r=math.pi)
     traj = integrate(spec, "sin(t)", 3 * math.pi, 64)
-    rho = solve_homogeneous_slot(spec, "sin(t)", 3 * math.pi, 64)
+    rho = integrate(spec, "sin(t)", 3 * math.pi, 64)
     return spec, traj, rho
 
 
@@ -531,7 +531,7 @@ def _suite_axiom_cases():
         spec = sc.spec
         t_end = spec.t0 + sc.delays * spec.r
         traj = integrate(spec, sc.theta, t_end, 64)
-        rho = solve_homogeneous_slot(spec, sc.rho_seed, t_end, 64)
+        rho = integrate(spec, sc.rho_seed, t_end, 64)
         samples = flowverify.interior_samples(traj, spec)
         points = [(float(t), traj.value(float(t), 0)) for t in samples[:4]]
         cases += [(sc.name, gen, spec, rho, points)
@@ -689,7 +689,7 @@ def test_breaking_point_images_are_curve_boundaries():
         spec = sc.spec
         t_end = spec.t0 + sc.delays * spec.r
         traj = integrate(spec, sc.theta, t_end, 64)
-        rho = solve_homogeneous_slot(spec, sc.rho_seed, t_end, 64)
+        rho = integrate(spec, sc.rho_seed, t_end, 64)
         points = [(t, traj.value(t, 0)) for t in traj.breaking_points()]
         for gen in classify(spec).admitted:
             curve = transform_solution(traj, gen, 0.25, spec, rho)
@@ -802,7 +802,7 @@ def test_numeric_omega_chains_match_the_hand_written_formulas(name):
     spec = sc.spec
     t_end = spec.t0 + sc.delays * spec.r
     traj = integrate(spec, sc.theta, t_end, 32)
-    rho = solve_homogeneous_slot(spec, sc.rho_seed, t_end, 32)
+    rho = integrate(spec, sc.rho_seed, t_end, 32)
     samples = np.asarray(flowverify.interior_samples(traj, spec))
     points = [(t, traj.value(t, 0)) for t in samples]
     jets = np.column_stack([samples] + [traj.sample(samples, o)
@@ -858,7 +858,7 @@ def test_a_varying_numeric_omega_passes_both_checks():
     spec = sc.spec
     t_end = spec.t0 + sc.delays * spec.r
     traj = integrate(spec, sc.theta, t_end, 64)
-    rho = solve_homogeneous_slot(spec, sc.rho_seed, t_end, 64)
+    rho = integrate(spec, sc.rho_seed, t_end, 64)
     samples = flowverify.interior_samples(traj, spec)
     w = CD.closed(normalize(Pow(spec.b.expr, -1)))
     step = 1 / 800

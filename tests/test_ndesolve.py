@@ -11,9 +11,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ndelie.classify import compat_c_from_b, compat_d_from_b
+from ndelie.classify import classify, compat_c_from_b, compat_d_from_b
 from ndelie.equation import CoeffDescriptor, NdeSpec
-from ndelie.ndesolve import _hermite, integrate, residual, solve_homogeneous_slot
+from ndelie.ndesolve import _hermite, integrate, residual
 from ndelie.symexpr import ExprError, parse
 
 
@@ -153,15 +153,16 @@ def test_initial_function_must_differentiate():
 
 def test_rho_slot():
     spec = example1_spec()
-    rho = solve_homogeneous_slot(spec, "sin(t)", 2 * math.pi, 32)
+    rho = integrate(spec, "sin(t)", 2 * math.pi, 32)
     assert abs(rho.value(1.0, 0) - math.sin(1.0)) < 1e-6
-    with pytest.raises(ExprError):
-        solve_homogeneous_slot(NdeSpec.make(k=1, h=1, r=1.0), "0", 2.0)
+    # a rho slot is bound only after classify, which refuses h != 0
+    with pytest.raises(ExprError, match="reduced form"):
+        classify(NdeSpec.make(k=1, h=1, r=1.0))
 
 
 def test_zero_seed_gives_zero_rho():
     spec = example1_spec()
-    rho = solve_homogeneous_slot(spec, "0", 2 * math.pi, 32)
+    rho = integrate(spec, "0", 2 * math.pi, 32)
     assert max(abs(rho.value(t, 0)) for t in np.linspace(0, 6, 30)) == 0.0
 
 
@@ -400,6 +401,17 @@ def test_residual_raises_past_the_span():
         residual(traj, spec, [1.0, 2 * math.pi + 0.5])
 
 
+def test_residual_at_t_end_reads_both_accelerations_from_the_left():
+    # k = t carries the jump of x'' at t0 to every breaking point, t_end
+    # among them; there x''(t_end) and x''(t_end - r) are both left-hand,
+    # as at an interior breaking point both are right-hand
+    spec = NdeSpec.make(b=1, c=1, d=1, k="t", r=1.0, t0=0.5)
+    traj = integrate(spec, "sin(t) + 2", 2.5, 64)
+    assert traj.x2s[-65] != traj.x2l[-65]
+    assert residual(traj, spec, [2.5]) < 1e-12
+    assert residual(traj, spec, [1.5]) < 1e-12
+
+
 def test_residual_raises_on_no_samples():
     # a maximum over no times would pass any bound
     spec = example1_spec()
@@ -464,8 +476,7 @@ def trajectory_digests():
         entry = {}
         for name, traj in (
                 ("integrate", integrate(sc.spec, sc.theta, t_end, 64)),
-                ("rho", solve_homogeneous_slot(sc.spec, sc.rho_seed, t_end,
-                                               64))):
+                ("rho", integrate(sc.spec, sc.rho_seed, t_end, 64))):
             # every node past t0 and every midpoint between nodes
             samples = np.concatenate([traj.ts[1:],
                                       (traj.ts[:-1] + traj.ts[1:]) / 2])

@@ -41,7 +41,7 @@ from ndelie.classify import classify  # noqa: E402
 from ndelie.flowverify import (  # noqa: E402
     TOL_FIN, TOL_INF, check_generator, interior_samples,
 )
-from ndelie.ndesolve import integrate, solve_homogeneous_slot  # noqa: E402
+from ndelie.ndesolve import integrate  # noqa: E402
 from ndelie.symexpr import ExprError  # noqa: E402
 
 THETA, RHO_SEED, DELAYS, STEPS, DELTA = "1 + sin(t)/2", "cos(t)", 3, 64, 0.25
@@ -55,7 +55,7 @@ def oracle_rows(spec, steps=STEPS):
     span raises ExprError."""
     t_end = spec.t0 + DELAYS * spec.r
     traj = integrate(spec, THETA, t_end, steps)
-    rho = solve_homogeneous_slot(spec, RHO_SEED, t_end, steps)
+    rho = integrate(spec, RHO_SEED, t_end, steps)
     samples = interior_samples(traj, spec)
     rows = []
     for gen in classify(spec).generators:
