@@ -14,8 +14,8 @@ from .flowverify import (
 )
 from .ndesolve import Trajectory, integrate, residual
 from .prolong import (
-    EquationResidual, InfinitesimalAnsatz, apply_operator, prolong_delayed,
-    prolong_first, prolong_second, total_derivative,
+    InfinitesimalAnsatz, apply_operator, prolong_delayed, prolong_first,
+    prolong_second, solved_rhs, total_derivative,
 )
 from .suite import build_scenarios, run_scenario, run_suite
 from .symexpr import (

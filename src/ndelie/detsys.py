@@ -15,17 +15,16 @@ equalities and its assumptions as the lines its report prints.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .equation import CoeffDescriptor, NdeSpec
-from .prolong import EquationResidual, InfinitesimalAnsatz, apply_operator
+from .prolong import InfinitesimalAnsatz, apply_operator
 from .symexpr import (
-    Coeff, Expr, ExprError, Par, Prod, Sum, T, X, X1, X1R, X2, X2R, XR,
-    ZERO, atoms, collect, compile_numeric, diff, fn, normalize, num, render,
-    substitute,
+    Coeff, EvalError, Expr, ExprError, Par, Prod, Sum, T, X, X1, X1R, X2,
+    X2R, XR, ZERO, atoms, collect, compile_numeric, diff, fn, normalize, num,
+    render, substitute,
 )
 
 SPLIT_JETS = (X, XR, X1, X1R, X2, X2R)
@@ -120,10 +119,10 @@ def check_reduced(spec: NdeSpec, what):
                         "particular solution")
 
 
-def reduced_equation(spec: NdeSpec) -> EquationResidual:
+def reduced_equation(spec: NdeSpec) -> Expr:
     """The reduced equation as the residual the extended operator acts on."""
     check_reduced(spec, "invariance residual")
-    return EquationResidual(spec.residual_expr())
+    return spec.residual_expr()
 
 
 def invariance_residual(spec: NdeSpec, a: InfinitesimalAnsatz) -> Expr:
@@ -362,10 +361,9 @@ def is_zero(e: Expr, fn_table=None, params=None) -> ZeroResult:
     ZERO_POINTS points with t in [0.1, 4], jet values in [-2, 2], and
     concrete instances of the functions fn_table leaves unbound, and passes
     when every |value| is under ZERO_TOL.  Singular sample points are
-    skipped and counted; unless at least half of the points evaluate, the
-    sampled test fails.  A binding that cannot answer, such as a numeric
-    coefficient asked for an order it does not supply, raises its
-    EvalError.
+    skipped and counted; with fewer than half of the points left it raises
+    EvalError, as does a binding that cannot answer, such as a numeric
+    coefficient asked for an order it does not supply.
     """
     canon = normalize(e)
     if canon == ZERO:
@@ -392,9 +390,9 @@ def is_zero(e: Expr, fn_table=None, params=None) -> ZeroResult:
     env = {"r": r, **dict(zip(names, draws.T)), **params}
     values = np.broadcast_to(compile_numeric(canon)(env, table), ZERO_POINTS)
     skipped = int(np.isnan(values).sum())
-    worst = float(np.nanmax(np.abs(values), initial=0.0))
     if 2 * skipped > ZERO_POINTS:
         # too few points evaluated to say anything
-        return ZeroResult(False, "sampled", worst if skipped < ZERO_POINTS
-                          else math.inf, skipped)
+        raise EvalError(
+            f"{skipped} of {ZERO_POINTS} sample points had no value")
+    worst = float(np.nanmax(np.abs(values), initial=0.0))
     return ZeroResult(worst < ZERO_TOL, "sampled", worst, skipped)

@@ -107,6 +107,14 @@ class Spline:
         return res.reshape(q.shape + self.shape)
 
 
+def _number(value, what):
+    """value as a float; ExprError naming what if it is no number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ExprError(f"{what} is not a number: {value!r}") from None
+
+
 def _gtsv(dl, d, du, cols):
     """The tridiagonal system (lists of floats: sub-, main and
     superdiagonal) solved for each right-hand side in cols, as LAPACK dgtsv
@@ -204,8 +212,8 @@ class CoeffDescriptor:
 
     @classmethod
     def from_table(cls, ts, vs):
-        ts = [float(t) for t in ts]
-        vs = [float(v) for v in vs]
+        ts = [_number(t, "numeric table time") for t in ts]
+        vs = [_number(v, "numeric table value") for v in vs]
         spline = Spline(ts, vs, "numeric table")
         return cls(None, fns=tuple(lambda t, o=o: spline(t, o)
                                    for o in range(4)),
@@ -320,7 +328,8 @@ class CoeffDescriptor:
             return cls.closed(need("expr"))
         if kind == "numeric-table":
             samples = need("samples")
-            if not all(isinstance(s, list) and len(s) == 2 for s in samples):
+            if not isinstance(samples, list) or not all(
+                    isinstance(s, list) and len(s) == 2 for s in samples):
                 raise ExprError("numeric table samples must be [t, value] "
                                 "pairs")
             return cls.from_table([s[0] for s in samples],
@@ -375,7 +384,10 @@ class NdeSpec:
         """x'' + a x' + b x'(t-r) + c x + d x(t-r) + k x''(t-r) - h of a
         curve at each time of a 1-D array, reading the curve once, at ts
         and ts - r together (its jets(ts) works element by element).
-        Raises ExprError where a term cannot be evaluated."""
+        Raises ExprError where a term cannot be evaluated.  A Trajectory
+        read at its t_end gives x'' there from the left but x''(t_end - r)
+        from the right, so on a neutral equation that value pairs the two
+        sides of a jump; ndesolve.residual is the read capped for that."""
         ts = np.asarray(ts, float)
         both = np.concatenate([ts, ts - self.r])
         (x0, xr), (x1, x1r), (x2, x2r) = curve.jets(both).reshape(3, 2, -1)
@@ -411,11 +423,12 @@ class NdeSpec:
             try:
                 kwargs[name] = CoeffDescriptor.from_json(
                     obj.get(name, {"kind": "zero"}))
-            except ExprError as err:
+            except (ExprError, ValueError) as err:  # a bad const value
                 raise ExprError(f"coefficient {name}: {err}") from None
         if "r" not in obj:
             raise ExprError("the spec has no delay 'r'")
-        return cls(r=float(obj["r"]), t0=float(obj.get("t0", 0.0)), **kwargs)
+        r, t0 = (_number(obj.get(key, 0.0), repr(key)) for key in ("r", "t0"))
+        return cls(r=r, t0=t0, **kwargs)
 
     @classmethod
     def load(cls, path):

@@ -20,10 +20,10 @@ from .classify import Generator
 from .detsys import reduced_ansatz, reduced_equation
 from .equation import CoeffDescriptor, NdeSpec, Spline
 from .ndesolve import Trajectory, _write_csv, rk4_step
-from .prolong import EquationResidual, apply_operator
+from .prolong import apply_operator
 from .symexpr import (
-    EvalError, ExprError, T, X, ZERO, check_evaluated, compile_numeric, diff,
-    fn, normalize, substitute,
+    EvalError, Expr, ExprError, T, X, ZERO, check_evaluated, compile_numeric,
+    diff, fn, normalize, substitute,
 )
 
 FINE = 2                 # source samples of a transformed curve per step
@@ -254,11 +254,11 @@ def _affine_chains(gen: Generator, spec: NdeSpec, rho):
 
 
 @functools.lru_cache(maxsize=1)
-def _affine_residual(eq: EquationResidual):
+def _affine_residual(delta: Expr):
     """Compiled invariance residual of the affine ansatz, for the latest
     equation only; numeric coefficients enter it by name and are read from
     the fn_table."""
-    return compile_numeric(apply_operator(reduced_ansatz(), eq))
+    return compile_numeric(apply_operator(reduced_ansatz(), delta))
 
 
 def infinitesimal_check(traj: Trajectory, gen: Generator, spec: NdeSpec,

@@ -37,11 +37,6 @@ class InfinitesimalAnsatz:
                     raise ExprError(
                         f"{name} may depend on t and x only, found {a.tag}")
 
-    def __add__(self, other):
-        return InfinitesimalAnsatz(
-            normalize(self.omega + other.omega),
-            normalize(self.upsilon + other.upsilon))
-
 
 @dataclass(frozen=True)
 class Prolongation:
@@ -55,21 +50,13 @@ class Prolongation:
     ups_tt_r: Expr
 
 
-@dataclass(frozen=True)
-class EquationResidual:
-    """Expression whose zero set is the equation; must be degree one in x''
-    with a constant coefficient so the solved form exists."""
-
-    delta: Expr
-
-    def solved_rhs(self) -> Expr:
-        """F such that delta = 0 is equivalent to x'' = F."""
-        parts = collect(normalize(self.delta), {X2})
-        lead = parts.get(X2, ZERO)
-        if not isinstance(lead, Rat) or lead.q == 0:
-            raise ExprError("equation is not solvable for x''")
-        rest = normalize(self.delta - lead * X2)
-        return normalize(Rat(Fraction(-1) / lead.q) * rest)
+def solved_rhs(delta: Expr) -> Expr:
+    """F such that the equation delta = 0 is equivalent to x'' = F; delta
+    must be of degree one in x'' with a constant coefficient."""
+    lead = collect(normalize(delta), {X2}).get(X2, ZERO)
+    if not isinstance(lead, Rat) or lead.q == 0:
+        raise ExprError("equation is not solvable for x''")
+    return normalize(Rat(-Fraction(1, lead.q)) * normalize(delta - lead * X2))
 
 
 def total_derivative(e) -> Expr:
@@ -133,21 +120,21 @@ def _solved_partials(delta: Expr):
     """F = x'' of the solved form and the seven partials the extended
     operator takes of it, for the most recent equation only: determine,
     reduce_ansatz and each generator check of one equation share them."""
-    F = EquationResidual(delta).solved_rhs()
+    F = solved_rhs(delta)
     return F, (diff_explicit(F, "t"), diff(F, X), diff_explicit(F, "tr"),
                diff(F, XR), diff(F, X1), diff(F, X1R), diff(F, X2R))
 
 
-def apply_operator(a: InfinitesimalAnsatz, eq: EquationResidual) -> Expr:
-    """Apply the extended operator to the residual and eliminate x'' via
-    the solved form; x''(t-r) stays an independent coordinate.
+def apply_operator(a: InfinitesimalAnsatz, delta: Expr) -> Expr:
+    """Apply the extended operator to the residual delta and eliminate x''
+    via the solved form; x''(t-r) stays an independent coordinate.
 
     Explicit dependence on the delayed time must enter F through
     coefficient functions of t-r; those derivatives are multiplied by the
     shifted omega.  Of all the terms only the second prolongation holds
     x'', so it is eliminated there, before the one normalisation.
     """
-    F, partials = _solved_partials(eq.delta)
+    F, partials = _solved_partials(delta)
     p = prolong_delayed(a)
     factors = (a.omega, a.upsilon, p.omega_r, p.upsilon_r, p.ups_t,
                p.ups_t_r, p.ups_tt_r)

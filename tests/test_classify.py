@@ -107,8 +107,8 @@ def test_c_energy_trivial_case():
     # w''' + 4 c w' + 2 c' w = 0 is the d-energy equation with d = c and
     # c2 = 1; with c = 0 the constant stays put
     chain = CD.numeric(lambda t: 0.0, lambda t: 0.0)
-    (sol,) = omega_ode_solve("d-energy", {"d": chain}, [(1.0, 0.0, 0.0)],
-                             grid)
+    (sol,) = omega_ode_solve("d-energy", {"c2": 1.0, "d": chain},
+                             [(1.0, 0.0, 0.0)], grid)
     assert max(abs(sol.w - 1.0)) < 1e-14
 
 
@@ -141,6 +141,17 @@ def test_omega_equation_rejects_a_c2_it_cannot_divide_by(case, c2):
                         np.linspace(0.0, 1.0, 11))
 
 
+@pytest.mark.parametrize("case, params, key", [
+    ("b-branch", {}, "c2"), ("d-energy", {"d": CD.zero()}, "c2"),
+    ("d-energy", {"c2": 1.0}, "d"),
+], ids=["b-branch-c2", "d-energy-c2", "d-energy-d"])
+def test_omega_equation_names_a_missing_parameter(case, params, key):
+    with pytest.raises(ExprError, match=f"{case} omega equation needs "
+                                        f"'{key}'"):
+        omega_ode_solve(case, params, [(1.0, 0.0, 0.0)],
+                        np.linspace(0.0, 1.0, 11))
+
+
 @pytest.mark.parametrize("init, w3", [
     ((0.5, 0.0, 1.0), -math.inf), ((0.5, 0.0, -1.0), math.inf),
     ((-0.5, 0.0, 1.0), math.inf), ((0.5, 0.0, 0.0), math.nan),
@@ -157,7 +168,8 @@ def test_an_underflowing_divisor_divides_as_ieee_floats(init, w3):
 
 def test_two_sided_solution_covers_backward_range():
     (sol,) = solve_omega_two_sided("d-energy",
-                                   {"d": CD.numeric(lambda t: 0.0,
+                                   {"c2": 1.0,
+                                    "d": CD.numeric(lambda t: 0.0,
                                                     lambda t: 0.0)},
                                    [(1.0, 0.0, 0.0)], 0.0, -2.0, 3.0)
     assert sol.sample([-1.5, 2.5]) == pytest.approx([1.0, 1.0], abs=1e-12)
@@ -507,6 +519,15 @@ def test_case_c3_constant_b():
     assert res.case_id == "C3"
     labels = {g.label for g in res.admitted}
     assert any("Phi" in lab for lab in labels)
+
+
+@pytest.mark.parametrize("t0, b0", [(0.0, "0"), (1e-160, "1e-160")],
+                         ids=["zero", "tiny"])
+def test_c3_refuses_a_b_at_t0_it_cannot_invert(t0, b0):
+    # omega starts from w = 1/b at t0: a zero b(t0) divides by zero, and a
+    # tiny one overflows w^2
+    with pytest.raises(ExprError, match=rf"1/b at t0, but b\(t0\) = {b0}$"):
+        classify(NdeSpec.make(b="t", c=1, k=2, r=1.0, t0=t0))
 
 
 def test_case_c4():
@@ -931,7 +952,8 @@ def test_finite_values_whose_sum_overflows_do_not_truncate(case):
     # w = 1.7e308 and w' = 2e307 are finite, though w + w' is not: the
     # stop rule tests each value on its own
     d = CD.numeric(lambda t: 0.0, lambda t: 0.0)
-    (sol,) = omega_ode_solve(case, {"d": d}, [(1.7e308, 2e307, 0.0)],
+    (sol,) = omega_ode_solve(case, {"c2": 1.0, "d": d},
+                             [(1.7e308, 2e307, 0.0)],
                              np.linspace(0.0, 0.1, 11))
     assert not sol.truncated and len(sol.ts) == 11
 

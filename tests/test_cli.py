@@ -135,6 +135,37 @@ def test_a_missing_spec_key_is_named(tmp_path, capsys, spec, why):
     assert capsys.readouterr().err == f"error: malformed spec file: {why}\n"
 
 
+@pytest.mark.parametrize("spec,why", [
+    ({"r": None}, "'r' is not a number: None"),
+    ({"r": 1.0, "t0": None}, "'t0' is not a number: None"),
+    ({"c": {"kind": "numeric-table", "samples": [[0, None], [1, 2]]},
+      "r": 1.0}, "coefficient c: numeric table value is not a number: None"),
+    ({"c": {"kind": "numeric-table", "samples": None}, "r": 1.0},
+     "coefficient c: numeric table samples must be [t, value] pairs"),
+    ({"c": {"kind": "const", "value": None}, "r": 1.0},
+     "coefficient c: Invalid literal for Fraction: 'None'"),
+], ids=["r", "t0", "table-value", "table", "const-value"])
+def test_a_spec_value_of_the_wrong_type_is_named(tmp_path, capsys, spec,
+                                                 why):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--spec", str(path)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"error: malformed spec file: {why}\n"
+
+
+@pytest.mark.parametrize("t0", [0.0, 1e-160], ids=["zero", "tiny"])
+def test_c3_with_b_vanishing_at_t0_stops_with_an_error(tmp_path, capsys, t0):
+    # b = t is zero at t0 = 0, and at t0 = 1e-160 its inverse squared
+    # overflows
+    path = tmp_path / "c3.json"
+    NdeSpec.make(b="t", c=1, k=2, r=1.0, t0=t0).save(path)
+    assert main(["classify", "--spec", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: C3 needs 1/b at t0, but b(t0) = {t0:g}\n")
+
+
 def test_a_missing_spec_file_is_named(tmp_path, capsys):
     path = str(tmp_path / "absent.json")
     with pytest.raises(SystemExit) as exc:

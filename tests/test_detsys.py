@@ -372,17 +372,22 @@ def test_reduced_system_is_complete():
     assert worst < 1e-9
 
 
+def _points_without_value(e):
+    """The count of points without a value in the EvalError of is_zero on
+    e, which it raises when fewer than half of the points evaluate."""
+    with pytest.raises(EvalError,
+                       match="of 64 sample points had no value") as err:
+        is_zero(e)
+    return int(str(err.value).split()[0])
+
+
 def test_is_zero_needs_half_of_the_points():
     # sqrt(t - 7/2) is defined only for t > 3.5, a few of the points in
-    # [0.1, 4]; the values there are far under the tolerance
-    e = parse("sqrt(t - 7/2)/1000000000000")
-    res = is_zero(e)
-    assert res.mode == "sampled" and not res.ok
-    assert 32 < res.skipped < 64
-    assert res.max_abs < 1e-9
-    none = is_zero(parse("sqrt(t - 5)"))
-    assert not none.ok and none.skipped == 64
-    assert none.max_abs == float("inf")
+    # [0.1, 4]; the values there are far under the tolerance, but the
+    # residual was not measured, so the test raises instead of passing
+    few = _points_without_value(parse("sqrt(t - 7/2)/1000000000000"))
+    assert 32 < few < 64
+    assert _points_without_value(parse("sqrt(t - 5)")) == 64
     most = is_zero(parse("sqrt(t - 1/2)/1000000000000"))
     assert most.ok and 0 < most.skipped < 32
 
@@ -401,11 +406,9 @@ def test_is_zero_raises_the_error_of_a_coefficient_that_cannot_answer():
 
 def test_is_zero_marks_an_overflow_as_skipped():
     # exp(t^12) overflows for t above about 1.8, at most of the points in
-    # [0.1, 4]; those count as skipped, and too many are skipped to pass
+    # [0.1, 4]; those count as skipped, and with so many the test raises
     e = parse("exp(t^12)*sin(t)^2 + exp(t^12)*cos(t)^2 - exp(t^12)")
-    res = is_zero(e)
-    assert isinstance(res, ZeroResult) and res.mode == "sampled"
-    assert 2 * res.skipped > 64 and not res.ok
+    assert 2 * _points_without_value(e) > 64
 
 
 def _pointwise_is_zero(e, fn_table=None, params=None):
@@ -439,8 +442,8 @@ def _pointwise_is_zero(e, fn_table=None, params=None):
         evaluated += 1
         worst = max(worst, abs(v))
     if 2 * evaluated < ZERO_POINTS:
-        return ZeroResult(False, "sampled",
-                          worst if evaluated else float("inf"), skipped)
+        raise EvalError(
+            f"{skipped} of {ZERO_POINTS} sample points had no value")
     return ZeroResult(worst < ZERO_TOL, "sampled", worst, skipped)
 
 

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ndelie.prolong import (
-    EquationResidual, InfinitesimalAnsatz, apply_operator, prolong_delayed,
-    prolong_first, prolong_second, total_derivative,
+    InfinitesimalAnsatz, apply_operator, prolong_delayed, prolong_first,
+    prolong_second, solved_rhs, total_derivative,
 )
 from ndelie.symexpr import (
     App, ExprError, Par, T, X, X1, X1R, X2, X2R, XR, ZERO, diff,
@@ -104,20 +104,20 @@ def test_prolong_delayed_components():
 
 
 def test_solved_rhs():
-    eq = EquationResidual(normalize(X2 + fn("k") * X2R))
-    assert equivalent(eq.solved_rhs(), -(fn("k") * X2R))
+    eq = normalize(X2 + fn("k") * X2R)
+    assert equivalent(solved_rhs(eq), -(fn("k") * X2R))
 
 
 def test_solved_rhs_scales_constant_lead():
-    eq = EquationResidual(normalize(2 * X2 + X))
-    assert equivalent(eq.solved_rhs(), num(Fraction(-1, 2)) * X)
+    eq = normalize(2 * X2 + X)
+    assert equivalent(solved_rhs(eq), num(Fraction(-1, 2)) * X)
 
 
 def test_solved_rhs_rejects_functional_lead():
     with pytest.raises(ExprError):
-        EquationResidual(normalize(fn("k") * X2 + X)).solved_rhs()
+        solved_rhs(normalize(fn("k") * X2 + X))
     with pytest.raises(ExprError):
-        EquationResidual(normalize(X2 ** 2 + X)).solved_rhs()
+        solved_rhs(normalize(X2 ** 2 + X))
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +125,7 @@ def test_solved_rhs_rejects_functional_lead():
 
 
 def linear_delta(b, c, d, k):
-    return EquationResidual(normalize(
-        X2 + b * X1R + c * X + d * XR + k * X2R))
+    return normalize(X2 + b * X1R + c * X + d * XR + k * X2R)
 
 
 def test_apply_operator_neutral_sin():
@@ -143,8 +142,7 @@ def test_apply_operator_linearity_symmetry():
 
 
 def test_apply_operator_scaling_on_trivial_equation():
-    eq = EquationResidual(X2)
-    assert apply_operator(ansatz(T, ZERO), eq) == ZERO
+    assert apply_operator(ansatz(T, ZERO), X2) == ZERO
 
 
 def test_apply_operator_solution_slot():
@@ -222,7 +220,7 @@ def test_invariance_condition_equivalence(w, b, c, d, k, u):
     principles."""
     a = InfinitesimalAnsatz(w, u)
     eq = linear_delta(b, c, d, k)
-    F = eq.solved_rhs()
+    F = solved_rhs(eq)
 
     u_tt = diff(diff(u, T), T)
     u_tx = diff(diff(u, T), X)
@@ -254,7 +252,8 @@ def test_operator_linear_in_ansatz(w1, u1, w2, u2):
     eq = linear_delta(fn("b"), fn("c"), fn("d"), fn("k"))
     a1 = InfinitesimalAnsatz(w1, u1)
     a2 = InfinitesimalAnsatz(w2, u2)
-    lhs = apply_operator(a1 + a2, eq)
+    a12 = InfinitesimalAnsatz(normalize(w1 + w2), normalize(u1 + u2))
+    lhs = apply_operator(a12, eq)
     rhs = normalize(apply_operator(a1, eq) + apply_operator(a2, eq))
     assert lhs == rhs
 
@@ -267,7 +266,7 @@ def _reference_apply_operator(a, eq):
     """apply_operator as it was before F and its partials were shared:
     every call re-derives them, normalises the whole residual and then
     eliminates x''."""
-    F = eq.solved_rhs()
+    F = solved_rhs(eq)
     p = prolong_delayed(a)
     operator_terms = (
         a.omega * diff_explicit(F, "t")
