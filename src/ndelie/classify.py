@@ -52,12 +52,6 @@ OMEGA_POINTS_PER_UNIT = 200  # grid density of a numeric omega
 # ---------------------------------------------------------------------------
 # numeric omega solutions
 
-OMEGA_ODES = (
-    "b-branch",       # c2 w w''' + w'' = 0   (delayed velocity, d = 0)
-    "d-energy",       # c2 w''' + 2 d' w + 4 d w' = 0   (b = 0), monitoring
-                      #   c2 w w'' - c2 w'^2/2 + 2 w^2 d
-)
-
 
 @dataclass
 class OmegaSolution:
@@ -107,10 +101,15 @@ class OmegaSolution:
         return float(np.max(np.abs(q - q[0])) / max(np.max(terms), 1e-30))
 
 
-def omega_ode_solve(case, params, inits, grid):
-    """Classic RK4 for the named third-order omega equation along the 1-D
-    grid, which may increase or decrease, from each initial datum
-    (w, w', w'') at grid[0]; one OmegaSolution per datum comes back.
+def omega_ode_solve(c2, d, inits, grid):
+    """Classic RK4 for the third-order omega equation along the 1-D grid,
+    which may increase or decrease, from each initial datum (w, w', w'')
+    at grid[0]; one OmegaSolution per datum comes back.  c2 is a finite,
+    nonzero scalar.  d = None gives the b-branch c2 w w''' + w'' = 0
+    (d = 0); else d, a function of t answering sample(ts, order), read
+    once per call over the grid's stage times, gives the energy form
+    c2 w''' + 2 d' w + 4 d w' = 0 (b = 0), monitoring
+    c2 w w'' - c2 w'^2/2 + 2 d w^2.
 
     Each datum steps as its own chain of floats, one classic RK4 step of
     the system (w, w', w'') at a time, written out in rk4_step's
@@ -119,28 +118,20 @@ def omega_ode_solve(case, params, inits, grid):
     a w, w' or w'' that is not finite, or in the b-branch takes omega
     through zero.  The b-branch equation divides by omega: its third
     derivative is NaN once |omega| falls under 1e-12.
-    params: the scalar c2, finite and nonzero, and for d-energy the
-    coefficient d, a function of t answering sample(ts, order), read once
-    per call over the grid's stage times.
     """
-    if case not in OMEGA_ODES:
-        raise ExprError(f"unknown omega equation {case!r}")
-    for key in ("c2",) if case == "b-branch" else ("c2", "d"):
-        if key not in params:
-            raise ExprError(f"the {case} omega equation needs {key!r}")
-    c2 = float(params["c2"])
+    c2 = float(c2)
     if c2 == 0.0 or not math.isfinite(c2):
         raise ExprError("the omega equation needs a finite, nonzero c2; "
                         f"got {c2!r}")
     ts = np.asarray(grid, float)
     n = len(ts) - 1
-    divides_by_w = case == "b-branch"
+    divides_by_w = d is None
     steps = ts[1:] - ts[:-1]
     times, off = stage_times(ts, steps)
-    d = np.zeros((2, len(times)))
+    dv = np.zeros((2, len(times)))  # d and d' at the stage times
     if not divides_by_w:
-        d = np.array([params["d"].sample(times, o) for o in (0, 1)])
-        check_evaluated("the coefficient d", times, d)
+        dv = np.array([d.sample(times, o) for o in (0, 1)])
+        check_evaluated("the coefficient d", times, dv)
 
     def third(p, q, w, w1, w2):
         # w''' from w, w' and w'', with p = 2 d' and q = 4 d at their time
@@ -189,7 +180,7 @@ def omega_ode_solve(case, params, inits, grid):
     # the steps, 2 d' and 4 d at every stage time as flat lists: a list
     # per time would hand the collector thousands of objects per solve
     hs = steps.tolist()
-    ps, qs = (2.0 * d[1]).tolist(), (4.0 * d[0]).tolist()
+    ps, qs = (2.0 * dv[1]).tolist(), (4.0 * dv[0]).tolist()
     sols = []
     with np.errstate(all="ignore"):
         for row in inits:
@@ -198,18 +189,19 @@ def omega_ode_solve(case, params, inits, grid):
             conserved = None
             if not divides_by_w:
                 conserved = (c2 * w * w2 - c2 / 2.0 * w1 ** 2
-                             + 2.0 * w ** 2 * d[0, :len(w)])
+                             + 2.0 * w ** 2 * dv[0, :len(w)])
             sols.append(OmegaSolution(ts[:len(w)], w, w1, w2, w3, conserved,
                                       truncated))
     return sols
 
 
-def solve_omega_two_sided(case, params, inits, t0, lo, hi):
-    """Solutions of the omega equation from each initial datum
-    (w, w', w'') at t0, on one uniform grid covering [lo, hi] with
-    OMEGA_POINTS_PER_UNIT nodes per unit of t: one omega_ode_solve call
+def solve_omega_two_sided(spec, c2, d, inits):
+    """omega_ode_solve's solutions for c2 and d from each datum (w, w',
+    w'') at spec's t0, on one uniform grid covering [t0 - 2.5 r,
+    t0 + 3.5 r] with OMEGA_POINTS_PER_UNIT nodes per unit of t: one call
     forward and one backward, joined datum by datum.  A datum that
     truncates on either side comes back as its forward side, flagged."""
+    t0, lo, hi = spec.t0, spec.t0 - 2.5 * spec.r, spec.t0 + 3.5 * spec.r
     step = 1.0 / OMEGA_POINTS_PER_UNIT
     n_b = max(int(math.ceil((t0 - lo) / step)), 1)
     n_f = max(int(math.ceil((hi - t0) / step)), 1)
@@ -219,8 +211,8 @@ def solve_omega_two_sided(case, params, inits, t0, lo, hi):
         return np.concatenate((a[::-1][:-1], b))
 
     sols = []
-    for fwd, bwd in zip(omega_ode_solve(case, params, inits, grid[n_b:]),
-                        omega_ode_solve(case, params, inits, grid[n_b::-1])):
+    for fwd, bwd in zip(omega_ode_solve(c2, d, inits, grid[n_b:]),
+                        omega_ode_solve(c2, d, inits, grid[n_b::-1])):
         if fwd.truncated or bwd.truncated:
             sols.append(replace(fwd, truncated=True))
             continue
@@ -662,7 +654,7 @@ def _case_c3(spec, result, k_val, trace):
         w2 = (2 * b1v ** 2 - b0 * b2v) / b0 ** 3
     except (ZeroDivisionError, OverflowError):
         raise ExprError(f"C3 needs 1/b at t0, but b(t0) = {b0:g}") from None
-    (sol,) = _omegas(spec, "b-branch", {"c2": k_val}, [(w0, w1, w2)])
+    (sol,) = solve_omega_two_sided(spec, k_val, None, [(w0, w1, w2)])
     gen_w = Generator("Phi d/dt + (x/2) Phi' d/dx", "numeric",
                       omega_numeric=sol,
                       note="Phi solves c2 w w''' + c3 w'' = 0 with "
@@ -674,13 +666,14 @@ def _case_c3(spec, result, k_val, trace):
         if mism > CHECK_TOL:
             _demote(gen_w, result, "b is not compatible with the "
                     f"two-term omega equation (max |w b - 1| = {mism:.2e})")
-    _check_numeric_omega(spec, gen_w, sol, result)
+    _check_numeric_omega(spec, gen_w, result)
     return result
 
 
-def _check_c_constraint(spec, gen, sol, result):
+def _check_c_constraint(spec, gen, result):
     """Residual check of the third-order c-constraint along the numeric
-    omega sol of gen; demotes on failure."""
+    omega of gen; demotes on failure."""
+    sol = gen.omega_numeric
     ts = sol.ts[:: max(len(sol.ts) // 40, 1)]
     with _check(gen, result, "c-constraint"):
         res = (sol.sample(ts, 3) + 4 * spec.c.sample(ts) * sol.sample(ts, 1)
@@ -700,28 +693,22 @@ def _case_c4(spec, result, trace):
     return result
 
 
-def _omegas(spec, case, params, inits):
-    """Solutions of the named omega equation on [t0 - 2.5 r, t0 + 3.5 r]
-    from each initial datum (w, w', w'') at t0."""
-    return solve_omega_two_sided(case, params, inits, spec.t0,
-                                 spec.t0 - 2.5 * spec.r,
-                                 spec.t0 + 3.5 * spec.r)
-
-
-def _check_numeric_omega(spec, gen, sol, result):
-    """A truncated numeric omega, or else its delay compatibility, and
-    the third-order c-constraint along it; demotes on failure."""
+def _check_numeric_omega(spec, gen, result):
+    """A truncated numeric omega of gen, or else its delay
+    compatibility, and the third-order c-constraint along it; demotes on
+    failure."""
+    sol = gen.omega_numeric
     if sol.truncated:
         # only the b-branch, which has no first integral, divides by omega
         why = "crossed zero" if sol.conserved is None else "overflowed"
         _demote(gen, result, f"omega {why}; solution truncated")
     else:
         _check_delay_compat(gen, sol, spec, result, "omega")
-    _check_c_constraint(spec, gen, sol, result)
+    _check_c_constraint(spec, gen, result)
 
 
 def _drift_text(sol, c2):
-    """The first integral's drift along a d-energy omega, or none where
+    """The first integral's drift along an energy-form omega, or none where
     the omega stopped at its first node and so has nothing to drift."""
     if len(sol.ts) < 2:
         return "none (omega of one node)"
@@ -732,15 +719,14 @@ def _case_c5(spec, result, k_val, trace):
     result.case_id = "C5"
     trace.append("b = 0, d != 0, k constant: omega from the energy form "
                  "of the third-order equation")
-    (sol,) = _omegas(spec, "d-energy", {"c2": k_val, "d": spec.d},
-                     [(1.0, 0.0, 0.0)])
+    (sol,) = solve_omega_two_sided(spec, k_val, spec.d, [(1.0, 0.0, 0.0)])
     gen_w = Generator("Phi d/dt + (x/2) Phi' d/dx", "numeric",
                       omega_numeric=sol,
                       note="Phi solves the integrated third-order "
                            "equation; first integral monitored")
     result.generators = [_gen_scale(), gen_w, _gen_rho()]
     result.compatibility["first-integral drift"] = _drift_text(sol, k_val)
-    _check_numeric_omega(spec, gen_w, sol, result)
+    _check_numeric_omega(spec, gen_w, result)
     return result
 
 
@@ -750,14 +736,14 @@ def _case_c678(spec, result, k_val, case_id, trace):
                  "directions from independent initial data")
     inits = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     result.generators = [_gen_half_scale()]
-    sols = _omegas(spec, "d-energy", {"c2": k_val, "d": spec.d}, inits)
+    sols = solve_omega_two_sided(spec, k_val, spec.d, inits)
     for i, (init, sol) in enumerate(zip(inits, sols)):
         g = Generator(f"Phi{i + 1} d/dt + (x/2) Phi{i + 1}' d/dx",
                       "numeric", omega_numeric=sol,
                       note="independent initial data "
                            f"{init}; first-integral drift "
                            f"{_drift_text(sol, k_val)}")
-        _check_numeric_omega(spec, g, sol, result)
+        _check_numeric_omega(spec, g, result)
         result.generators.append(g)
     result.generators.append(_gen_rho())
     # the three directions share the third-order constraint exactly when

@@ -108,11 +108,14 @@ class Spline:
 
 
 def _number(value, what):
-    """value as a float; ExprError naming what if it is no number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ExprError(f"{what} is not a number: {value!r}") from None
+    """value as a float; ExprError naming what if it is no number (a JSON
+    true or false is none)."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ExprError(f"{what} is not a number: {value!r}")
 
 
 def _gtsv(dl, d, du, cols):
@@ -178,9 +181,20 @@ class CoeffDescriptor:
     def zero(cls):
         return cls(ZERO)
 
+    def __post_init__(self):
+        if isinstance(self.expr, Rat):
+            try:
+                float(self.expr.q)
+            except OverflowError:
+                raise ExprError("a constant coefficient must be a finite "
+                                "float") from None
+
     @classmethod
     def const(cls, value):
-        return cls(Rat(Fraction(value)))
+        try:
+            return cls(Rat(Fraction(value)))
+        except ZeroDivisionError:
+            raise ExprError(f"const value {value!r} divides by zero") from None
 
     @classmethod
     def closed(cls, expr):
@@ -323,7 +337,7 @@ class CoeffDescriptor:
         if kind == "zero":
             return cls.zero()
         if kind == "const":
-            return cls.const(Fraction(str(need("value"))))
+            return cls.const(str(need("value")))
         if kind == "closed":
             return cls.closed(need("expr"))
         if kind == "numeric-table":
@@ -351,8 +365,9 @@ class NdeSpec:
     t0: float = 0.0
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise ExprError("delay r must be positive")
+        if not (0 < self.r < math.inf and math.isfinite(self.t0)):
+            raise ExprError("the delay r must be positive and finite and t0 "
+                            f"finite, not r = {self.r!r}, t0 = {self.t0!r}")
 
     @classmethod
     def make(cls, *, a=None, b=None, c=None, d=None, k=None, h=None,

@@ -27,7 +27,7 @@ from .flowverify import (
     TOL_FIN, TOL_INF, axiom_errors, check_generator, interior_samples,
 )
 from .ndesolve import integrate
-from .symexpr import parse
+from .symexpr import ExprError, parse
 
 HALF_PI = math.pi / 2
 TOL_AXIOM = 1e-7  # bound on the inverse and closure errors of a flow
@@ -204,7 +204,7 @@ def run_suite(only=None, steps=64, delta=0.25):
     if only:
         scenarios = [sc for sc in scenarios if sc.name == only]
         if not scenarios:
-            raise KeyError(f"no scenario named {only!r}")
+            raise ExprError(f"unknown scenario {only!r}")
     results = [run_scenario(sc, steps=steps, delta=delta)
                for sc in scenarios]
     return sorted(results, key=lambda r: (len(r.name), r.name))

@@ -259,8 +259,7 @@ def test_criterion_8_first_integral_conservation():
     drifts = {}
     for name, chain in chains.items():
         grid = np.linspace(0.0, 2.0, 4001)
-        (sol,) = omega_ode_solve("d-energy", {"c2": 1.0, "d": chain},
-                                 [(1.0, 0.3, -0.2)], grid)
+        (sol,) = omega_ode_solve(1.0, chain, [(1.0, 0.3, -0.2)], grid)
         drifts[name] = sol.conservation_drift(1.0)
     ok = all(v < 1e-8 for v in drifts.values())
     report(8, ok, ", ".join(f"d={k}: {v:.1e}" for k, v in drifts.items()))

@@ -82,8 +82,7 @@ def test_line_solves_two_term_equation():
     # w = c14 t + c15 has w'' = 0 and solves w w''' + w'' = 0 exactly
     c14, c15 = 0.7, 1.3
     grid = np.linspace(0.0, 3.0, 301)
-    (sol,) = omega_ode_solve("b-branch", {"c2": 1.0},
-                             [(c15, c14, 0.0)], grid)
+    (sol,) = omega_ode_solve(1.0, None, [(c15, c14, 0.0)], grid)
     ts = np.linspace(0.0, 3.0, 50)
     worst = np.max(np.abs(sol.sample(ts) - (c14 * ts + c15)))
     assert worst < 1e-10
@@ -97,8 +96,7 @@ def test_line_solves_two_term_equation():
 ])
 def test_energy_form_conserves_first_integral(dname, chain):
     grid = np.linspace(0.0, 2.0, 4001)
-    (sol,) = omega_ode_solve("d-energy", {"c2": 1.0, "d": chain},
-                             [(1.0, 0.3, -0.2)], grid)
+    (sol,) = omega_ode_solve(1.0, chain, [(1.0, 0.3, -0.2)], grid)
     assert sol.conservation_drift(1.0) < 1e-8
 
 
@@ -107,16 +105,14 @@ def test_c_energy_trivial_case():
     # w''' + 4 c w' + 2 c' w = 0 is the d-energy equation with d = c and
     # c2 = 1; with c = 0 the constant stays put
     chain = CD.numeric(lambda t: 0.0, lambda t: 0.0)
-    (sol,) = omega_ode_solve("d-energy", {"c2": 1.0, "d": chain},
-                             [(1.0, 0.0, 0.0)], grid)
+    (sol,) = omega_ode_solve(1.0, chain, [(1.0, 0.0, 0.0)], grid)
     assert max(abs(sol.w - 1.0)) < 1e-14
 
 
 def test_truncation_on_zero_crossing():
     # w w''' + w'' = 0 with data driving w through zero
     grid = np.linspace(0.0, 10.0, 2001)
-    (sol,) = omega_ode_solve("b-branch", {"c2": 1.0},
-                             [(0.5, -1.0, 0.1)], grid)
+    (sol,) = omega_ode_solve(1.0, None, [(0.5, -1.0, 0.1)], grid)
     assert sol.truncated
     assert sol.ts[-1] < 10.0
 
@@ -124,7 +120,7 @@ def test_truncation_on_zero_crossing():
 def test_omega_under_the_threshold_truncates_at_once():
     # w w''' + w'' = 0 holds w = 1e-13 put, but |w| < 1e-12 makes the third
     # derivative NaN, so the solution stops at its first node
-    (sol,) = omega_ode_solve("b-branch", {"c2": 1.0}, [(1e-13, 0.0, 0.0)],
+    (sol,) = omega_ode_solve(1.0, None, [(1e-13, 0.0, 0.0)],
                              np.linspace(0.0, 1.0, 11))
     assert sol.truncated
     assert sol.ts.tolist() == [0.0] and np.isnan(sol.w3[0])
@@ -135,20 +131,10 @@ def test_omega_under_the_threshold_truncates_at_once():
 def test_omega_equation_rejects_a_c2_it_cannot_divide_by(case, c2):
     # the equation divides by c2: a zero one would give NaN arrays with no
     # flag
-    d = CD.numeric(lambda t: 1.0, lambda t: 0.0)
+    d = None if case == "b-branch" else CD.numeric(lambda t: 1.0,
+                                                   lambda t: 0.0)
     with pytest.raises(ExprError, match="c2"):
-        omega_ode_solve(case, {"c2": c2, "d": d}, [(1.0, 0.0, 0.0)],
-                        np.linspace(0.0, 1.0, 11))
-
-
-@pytest.mark.parametrize("case, params, key", [
-    ("b-branch", {}, "c2"), ("d-energy", {"d": CD.zero()}, "c2"),
-    ("d-energy", {"c2": 1.0}, "d"),
-], ids=["b-branch-c2", "d-energy-c2", "d-energy-d"])
-def test_omega_equation_names_a_missing_parameter(case, params, key):
-    with pytest.raises(ExprError, match=f"{case} omega equation needs "
-                                        f"'{key}'"):
-        omega_ode_solve(case, params, [(1.0, 0.0, 0.0)],
+        omega_ode_solve(c2, d, [(1.0, 0.0, 0.0)],
                         np.linspace(0.0, 1.0, 11))
 
 
@@ -159,7 +145,7 @@ def test_omega_equation_names_a_missing_parameter(case, params, key):
 def test_an_underflowing_divisor_divides_as_ieee_floats(init, w3):
     # c2 w underflows to a signed zero: w''' is an infinity or NaN, as in
     # IEEE division, and the solution truncates at its first node
-    (sol,) = omega_ode_solve("b-branch", {"c2": 5e-324}, [init],
+    (sol,) = omega_ode_solve(5e-324, None, [init],
                              np.linspace(0.0, 1.0, 11))
     assert sol.truncated
     assert sol.ts.tolist() == [0.0]
@@ -167,11 +153,10 @@ def test_an_underflowing_divisor_divides_as_ieee_floats(init, w3):
 
 
 def test_two_sided_solution_covers_backward_range():
-    (sol,) = solve_omega_two_sided("d-energy",
-                                   {"c2": 1.0,
-                                    "d": CD.numeric(lambda t: 0.0,
-                                                    lambda t: 0.0)},
-                                   [(1.0, 0.0, 0.0)], 0.0, -2.0, 3.0)
+    # t0 = 0 and r = 0.8 span [-2, 2.8]
+    (sol,) = solve_omega_two_sided(NdeSpec.make(k=1, r=0.8), 1.0,
+                                   CD.numeric(lambda t: 0.0, lambda t: 0.0),
+                                   [(1.0, 0.0, 0.0)])
     assert sol.sample([-1.5, 2.5]) == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
@@ -179,8 +164,7 @@ def test_energy_form_converges_at_fourth_order():
     # each halving of the step divides the change of w by about 2^4; a
     # stage reading the coefficients of the wrong time drops the order
     d = CD.closed(parse("2 + sin(t)"))
-    sols = [omega_ode_solve("d-energy", {"c2": 1.5, "d": d},
-                            [(1.0, 0.0, 0.0)],
+    sols = [omega_ode_solve(1.5, d, [(1.0, 0.0, 0.0)],
                             np.linspace(0.0, 3.0, n + 1))[0]
             for n in (100, 200, 400, 800)]
     gaps = [np.max(np.abs(a.w - b.w[::2])) for a, b in zip(sols, sols[1:])]
@@ -211,8 +195,7 @@ def test_compatibility_c_numeric_matches_independent_quadrature():
     # a finer independent integration of the same linear equation
     spec = NdeSpec.make(d="exp(t)", k=1, r=1.0)
     chain = CD.numeric(np.exp, np.exp)
-    (sol,) = solve_omega_two_sided("d-energy", {"c2": 1.0, "d": chain},
-                                   [(1.0, 0.0, 0.0)], 0.0, -0.5, 3.5)
+    (sol,) = solve_omega_two_sided(spec, 1.0, chain, [(1.0, 0.0, 0.0)])
     grid = np.linspace(0.0, 3.0, 601)
     desc = compatibility_c(spec, sol, c_t0=0.5, grid=grid)
 
@@ -715,9 +698,7 @@ def test_batched_omega_directions_equal_single_solves(name):
     assert len(got) == 3
     for sol, init in zip(got, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
                                (0.0, 0.0, 1.0))):
-        (want,) = solve_omega_two_sided(
-            "d-energy", {"c2": k_val, "d": spec.d}, [init], spec.t0,
-            spec.t0 - 2.5 * spec.r, spec.t0 + 3.5 * spec.r)
+        (want,) = solve_omega_two_sided(spec, k_val, spec.d, [init])
         assert sol.truncated == want.truncated
         for field in ("ts", "w", "w1", "w2", "w3", "conserved"):
             assert np.array_equal(getattr(sol, field),
@@ -780,9 +761,7 @@ def test_sampled_omega_coefficients_equal_pointwise_reads(name):
     n_b = int(np.flatnonzero(grid == spec.t0)[0])
     for ts in (grid[n_b:], grid[n_b::-1]):
         for init in inits:
-            (got,) = omega_ode_solve("d-energy",
-                                     {"c2": k_val, "d": spec.d},
-                                     [init], ts)
+            (got,) = omega_ode_solve(k_val, spec.d, [init], ts)
             want = _pointwise_energy_solve(k_val, spec.d, init, ts)
             assert np.array_equal(got.ts, ts)
             for field, arr in zip(("w", "w1", "w2", "w3", "conserved"),
@@ -887,10 +866,10 @@ def _two_sided_grid(t0, lo, hi):
 ], ids=["forward-truncates", "backward-truncates", "both-truncate",
         "none-truncates"])
 def test_b_branch_truncation_keeps_the_forward_side(init, cuts, nodes, end):
-    # c2 = 1/2 and t0 = 0.5 on [-2, 4]: whichever side truncates, the
-    # result is the forward side, flagged
-    (sol,) = solve_omega_two_sided("b-branch", {"c2": 0.5}, [init], 0.5,
-                                   -2.0, 4.0)
+    # c2 = 1/2, and t0 = 0.5 and r = 1 span [-2, 4]: whichever side
+    # truncates, the result is the forward side, flagged
+    (sol,) = solve_omega_two_sided(NdeSpec.make(k=1, r=1.0, t0=0.5), 0.5,
+                                   None, [init])
     ts, want, got_cuts = _two_sided_reference(
         lambda g: _pointwise_b_branch_solve(0.5, init, g),
         _two_sided_grid(0.5, -2.0, 4.0), 0.5)
@@ -900,25 +879,24 @@ def test_b_branch_truncation_keeps_the_forward_side(init, cuts, nodes, end):
     _assert_solution_equals(sol, ts, want, any(cuts))
 
 
-@pytest.mark.parametrize("case, params, rows, cuts", [
-    ("b-branch", {"c2": 0.5},
+@pytest.mark.parametrize("c2, d, rows, cuts", [
+    (0.5, None,
      [(2.0, -0.5, 0.2), (1.0, 1.0, 0.0), (1.0, -1.0, 0.0)],
      [False, False, True]),
     # d = 1 leaves w = 1 put, and any w' overflows at c2 = 1e-300
-    ("d-energy", {"c2": 1e-300, "d": CD.numeric(lambda t: 1.0,
-                                                 lambda t: 0.0)},
+    (1e-300, CD.numeric(lambda t: 1.0, lambda t: 0.0),
      [(1.0, 0.0, 0.0), (1.0, 0.5, 0.0), (2.0, 0.0, 0.0)],
      [False, True, False]),
 ], ids=["b-branch", "d-energy"])
-def test_each_datum_gives_its_solve_alone(case, params, rows, cuts):
+def test_each_datum_gives_its_solve_alone(c2, d, rows, cuts):
     # a datum that truncates stops alone: the others keep the whole grid
     grid = np.linspace(0.5, 4.0, 701)
-    alone = [omega_ode_solve(case, params, [row], grid)[0] for row in rows]
+    alone = [omega_ode_solve(c2, d, [row], grid)[0] for row in rows]
     assert [s.truncated for s in alone] == cuts
     for sol, cut in zip(alone, cuts):
         assert (len(sol.ts) < len(grid)) == cut
     for picked in ([0, 1], [2, 0, 1], [1, 2]):
-        sols = omega_ode_solve(case, params, [rows[i] for i in picked], grid)
+        sols = omega_ode_solve(c2, d, [rows[i] for i in picked], grid)
         assert len(sols) == len(picked)
         for got, i in zip(sols, picked):
             _assert_solution_equals(
@@ -933,13 +911,13 @@ def test_energy_solve_that_overflows_comes_back_flagged():
     # the solve stops at its first node, flagged, its drift finite, and no
     # numpy warning escapes
     d = CD.numeric(lambda t: 1.0, lambda t: 0.0)
-    params = {"c2": 1e-300, "d": d}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        (one,) = omega_ode_solve("d-energy", params, [(1.0, 0.5, 0.0)],
+        (one,) = omega_ode_solve(1e-300, d, [(1.0, 0.5, 0.0)],
                                  np.linspace(0.0, 1.0, 11))
-        (two,) = solve_omega_two_sided("d-energy", params, [(1.0, 0.5, 0.0)],
-                                       0.0, -1.0, 1.0)
+        # t0 = 0 and r = 0.4 span [-1, 1.4]
+        (two,) = solve_omega_two_sided(NdeSpec.make(k=1, r=0.4), 1e-300, d,
+                                       [(1.0, 0.5, 0.0)])
         drifts = [sol.conservation_drift(1e-300) for sol in (one, two)]
     for sol in (one, two):
         assert sol.truncated
@@ -951,9 +929,9 @@ def test_energy_solve_that_overflows_comes_back_flagged():
 def test_finite_values_whose_sum_overflows_do_not_truncate(case):
     # w = 1.7e308 and w' = 2e307 are finite, though w + w' is not: the
     # stop rule tests each value on its own
-    d = CD.numeric(lambda t: 0.0, lambda t: 0.0)
-    (sol,) = omega_ode_solve(case, {"c2": 1.0, "d": d},
-                             [(1.7e308, 2e307, 0.0)],
+    d = None if case == "b-branch" else CD.numeric(lambda t: 0.0,
+                                                   lambda t: 0.0)
+    (sol,) = omega_ode_solve(1.0, d, [(1.7e308, 2e307, 0.0)],
                              np.linspace(0.0, 0.1, 11))
     assert not sol.truncated and len(sol.ts) == 11
 

@@ -11,7 +11,8 @@ import pytest
 
 from ndelie.cli import main
 from ndelie.equation import CoeffDescriptor, NdeSpec
-from ndelie.suite import build_scenarios, run_scenario
+from ndelie.suite import build_scenarios, run_scenario, run_suite
+from ndelie.symexpr import ExprError
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -148,6 +149,37 @@ def test_a_missing_spec_key_is_named(tmp_path, capsys, spec, why):
 def test_a_spec_value_of_the_wrong_type_is_named(tmp_path, capsys, spec,
                                                  why):
     path = tmp_path / "typed.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--spec", str(path)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"error: malformed spec file: {why}\n"
+
+
+@pytest.mark.parametrize("spec,why", [
+    ({"r": math.inf, "d": {"kind": "const", "value": "1"}},
+     "the delay r must be positive and finite and t0 finite, not r = inf, "
+     "t0 = 0.0"),
+    ({"r": 1.0, "t0": math.nan, "d": {"kind": "const", "value": "1"}},
+     "the delay r must be positive and finite and t0 finite, not r = 1.0, "
+     "t0 = nan"),
+    ({"r": True, "d": {"kind": "const", "value": "1"}},
+     "'r' is not a number: True"),
+    ({"r": 10 ** 400, "d": {"kind": "const", "value": "1"}},
+     f"'r' is not a number: {10 ** 400}"),
+    ({"c": {"kind": "const", "value": "1/0"}, "r": 1.0},
+     "coefficient c: const value '1/0' divides by zero"),
+    ({"c": {"kind": "const", "value": "1e400"}, "r": 1.0},
+     "coefficient c: a constant coefficient must be a finite float"),
+    ({"c": {"kind": "closed", "expr": "10^400"}, "r": 1.0},
+     "coefficient c: a constant coefficient must be a finite float"),
+], ids=["r-infinite", "t0-nan", "r-boolean", "r-huge-integer", "const-1/0",
+        "const-1e400", "closed-10^400"])
+def test_a_spec_number_that_is_not_finite_is_named(tmp_path, capsys, spec,
+                                                   why):
+    # json writes and reads NaN, Infinity, true and any integer; the first
+    # three loaded before, and the last four ended in a traceback
+    path = tmp_path / "finite.json"
     path.write_text(json.dumps(spec))
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--spec", str(path)])
@@ -387,6 +419,16 @@ def test_paper_suite_text_reports_a_failing_scenario(monkeypatch, capsys):
 
 def test_paper_suite_unknown_scenario(capsys):
     assert main(["paper-suite", "--only", "nope"]) == 1
+
+
+def test_paper_suite_names_an_unknown_scenario(capsys):
+    assert main(["paper-suite", "--only", "C99"]) == 1
+    assert capsys.readouterr().err == "error: unknown scenario 'C99'\n"
+
+
+def test_run_suite_refuses_an_unknown_scenario():
+    with pytest.raises(ExprError, match="^unknown scenario 'C99'$"):
+        run_suite(only="C99")
 
 
 def test_classification_report_deterministic(ex1_spec, capsys):
