@@ -21,8 +21,8 @@ import numpy as np
 
 from .symexpr import (
     Coeff, EvalError, Expr, ExprError, Par, Rat, T, X, X1, X1R, X2, X2R, XR,
-    ZERO, atoms, check_evaluated, compile_numeric, diff, normalize, parse,
-    render,
+    ZERO, atoms, check_evaluated, compile_numeric, diff, nodes, normalize,
+    parse, render,
 )
 
 COEFF_NAMES = ("a", "b", "c", "d", "k", "h")
@@ -182,12 +182,17 @@ class CoeffDescriptor:
         return cls(ZERO)
 
     def __post_init__(self):
-        if isinstance(self.expr, Rat):
-            try:
-                float(self.expr.q)
-            except OverflowError:
-                raise ExprError("a constant coefficient must be a finite "
-                                "float") from None
+        # a program that reads the expression turns each constant into a
+        # float
+        for node in () if self.expr is None else nodes(self.expr):
+            if isinstance(node, Rat):
+                try:
+                    float(node.q)
+                except OverflowError:
+                    raise ExprError(
+                        "a constant coefficient must be a finite float"
+                        if node is self.expr else "a closed coefficient's "
+                        "constants must be finite floats") from None
 
     @classmethod
     def const(cls, value):

@@ -105,8 +105,7 @@ class Expr:
 
     def __getstate__(self):
         # caches stay behind: string hashes differ between processes
-        return {k: v for k, v in self.__dict__.items()
-                if not k.startswith("_")}
+        return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
 
 @dataclass(frozen=True, repr=False)
@@ -164,6 +163,17 @@ class Sum(Expr):
         if not isinstance(self.terms, tuple):
             object.__setattr__(self, "terms", tuple(self.terms))
 
+    def __getattr__(self, name):
+        # a normal form's sum builds its terms the first time they are
+        # read, from the sorted factors _rebuild leaves and its _poly
+        d = self.__dict__
+        if name != "terms" or "_pending" not in d:
+            raise AttributeError(name)
+        poly = d["_poly"]
+        terms = d["terms"] = tuple(_term_expr(f, poly[m])
+                                   for f, m in d.pop("_pending"))
+        return terms
+
 
 @dataclass(frozen=True, repr=False)
 class Prod(Expr):
@@ -204,7 +214,8 @@ def _cached_hash(self):
     d = self.__dict__
     h = d.get("_hash")
     if h is None:
-        h = d["_hash"] = hash(tuple(d[f] for f in self.__dataclass_fields__))
+        h = d["_hash"] = hash(tuple(getattr(self, f)
+                                    for f in self.__dataclass_fields__))
     return h
 
 
@@ -495,14 +506,17 @@ def _term_expr(factors, coeff):
 def _rebuild(p):
     """Canonical node of a polynomial.  A Sum, Prod or Pow node keeps the
     polynomial it was built from, in the order a fresh expansion of the
-    node gives, and _poly returns it instead of expanding the node again."""
+    node gives, and _poly returns it instead of expanding the node again.
+    A Sum builds its terms only when something reads them (Sum.__getattr__):
+    most normal forms are only ever read as polynomials."""
     if not p:
         return ZERO
     terms = sorted([(_in_skey_order(m), m) for m in p])
     if len(terms) == 1:
         node = _term_expr(terms[0][0], p[terms[0][1]])
     else:
-        node = Sum(tuple(_term_expr(f, p[m]) for f, m in terms))
+        node = object.__new__(Sum)
+        node.__dict__["_pending"] = terms
     if isinstance(node, (Sum, Prod, Pow)):
         node.__dict__["_poly"] = {m: p[m] for _, m in terms}
     return node
@@ -981,18 +995,18 @@ _ARRAY_FNS = {"sin": np.sin, "cos": np.cos, "sqrt": _sqrt_array,
 # atoms present in an expression
 
 
+def nodes(e):
+    """Every node of the expression, each as often as the tree holds it."""
+    stack = [_as_expr(e)]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(_operands(node))
+
+
 def atoms(e):
     """Set of leaf symbols (Par, Jet, Coeff) appearing in the expression."""
-    out = set()
-
-    def walk(node):
-        if isinstance(node, (Par, Jet, Coeff)):
-            out.add(node)
-        for k in _operands(node):
-            walk(k)
-
-    walk(_as_expr(e))
-    return out
+    return {n for n in nodes(e) if isinstance(n, (Par, Jet, Coeff))}
 
 
 # ---------------------------------------------------------------------------

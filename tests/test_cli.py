@@ -187,6 +187,27 @@ def test_a_spec_number_that_is_not_finite_is_named(tmp_path, capsys, spec,
     assert capsys.readouterr().err == f"error: malformed spec file: {why}\n"
 
 
+@pytest.mark.parametrize("name,spec", [
+    ("b", {"b": {"kind": "closed", "expr": "10^400*t"},
+           "c": {"kind": "const", "value": "1"},
+           "k": {"kind": "const", "value": "2"}, "r": 1.0}),
+    ("c", {"c": {"kind": "closed", "expr": "10^400*t"},
+           "k": {"kind": "const", "value": "1"}, "r": 1.0}),
+], ids=["b", "c"])
+def test_a_closed_coefficient_with_a_constant_past_float_is_named(
+        tmp_path, capsys, name, spec):
+    # b reached C3's sampling of b and ended in an OverflowError; c
+    # classified as C9 without ever sampling c
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--spec", str(path)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == (
+        f"error: malformed spec file: coefficient {name}: a closed "
+        f"coefficient's constants must be finite floats\n")
+
+
 @pytest.mark.parametrize("t0", [0.0, 1e-160], ids=["zero", "tiny"])
 def test_c3_with_b_vanishing_at_t0_stops_with_an_error(tmp_path, capsys, t0):
     # b = t is zero at t0 = 0, and at t0 = 1e-160 its inverse squared

@@ -859,6 +859,51 @@ def test_pickled_node_drops_its_caches():
     assert normalize(copy) == n
 
 
+def _eager(n):
+    """The Sum of n's terms, each built from its own monomial."""
+    return Sum(tuple(normalize(Prod((Rat(Fraction(c)),) + tuple(
+        Pow(_ATOM_OF[i], k) for i, k in m))) for m, c in _poly(n).items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exprs())
+@example(Sum((Pow(Sum((T, X)), -1), T)))
+def test_a_normal_form_sum_builds_its_terms_on_first_read(e):
+    n = _try_normalize(e)
+    assume(isinstance(n, Sum))
+    assert "terms" not in n.__dict__
+    # the kernel reads the polynomial the node keeps, not its terms
+    for op in (lambda: normalize(n * X + n), lambda: diff(n, X),
+               lambda: shift(n)):
+        try:
+            op()
+        except ExprError:
+            pass
+    assert "terms" not in n.__dict__
+    eager = _eager(n)
+    assert n.terms == eager.terms
+    assert "terms" in n.__dict__ and "_pending" not in n.__dict__
+    # each read builds the same terms from an unread node
+    for read in (lambda m: m == eager, lambda m: eager == m,
+                 lambda m: hash(m) == hash(eager),
+                 lambda m: render(m) == render(eager)):
+        m = normalize(e)
+        assert "terms" not in m.__dict__
+        assert read(m)
+        assert "terms" in m.__dict__
+
+
+def test_a_sum_pickled_before_any_read_keeps_its_terms():
+    n = normalize(parse("(b(t) + t)^(-1) * x + sin(t)^2 - 3/2*x1r"))
+    assert "terms" not in n.__dict__ and "_hash" not in n.__dict__
+    copy = pickle.loads(pickle.dumps(n))
+    assert not _private_keys(copy)
+    eager = _eager(n)
+    assert copy == eager and hash(copy) == hash(eager)
+    assert copy == n and hash(copy) == hash(n)
+    assert normalize(copy) == n
+
+
 # ---------------------------------------------------------------------------
 # a normal form does not depend on the order the kernel meets its atoms
 
